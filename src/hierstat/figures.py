@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .gentile import (
     EnergySign,
     GibbsParams,
     OccupancyLevel,
+    _increasing_root,
     activity,
     activity_for_mean,
     fermi_dirac,
@@ -131,13 +131,7 @@ def _fig6():
 
 def _solve_omega(d: int, target: float) -> float:
     """Activity at which log Z equals ``target`` (log Z is increasing)."""
-    lo, hi = -1.0, 1.0
-    while log_partition(lo, d) >= target:
-        lo *= 2.0
-    while log_partition(hi, d) <= target:
-        hi *= 2.0
-    return float(brentq(lambda l: log_partition(l, d) - target, lo, hi,
-                        xtol=1e-15, rtol=8.882e-16, maxiter=200))
+    return _increasing_root(lambda l: log_partition(l, d), target)
 
 
 def _fig7():

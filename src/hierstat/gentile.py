@@ -34,9 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import NoConvergence, ValidationError
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -367,28 +366,91 @@ def bose_einstein(lam) -> float:
     return _inv_expm1(-lam)
 
 
+def _increasing_root(func, target: float) -> float:
+    """The lambda at which the strictly increasing ``func`` equals ``target``.
+
+    Doubles the bracket [-1, 1] outwards until it straddles the target,
+    then runs Brent's method (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) as a line-for-line port of scipy's
+    ``brentq.c``: the same variable roles, tolerances (xtol 1e-15, rtol
+    8.882e-16, 200 iterations) and order of floating-point operations, so
+    the root is bit-identical to ``scipy.optimize.brentq``'s.
+    """
+    lo, hi = -1.0, 1.0
+    while func(lo) >= target:
+        lo *= 2.0
+        if lo < -1e9:
+            raise ValidationError("failed to bracket the root from below")
+    while func(hi) <= target:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValidationError("failed to bracket the root from above")
+
+    xtol, rtol = 1e-15, 8.882e-16
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    # the bracket makes fpre < 0 < fcur, so brentq.c's zero and sign
+    # checks on the end points can never fire
+    fpre = func(xpre) - target
+    fcur = func(xcur) - target
+    for _ in range(200):
+        if fpre != 0.0 and fcur != 0.0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = func(xcur) - target
+    raise NoConvergence(f"Brent iteration did not converge to target {target!r} "
+                        f"within 200 iterations (last iterate {xcur!r})")
+
+
 def activity_for_mean(d: int, target: float) -> float:
     """Invert :func:`gentile_mean` in lambda at fixed capacity.
 
     The mean is strictly increasing, so the root is unique; solved by
-    bracket expansion plus Brent iteration to machine precision.
+    bracket expansion plus the in-house port of scipy's Brent root finder
+    (``_increasing_root``), to machine precision and bit-identical to
+    ``scipy.optimize.brentq``.
     """
     d = _check_capacity(d)
     target = float(target)
     if not (math.isfinite(target) and 0.0 < target < d):
         raise ValidationError(
             f"target mean must lie strictly inside (0, {d}), got {target}")
-    lo, hi = -1.0, 1.0
-    while gentile_mean(lo, d) >= target:
-        lo *= 2.0
-        if lo < -1e9:  # pragma: no cover - target bounds make this unreachable
-            raise ValidationError("failed to bracket the activity from below")
-    while gentile_mean(hi, d) <= target:
-        hi *= 2.0
-        if hi > 1e9:  # pragma: no cover
-            raise ValidationError("failed to bracket the activity from above")
-    return float(brentq(lambda l: gentile_mean(l, d) - target, lo, hi,
-                        xtol=1e-15, rtol=8.882e-16, maxiter=200))
+    return _increasing_root(lambda l: gentile_mean(l, d), target)
 
 
 # --- typed wrappers over the float kernels ---------------------------------

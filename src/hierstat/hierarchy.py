@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ValidationError
 from .gentile import GibbsParams, occupancy_probabilities
@@ -155,6 +154,8 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:
+    from scipy.special import gammaln  # imported here: scipy costs ~0.5 s to load
+
     r = np.arange(capacity + 1, dtype=float)
     return (gammaln(capacity + 1.0) - gammaln(r + 1.0)
             - gammaln(capacity - r + 1.0) + beta * salary * r)
@@ -169,6 +170,8 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
     enumerating configurations.  Feasible whenever the total position
     count is moderate (about 1e4).
     """
+    from scipy.special import logsumexp  # imported here, as in _level_log_poly
+
     if isinstance(agents, bool) or not isinstance(agents, (int, np.integer)):
         raise ValidationError(f"agents must be an integer, got {agents!r}")
     agents = int(agents)

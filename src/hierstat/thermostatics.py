@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Delta, is_parametric, resolve, support
+from .distributions import Delta, integrate_against, is_parametric, resolve, support
 from .ensemble import PHI_STEP, ensemble_moments, moment_integrals
 from .errors import AccuracyError, NoConvergence, SingularInversion, ValidationError
-from .distributions import integrate_against
 from .gentile import (
     GibbsParams,
     activity_for_mean,
@@ -196,6 +195,10 @@ def thermo_derivatives(dist, d: int, params: GibbsParams, *,
 _SCAN_ALPHAS = np.concatenate((-np.logspace(2, -3, 20), [0.0], np.logspace(-3, 2, 20)))
 _SCAN_BETAS = np.logspace(-6, 3, 41)
 
+#: scan points Newton may start from, best score first: a Jacobian that is
+#: singular at a start (e.g. an atom saturated at f = d) moves on to the next
+_SCAN_STARTS = 4
+
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol):
     params = GibbsParams(alpha, beta)
@@ -212,15 +215,18 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
 
     Damped Newton (step halving, up to 60 halvings) with the analytic
     Jacobian, started from the best point of a coarse 41 x 41 log-grid
-    scan; beta is kept inside ``BETA_WINDOW``.  Point masses are refused
+    scan; beta is kept inside ``BETA_WINDOW``.  When the Jacobian is
+    singular at that starting point, Newton restarts from the next-best
+    scan points, up to ``_SCAN_STARTS`` in all.  Point masses are refused
     outright: their u is constant, so the system is rank one.
 
     Raises only :class:`ValidationError` (capacity or targets out of
-    range), :class:`SingularInversion` (a point mass, or a singular
-    Jacobian at an iterate) and :class:`NoConvergence`.  The last
-    covers an exhausted budget, a stalled line search and moments or a
-    Jacobian whose quadrature fails at an iterate; it carries the
-    residuals and (alpha, beta) of the last accepted iterate.
+    range), :class:`SingularInversion` (a point mass, a singular Jacobian
+    at every tried start, or one at a later iterate) and
+    :class:`NoConvergence`.  The last covers an exhausted budget, a
+    stalled line search and moments or a Jacobian whose quadrature fails
+    at an iterate; it carries the residuals and (alpha, beta) of the last
+    accepted iterate.
     """
     d = _check_capacity(d)
     if is_parametric(dist):
@@ -248,7 +254,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     scale_u = max(abs(u_target), 1e-12)
     scan_tol = 1e-6  # the scan only locates the basin
 
-    best = None
+    scored = []
     for a in _SCAN_ALPHAS:
         for b in _SCAN_BETAS:
             try:
@@ -256,24 +262,40 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
                                              scale_u, scan_tol)
             except (ValidationError, AccuracyError, OverflowError):
                 continue
-            score = float(np.hypot(*res))
-            if best is None or score < best[0]:
-                best = (score, a, b)
-    if best is None:  # pragma: no cover - the scan always evaluates somewhere
+            scored.append((float(np.hypot(*res)), float(a), float(b)))
+    if not scored:  # pragma: no cover - the scan always evaluates somewhere
         raise NoConvergence("no admissible starting point found")
 
-    alpha, beta = best[1], best[2]
+    # a stable sort keeps the first strict minimum in scan order in front
+    starts = sorted(scored, key=lambda s: s[0])[:_SCAN_STARTS]
+    for _, alpha, beta in starts:
+        params = _newton(dist, d, alpha, beta, n_target, u_target, scale_u,
+                         rel_tol, max_iter)
+        if params is not None:
+            return params
+    raise SingularInversion(
+        "Jacobian of (n, u) with respect to (alpha, beta) is singular at each "
+        f"of the {len(starts)} best scan points, the last at alpha={alpha!r}, "
+        f"beta={beta!r}")
+
+
+def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter):
+    """Damped Newton for :func:`invert_to_params` from one scan point.
+
+    Returns the solution, or None when the Jacobian is singular at the
+    starting point itself so the caller can try another one.
+    """
     try:
         res, n, u = _scaled_residual(dist, d, alpha, beta, n_target, u_target,
                                      scale_u, rel_tol)
     except (AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
-                            alpha=float(alpha), beta=float(beta)) from None
+                            alpha=alpha, beta=beta) from None
     norm = float(np.hypot(*res))
     lo_b, hi_b = BETA_WINDOW
     message = "inverse problem did not converge"
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol:
             return GibbsParams(alpha, beta)
         try:
@@ -287,9 +309,11 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
+            if it == 0:
+                return None
             raise SingularInversion(
                 "Jacobian of (n, u) with respect to (alpha, beta) is singular "
-                f"at alpha={alpha!r}, beta={beta!r}") from None
+                f"at alpha={float(alpha)!r}, beta={float(beta)!r}") from None
         t = 1.0
         accepted = False
         for _ in range(60):

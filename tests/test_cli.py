@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -325,3 +328,16 @@ def test_simulate_seed_from_environment(runner, tmp_path, monkeypatch):
                                   "--output-dir", str(out2), "--seed", "3"])
     assert result.exit_code == 0
     assert json.loads((out2 / "summary.json").read_text())["seed"] == 3
+
+
+# --- import path -----------------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    # scipy costs ~0.6 s to import; only exact_canonical loads it, lazily
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, hierstat, hierstat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

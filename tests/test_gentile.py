@@ -280,6 +280,41 @@ def test_activity_for_mean_roundtrip():
         activity_for_mean(5, 5.0)
 
 
+def _brent_problems():
+    """(kernel, d, target): the figure 5/6/7 targets plus a seeded grid."""
+    from hierstat.figures import EOS_D_VALUES
+
+    problems = []
+    for d in EOS_D_VALUES:
+        log_dp1 = math.log1p(d)
+        problems += [(gentile_mean, d, 1e-3), (gentile_mean, d, 0.99 * d),
+                     (log_partition, d, log_dp1 / 2.0), (log_partition, d, log_dp1 / 0.4)]
+    rng = np.random.default_rng(11)
+    for d in [1, 2, 3, 9, 100, 60000, *rng.integers(1, 60001, 8).tolist()]:
+        for u in rng.uniform(0.0, 1.0, 10):
+            problems.append((gentile_mean, d, float(u) * d))
+            problems.append((log_partition, d, float(u) * 6.0 * math.log1p(d)))
+    return problems
+
+
+def test_brent_port_bit_identical_to_scipy():
+    from scipy.optimize import brentq
+
+    from hierstat.gentile import _increasing_root
+
+    for kernel, d, target in _brent_problems():
+        func = lambda lam: kernel(lam, d)  # noqa: E731
+        lo, hi = -1.0, 1.0  # the port's bracket expansion
+        while func(lo) >= target:
+            lo *= 2.0
+        while func(hi) <= target:
+            hi *= 2.0
+        ref = brentq(lambda lam: func(lam) - target, lo, hi,
+                     xtol=1e-15, rtol=8.882e-16, maxiter=200)
+        got = _increasing_root(func, target)
+        assert got.hex() == ref.hex(), (kernel.__name__, d, target)
+
+
 # --- typed wrappers and validation ------------------------------------------
 
 def test_typed_wrappers_agree_with_kernels():

@@ -197,6 +197,58 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
     assert math.isfinite(err.value.alpha) and math.isfinite(err.value.beta)
 
 
+@pytest.mark.parametrize("p, d, alpha, beta", [
+    (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
+    (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
+])
+def test_inversion_restarts_after_singular_scan_start(p, d, alpha, beta):
+    # the scan's best point is alpha = -29.76, beta = 26.61, where the upper
+    # atom is saturated and the two Jacobian columns are exactly proportional
+    dist = TwoPoint(1.0, 3.0, p)
+    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
+    rec = invert_to_params(dist, d, mom.n, mom.u)
+    assert abs(rec.alpha - alpha) < 1e-8
+    assert abs(rec.beta - beta) < 1e-8
+
+
+def _zero_jacobian_after(monkeypatch, real_calls):
+    """Make every Jacobian after the first ``real_calls`` exactly zero."""
+    real = thermostatics.thermo_derivatives
+    points = []
+
+    def patched(dist, d, params, **kwargs):
+        der = real(dist, d, params, **kwargs)
+        points.append((params.alpha, params.beta))
+        if len(points) <= real_calls:
+            return der
+        return thermostatics.ThermoDerivatives(0.0, 0.0, 0.0, 0.0, der.domega_dalpha,
+                                               der.domega_dbeta, 0.0)
+
+    monkeypatch.setattr(thermostatics, "thermo_derivatives", patched)
+    return points
+
+
+def test_inversion_singular_at_every_start(monkeypatch):
+    points = _zero_jacobian_after(monkeypatch, 0)
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
+    with pytest.raises(SingularInversion) as err:
+        invert_to_params(dist, 5, mom.n, mom.u)
+    assert len(points) == len(set(points)) == thermostatics._SCAN_STARTS
+    assert "np.float64" not in str(err.value)
+
+
+def test_inversion_singular_at_later_iterate_raises(monkeypatch):
+    points = _zero_jacobian_after(monkeypatch, 1)
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
+    with pytest.raises(SingularInversion) as err:
+        invert_to_params(dist, 5, mom.n, mom.u)
+    assert len(points) == 2  # no restart from a later iterate
+    assert f"alpha={points[1][0]!r}" in str(err.value)
+    assert "np.float64" not in str(err.value)
+
+
 # --- thermodynamic state -----------------------------------------------------
 
 def test_state_closed_forms_fixed_phi():
