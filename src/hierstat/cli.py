@@ -322,6 +322,8 @@ def cmd_thermo(json_config, out_csv):
             params = invert_to_params(dist, int(d), float(cfg["n"]),
                                       float(cfg["u"]))
         except SingularInversion as exc:
+            if not isinstance(dist, Delta):
+                raise
             raise SingularInversion(f"{exc}; {_DELTA_GUIDANCE}") from None
     else:
         raise ValidationError(
@@ -371,6 +373,19 @@ def _parse_levels(cfg):
     if problems:
         raise ValidationError(problems)
     return HierarchySpec(tuple(parsed))
+
+
+def _canonical_oracle(spec, agents, beta, means, stderrs):
+    """Exact reference and z-scores of the chain's level means, or None
+    when the hierarchy is too large to enumerate."""
+    if spec.total_positions > 10_000:
+        return None
+    exact = exact_canonical(spec, agents, beta)
+    return {
+        "mean_occupancy": [float(m) for m in exact.mean_occupancy],
+        "z_scores": [float((m - e) / max(s, 1e-300))
+                     for m, e, s in zip(means, exact.mean_occupancy, stderrs)],
+    }
 
 
 @main.command("simulate")
@@ -454,17 +469,9 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
             "mean_occupancy": [float(m) for m in run.mean_occupancy],
             "stderr": [float(s) for s in run.stderr],
             "energy_mean": float(run.energies[kept].mean()),
-            "oracle": None,
+            "oracle": (_canonical_oracle(spec, agents, beta, run.mean_occupancy,
+                                         run.stderr) if oracle else None),
         }
-        if oracle and spec.total_positions <= 10_000:
-            exact = exact_canonical(spec, agents, beta)
-            summary["oracle"] = {
-                "mean_occupancy": [float(m) for m in exact.mean_occupancy],
-                "z_scores": [
-                    float((m - e) / max(s, 1e-300))
-                    for m, e, s in zip(run.mean_occupancy,
-                                       exact.mean_occupancy, run.stderr)],
-            }
     else:  # social_laser
         spec = _parse_levels(cfg)
         agents = int(_pick(agents, cfg, "agents", spec.total_positions // 2))
@@ -485,18 +492,10 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                        for lv in spec.levels],
             "relax_mean_occupancy": [float(m) for m in run.relax_mean_occupancy],
             "relax_stderr": [float(s) for s in run.relax_stderr],
-            "oracle": None,
+            "oracle": (_canonical_oracle(spec, agents, beta,
+                                         run.relax_mean_occupancy,
+                                         run.relax_stderr) if oracle else None),
         }
-        if oracle and spec.total_positions <= 10_000:
-            exact = exact_canonical(spec, agents, beta)
-            summary["oracle"] = {
-                "mean_occupancy": [float(m) for m in exact.mean_occupancy],
-                "z_scores": [
-                    float((m - e) / max(s, 1e-300))
-                    for m, e, s in zip(run.relax_mean_occupancy,
-                                       exact.mean_occupancy,
-                                       run.relax_stderr)],
-            }
 
     _emit(out / "summary.json", _json_text(summary))
     click.echo(f"wrote trajectory.csv and summary.json to {out}")

@@ -3,8 +3,9 @@
 The forward maps (alpha, beta) -> (n, u, omega) come from
 :mod:`hierstat.ensemble`.  This module adds:
 
-* the inverse problem (n, u) -> (alpha, beta), by damped Newton with a
-  coarse grid scan for the starting point;
+* the inverse problem (n, u) -> (alpha, beta), by damped Newton from a
+  computed starting point (support width and the point-mass activity
+  at the phi-mean salary), with one extra step after convergence;
 * analytic parameter derivatives of the moments, including the
   finite-difference phi terms when the distribution depends on the
   parameters;
@@ -192,21 +193,13 @@ def thermo_derivatives(dist, d: int, params: GibbsParams, *,
                              float(phi_a[2]), float(phi_b[2]))
 
 
-_SCAN_ALPHAS = np.concatenate((-np.logspace(2, -3, 20), [0.0], np.logspace(-3, 2, 20)))
-_SCAN_BETAS = np.logspace(-6, 3, 41)
-
-#: scan points Newton may start from, best score first: a Jacobian that is
-#: singular at a start (e.g. an atom saturated at f = d) moves on to the next
-_SCAN_STARTS = 4
-
-
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol):
     params = GibbsParams(alpha, beta)
     base = resolve(dist, params)
     m = moment_integrals(base, d, params, rel_tol=rel_tol)
     n = m["n"]
     u = -m["m1"] / n
-    return np.array([(n - n_target) / n_target, (u - u_target) / scale_u]), n, u
+    return np.array([(n - n_target) / n_target, (u - u_target) / scale_u])
 
 
 def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
@@ -214,19 +207,22 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     """Solve (n, u) = targets for (alpha, beta).
 
     Damped Newton (step halving, up to 60 halvings) with the analytic
-    Jacobian, started from the best point of a coarse 41 x 41 log-grid
-    scan; beta is kept inside ``BETA_WINDOW``.  When the Jacobian is
-    singular at that starting point, Newton restarts from the next-best
-    scan points, up to ``_SCAN_STARTS`` in all.  Point masses are refused
-    outright: their u is constant, so the system is rank one.
+    Jacobian; beta is kept inside ``BETA_WINDOW``.  The start is computed:
+    beta0 = 1/(hi - lo) over the support of phi (of ``dist.build(0, 1)``
+    for a family), and alpha0 makes a point mass at the phi-mean salary
+    hold ``n_target`` elements.  Near a saturated atom a 1e-12 residual
+    still allows ~1e-8 of error in (alpha, beta), so once both residuals
+    pass ``rel_tol`` one more step goes through the same line search; if
+    it is rejected or its Jacobian fails, the converged iterate is kept.
+    Point masses are refused outright: their u is constant, so the system
+    is rank one.
 
     Raises only :class:`ValidationError` (capacity or targets out of
-    range), :class:`SingularInversion` (a point mass, a singular Jacobian
-    at every tried start, or one at a later iterate) and
-    :class:`NoConvergence`.  The last covers an exhausted budget, a
-    stalled line search and moments or a Jacobian whose quadrature fails
-    at an iterate; it carries the residuals and (alpha, beta) of the last
-    accepted iterate.
+    range), :class:`SingularInversion` (a point mass, or a singular
+    Jacobian at an unconverged iterate) and :class:`NoConvergence`.  The
+    last covers an exhausted budget, a stalled line search and moments or
+    a Jacobian whose quadrature fails at an iterate; it carries the
+    residuals and (alpha, beta) of the last accepted iterate.
     """
     d = _check_capacity(d)
     if is_parametric(dist):
@@ -241,8 +237,8 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     problems = []
     if not (math.isfinite(n_target) and 0.0 < n_target < d):
         problems.append(f"n target must lie strictly inside (0, {d}), got {n_target}")
+    lo, hi = support(probe)
     if not is_parametric(dist):
-        lo, hi = support(probe)
         if not (math.isfinite(u_target) and -hi < u_target < -lo):
             problems.append(
                 f"u target must lie strictly inside ({-hi}, {-lo}), got {u_target}")
@@ -252,42 +248,12 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
         raise ValidationError(problems)
 
     scale_u = max(abs(u_target), 1e-12)
-    scan_tol = 1e-6  # the scan only locates the basin
-
-    scored = []
-    for a in _SCAN_ALPHAS:
-        for b in _SCAN_BETAS:
-            try:
-                res, _, _ = _scaled_residual(dist, d, a, b, n_target, u_target,
-                                             scale_u, scan_tol)
-            except (ValidationError, AccuracyError, OverflowError):
-                continue
-            scored.append((float(np.hypot(*res)), float(a), float(b)))
-    if not scored:  # pragma: no cover - the scan always evaluates somewhere
-        raise NoConvergence("no admissible starting point found")
-
-    # a stable sort keeps the first strict minimum in scan order in front
-    starts = sorted(scored, key=lambda s: s[0])[:_SCAN_STARTS]
-    for _, alpha, beta in starts:
-        params = _newton(dist, d, alpha, beta, n_target, u_target, scale_u,
-                         rel_tol, max_iter)
-        if params is not None:
-            return params
-    raise SingularInversion(
-        "Jacobian of (n, u) with respect to (alpha, beta) is singular at each "
-        f"of the {len(starts)} best scan points, the last at alpha={alpha!r}, "
-        f"beta={beta!r}")
-
-
-def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter):
-    """Damped Newton for :func:`invert_to_params` from one scan point.
-
-    Returns the solution, or None when the Jacobian is singular at the
-    starting point itself so the caller can try another one.
-    """
+    beta = 1.0 / (hi - lo)
+    alpha = (activity_for_mean(d, n_target)
+             - beta * integrate_against(probe, lambda eps: eps))
     try:
-        res, n, u = _scaled_residual(dist, d, alpha, beta, n_target, u_target,
-                                     scale_u, rel_tol)
+        res = _scaled_residual(dist, d, alpha, beta, n_target, u_target,
+                               scale_u, rel_tol)
     except (AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
@@ -295,13 +261,15 @@ def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter
     norm = float(np.hypot(*res))
     lo_b, hi_b = BETA_WINDOW
     message = "inverse problem did not converge"
-    for it in range(max_iter):
-        if abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol:
-            return GibbsParams(alpha, beta)
+    for _ in range(max_iter):
+        # a converged iterate gets one more step, then is returned as it stands
+        converged = abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol
         try:
             der = thermo_derivatives(dist, d, GibbsParams(alpha, beta),
                                      rel_tol=rel_tol)
         except (AccuracyError, OverflowError) as exc:
+            if converged:
+                return GibbsParams(alpha, beta)
             message += f" (the Jacobian failed at the last iterate: {exc})"
             break
         jac = np.array([[der.dn_dalpha / n_target, der.dn_dbeta / n_target],
@@ -309,8 +277,8 @@ def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
-            if it == 0:
-                return None
+            if converged:
+                return GibbsParams(alpha, beta)
             raise SingularInversion(
                 "Jacobian of (n, u) with respect to (alpha, beta) is singular "
                 f"at alpha={float(alpha)!r}, beta={float(beta)!r}") from None
@@ -321,9 +289,8 @@ def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter
             b_new = beta + t * step[1]
             if lo_b < b_new < hi_b and math.isfinite(a_new):
                 try:
-                    res_new, n, u = _scaled_residual(dist, d, a_new, b_new,
-                                                     n_target, u_target,
-                                                     scale_u, rel_tol)
+                    res_new = _scaled_residual(dist, d, a_new, b_new, n_target,
+                                               u_target, scale_u, rel_tol)
                 except (ValidationError, AccuracyError, OverflowError):
                     t *= 0.5
                     continue
@@ -333,6 +300,8 @@ def _newton(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol, max_iter
                     accepted = True
                     break
             t *= 0.5
+        if converged:
+            return GibbsParams(alpha, beta)
         if not accepted:
             break
     if abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol:

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import hierstat.cli
+from hierstat import SingularInversion
 from hierstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -195,6 +197,23 @@ def test_thermo_delta_with_density_energy_is_singular(runner, tmp_path):
     assert result.exit_code == 3
     assert "delta distribution: supply (alpha, beta) or (lambda, beta) instead" \
         in result.output
+
+
+def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularInversion("Jacobian of (n, u) with respect to (alpha, beta) "
+                                "is singular at alpha=-3.0, beta=1.5")
+
+    monkeypatch.setattr(hierstat.cli, "invert_to_params", singular)
+    cfg = _thermo_cfg(tmp_path, {
+        "distribution": {"type": "two_point", "epsilon1": 1.0,
+                         "epsilon2": 3.0, "weight": 0.4},
+        "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
+    })
+    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    assert result.exit_code == 3
+    assert "singular at alpha=-3.0" in result.output
+    assert "delta distribution" not in result.output
 
 
 def test_thermo_delta_lambda_beta_parameterization(runner, tmp_path):

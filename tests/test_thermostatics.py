@@ -200,10 +200,15 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
 @pytest.mark.parametrize("p, d, alpha, beta", [
     (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
     (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
+    (0.5256548739362952, 8, 0.38351513137205373, 2.4745583222389516),
+    (0.32034590869340157, 2, -3.462271241113557, 1.9669361812390944),
+    (0.5785135458976106, 9, -3.304685425800258, 1.5993127205161375),
+    (0.5583304524044435, 10, -3.1066570752886564, 1.5129974711727128),
 ])
-def test_inversion_restarts_after_singular_scan_start(p, d, alpha, beta):
-    # the scan's best point is alpha = -29.76, beta = 26.61, where the upper
-    # atom is saturated and the two Jacobian columns are exactly proportional
+def test_inversion_roundtrip_hard_two_point_draws(p, d, alpha, beta):
+    # benchmark draws with the upper atom 95-100 % full: iterates that push
+    # it to saturation make the Jacobian columns proportional, and a 1e-12
+    # residual near saturation can still leave ~1e-8 of error in (alpha, beta)
     dist = TwoPoint(1.0, 3.0, p)
     mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
     rec = invert_to_params(dist, d, mom.n, mom.u)
@@ -228,14 +233,39 @@ def _zero_jacobian_after(monkeypatch, real_calls):
     return points
 
 
-def test_inversion_singular_at_every_start(monkeypatch):
+def test_inversion_singular_at_start_raises(monkeypatch):
     points = _zero_jacobian_after(monkeypatch, 0)
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
     with pytest.raises(SingularInversion) as err:
         invert_to_params(dist, 5, mom.n, mom.u)
-    assert len(points) == len(set(points)) == thermostatics._SCAN_STARTS
+    assert len(points) == 1  # one computed start, no restart
+    assert f"alpha={points[0][0]!r}" in str(err.value)
     assert "np.float64" not in str(err.value)
+
+
+def test_inversion_moment_evaluations_per_draw(monkeypatch):
+    # criterion 9's draws (seed 23): a start scan would cost ~1700 each
+    calls = []
+    real = thermostatics.moment_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thermostatics, "moment_integrals", counted)
+    rng = np.random.default_rng(23)
+    for k in range(50):
+        if k % 2 == 0:
+            dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.2, 0.8)))
+        else:
+            dist = Uniform(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0)))
+        d = int(rng.integers(2, 12))
+        params = GibbsParams(float(rng.uniform(-4, 0.5)), float(rng.uniform(0.3, 2.5)))
+        mom = ensemble_moments(dist, d, params)
+        calls.clear()
+        invert_to_params(dist, d, mom.n, mom.u)
+        assert len(calls) <= 40, (k, len(calls))
 
 
 def test_inversion_singular_at_later_iterate_raises(monkeypatch):
