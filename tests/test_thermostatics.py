@@ -200,6 +200,20 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
 @pytest.mark.parametrize("p, d, alpha, beta", [
     (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
     (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
+])
+def test_inversion_restarts_after_singular_scan_start(p, d, alpha, beta):
+    # benchmark seed 11's two draws: a grid scan's best point for them was
+    # alpha = -29.76, beta = 26.61, where the upper atom is saturated and the
+    # two Jacobian columns are exactly proportional; the computed start must
+    # recover both without any restart
+    dist = TwoPoint(1.0, 3.0, p)
+    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
+    rec = invert_to_params(dist, d, mom.n, mom.u)
+    assert abs(rec.alpha - alpha) < 1e-8
+    assert abs(rec.beta - beta) < 1e-8
+
+
+@pytest.mark.parametrize("p, d, alpha, beta", [
     (0.5256548739362952, 8, 0.38351513137205373, 2.4745583222389516),
     (0.32034590869340157, 2, -3.462271241113557, 1.9669361812390944),
     (0.5785135458976106, 9, -3.304685425800258, 1.5993127205161375),
