@@ -20,10 +20,8 @@ from .distributions import (
 )
 from .ensemble import (
     EnsembleMoments,
-    energy_per_element,
     ensemble_moments,
     fermi_market_share,
-    occupancy_density,
     omega,
 )
 from .errors import (
@@ -35,11 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .gentile import (
-    Activity,
     EnergySign,
     GibbsParams,
     OccupancyLevel,
-    OccupancyPmf,
     activity,
     activity_for_mean,
     bose_einstein,
@@ -48,15 +44,11 @@ from .gentile import (
     gentile_mean_direct,
     gentile_mean_dlambda,
     log_partition,
-    mean_occupancy,
-    occupancy_pmf,
     occupancy_probabilities,
     partition,
-    partition_single,
 )
 from .hierarchy import (
     CanonicalExpectations,
-    Configuration,
     EnsembleCensus,
     HierarchyLevel,
     HierarchySpec,

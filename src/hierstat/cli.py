@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import click
@@ -85,17 +86,33 @@ def _load_config(path):
     return obj
 
 
-def _pick(flag, cfg, key, default=None):
+def _number(value, key, kind):
+    """``value`` as a ``kind`` (int or float), or a ValidationError naming
+    ``key``: config files may hold strings, bools or fractional counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _pick(flag, cfg, key, default=None, kind=None):
+    """The flag if given, else the config value (a ``kind`` number when
+    ``kind`` is set), else ``default``."""
     if flag is not None:
         return flag
-    return cfg.get(key, default)
+    if key not in cfg:
+        return default
+    return cfg[key] if kind is None else _number(cfg[key], key, kind)
 
 
 def _resolve_seed(flag, cfg):
     if flag is not None:
-        return int(flag)
+        return flag
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _number(cfg["seed"], "seed", int)
     env = os.environ.get("HIERSTAT_SEED")
     if env is not None:
         try:
@@ -160,15 +177,15 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
     --alpha/--beta/--epsilon (and --sign) for a single activity row.
     """
     cfg = _load_config(json_config)
-    capacity = _pick(capacity, cfg, "capacity")
-    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0)
-    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0)
-    points = _pick(points, cfg, "points", 401)
+    capacity = _pick(capacity, cfg, "capacity", kind=int)
+    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0, kind=float)
+    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
+    points = _pick(points, cfg, "points", 401, kind=int)
     relative = relative or bool(cfg.get("relative", False))
     pmf = pmf or bool(cfg.get("pmf", False))
-    alpha = _pick(alpha, cfg, "alpha")
-    beta = _pick(beta, cfg, "beta")
-    epsilon = _pick(epsilon, cfg, "epsilon")
+    alpha = _pick(alpha, cfg, "alpha", kind=float)
+    beta = _pick(beta, cfg, "beta", kind=float)
+    epsilon = _pick(epsilon, cfg, "epsilon", kind=float)
     sign = _pick(sign, cfg, "sign", "salary")
     output = _pick(output, cfg, "output", "-")
 
@@ -194,13 +211,12 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
         raise ValidationError(problems)
 
     if point_mode:
-        level = OccupancyLevel(int(capacity), float(epsilon),
-                               EnergySign(sign))
-        grid = [float(activity(level, GibbsParams(float(alpha), float(beta))))]
+        level = OccupancyLevel(capacity, epsilon, EnergySign(sign))
+        grid = [activity(level, GibbsParams(alpha, beta))]
     else:
-        grid = [float(x) for x in np.linspace(lambda_min, lambda_max, int(points))]
+        grid = [float(x) for x in np.linspace(lambda_min, lambda_max, points)]
 
-    d = int(capacity)
+    d = capacity
     value_col = "f_g_over_d" if relative else "f_g"
     header = ["lambda", value_col]
     if pmf:
@@ -223,14 +239,14 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
 def cmd_figures(figure, output_dir, json_config):
     """Write figN.csv and figN.svg for one standard chart."""
     cfg = _load_config(json_config)
-    figure = _pick(figure, cfg, "figure")
+    figure = _pick(figure, cfg, "figure", kind=int)
     output_dir = _pick(output_dir, cfg, "output_dir", ".")
     problems = []
     if figure is None or figure not in FIGURE_IDS:
         problems.append(f"figure id must be one of {FIGURE_IDS}, got {figure!r}")
     if problems:
         raise ValidationError(problems)
-    header, rows, svg = build_figure(int(figure))
+    header, rows, svg = build_figure(figure)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"fig{figure}.csv").write_text(_csv_text(header, rows), encoding="utf-8")
@@ -253,10 +269,10 @@ def cmd_eos(capacity, lambda_min, lambda_max, points, output, json_config):
     grid when the range covers it.
     """
     cfg = _load_config(json_config)
-    capacity = _pick(capacity, cfg, "capacity")
-    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0)
-    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0)
-    points = _pick(points, cfg, "points", 401)
+    capacity = _pick(capacity, cfg, "capacity", kind=int)
+    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0, kind=float)
+    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
+    points = _pick(points, cfg, "points", 401, kind=int)
     output = _pick(output, cfg, "output", "-")
 
     problems = []
@@ -272,10 +288,10 @@ def cmd_eos(capacity, lambda_min, lambda_max, points, output, json_config):
     if problems:
         raise ValidationError(problems)
 
-    grid = np.linspace(float(lambda_min), float(lambda_max), int(points))
+    grid = np.linspace(lambda_min, lambda_max, points)
     if lambda_min <= 0.0 <= lambda_max:
         grid = np.unique(np.concatenate([grid, [0.0]]))
-    table = eos_sweep(int(capacity), grid)
+    table = eos_sweep(capacity, grid)
     _emit(output, _csv_text(EOS_COLUMNS, list(table.rows())))
 
 
@@ -302,25 +318,27 @@ def cmd_thermo(json_config, out_csv):
     if problems:
         raise ValidationError(problems)
     dist = distribution_from_json(cfg["distribution"])
-    d = cfg["d"]
-    volume = cfg["volume"]
+    d = _number(cfg["d"], "d", int)
+    volume = _number(cfg["volume"], "volume", int)
+
+    def number(key):
+        return _number(cfg[key], key, float)
 
     has_ab = "alpha" in cfg and "beta" in cfg
     has_nu = "n" in cfg and "u" in cfg
     has_lb = "lambda" in cfg and "beta" in cfg
     if has_ab:
-        params = GibbsParams(float(cfg["alpha"]), float(cfg["beta"]))
+        params = GibbsParams(number("alpha"), number("beta"))
     elif has_lb:
         if not isinstance(dist, Delta):
             raise ValidationError(
                 "(lambda, beta) parameterization is only defined for the "
                 "delta distribution")
-        beta = float(cfg["beta"])
-        params = GibbsParams(float(cfg["lambda"]) - beta * dist.point, beta)
+        beta = number("beta")
+        params = GibbsParams(number("lambda") - beta * dist.point, beta)
     elif has_nu:
         try:
-            params = invert_to_params(dist, int(d), float(cfg["n"]),
-                                      float(cfg["u"]))
+            params = invert_to_params(dist, d, number("n"), number("u"))
         except SingularInversion as exc:
             if not isinstance(dist, Delta):
                 raise
@@ -329,32 +347,15 @@ def cmd_thermo(json_config, out_csv):
         raise ValidationError(
             "config must supply (alpha, beta), (n, u) or (lambda, beta)")
 
-    state = thermo_state(dist, int(d), params, int(volume))
+    state = thermo_state(dist, d, params, volume)
     res = state.residuals()
-    payload = {
-        "n": state.n, "u": state.u, "psi": state.psi,
-        "entropy_total": state.entropy_total,
-        "temperature": state.temperature,
-        "financial_potential": state.financial_potential,
-        "pressure": state.pressure,
-        "gibbs_free_energy": state.gibbs_free_energy,
-        "volume": state.volume, "elements": state.elements,
-        "energy_total": state.energy_total, "omega": state.omega,
-        "alpha": state.alpha, "beta": state.beta,
-        "residuals": res,
-    }
-    click.echo(_json_text(payload), nl=False)
+    click.echo(_json_text({**asdict(state), "residuals": res}), nl=False)
     if out_csv is not None:
-        header = ["n", "u", "psi", "entropy_total", "temperature",
-                  "financial_potential", "pressure", "gibbs_free_energy",
-                  "volume", "elements", "energy_total", "omega", "alpha",
-                  "beta", "res_entropy", "res_gibbs", "res_euler"]
-        row = [state.n, state.u, state.psi, state.entropy_total,
-               state.temperature, state.financial_potential, state.pressure,
-               state.gibbs_free_energy, state.volume, state.elements,
-               state.energy_total, state.omega, state.alpha, state.beta,
-               res["entropy_decomposition"], res["gibbs_identity"],
-               res["euler_identity"]]
+        # the CSV columns are the ThermoState fields in declaration order,
+        # then the residuals in the order residuals() lists them
+        header = [f.name for f in fields(state)] + [
+            "res_entropy", "res_gibbs", "res_euler"]
+        row = [*astuple(state), *res.values()]
         _emit(out_csv, _csv_text(header, [row]))
 
 
@@ -410,10 +411,10 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
         raise ValidationError(
             f"scenario must be one of {_SCENARIOS}, got {scenario!r}")
     seed = _resolve_seed(seed, cfg)
-    steps = int(_pick(steps, cfg, "steps", 100_000))
-    beta = float(_pick(beta, cfg, "beta", 1.0))
-    record_every = int(_pick(record_every, cfg, "record_every", 1))
-    burn_in = float(cfg.get("burn_in", 0.1))
+    steps = _pick(steps, cfg, "steps", 100_000, kind=int)
+    beta = _pick(beta, cfg, "beta", 1.0, kind=float)
+    record_every = _pick(record_every, cfg, "record_every", 1, kind=int)
+    burn_in = _pick(None, cfg, "burn_in", 0.1, kind=float)
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -424,8 +425,9 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
             raise ValidationError(
                 [f"config key {k!r} is required for grand_canonical runs"
                  for k in missing])
-        level = OccupancyLevel(int(cfg["capacity"]), float(cfg["salary"]))
-        params = GibbsParams(float(cfg["alpha"]), beta)
+        level = OccupancyLevel(_number(cfg["capacity"], "capacity", int),
+                               _number(cfg["salary"], "salary", float))
+        params = GibbsParams(_number(cfg["alpha"], "alpha", float), beta)
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
         idx = np.arange(0, sample.samples.size, record_every)
@@ -441,61 +443,53 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
             "oracle": None,
         }
         if oracle:
-            exact = gentile_mean(float(activity(level, params)), level.capacity)
+            exact = gentile_mean(activity(level, params), level.capacity)
             summary["oracle"] = {
                 "mean": exact,
                 "z": (sample.mean - exact) / max(sample.stderr, 1e-300),
             }
-    elif scenario == "canonical":
+    else:  # canonical or social_laser: a chain over a hierarchy
         spec = _parse_levels(cfg)
-        agents = int(_pick(agents, cfg, "agents", spec.total_positions // 2))
-        run = simulate_canonical(spec, agents, beta, steps, seed,
-                                 burn_in_fraction=burn_in,
-                                 record_every=record_every)
+        agents = _pick(agents, cfg, "agents", spec.total_positions // 2, kind=int)
         header = ["step"] + [f"r_{i + 1}" for i in range(len(spec))] + ["energy"]
-        rows = [(int(s), *(int(r) for r in occ), float(e))
-                for s, occ, e in zip(run.recorded_steps, run.occupancies,
-                                     run.energies)]
-        _emit(out / "trajectory.csv", _csv_text(header, rows))
-        kept = run.recorded_steps >= run.burn_in
-        if not kept.any():  # trajectory thinned past the burn-in window
-            kept[-1] = True
         summary = {
             "scenario": scenario, "seed": seed, "steps": steps,
-            "burn_in": run.burn_in, "agents": agents, "beta": beta,
+            "agents": agents, "beta": beta,
             "levels": [{"capacity": lv.capacity, "salary": lv.salary}
                        for lv in spec.levels],
-            "acceptance_rate": run.acceptance_rate,
-            "mean_occupancy": [float(m) for m in run.mean_occupancy],
-            "stderr": [float(s) for s in run.stderr],
-            "energy_mean": float(run.energies[kept].mean()),
-            "oracle": (_canonical_oracle(spec, agents, beta, run.mean_occupancy,
-                                         run.stderr) if oracle else None),
         }
-    else:  # social_laser
-        spec = _parse_levels(cfg)
-        agents = int(_pick(agents, cfg, "agents", spec.total_positions // 2))
-        pump = float(_pick(pump_fraction, cfg, "pump_fraction", 0.5))
-        run = pumped_relaxation(spec, agents, beta, pump, steps, steps, seed,
-                                record_every=record_every)
-        header = (["step"] + [f"r_{i + 1}" for i in range(len(spec))]
-                  + ["energy", "phase"])
-        rows = [(int(s), *(int(r) for r in occ), float(e), PHASE_NAMES[p])
-                for s, occ, e, p in zip(run.recorded_steps, run.occupancies,
-                                        run.energies, run.phases)]
+        if scenario == "canonical":
+            run = simulate_canonical(spec, agents, beta, steps, seed,
+                                     burn_in_fraction=burn_in,
+                                     record_every=record_every)
+            rows = [(int(s), *(int(r) for r in occ), float(e))
+                    for s, occ, e in zip(run.recorded_steps, run.occupancies,
+                                         run.energies)]
+            kept = run.recorded_steps >= run.burn_in
+            if not kept.any():  # trajectory thinned past the burn-in window
+                kept[-1] = True
+            means, stderrs = run.mean_occupancy, run.stderr
+            summary.update(
+                burn_in=run.burn_in, acceptance_rate=run.acceptance_rate,
+                mean_occupancy=[float(m) for m in means],
+                stderr=[float(s) for s in stderrs],
+                energy_mean=float(run.energies[kept].mean()))
+        else:
+            pump = _pick(pump_fraction, cfg, "pump_fraction", 0.5, kind=float)
+            run = pumped_relaxation(spec, agents, beta, pump, steps, steps, seed,
+                                    record_every=record_every)
+            header.append("phase")
+            rows = [(int(s), *(int(r) for r in occ), float(e), PHASE_NAMES[p])
+                    for s, occ, e, p in zip(run.recorded_steps, run.occupancies,
+                                            run.energies, run.phases)]
+            means, stderrs = run.relax_mean_occupancy, run.relax_stderr
+            summary.update(
+                pump_fraction=pump, pumped_moves=run.pumped_moves,
+                relax_mean_occupancy=[float(m) for m in means],
+                relax_stderr=[float(s) for s in stderrs])
         _emit(out / "trajectory.csv", _csv_text(header, rows))
-        summary = {
-            "scenario": scenario, "seed": seed, "steps": steps,
-            "agents": agents, "beta": beta, "pump_fraction": pump,
-            "pumped_moves": run.pumped_moves,
-            "levels": [{"capacity": lv.capacity, "salary": lv.salary}
-                       for lv in spec.levels],
-            "relax_mean_occupancy": [float(m) for m in run.relax_mean_occupancy],
-            "relax_stderr": [float(s) for s in run.relax_stderr],
-            "oracle": (_canonical_oracle(spec, agents, beta,
-                                         run.relax_mean_occupancy,
-                                         run.relax_stderr) if oracle else None),
-        }
+        summary["oracle"] = (_canonical_oracle(spec, agents, beta, means, stderrs)
+                             if oracle else None)
 
     _emit(out / "summary.json", _json_text(summary))
     click.echo(f"wrote trajectory.csv and summary.json to {out}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Delta, atoms, integrate_against, resolve, support
+from .distributions import Delta, integrate_against, resolve, support
 from .errors import ValidationError
 from .gentile import (
     GibbsParams,
@@ -25,8 +25,6 @@ from .gentile import (
 __all__ = [
     "EnsembleMoments",
     "ensemble_moments",
-    "occupancy_density",
-    "energy_per_element",
     "omega",
     "fermi_market_share",
     "moment_integrals",
@@ -90,32 +88,9 @@ def moment_integrals(dist, d: int, params: GibbsParams, *,
     return out
 
 
-def occupancy_density(dist, d: int, params: GibbsParams, *,
-                      rel_tol: float = 1e-10) -> float:
-    """n = integral of phi(eps) f(lambda(eps)) d eps, in (0, d)."""
-    base = resolve(dist, params)
-    if isinstance(base, Delta):
-        return gentile_mean(params.alpha + params.beta * base.point, d)
-    return float(integrate_against(
-        base, lambda eps: gentile_mean(params.alpha + params.beta * eps, d),
-        rel_tol=rel_tol, breakpoints=_crossing(base, params)))
-
-
-def energy_per_element(dist, d: int, params: GibbsParams, *,
-                       rel_tol: float = 1e-10) -> float:
-    """u = -(eps-weighted occupancy) / occupancy; exactly -eps0 for a point mass."""
-    base = resolve(dist, params)
-    if isinstance(base, Delta):
-        return -base.point
-    m = moment_integrals(base, d, params, rel_tol=rel_tol)
-    return -m["m1"] / m["n"]
-
-
 def omega(dist, d: int, params: GibbsParams, *, rel_tol: float = 1e-10) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
     base = resolve(dist, params)
-    if isinstance(base, Delta):
-        return log_partition(params.alpha + params.beta * base.point, d)
     return float(integrate_against(
         base, lambda eps: log_partition(params.alpha + params.beta * eps, d),
         rel_tol=rel_tol, breakpoints=_crossing(base, params)))
@@ -158,8 +133,5 @@ def fermi_market_share(dist, params: GibbsParams, *,
     lo, hi = support(base)
     eps_star = a / b
     bp = (eps_star,) if lo < eps_star < hi else ()
-    pts = atoms(base)
-    if pts is not None:
-        return float(sum(mass * fermi_dirac(a - b * eps) for eps, mass in pts))
     return float(integrate_against(base, lambda eps: fermi_dirac(a - b * eps),
                                    rel_tol=rel_tol, breakpoints=bp))

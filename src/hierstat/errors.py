@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["HierstatError", "ValidationError", "AccuracyError",
+           "SingularInversion", "NoConvergence", "ImbalancedEntry"]
+
 
 class HierstatError(Exception):
     """Base class for all package-specific errors."""

@@ -42,18 +42,13 @@ __all__ = [
     "EnergySign",
     "OccupancyLevel",
     "GibbsParams",
-    "Activity",
-    "OccupancyPmf",
     "activity",
     "partition",
     "log_partition",
-    "partition_single",
     "occupancy_probabilities",
-    "occupancy_pmf",
     "gentile_mean",
     "gentile_mean_direct",
     "gentile_mean_dlambda",
-    "mean_occupancy",
     "fermi_dirac",
     "bose_einstein",
     "activity_for_mean",
@@ -143,55 +138,12 @@ class GibbsParams:
         object.__setattr__(self, "beta", float(self.beta))
 
 
-@dataclass(frozen=True)
-class Activity:
-    """Per-element exponent lambda in the Gibbs weight exp(lambda * r)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValidationError(f"activity must be finite, got {self.value}")
-        object.__setattr__(self, "value", float(self.value))
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class OccupancyPmf:
-    """Normalized occupation probabilities p(r), r = 0 .. capacity."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", p)
-        problems = []
-        if p.ndim != 1 or p.size < 2:
-            problems.append("probabilities must be a 1-d vector of length >= 2")
-        else:
-            if np.any(p < 0.0) or np.any(p > 1.0):
-                problems.append("every probability must lie in [0, 1]")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                problems.append(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
-        if problems:
-            raise ValidationError(problems)
-
-    @property
-    def capacity(self) -> int:
-        return self.probabilities.size - 1
-
-    def mean(self) -> float:
-        r = np.arange(self.probabilities.size, dtype=float)
-        return float(r @ self.probabilities)
-
-
-def activity(level: OccupancyLevel, params: GibbsParams) -> Activity:
-    """Activity exponent of a level under the given Gibbs parameters."""
+def activity(level: OccupancyLevel, params: GibbsParams) -> float:
+    """Activity exponent of a level under the given Gibbs parameters;
+    a ValidationError if it is not finite."""
     if level.sign is EnergySign.COST:
-        return Activity(params.alpha - params.beta * level.money_scale)
-    return Activity(params.alpha + params.beta * level.money_scale)
+        return _check_lambda(params.alpha - params.beta * level.money_scale)
+    return _check_lambda(params.alpha + params.beta * level.money_scale)
 
 
 @lru_cache(maxsize=None)
@@ -452,19 +404,3 @@ def activity_for_mean(d: int, target: float) -> float:
             f"target mean must lie strictly inside (0, {d}), got {target}")
     return _increasing_root(lambda l: gentile_mean(l, d), target)
 
-
-# --- typed wrappers over the float kernels ---------------------------------
-
-def partition_single(level: OccupancyLevel, lam) -> float:
-    """Partition sum of one level at the given activity."""
-    return partition(float(lam), level.capacity)
-
-
-def occupancy_pmf(level: OccupancyLevel, lam) -> OccupancyPmf:
-    """Normalized occupation distribution of one level."""
-    return OccupancyPmf(occupancy_probabilities(float(lam), level.capacity))
-
-
-def mean_occupancy(level: OccupancyLevel, lam) -> float:
-    """Mean occupation of one level at the given activity."""
-    return gentile_mean(float(lam), level.capacity)

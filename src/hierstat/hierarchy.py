@@ -23,7 +23,6 @@ from .gentile import GibbsParams, occupancy_probabilities
 __all__ = [
     "HierarchyLevel",
     "HierarchySpec",
-    "Configuration",
     "CanonicalExpectations",
     "exact_canonical",
     "EnsembleCensus",
@@ -95,40 +94,6 @@ class HierarchySpec:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One occupancy vector of a hierarchy, with its cached energy.
-
-    Energy is minus the salary-weighted occupation; ``energy`` always
-    equals :meth:`recompute_energy` exactly, since both run the same
-    dot product over the same floats.
-    """
-
-    spec: HierarchySpec
-    occupancy: tuple
-    total_agents: int = 0
-    energy: float = 0.0
-
-    def __post_init__(self):
-        occ = tuple(int(r) for r in self.occupancy)
-        if len(occ) != len(self.spec):
-            raise ValidationError(
-                f"occupancy has {len(occ)} entries for {len(self.spec)} levels")
-        problems = [
-            f"occupancy {r} outside [0, {lv.capacity}] at level {i + 1}"
-            for i, (r, lv) in enumerate(zip(occ, self.spec.levels))
-            if not 0 <= r <= lv.capacity
-        ]
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "occupancy", occ)
-        object.__setattr__(self, "total_agents", sum(occ))
-        object.__setattr__(self, "energy", self.recompute_energy())
-
-    def recompute_energy(self) -> float:
-        return -sum(lv.salary * r for lv, r in zip(self.spec.levels, self.occupancy))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "LaserRun",
     "PHASE_NAMES",
     "sample_grand_canonical",
+    "pumped_relaxation",
     "simulate_canonical",
     "social_laser_scenario",
 ]
@@ -85,7 +86,7 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
             f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
     steps = int(steps)
     seed = int(seed)
-    lam = float(activity(level, params))
+    lam = activity(level, params)
     d = level.capacity
 
     rng = np.random.default_rng(seed)

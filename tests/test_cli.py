@@ -349,6 +349,55 @@ def test_simulate_seed_from_environment(runner, tmp_path, monkeypatch):
     assert json.loads((out2 / "summary.json").read_text())["seed"] == 3
 
 
+# --- config value types -----------------------------------------------------------
+
+_THERMO_AB = {"distribution": {"type": "two_point", "epsilon1": 1.0,
+                               "epsilon2": 3.0, "weight": 0.5},
+              "d": 5, "volume": 100, "alpha": -2.0, "beta": 1.25}
+_CANONICAL = {"scenario": "canonical",
+              "levels": [{"capacity": 1, "salary": 2.0},
+                         {"capacity": 4, "salary": 1.0}],
+              "agents": 3, "beta": 0.8, "steps": 20000, "seed": 5}
+_GRAND = {"scenario": "grand_canonical", "capacity": 3, "salary": 2.0,
+          "alpha": -3.0, "beta": 1.0, "steps": 20000, "seed": 2}
+
+
+@pytest.mark.parametrize("command, base, key, value", [
+    ("thermo", _THERMO_AB, "d", 4.7),
+    ("thermo", _THERMO_AB, "volume", 2.9),
+    ("thermo", _THERMO_AB, "d", "x"),
+    ("gentile", {"capacity": 2, "points": 3}, "capacity", "5"),
+    ("gentile", {"capacity": 2, "points": 3}, "lambda_min", None),
+    ("simulate", _CANONICAL, "steps", "many"),
+    ("simulate", _CANONICAL, "seed", "x"),
+    ("simulate", _GRAND, "capacity", 2.5),
+], ids=["thermo-d-fraction", "thermo-volume-fraction", "thermo-d-string",
+        "gentile-capacity-string", "gentile-lambda-min-null",
+        "simulate-steps-string", "simulate-seed-string",
+        "simulate-grand-capacity-fraction"])
+def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, command,
+                                                        base, key, value):
+    # neither truncated to an integer nor a traceback: exit 2, key named
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, key: value}))
+    args = [command, "--json-config", str(cfg)]
+    if command == "simulate":
+        args += ["--output-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"validation error: {key} must be" in result.output
+
+
+def test_config_integral_float_accepted_as_integer(runner, tmp_path):
+    outputs = []
+    for d, volume in ((5, 100), (5.0, 100.0)):
+        cfg = _thermo_cfg(tmp_path, {**_THERMO_AB, "d": d, "volume": volume})
+        result = runner.invoke(main, ["thermo", "--json-config", cfg])
+        assert result.exit_code == 0
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+
+
 # --- import path -----------------------------------------------------------------
 
 def test_import_loads_no_scipy():

@@ -13,13 +13,11 @@ from hierstat import (
     Histogram,
     TwoPoint,
     Uniform,
-    energy_per_element,
     ensemble_moments,
     fermi_dirac,
     fermi_market_share,
     gentile_mean,
     log_partition,
-    occupancy_density,
     omega,
 )
 
@@ -29,13 +27,13 @@ from hierstat import (
 def test_density_delta_midpoint():
     # activity zero at the atom: half filling, no quadrature involved
     params = GibbsParams(-2.0, 1.0)
-    assert occupancy_density(Delta(2.0), 6, params) == 3.0
+    assert ensemble_moments(Delta(2.0), 6, params).n == 3.0
 
 
 def test_density_two_point_is_atom_sum():
     params = GibbsParams(-1.0, 0.7)
     d = 4
-    got = occupancy_density(TwoPoint(1.0, 3.0, 0.5), d, params)
+    got = ensemble_moments(TwoPoint(1.0, 3.0, 0.5), d, params).n
     expected = 0.5 * gentile_mean(-1.0 + 0.7 * 1.0, d) \
         + 0.5 * gentile_mean(-1.0 + 0.7 * 3.0, d)
     assert got == pytest.approx(expected, rel=1e-14)
@@ -43,7 +41,7 @@ def test_density_two_point_is_atom_sum():
 
 def test_density_uniform_vs_midpoint_oracle():
     params = GibbsParams(-1.5, 1.0)
-    got = occupancy_density(Uniform(1.0, 2.0), 3, params)
+    got = ensemble_moments(Uniform(1.0, 2.0), 3, params).n
     oracle = midpoint_integral(lambda e: gentile_mean(-1.5 + e, 3), 1.0, 2.0)
     assert got == pytest.approx(oracle, abs=1e-8)
 
@@ -52,7 +50,7 @@ def test_density_uniform_vs_midpoint_oracle():
 
 def test_energy_delta_is_minus_point():
     for params in (GibbsParams(-1.0, 1.0), GibbsParams(3.0, 0.2)):
-        assert energy_per_element(Delta(2.5), 5, params) == -2.5
+        assert ensemble_moments(Delta(2.5), 5, params).u == -2.5
 
 
 def test_energy_two_point_closed_form():
@@ -62,7 +60,7 @@ def test_energy_two_point_closed_form():
         f1 = gentile_mean(-2.0 + 1.0, d)
         f2 = gentile_mean(-2.0 + 3.0, d)
         expected = -(1.0 * w * f1 + 3.0 * (1 - w) * f2) / (w * f1 + (1 - w) * f2)
-        got = energy_per_element(TwoPoint(1.0, 3.0, w), d, params)
+        got = ensemble_moments(TwoPoint(1.0, 3.0, w), d, params).u
         assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -72,7 +70,7 @@ def test_energy_bounded_by_support(rng):
     for _ in range(20):
         params = GibbsParams(float(rng.uniform(-4, 2)), float(rng.uniform(0.2, 3)))
         for dist in dists:
-            u = energy_per_element(dist, 4, params)
+            u = ensemble_moments(dist, 4, params).u
             assert -3.0 - 1e-12 <= u <= -0.5 + 1e-12
 
 
@@ -145,7 +143,7 @@ def test_all_variants_match_midpoint_oracle(rng):
     for _ in range(25):
         params = GibbsParams(float(rng.uniform(-4, 2)), float(rng.uniform(0.2, 2.5)))
         for dist in continuous:
-            got_n = occupancy_density(dist, d, params)
+            got_n = ensemble_moments(dist, d, params).n
             got_o = omega(dist, d, params)
             if isinstance(dist, Uniform):
                 width = dist.upper - dist.lower
@@ -176,7 +174,7 @@ def test_density_and_omega_monotone_in_alpha(rng):
     for _ in range(10):
         beta = float(rng.uniform(0.2, 2.0))
         alphas = np.linspace(-5, 1, 15)
-        ns = [occupancy_density(dist, d, GibbsParams(float(a), beta)) for a in alphas]
+        ns = [ensemble_moments(dist, d, GibbsParams(float(a), beta)).n for a in alphas]
         oms = [omega(dist, d, GibbsParams(float(a), beta)) for a in alphas]
         assert all(b > a for a, b in zip(ns, ns[1:]))
         assert all(b > a for a, b in zip(oms, oms[1:]))
@@ -201,7 +199,5 @@ def test_moment_bundle_consistent():
     dist = Uniform(1.0, 2.0)
     params = GibbsParams(-1.2, 0.9)
     mom = ensemble_moments(dist, 4, params)
-    assert mom.n == pytest.approx(occupancy_density(dist, 4, params), rel=1e-12)
-    assert mom.u == pytest.approx(energy_per_element(dist, 4, params), rel=1e-12)
     assert mom.omega == pytest.approx(omega(dist, 4, params), rel=1e-12)
     assert 0.0 < mom.n < 4 and mom.omega > 0.0

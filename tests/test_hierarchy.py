@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 from conftest import enumerate_position_measure
 
 from hierstat import (
-    Configuration,
     EnsembleCensus,
     GibbsParams,
     HierarchySpec,
@@ -28,7 +27,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_canonical_l3.json"
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 
 
-# --- spec and configuration ---------------------------------------------------
+# --- spec ---------------------------------------------------------------------
 
 def test_spec_orderings_enforced():
     with pytest.raises(ValidationError) as err:
@@ -41,15 +40,6 @@ def test_spec_orderings_enforced():
     with pytest.raises(ValidationError) as err:
         HierarchySpec(((5, 1.0), (3, 2.0)))
     assert len(err.value.violations) == 2
-
-
-def test_configuration_energy():
-    cfg = Configuration(L3, (1, 2, 5))
-    assert cfg.total_agents == 8
-    assert cfg.energy == -(3.0 + 2 * 2.0 + 5 * 1.0)
-    assert cfg.energy == cfg.recompute_energy()
-    with pytest.raises(ValidationError):
-        Configuration(L3, (2, 0, 0))
 
 
 # --- exact reference ------------------------------------------------------------
