@@ -26,8 +26,10 @@ from .errors import (
     NoConvergence,
     SingularInversion,
     ValidationError,
+    check_int,
+    check_real,
 )
-from .figures import FIGURE_IDS, build_figure
+from .figures import build_figure
 from .gentile import (
     EnergySign,
     GibbsParams,
@@ -87,19 +89,30 @@ def _load_config(path):
 
 
 def _number(value, key, kind):
-    """``value`` as a ``kind`` (int or float), or a ValidationError naming
-    ``key``: config files may hold strings, bools or fractional counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must be a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
+    """``value`` as a ``kind`` (int, float or bool), or a ValidationError
+    naming ``key``: config files may hold strings, bools or fractional
+    counts.  An integral float such as 5.0 is accepted as an int."""
+    problems = []
+    if kind is bool and not isinstance(value, bool):
+        problems.append(f"{key} must be true or false, got {value!r}")
+    elif kind is int:
+        integral = isinstance(value, float) and value.is_integer()
+        value = check_int(int(value) if integral else value, key, problems)
+    elif kind is float:
+        value = check_real(value, key, problems)
+    if problems:
+        raise ValidationError(problems)
+    return value
+
+
+def _require(cfg, keys, context=""):
+    missing = [f"config key {k!r} is required{context}" for k in keys if k not in cfg]
+    if missing:
+        raise ValidationError(missing)
 
 
 def _pick(flag, cfg, key, default=None, kind=None):
-    """The flag if given, else the config value (a ``kind`` number when
+    """The flag if given, else the config value (of type ``kind`` when
     ``kind`` is set), else ``default``."""
     if flag is not None:
         return flag
@@ -121,6 +134,23 @@ def _resolve_seed(flag, cfg):
             raise ValidationError(
                 f"HIERSTAT_SEED must be an integer, got {env!r}") from None
     return 0
+
+
+def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
+    """Violations of a required capacity and, with ``sweep``, of the
+    activity grid (lambda_min, lambda_max, points)."""
+    problems = []
+    if capacity is None:
+        problems.append("capacity (-d) is required")
+    else:
+        check_int(capacity, "capacity", problems, 1)
+    if sweep:
+        if points < 1:
+            problems.append(f"grid is empty: points must be >= 1, got {points}")
+        if lambda_min > lambda_max:
+            problems.append(
+                f"grid is empty: lambda-min {lambda_min} exceeds lambda-max {lambda_max}")
+    return problems
 
 
 def _fmt(value):
@@ -181,30 +211,21 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
     lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0, kind=float)
     lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
     points = _pick(points, cfg, "points", 401, kind=int)
-    relative = relative or bool(cfg.get("relative", False))
-    pmf = pmf or bool(cfg.get("pmf", False))
+    relative = relative or _pick(None, cfg, "relative", False, kind=bool)
+    pmf = pmf or _pick(None, cfg, "pmf", False, kind=bool)
     alpha = _pick(alpha, cfg, "alpha", kind=float)
     beta = _pick(beta, cfg, "beta", kind=float)
     epsilon = _pick(epsilon, cfg, "epsilon", kind=float)
     sign = _pick(sign, cfg, "sign", "salary")
     output = _pick(output, cfg, "output", "-")
 
-    problems = []
-    if capacity is None:
-        problems.append("capacity (-d) is required")
-    elif capacity < 1:
-        problems.append(f"capacity must be >= 1, got {capacity}")
     point_mode = any(v is not None for v in (alpha, beta, epsilon))
+    problems = _sweep_problems(capacity, lambda_min, lambda_max, points,
+                               sweep=not point_mode)
     if point_mode:
         for name, v in (("alpha", alpha), ("beta", beta), ("epsilon", epsilon)):
             if v is None:
                 problems.append(f"--{name} is required for the single-point form")
-    else:
-        if points is None or points < 1:
-            problems.append(f"grid is empty: points must be >= 1, got {points}")
-        if lambda_min > lambda_max:
-            problems.append(
-                f"grid is empty: lambda-min {lambda_min} exceeds lambda-max {lambda_max}")
     if pmf and capacity is not None and capacity > 1000:
         problems.append("--pmf is limited to capacity <= 1000")
     if problems:
@@ -241,11 +262,6 @@ def cmd_figures(figure, output_dir, json_config):
     cfg = _load_config(json_config)
     figure = _pick(figure, cfg, "figure", kind=int)
     output_dir = _pick(output_dir, cfg, "output_dir", ".")
-    problems = []
-    if figure is None or figure not in FIGURE_IDS:
-        problems.append(f"figure id must be one of {FIGURE_IDS}, got {figure!r}")
-    if problems:
-        raise ValidationError(problems)
     header, rows, svg = build_figure(figure)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,17 +290,7 @@ def cmd_eos(capacity, lambda_min, lambda_max, points, output, json_config):
     lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
     points = _pick(points, cfg, "points", 401, kind=int)
     output = _pick(output, cfg, "output", "-")
-
-    problems = []
-    if capacity is None:
-        problems.append("capacity (-d) is required")
-    elif capacity < 1:
-        problems.append(f"capacity must be >= 1, got {capacity}")
-    if points is None or points < 1:
-        problems.append(f"grid is empty: points must be >= 1, got {points}")
-    if lambda_min > lambda_max:
-        problems.append(
-            f"grid is empty: lambda-min {lambda_min} exceeds lambda-max {lambda_max}")
+    problems = _sweep_problems(capacity, lambda_min, lambda_max, points)
     if problems:
         raise ValidationError(problems)
 
@@ -311,12 +317,7 @@ def cmd_thermo(json_config, out_csv):
     (alpha, beta), (n, u) or, for a point mass, (lambda, beta).
     """
     cfg = _load_config(json_config)
-    problems = []
-    for key in ("distribution", "d", "volume"):
-        if key not in cfg:
-            problems.append(f"config key {key!r} is required")
-    if problems:
-        raise ValidationError(problems)
+    _require(cfg, ("distribution", "d", "volume"))
     dist = distribution_from_json(cfg["distribution"])
     d = _number(cfg["d"], "d", int)
     volume = _number(cfg["volume"], "volume", int)
@@ -420,11 +421,7 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
     out.mkdir(parents=True, exist_ok=True)
 
     if scenario == "grand_canonical":
-        missing = [k for k in ("capacity", "salary", "alpha") if k not in cfg]
-        if missing:
-            raise ValidationError(
-                [f"config key {k!r} is required for grand_canonical runs"
-                 for k in missing])
+        _require(cfg, ("capacity", "salary", "alpha"), " for grand_canonical runs")
         level = OccupancyLevel(_number(cfg["capacity"], "capacity", int),
                                _number(cfg["salary"], "salary", float))
         params = GibbsParams(_number(cfg["alpha"], "alpha", float), beta)

@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -36,14 +36,6 @@ __all__ = [
 ]
 
 
-def _finite_nonneg(x, name, problems):
-    if not isinstance(x, (int, float, np.floating, np.integer)) \
-            or isinstance(x, bool) or not math.isfinite(x) or x < 0:
-        problems.append(f"{name} must be finite and >= 0, got {x!r}")
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class Delta:
     """All mass at one point: every company pays the same."""
@@ -52,10 +44,10 @@ class Delta:
 
     def __post_init__(self):
         problems = []
-        _finite_nonneg(self.point, "point", problems)
+        point = check_real(self.point, "point", problems, 0)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "point", float(self.point))
+        object.__setattr__(self, "point", point)
 
 
 @dataclass(frozen=True)
@@ -68,19 +60,16 @@ class TwoPoint:
 
     def __post_init__(self):
         problems = []
-        ok1 = _finite_nonneg(self.epsilon1, "epsilon1", problems)
-        ok2 = _finite_nonneg(self.epsilon2, "epsilon2", problems)
-        if ok1 and ok2 and self.epsilon1 == self.epsilon2:
+        e1 = check_real(self.epsilon1, "epsilon1", problems, 0)
+        e2 = check_real(self.epsilon2, "epsilon2", problems, 0)
+        if None not in (e1, e2) and e1 == e2:
             problems.append("epsilon1 and epsilon2 must differ (use Delta otherwise)")
-        w = self.weight
-        if not isinstance(w, (int, float, np.floating)) or isinstance(w, bool) \
-                or not math.isfinite(w) or not 0.0 < w < 1.0:
-            problems.append(f"weight must lie strictly in (0, 1), got {w!r}")
+        w = check_real(self.weight, "weight", problems, 0, 1, open_low=True, open_high=True)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "epsilon1", float(self.epsilon1))
-        object.__setattr__(self, "epsilon2", float(self.epsilon2))
-        object.__setattr__(self, "weight", float(w))
+        object.__setattr__(self, "epsilon1", e1)
+        object.__setattr__(self, "epsilon2", e2)
+        object.__setattr__(self, "weight", w)
 
 
 @dataclass(frozen=True)
@@ -92,14 +81,14 @@ class Uniform:
 
     def __post_init__(self):
         problems = []
-        ok1 = _finite_nonneg(self.lower, "lower", problems)
-        ok2 = _finite_nonneg(self.upper, "upper", problems)
-        if ok1 and ok2 and not self.lower < self.upper:
+        lower = check_real(self.lower, "lower", problems, 0)
+        upper = check_real(self.upper, "upper", problems, 0)
+        if None not in (lower, upper) and not lower < upper:
             problems.append(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,21 @@ def _crossing(dist, params) -> tuple:
     return ()
 
 
+def _moment_integrand(params: GibbsParams, d: int, derivatives: bool = False):
+    """eps -> [f, eps f, log Z] at lambda = alpha + beta eps, followed by
+    [f', eps f', eps^2 f'] when ``derivatives`` is set."""
+    a, b = params.alpha, params.beta
+
+    def f(eps):
+        lam = a + b * eps
+        fv = gentile_mean(lam, d)
+        if not derivatives:
+            return np.array([fv, eps * fv, log_partition(lam, d)])
+        fp = gentile_mean_dlambda(lam, d)
+        return np.array([fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp])
+    return f
+
+
 def moment_integrals(dist, d: int, params: GibbsParams, *,
                      derivatives: bool = False, rel_tol: float = 1e-10) -> dict:
     """Raw moment integrals at one parameter point.
@@ -65,23 +80,8 @@ def moment_integrals(dist, d: int, params: GibbsParams, *,
     the derivatives are handled one level up (thermostatics).
     """
     base = resolve(dist, params)
-    a, b = params.alpha, params.beta
-
-    if derivatives:
-        def f(eps):
-            lam = a + b * eps
-            fv = gentile_mean(lam, d)
-            fp = gentile_mean_dlambda(lam, d)
-            return np.array([fv, eps * fv, log_partition(lam, d),
-                             fp, eps * fp, eps * eps * fp])
-    else:
-        def f(eps):
-            lam = a + b * eps
-            fv = gentile_mean(lam, d)
-            return np.array([fv, eps * fv, log_partition(lam, d)])
-
-    vals = integrate_against(base, f, rel_tol=rel_tol,
-                             breakpoints=_crossing(base, params))
+    vals = integrate_against(base, _moment_integrand(params, d, derivatives),
+                             rel_tol=rel_tol, breakpoints=_crossing(base, params))
     out = {"n": float(vals[0]), "m1": float(vals[1]), "omega": float(vals[2])}
     if derivatives:
         out.update(A=float(vals[3]), B=float(vals[4]), C=float(vals[5]))

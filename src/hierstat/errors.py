@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 __all__ = ["HierstatError", "ValidationError", "AccuracyError",
-           "SingularInversion", "NoConvergence", "ImbalancedEntry"]
+           "SingularInversion", "NoConvergence", "ImbalancedEntry",
+           "check_int", "check_real"]
 
 
 class HierstatError(Exception):
@@ -21,6 +25,54 @@ class ValidationError(HierstatError, ValueError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def _range(low, high, open_low=False, open_high=False) -> str:
+    """The admissible range in words: '', ' >= 0', ' < 1' or ' in (0, 1]'."""
+    low = None if low == -math.inf else low
+    high = None if high == math.inf else high
+    if high is None:
+        return "" if low is None else f" {'>' if open_low else '>='} {low}"
+    if low is None:
+        return f" {'<' if open_high else '<='} {high}"
+    return f" in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+
+
+def check_int(value, name, problems, low=None, high=None):
+    """``value`` as an ``int`` in [low, high] (None: unbounded), or None
+    after appending one violation to ``problems``.  A bool is not an
+    integer; numpy integers are."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+        if (low is None or value >= low) and (high is None or value <= high):
+            return value
+    problems.append(f"{name} must be an integer{_range(low, high)}, got {value!r}")
+    return None
+
+
+def check_real(value, name, problems, low=-math.inf, high=math.inf, *,
+               open_low=False, open_high=False):
+    """``value`` as a finite ``float`` between ``low`` and ``high`` (closed
+    ends unless ``open_low``/``open_high``), or None after appending one
+    violation to ``problems``.  A bool is not a number; any other
+    ``numbers.Real`` is."""
+    if isinstance(value, float):  # np.float64 too
+        x = float(value)
+        if low < x < high:  # the common case; it also rules out nan and +-inf
+            return x
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the double range
+            x = math.inf
+    else:
+        x = math.nan
+    if math.isfinite(x) and (low < x if open_low else low <= x) \
+            and (x < high if open_high else x <= high):
+        return x
+    problems.append(f"{name} must be a finite number"
+                    f"{_range(low, high, open_low, open_high)}, got {value!r}")
+    return None
 
 
 class AccuracyError(HierstatError):

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError, check_int, check_real
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -79,15 +79,18 @@ class EnergySign(Enum):
 def _check_capacity(d) -> int:
     if type(d) is int and d >= 1:  # the common case, checked cheaply
         return d
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValidationError(f"capacity must be an integer, got {d!r}")
-    if d < 1:
-        raise ValidationError(f"capacity must be >= 1, got {d}")
-    return int(d)
+    problems = []
+    d = check_int(d, "capacity", problems, 1)
+    if problems:
+        raise ValidationError(problems)
+    return d
 
 
 def _check_lambda(lam) -> float:
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"activity exponent must be a number, got {lam!r}") from None
     if not math.isfinite(lam):
         raise ValidationError(f"activity exponent must be finite, got {lam}")
     return lam
@@ -103,20 +106,14 @@ class OccupancyLevel:
 
     def __post_init__(self):
         problems = []
-        if isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer)):
-            problems.append(f"capacity must be an integer, got {self.capacity!r}")
-        elif self.capacity < 1:
-            problems.append(f"capacity must be >= 1, got {self.capacity}")
-        scale = self.money_scale
-        if not isinstance(scale, (int, float, np.floating, np.integer)) \
-                or not math.isfinite(scale) or scale < 0:
-            problems.append(f"money_scale must be finite and >= 0, got {scale!r}")
+        capacity = check_int(self.capacity, "capacity", problems, 1)
+        scale = check_real(self.money_scale, "money_scale", problems, 0)
         if not isinstance(self.sign, EnergySign):
             problems.append(f"sign must be an EnergySign, got {self.sign!r}")
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "capacity", int(self.capacity))
-        object.__setattr__(self, "money_scale", float(scale))
+        object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "money_scale", scale)
 
 
 @dataclass(frozen=True)
@@ -128,14 +125,12 @@ class GibbsParams:
 
     def __post_init__(self):
         problems = []
-        if not math.isfinite(self.alpha):
-            problems.append(f"alpha must be finite, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            problems.append(f"beta must be finite and > 0, got {self.beta}")
+        alpha = check_real(self.alpha, "alpha", problems)
+        beta = check_real(self.beta, "beta", problems, 0, open_low=True)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def activity(level: OccupancyLevel, params: GibbsParams) -> float:
@@ -398,9 +393,9 @@ def activity_for_mean(d: int, target: float) -> float:
     ``scipy.optimize.brentq``.
     """
     d = _check_capacity(d)
-    target = float(target)
-    if not (math.isfinite(target) and 0.0 < target < d):
-        raise ValidationError(
-            f"target mean must lie strictly inside (0, {d}), got {target}")
+    problems = []
+    target = check_real(target, "target", problems, 0, d, open_low=True, open_high=True)
+    if problems:
+        raise ValidationError(problems)
     return _increasing_root(lambda l: gentile_mean(l, d), target)
 

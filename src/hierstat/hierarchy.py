@@ -12,13 +12,12 @@ total agent count, entirely in log space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .gentile import GibbsParams, occupancy_probabilities
+from .errors import ValidationError, check_int, check_real
+from .gentile import GibbsParams, _check_capacity, occupancy_probabilities
 
 __all__ = [
     "HierarchyLevel",
@@ -40,18 +39,12 @@ class HierarchyLevel:
 
     def __post_init__(self):
         problems = []
-        if isinstance(self.capacity, bool) or not isinstance(self.capacity, (int, np.integer)):
-            problems.append(f"capacity must be an integer, got {self.capacity!r}")
-        elif self.capacity < 1:
-            problems.append(f"capacity must be >= 1, got {self.capacity}")
-        if not isinstance(self.salary, (int, float, np.floating, np.integer)) \
-                or isinstance(self.salary, bool) \
-                or not math.isfinite(self.salary) or self.salary < 0:
-            problems.append(f"salary must be finite and >= 0, got {self.salary!r}")
+        capacity = check_int(self.capacity, "capacity", problems, 1)
+        salary = check_real(self.salary, "salary", problems, 0)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(self, "capacity", int(self.capacity))
-        object.__setattr__(self, "salary", float(self.salary))
+        object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "salary", salary)
 
 
 @dataclass(frozen=True)
@@ -137,16 +130,11 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
     """
     from scipy.special import logsumexp  # imported here, as in _level_log_poly
 
-    if isinstance(agents, bool) or not isinstance(agents, (int, np.integer)):
-        raise ValidationError(f"agents must be an integer, got {agents!r}")
-    agents = int(agents)
-    total = spec.total_positions
-    if not 0 <= agents <= total:
-        raise ValidationError(
-            f"agents must lie in [0, {total}] for this hierarchy, got {agents}")
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta}")
+    problems = []
+    agents = check_int(agents, "agents", problems, 0, spec.total_positions)
+    beta = check_real(beta, "beta", problems)
+    if problems:
+        raise ValidationError(problems)
 
     polys = [_level_log_poly(lv.capacity, lv.salary, beta) for lv in spec.levels]
     n_levels = len(polys)
@@ -259,6 +247,7 @@ def gentile_census(class_totals, salaries, capacity: int,
                    params: GibbsParams) -> EnsembleCensus:
     """Entropy-maximizing census: class s filled as V_s p(r | lambda_s)
     with lambda_s = alpha + beta * salary_s shared across classes."""
+    capacity = _check_capacity(capacity)
     totals = np.asarray(class_totals, dtype=float)
     sal = np.asarray(salaries, dtype=float)
     if totals.ndim != 1 or sal.shape != totals.shape:

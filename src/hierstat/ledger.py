@@ -12,19 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ImbalancedEntry, ValidationError
+from .errors import ImbalancedEntry, ValidationError, check_int
 
 __all__ = ["Transaction", "LedgerEntry", "TransactionLedger",
            "BalanceReport", "ledger_audit", "subset_balance"]
-
-
-def _check_int(x, name, problems):
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        problems.append(f"{name} must be an integer amount in minor units, got {x!r}")
-        return None
-    return int(x)
 
 
 @dataclass(frozen=True)
@@ -39,13 +30,11 @@ class Transaction:
 
     def __post_init__(self):
         problems = []
-        amount = _check_int(self.amount, "amount", problems)
-        leakage = _check_int(self.leakage, "leakage", problems)
+        amount = check_int(self.amount, "amount", problems, 0)
+        leakage = check_int(self.leakage, "leakage", problems)
         for name, party in (("source", self.source), ("target", self.target)):
             if not isinstance(party, str) or not party:
                 problems.append(f"{name} must be a non-empty party name")
-        if amount is not None and amount < 0:
-            problems.append(f"amount must be >= 0, got {amount}")
         if amount is not None and leakage is not None and leakage > amount:
             problems.append(
                 f"leakage {leakage} exceeds amount {amount}; the target "
@@ -74,13 +63,11 @@ class TransactionLedger:
     """Append-only ledger with per-party running totals and a sink."""
 
     def __init__(self, initial_balances=None):
-        initial_balances = dict(initial_balances or {})
         problems = []
-        for party, bal in initial_balances.items():
-            _check_int(bal, f"balance of {party!r}", problems)
+        self.initial_balances = {p: check_int(b, f"balance of {p!r}", problems)
+                                 for p, b in dict(initial_balances or {}).items()}
         if problems:
             raise ValidationError(problems)
-        self.initial_balances = {p: int(b) for p, b in initial_balances.items()}
         self._balances = dict(self.initial_balances)
         self._sink = 0
         self.entries: list[LedgerEntry] = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 from .gentile import GibbsParams, OccupancyLevel, activity
 from .hierarchy import HierarchySpec
 
@@ -77,15 +77,13 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     in place (symmetric proposal with rejection at the walls).  The
     first ``burn_in_fraction`` of the chain is discarded.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValidationError(f"steps must be an integer, got {steps!r}")
-    if steps < 10_000:
-        raise ValidationError(f"need at least 10000 steps, got {steps}")
-    if not 0.0 <= burn_in_fraction < 1.0:
-        raise ValidationError(
-            f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    steps = int(steps)
-    seed = int(seed)
+    problems = []
+    steps = check_int(steps, "steps", problems, 10_000)
+    seed = check_int(seed, "seed", problems, 0)
+    burn_in_fraction = check_real(burn_in_fraction, "burn_in_fraction", problems,
+                                  0, 1, open_high=True)
+    if problems:
+        raise ValidationError(problems)
     lam = activity(level, params)
     d = level.capacity
 
@@ -179,26 +177,16 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     return hist, energies, accepted, r
 
 
-def _check_chain_args(spec, agents, beta, steps, burn_in_fraction, record_every):
-    problems = []
-    if not isinstance(spec, HierarchySpec):
+def _check_chain_args(spec, agents, beta, seed, record_every, problems):
+    """(agents, beta, seed, record_every) checked for both hierarchy
+    chains; violations go to ``problems``."""
+    total = spec.total_positions if isinstance(spec, HierarchySpec) else None
+    if total is None:
         problems.append("spec must be a HierarchySpec")
-    if isinstance(agents, bool) or not isinstance(agents, (int, np.integer)):
-        problems.append(f"agents must be an integer, got {agents!r}")
-    elif isinstance(spec, HierarchySpec) and not 0 <= agents <= spec.total_positions:
-        problems.append(
-            f"agents must lie in [0, {spec.total_positions}], got {agents}")
-    if not isinstance(beta, (int, float, np.floating)) or not math.isfinite(beta):
-        problems.append(f"beta must be finite, got {beta!r}")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        problems.append(f"steps must be a positive integer, got {steps!r}")
-    if not 0.0 <= burn_in_fraction < 1.0:
-        problems.append(f"burn_in_fraction must lie in [0, 1), got {burn_in_fraction}")
-    if isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer)) \
-            or record_every < 1:
-        problems.append(f"record_every must be a positive integer, got {record_every!r}")
-    if problems:
-        raise ValidationError(problems)
+    return (check_int(agents, "agents", problems, 0, total),
+            check_real(beta, "beta", problems),
+            check_int(seed, "seed", problems, 0),
+            check_int(record_every, "record_every", problems, 1))
 
 
 @dataclass(frozen=True)
@@ -227,23 +215,27 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
                        burn_in_fraction: float = 0.1,
                        record_every: int = 1) -> CanonicalRun:
     """Position-swap Metropolis dynamics of a hierarchy at fixed agent count."""
-    _check_chain_args(spec, agents, beta, steps, burn_in_fraction, record_every)
-    steps = int(steps)
-    seed = int(seed)
+    problems = []
+    agents, beta, seed, record_every = _check_chain_args(spec, agents, beta, seed,
+                                                         record_every, problems)
+    steps = check_int(steps, "steps", problems, 1)
+    burn_in_fraction = check_real(burn_in_fraction, "burn_in_fraction", problems,
+                                  0, 1, open_high=True)
+    if problems:
+        raise ValidationError(problems)
     rng = np.random.default_rng(seed)
-    r0 = _initial_occupancy(spec, int(agents), rng)
-    hist, energies, accepted, _ = _run_position_chain(spec, float(beta), r0,
-                                                      steps, rng)
+    r0 = _initial_occupancy(spec, agents, rng)
+    hist, energies, accepted, _ = _run_position_chain(spec, beta, r0, steps, rng)
     burn = int(steps * burn_in_fraction)
     kept = hist[burn:].astype(float)
     means = kept.mean(axis=0)
     errs = np.array([_batch_stderr(kept[:, j]) for j in range(kept.shape[1])])
-    idx = np.arange(0, steps, int(record_every))
+    idx = np.arange(0, steps, record_every)
     return CanonicalRun(
         recorded_steps=idx, occupancies=hist[idx], energies=energies[idx],
         mean_occupancy=means, stderr=errs,
         acceptance_rate=accepted / steps, steps=steps, burn_in=burn,
-        seed=seed, beta=float(beta), agents=int(agents))
+        seed=seed, beta=beta, agents=agents)
 
 
 @dataclass(frozen=True)
@@ -269,8 +261,6 @@ class LaserRun:
 
 def social_laser_scenario(spec: HierarchySpec, beta: float,
                           pump_fraction: float, steps: int, seed: int, *,
-                          equilibration_steps: int | None = None,
-                          relax_steps: int | None = None,
                           record_every: int = 1) -> LaserRun:
     """Equilibrate, force a population inversion, then watch the collapse.
 
@@ -279,12 +269,11 @@ def social_laser_scenario(spec: HierarchySpec, beta: float,
     highest level indices (the lowest salaries).  A zero fraction is a
     plain equilibrium run; this is a demonstration scenario, not a
     quantitative estimator.  The agent count defaults to half the
-    positions; use :func:`pumped_relaxation` to choose it.
+    positions, and both phases run ``steps`` moves; use
+    :func:`pumped_relaxation` to choose them.
     """
-    eq_steps = int(equilibration_steps) if equilibration_steps is not None else int(steps)
-    rx_steps = int(relax_steps) if relax_steps is not None else int(steps)
     return pumped_relaxation(spec, spec.total_positions // 2, beta,
-                             pump_fraction, eq_steps, rx_steps, seed,
+                             pump_fraction, steps, steps, seed,
                              record_every=record_every)
 
 
@@ -292,26 +281,26 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
                       pump_fraction: float, equilibration_steps: int,
                       relax_steps: int, seed: int, *,
                       record_every: int = 1) -> LaserRun:
-    """Like :func:`social_laser_scenario` but with an explicit agent count."""
-    _check_chain_args(spec, agents, beta, max(int(equilibration_steps), 1), 0.0,
-                      record_every)
-    if not isinstance(pump_fraction, (int, float, np.floating)) \
-            or isinstance(pump_fraction, bool) \
-            or not math.isfinite(pump_fraction) or not 0.0 <= pump_fraction <= 1.0:
-        raise ValidationError(
-            f"pump_fraction must lie in [0, 1], got {pump_fraction!r}")
-    seed = int(seed)
-    agents = int(agents)
+    """Like :func:`social_laser_scenario` but with an explicit agent count
+    and phase lengths (``relax_steps`` >= 1, ``equilibration_steps`` >= 0)."""
+    problems = []
+    agents, beta, seed, record_every = _check_chain_args(spec, agents, beta, seed,
+                                                         record_every, problems)
+    equilibration_steps = check_int(equilibration_steps, "equilibration_steps",
+                                    problems, 0)
+    relax_steps = check_int(relax_steps, "relax_steps", problems, 1)
+    pump_fraction = check_real(pump_fraction, "pump_fraction", problems, 0, 1)
+    if problems:
+        raise ValidationError(problems)
     rng = np.random.default_rng(seed)
     caps = spec.capacities.tolist()
     sals = spec.salaries.tolist()
 
     r = _initial_occupancy(spec, agents, rng)
-    hist_eq, en_eq, _, r = _run_position_chain(spec, float(beta), r,
-                                               int(equilibration_steps), rng)
+    hist_eq, en_eq, _, r = _run_position_chain(spec, beta, r, equilibration_steps, rng)
 
     # population inversion: drain top-salary levels into bottom vacancies
-    moves = int(round(float(pump_fraction) * agents))
+    moves = int(round(pump_fraction * agents))
     pump_rows = []
     pump_energies = []
     done = 0
@@ -326,12 +315,10 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
         pump_rows.append(list(r))
         pump_energies.append(-sum(s * k for s, k in zip(sals, r)))
 
-    hist_rx, en_rx, _, r = _run_position_chain(spec, float(beta), r,
-                                               int(relax_steps), rng)
+    hist_rx, en_rx, _, r = _run_position_chain(spec, beta, r, relax_steps, rng)
 
-    thin = int(record_every)
-    idx_eq = np.arange(0, hist_eq.shape[0], thin)
-    idx_rx = np.arange(0, hist_rx.shape[0], thin)
+    idx_eq = np.arange(0, hist_eq.shape[0], record_every)
+    idx_rx = np.arange(0, hist_rx.shape[0], record_every)
     n_pump = len(pump_rows)
     occ = np.concatenate([
         hist_eq[idx_eq],
@@ -351,15 +338,9 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
     ])
 
     tail = hist_rx[hist_rx.shape[0] // 2:].astype(float)
-    if tail.size:
-        relax_mean = tail.mean(axis=0)
-        relax_err = np.array([_batch_stderr(tail[:, j]) for j in range(tail.shape[1])])
-    else:  # pragma: no cover - relax_steps >= 1 in practice
-        relax_mean = np.full(len(caps), np.nan)
-        relax_err = np.full(len(caps), np.nan)
-
+    relax_err = np.array([_batch_stderr(tail[:, j]) for j in range(tail.shape[1])])
     return LaserRun(recorded_steps=recorded, occupancies=occ,
                     energies=energies, phases=phases, pumped_moves=done,
-                    relax_mean_occupancy=relax_mean, relax_stderr=relax_err,
-                    seed=seed, beta=float(beta), agents=agents,
-                    pump_fraction=float(pump_fraction))
+                    relax_mean_occupancy=tail.mean(axis=0), relax_stderr=relax_err,
+                    seed=seed, beta=beta, agents=agents,
+                    pump_fraction=pump_fraction)

@@ -31,8 +31,7 @@ def gauss_legendre_panel(f, lo: float, hi: float) -> np.ndarray:
 
 
 def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-10,
-                       abs_tol: float = 0.0, max_depth: int = 20,
-                       breakpoints=()):
+                       max_depth: int = 20, breakpoints=()):
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
     Returns a float for scalar integrands, an ndarray for vector ones.
@@ -56,7 +55,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-10,
     panels = [(edges[i], edges[i + 1], gauss_legendre_panel(f, edges[i], edges[i + 1]), 0)
               for i in range(len(edges) - 1)]
     scale = max(float(np.max(np.abs(p[2]))) for p in panels)
-    target = max(rel_tol * scale, abs_tol, 1e-300)
+    target = max(rel_tol * scale, 1e-300)
 
     result = None
     err_total = 0.0

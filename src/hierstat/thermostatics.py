@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, integrate_against, is_parametric, resolve, support
-from .ensemble import PHI_STEP, ensemble_moments, moment_integrals
-from .errors import AccuracyError, NoConvergence, SingularInversion, ValidationError
+from .ensemble import PHI_STEP, _moment_integrand, ensemble_moments, moment_integrals
+from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
+                     check_int, check_real)
 from .gentile import (
     GibbsParams,
     activity_for_mean,
@@ -149,11 +150,7 @@ def _phi_terms(dist, d, params, rel_tol):
     if not is_parametric(dist):
         return zero, zero
     a, b = params.alpha, params.beta
-
-    def frozen(eps):
-        lam = a + b * eps
-        fv = gentile_mean(lam, d)
-        return np.array([fv, eps * fv, log_partition(lam, d)])
+    frozen = _moment_integrand(params, d)
 
     def against(concrete):
         return np.asarray(integrate_against(concrete, frozen, rel_tol=rel_tol))
@@ -203,10 +200,10 @@ def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol)
 
 
 def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
-                     rel_tol: float = 1e-12, max_iter: int = 80) -> GibbsParams:
+                     rel_tol: float = 1e-12) -> GibbsParams:
     """Solve (n, u) = targets for (alpha, beta).
 
-    Damped Newton (step halving, up to 60 halvings) with the analytic
+    Damped Newton (up to 80 steps, each halved up to 60 times) with the analytic
     Jacobian; beta is kept inside ``BETA_WINDOW``.  The start is computed:
     beta0 = 1/(hi - lo) over the support of phi (of ``dist.build(0, 1)``
     for a family), and alpha0 makes a point mass at the phi-mean salary
@@ -225,25 +222,19 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     residuals and (alpha, beta) of the last accepted iterate.
     """
     d = _check_capacity(d)
-    if is_parametric(dist):
-        probe = dist.build(0.0, 1.0)
-    else:
-        probe = dist
+    probe = dist.build(0.0, 1.0) if is_parametric(dist) else dist
     if isinstance(probe, Delta):
         raise SingularInversion(
             "point-mass distribution: u is constant, the map (alpha, beta) -> (n, u) "
             "is rank one; parameterize the state by (alpha, beta) or (lambda, beta)")
 
     problems = []
-    if not (math.isfinite(n_target) and 0.0 < n_target < d):
-        problems.append(f"n target must lie strictly inside (0, {d}), got {n_target}")
+    n_target = check_real(n_target, "n_target", problems, 0, d,
+                          open_low=True, open_high=True)
     lo, hi = support(probe)
-    if not is_parametric(dist):
-        if not (math.isfinite(u_target) and -hi < u_target < -lo):
-            problems.append(
-                f"u target must lie strictly inside ({-hi}, {-lo}), got {u_target}")
-    elif not math.isfinite(u_target):
-        problems.append(f"u target must be finite, got {u_target}")
+    u_lo, u_hi = (-math.inf, math.inf) if is_parametric(dist) else (-hi, -lo)
+    u_target = check_real(u_target, "u_target", problems, u_lo, u_hi,
+                          open_low=True, open_high=True)
     if problems:
         raise ValidationError(problems)
 
@@ -261,7 +252,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     norm = float(np.hypot(*res))
     lo_b, hi_b = BETA_WINDOW
     message = "inverse problem did not converge"
-    for _ in range(max_iter):
+    for _ in range(80):
         # a converged iterate gets one more step, then is returned as it stands
         converged = abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol
         try:
@@ -327,11 +318,10 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int, *,
     be nonzero.
     """
     d = _check_capacity(d)
-    if isinstance(volume, bool) or not isinstance(volume, (int, np.integer)):
-        raise ValidationError(f"volume must be an integer count, got {volume!r}")
-    if volume < 1:
-        raise ValidationError(f"volume must be >= 1, got {volume}")
-    volume = int(volume)
+    problems = []
+    volume = check_int(volume, "volume", problems, 1)
+    if problems:
+        raise ValidationError(problems)
 
     mom = ensemble_moments(dist, d, params, rel_tol=rel_tol)
     n, u, om = mom.n, mom.u, mom.omega
@@ -494,18 +484,20 @@ def eos_sweep(d: int, lambda_grid) -> EosTable:
 def critical_temperature(d: int, pressure: float) -> float:
     """Temperature at which a common-salary level reaches half filling:
     pressure / ln(d+1)."""
-    d = _check_capacity(d)
-    pressure = float(pressure)
-    if not (math.isfinite(pressure) and pressure > 0):
-        raise ValidationError(f"pressure must be finite and > 0, got {pressure}")
+    problems = []
+    d = check_int(d, "capacity", problems, 1)
+    pressure = check_real(pressure, "pressure", problems, 0, open_low=True)
+    if problems:
+        raise ValidationError(problems)
     return pressure / math.log1p(d)
 
 
 def condensation_abscissa(d: int, fill: float) -> float:
     """x = ln(d+1)/omega at the activity where n/d equals ``fill``."""
-    d = _check_capacity(d)
-    fill = float(fill)
-    if not 0.0 < fill < 1.0:
-        raise ValidationError(f"fill must lie in (0, 1), got {fill}")
+    problems = []
+    d = check_int(d, "capacity", problems, 1)
+    fill = check_real(fill, "fill", problems, 0, 1, open_low=True, open_high=True)
+    if problems:
+        raise ValidationError(problems)
     lam = activity_for_mean(d, fill * d)
     return math.log1p(d) / log_partition(lam, d)

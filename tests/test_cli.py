@@ -371,10 +371,13 @@ _GRAND = {"scenario": "grand_canonical", "capacity": 3, "salary": 2.0,
     ("simulate", _CANONICAL, "steps", "many"),
     ("simulate", _CANONICAL, "seed", "x"),
     ("simulate", _GRAND, "capacity", 2.5),
+    ("gentile", {"capacity": 2, "points": 3}, "relative", "false"),
+    ("gentile", {"capacity": 2, "points": 3}, "pmf", 1),
 ], ids=["thermo-d-fraction", "thermo-volume-fraction", "thermo-d-string",
         "gentile-capacity-string", "gentile-lambda-min-null",
         "simulate-steps-string", "simulate-seed-string",
-        "simulate-grand-capacity-fraction"])
+        "simulate-grand-capacity-fraction", "gentile-relative-string",
+        "gentile-pmf-number"])
 def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, command,
                                                         base, key, value):
     # neither truncated to an integer nor a traceback: exit 2, key named
