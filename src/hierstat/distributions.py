@@ -10,13 +10,12 @@ phi terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, checked
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -43,11 +42,7 @@ class Delta:
     point: float
 
     def __post_init__(self):
-        problems = []
-        point = check_real(self.point, "point", problems, 0)
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", checked(check_real, self.point, "point", 0))
 
 
 @dataclass(frozen=True)
@@ -101,22 +96,20 @@ class Histogram:
     def __post_init__(self):
         problems = []
         try:
-            edges = tuple(float(e) for e in self.edges)
-            masses = tuple(float(m) for m in self.masses)
-        except (TypeError, ValueError):
+            edges = tuple(check_real(e, f"edges[{i}]", problems, 0)
+                          for i, e in enumerate(self.edges))
+            masses = tuple(check_real(m, f"masses[{i}]", problems, 0)
+                           for i, m in enumerate(self.masses))
+        except TypeError:
             raise ValidationError("edges and masses must be numeric sequences") from None
         if len(edges) < 2:
             problems.append("need at least two bin edges")
         if len(masses) != max(len(edges) - 1, 0):
             problems.append(f"need exactly {max(len(edges) - 1, 0)} masses for "
                             f"{len(edges)} edges, got {len(masses)}")
-        if edges and (not all(math.isfinite(e) for e in edges) or edges[0] < 0):
-            problems.append("edges must be finite and >= 0")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if None not in edges and any(b <= a for a, b in zip(edges, edges[1:])):
             problems.append("edges must be strictly ascending")
-        if any(not math.isfinite(m) or m < 0 for m in masses):
-            problems.append("masses must be finite and >= 0")
-        elif masses and abs(sum(masses) - 1.0) > 1e-12:
+        if masses and None not in masses and abs(sum(masses) - 1.0) > 1e-12:
             problems.append(f"masses must sum to 1 within 1e-12, got {sum(masses)!r}")
         if problems:
             raise ValidationError(problems)
@@ -185,6 +178,7 @@ def integrate_against(dist: SalaryDistribution, f, *, rel_tol: float = 1e-10,
 
     ``f`` may return a scalar or a fixed-shape vector.
     """
+    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     pts = atoms(dist)
     if pts is not None:
         total = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, integrate_against, resolve, support
-from .errors import ValidationError
+from .errors import ValidationError, check_real, checked
 from .gentile import (
     GibbsParams,
     fermi_dirac,
@@ -99,6 +99,7 @@ def omega(dist, d: int, params: GibbsParams, *, rel_tol: float = 1e-10) -> float
 def ensemble_moments(dist, d: int, params: GibbsParams, *,
                      rel_tol: float = 1e-10) -> EnsembleMoments:
     """All three moments in one integration pass, with range checks."""
+    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     base = resolve(dist, params)
     if isinstance(base, Delta):
         lam = params.alpha + params.beta * base.point

@@ -7,7 +7,7 @@ import numbers
 
 __all__ = ["HierstatError", "ValidationError", "AccuracyError",
            "SingularInversion", "NoConvergence", "ImbalancedEntry",
-           "check_int", "check_real"]
+           "check_int", "check_real", "checked"]
 
 
 class HierstatError(Exception):
@@ -73,6 +73,16 @@ def check_real(value, name, problems, low=-math.inf, high=math.inf, *,
     problems.append(f"{name} must be a finite number"
                     f"{_range(low, high, open_low, open_high)}, got {value!r}")
     return None
+
+
+def checked(check, value, name, *bounds, **options):
+    """``check(value, name, problems, *bounds, **options)`` for a lone
+    argument: its value, or ValidationError with the one violation."""
+    problems = []
+    value = check(value, name, problems, *bounds, **options)
+    if problems:
+        raise ValidationError(problems)
+    return value
 
 
 class AccuracyError(HierstatError):

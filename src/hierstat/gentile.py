@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError, check_int, check_real
+from .errors import NoConvergence, ValidationError, check_int, check_real, checked
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -79,11 +79,7 @@ class EnergySign(Enum):
 def _check_capacity(d) -> int:
     if type(d) is int and d >= 1:  # the common case, checked cheaply
         return d
-    problems = []
-    d = check_int(d, "capacity", problems, 1)
-    if problems:
-        raise ValidationError(problems)
-    return d
+    return checked(check_int, d, "capacity", 1)
 
 
 def _check_lambda(lam) -> float:
@@ -393,9 +389,6 @@ def activity_for_mean(d: int, target: float) -> float:
     ``scipy.optimize.brentq``.
     """
     d = _check_capacity(d)
-    problems = []
-    target = check_real(target, "target", problems, 0, d, open_low=True, open_high=True)
-    if problems:
-        raise ValidationError(problems)
+    target = checked(check_real, target, "target", 0, d, open_low=True, open_high=True)
     return _increasing_root(lambda l: gentile_mean(l, d), target)
 

@@ -94,15 +94,16 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     accept_dn = 1.0 if lam <= 0.0 else math.exp(-lam)
 
     r = d // 2
-    out = np.empty(steps, dtype=np.int64)
+    moves = bytearray(steps)  # 1 = up, 255 = down (-1 as int8)
     for i in range(steps):
         if ups[i]:
             if r < d and us[i] < accept_up:
                 r += 1
-        else:
-            if r > 0 and us[i] < accept_dn:
-                r -= 1
-        out[i] = r
+                moves[i] = 1
+        elif r > 0 and us[i] < accept_dn:
+            r -= 1
+            moves[i] = 255
+    out = np.cumsum(np.frombuffer(moves, dtype=np.int8), dtype=np.int64) + d // 2
 
     burn = int(steps * burn_in_fraction)
     kept = out[burn:]
@@ -132,28 +133,33 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     caps = spec.capacities.tolist()
     sals = spec.salaries.tolist()
     n_levels = len(caps)
-    total = sum(caps)
     agents = sum(r)
-    vacant = total - agents
-
-    hist = np.empty((steps, n_levels), dtype=np.int32)
-    energies = np.empty(steps)
-    if steps == 0:
-        return hist, energies, 0, list(r)
+    vacant = sum(caps) - agents
 
     u_src = rng.random(steps).tolist()
     u_tgt = rng.random(steps).tolist()
     u_acc = rng.random(steps).tolist()
 
+    # acceptance of src -> tgt at code src * n_levels + tgt: certain (u < 1.0)
+    # unless the move cuts the salary at beta > 0; the loop records code + 1
+    # per move (0: none) through a memoryview, cheaper than a numpy item
+    # store, and the histories are rebuilt from the codes afterwards
+    accept = [1.0 if s_src - s_tgt <= 0.0 or beta <= 0.0
+              else math.exp(-beta * (s_src - s_tgt))
+              for s_src in sals for s_tgt in sals]
+    codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
+    record = memoryview(codes)
+    hist = np.zeros((steps, n_levels), dtype=np.int32)
+    hist[:1] = r
     r = list(r)
     accepted = 0
-    frozen = agents == 0 or vacant == 0
-    for i in range(steps):
-        if not frozen:
+    levels = range(n_levels)
+    if agents and vacant:
+        for i in range(steps):
             t = u_src[i] * agents
             cum = 0.0
             src = n_levels - 1
-            for j in range(n_levels):
+            for j in levels:
                 cum += r[j]
                 if t < cum:
                     src = j
@@ -161,20 +167,28 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
             t = u_tgt[i] * vacant
             cum = 0.0
             tgt = n_levels - 1
-            for j in range(n_levels):
+            for j in levels:
                 cum += caps[j] - r[j]
                 if t < cum:
                     tgt = j
                     break
-            d_energy = sals[src] - sals[tgt]
-            if d_energy <= 0.0 or u_acc[i] < math.exp(-beta * d_energy):
+            code = src * n_levels + tgt
+            if u_acc[i] < accept[code]:
                 accepted += 1
                 if src != tgt:
                     r[src] -= 1
                     r[tgt] += 1
-        hist[i] = r
-        energies[i] = -sum(s * k for s, k in zip(sals, r))
-    return hist, energies, accepted, r
+                    record[i] = code + 1
+
+    del u_src, u_tgt, u_acc  # ~100 bytes a step; free them before the rebuild
+    # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
+    moved = np.flatnonzero(codes)
+    src, tgt = np.divmod(codes[moved] - 1, n_levels)
+    hist[moved, src] -= 1
+    hist[moved, tgt] += 1
+    np.cumsum(hist, axis=0, out=hist)
+    # added level by level from 0, the order of a per-row -sum(s * k): same bits
+    return hist, -sum(s * k for s, k in zip(sals, hist.T)), accepted, r
 
 
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):

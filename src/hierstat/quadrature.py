@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, ValidationError, check_real, checked
 
 __all__ = ["integrate_adaptive", "gauss_legendre_panel"]
 
@@ -39,6 +39,7 @@ def integrate_adaptive(f, a: float, b: float, *, rel_tol: float = 1e-10,
     error bound if some panel still disagrees after ``max_depth``
     bisections.
     """
+    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b) or b < a:
         raise ValidationError(f"invalid integration interval [{a}, {b}]")

@@ -33,7 +33,7 @@ import numpy as np
 from .distributions import Delta, integrate_against, is_parametric, resolve, support
 from .ensemble import PHI_STEP, _moment_integrand, ensemble_moments, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
-                     check_int, check_real)
+                     check_int, check_real, checked)
 from .gentile import (
     GibbsParams,
     activity_for_mean,
@@ -318,10 +318,7 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int, *,
     be nonzero.
     """
     d = _check_capacity(d)
-    problems = []
-    volume = check_int(volume, "volume", problems, 1)
-    if problems:
-        raise ValidationError(problems)
+    volume = checked(check_int, volume, "volume", 1)
 
     mom = ensemble_moments(dist, d, params, rel_tol=rel_tol)
     n, u, om = mom.n, mom.u, mom.omega
@@ -394,6 +391,8 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     verify second-order convergence.  Requires a fixed, non-point-mass
     phi, otherwise S is not a free function of (E, N) at fixed V.
     """
+    step = checked(check_real, step, "step", 0, open_low=True)
+    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     if is_parametric(dist):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
     if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
@@ -468,9 +467,13 @@ def eos_sweep(d: int, lambda_grid) -> EosTable:
     one, by the series branch.
     """
     d = _check_capacity(d)
-    grid = np.asarray(lambda_grid, dtype=float)
+    problem = "lambda grid must be a non-empty finite 1-d vector"
+    try:
+        grid = np.asarray(lambda_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(problem) from None
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValidationError("lambda grid must be a non-empty finite 1-d vector")
+        raise ValidationError(problem)
     log_dp1 = math.log1p(d)
     n_over_d = np.empty(grid.size)
     p_over_t = np.empty(grid.size)

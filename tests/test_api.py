@@ -14,16 +14,21 @@ import hierstat
 from hierstat import (
     GibbsParams,
     HierarchySpec,
+    Histogram,
     OccupancyLevel,
+    TwoPoint,
     Uniform,
     ValidationError,
     activity_for_mean,
     condensation_abscissa,
     critical_temperature,
+    ensemble_moments,
+    eos_sweep,
     exact_canonical,
     gentile_census,
     gentile_mean,
     invert_to_params,
+    maxwell_check,
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
@@ -92,6 +97,13 @@ _MALFORMED = {
         _SPEC, 2, 1.0, 0.5, 100, -5, 0),
     "social-laser-steps-string": lambda: social_laser_scenario(_SPEC, 1.0, 0.5, "x", 0),
     "gentile-census-capacity-fraction": lambda: gentile_census([1.0], [1.0], 2.5, _PARAMS),
+    "maxwell-step-zero": lambda: maxwell_check(
+        TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=0.0),
+    "ensemble-moments-rel-tol-string": lambda: ensemble_moments(
+        Uniform(0.5, 2.5), 5, GibbsParams(-2.0, 1.0), rel_tol="x"),
+    "histogram-mass-bool": lambda: Histogram((0, 1), (True,)),
+    "histogram-edges-strings": lambda: Histogram(("0", "1"), (1.0,)),
+    "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),
 }
 
 

@@ -1,5 +1,6 @@
 """Command line contract: flags, configs, exit codes, deterministic files."""
 
+import hashlib
 import json
 import math
 import os
@@ -257,6 +258,27 @@ def test_simulate_golden_summary_bit_exact(runner, tmp_path):
     assert result.exit_code == 0
     golden = (DATA / "golden_simulate_summary.json").read_bytes()
     assert (out / "summary.json").read_bytes() == golden
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ([], "f26ec80e77fe9f0fbbfc59d2655cb29c2debeb675364cbbd5d687cff36a52775"),
+    (["--scenario", "social_laser"],
+     "773c24201c0c3433632c000606fb14a9c0b5b0e91f303183e02b22653e1ddee2"),
+], ids=["canonical", "social-laser"])
+def test_simulate_golden_trajectory_bytes(runner, tmp_path, extra, digest):
+    out = tmp_path / "run"
+    result = runner.invoke(main, [
+        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
+        "--output-dir", str(out), "--oracle", *extra])
+    assert result.exit_code == 0
+    assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
+def test_simulate_negative_beta(runner, tmp_path):
+    result = runner.invoke(main, [
+        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
+        "--output-dir", str(tmp_path / "run"), "--beta", "-1000"])
+    assert result.exit_code == 0, result.output
 
 
 def test_simulate_deterministic_outputs(runner, tmp_path):

@@ -1,5 +1,6 @@
 """Seeded samplers against their closed-form and exact references."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,33 @@ def test_canonical_cold_chain_sits_at_greedy_minimum():
     assert np.all(tail == np.array([1, 3, 4]))
     kept = run.energies[run.recorded_steps >= run.burn_in]
     assert np.all(np.diff(kept) <= 1e-12)
+
+
+def test_canonical_full_history_bits_pinned():
+    spec = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
+    run = simulate_canonical(spec, 100, 0.7, 20_000, 5)
+    digest = hashlib.sha256(run.occupancies.tobytes() + run.energies.tobytes())
+    assert digest.hexdigest() \
+        == "c7c4eff2f7fb671ef0d8560bdfeacfd9b13e7bcc718a93ee92136740a773852a"
+
+
+def test_many_level_history_moves_one_agent_per_step():
+    # 17 levels: a move from level 16 or 17 has a code beyond one byte
+    spec = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
+    run = simulate_canonical(spec, 60, 0.3, 5_000, 1)
+    occ = run.occupancies.astype(np.int64)
+    assert set(np.abs(np.diff(occ, axis=0)).sum(axis=1).tolist()) == {0, 2}
+    assert np.any(np.diff(occ[:, 15:], axis=0) < 0)
+    assert np.all(occ.sum(axis=1) == 60)
+    assert np.allclose(run.energies, -(occ @ spec.salaries), rtol=1e-14)
+
+
+def test_negative_beta_takes_every_move():
+    # beta < 0 favours salary cuts; the acceptance e^{-beta dE} must not overflow
+    run = simulate_canonical(L3, 8, -1000.0, 100, 0)
+    assert run.acceptance_rate == 1.0
+    laser = pumped_relaxation(L3, 8, -1000.0, 0.5, 10, 10, 0)
+    assert np.all(np.isfinite(laser.energies))
 
 
 # --- pump and release -----------------------------------------------------------
