@@ -7,7 +7,9 @@ That is the stationary law of the position-swap dynamics in
 :mod:`hierstat.montecarlo`; at beta = 0 it reduces to drawing the
 occupied positions uniformly (hypergeometric level counts).  The
 computation runs level by level as a polynomial convolution over the
-total agent count, entirely in log space.
+total agent count, entirely in log space, keeping only the
+coefficients that can still add up to the requested agent count; the
+cost is roughly sum_i d_i times the width of those windows.
 """
 
 from __future__ import annotations
@@ -98,17 +100,27 @@ class CanonicalExpectations:
     log_weight_total: float
 
 
-def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of two log-coefficient vectors via logaddexp."""
-    if a.size > b.size:
+def _log_convolve(a, b, lo: int, hi: int):
+    """Coefficients lo..hi of the product of two log-coefficient vectors.
+
+    A factor is ``(degree, start, coeffs)``: ``coeffs[j]`` is the log of the
+    coefficient of x^(start + j) in a polynomial of degree ``degree``, and
+    the product comes back in that form.  Each kept coefficient folds its
+    terms with logaddexp in ascending order of the lower-degree factor's
+    index, skipping -inf, so the window does not change its bits.
+    """
+    if a[0] > b[0]:
         a, b = b, a
-    out = np.full(a.size + b.size - 1, -np.inf)
-    for k in range(a.size):
-        if a[k] == -np.inf:
+    (a_deg, a_lo, a_co), (b_deg, b_lo, b_co) = a, b
+    out = np.full(hi - lo + 1, -np.inf)
+    for k, c in enumerate(a_co.tolist(), a_lo):
+        first = max(lo, k + b_lo)
+        last = min(hi, k + b_lo + b_co.size - 1)
+        if c == -np.inf or first > last:
             continue
-        seg = out[k:k + b.size]
-        np.logaddexp(seg, b + a[k], out=seg)
-    return out
+        seg = out[first - lo:last - lo + 1]
+        np.logaddexp(seg, b_co[first - k - b_lo:last - k - b_lo + 1] + c, out=seg)
+    return a_deg + b_deg, lo, out
 
 
 def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:
@@ -125,8 +137,10 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
     Dynamic programming over the total agent count: each level
     contributes the log-polynomial of C(d, r) e^{beta salary r}; prefix
     and suffix products give every single-level marginal without
-    enumerating configurations.  Feasible whenever the total position
-    count is moderate (about 1e4).
+    enumerating configurations.  Each partial product is kept only on
+    the agent counts that the remaining levels can complete to
+    ``agents``, so the cost is about sum_i d_i x (window width) logaddexp
+    terms, and no window is wider than ``agents`` + 1 coefficients.
     """
     from scipy.special import logsumexp  # imported here, as in _level_log_poly
 
@@ -138,22 +152,28 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
 
     polys = [_level_log_poly(lv.capacity, lv.salary, beta) for lv in spec.levels]
     n_levels = len(polys)
+    factors = [(p.size - 1, 0, p) for p in polys]
+    # levels < i hold before[i] positions, levels >= i the other total - before[i];
+    # only coefficients that can still be completed to exactly `agents` are kept
+    before = np.cumsum([0, *spec.capacities]).tolist()
+    total = before[-1]
+    prefix = [(0, 0, np.zeros(1))]  # prefix[i] = product of polys[:i]
+    for i, f in enumerate(factors, 1):
+        prefix.append(_log_convolve(prefix[-1], f, max(0, agents - total + before[i]),
+                                    min(agents, before[i])))
+    suffix = [None] * n_levels + [(0, 0, np.zeros(1))]  # suffix[i] = product of polys[i:]
+    for i in range(n_levels - 1, 0, -1):
+        suffix[i] = _log_convolve(suffix[i + 1], factors[i], max(0, agents - before[i]),
+                                  min(agents, total - before[i]))
 
-    prefix = [np.zeros(1)]
-    for p in polys:
-        prefix.append(_log_convolve(prefix[-1], p))
-    suffix = [np.zeros(1)]
-    for p in reversed(polys):
-        suffix.append(_log_convolve(suffix[-1], p))
-    suffix.reverse()  # suffix[i] = product of polys[i:]
-
-    log_total = float(prefix[-1][agents])
+    log_total = float(prefix[-1][2][0])
     means = np.empty(n_levels)
     marginals = []
     for i, p in enumerate(polys):
-        rest = _log_convolve(prefix[i], suffix[i + 1])
+        _, lo, rest = _log_convolve(prefix[i], suffix[i + 1], max(0, agents - p.size + 1),
+                                    min(agents, total - p.size + 1))
         r = np.arange(p.size)
-        k = agents - r
+        k = agents - r - lo
         valid = (k >= 0) & (k < rest.size)
         logw = np.full(p.size, -np.inf)
         logw[valid] = p[valid] + rest[k[valid]]

@@ -387,11 +387,12 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
 
     Checks d(1/T)/dN = -d(mu/T)/dE, d(1/T)/dV = d(p/T)/dE and
     d(p/T)/dN = -d(mu/T)/dV by central differences around the state,
-    at relative step ``step`` and again at half step so the caller can
-    verify second-order convergence.  Requires a fixed, non-point-mass
-    phi, otherwise S is not a free function of (E, N) at fixed V.
+    at relative step ``step`` in (0, 1) and again at half step so the
+    caller can verify second-order convergence.  Requires a fixed,
+    non-point-mass phi, otherwise S is not a free function of (E, N) at
+    fixed V.
     """
-    step = checked(check_real, step, "step", 0, open_low=True)
+    step = checked(check_real, step, "step", 0, 1, open_low=True, open_high=True)
     rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     if is_parametric(dist):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
@@ -467,13 +468,14 @@ def eos_sweep(d: int, lambda_grid) -> EosTable:
     one, by the series branch.
     """
     d = _check_capacity(d)
-    problem = "lambda grid must be a non-empty finite 1-d vector"
-    try:
-        grid = np.asarray(lambda_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(problem) from None
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValidationError(problem)
+    grid = np.asarray(lambda_grid, dtype=object)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValidationError("lambda grid must be a non-empty 1-d vector")
+    problems = []
+    grid = np.array([check_real(lam, f"lambda_grid[{i}]", problems)
+                     for i, lam in enumerate(grid)])
+    if problems:
+        raise ValidationError(problems)
     log_dp1 = math.log1p(d)
     n_over_d = np.empty(grid.size)
     p_over_t = np.empty(grid.size)

@@ -99,11 +99,15 @@ _MALFORMED = {
     "gentile-census-capacity-fraction": lambda: gentile_census([1.0], [1.0], 2.5, _PARAMS),
     "maxwell-step-zero": lambda: maxwell_check(
         TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=0.0),
+    "maxwell-step-one": lambda: maxwell_check(
+        TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=1.0),
     "ensemble-moments-rel-tol-string": lambda: ensemble_moments(
         Uniform(0.5, 2.5), 5, GibbsParams(-2.0, 1.0), rel_tol="x"),
     "histogram-mass-bool": lambda: Histogram((0, 1), (True,)),
     "histogram-edges-strings": lambda: Histogram(("0", "1"), (1.0,)),
     "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),
+    "eos-sweep-grid-numeric-strings": lambda: eos_sweep(3, ["0.1", "0.2"]),
+    "eos-sweep-grid-bool": lambda: eos_sweep(3, [0.1, True]),
 }
 
 

@@ -1,5 +1,6 @@
 """Exact canonical reference, hierarchy types and census entropy."""
 
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -118,6 +119,48 @@ def test_dp_marginal_approaches_closed_form_with_growing_reservoir():
         errors.append(abs(ex.mean_occupancy[0] - predicted) / predicted)
     assert errors[0] > errors[1] > errors[2]
     assert errors[-1] < 0.02
+
+
+# Recorded before the convolution kept only feasible windows; a change in
+# the logaddexp fold order (or in which factor it runs over) moves these.
+# At 100 and 250 agents some windows are shorter on the higher-degree factor.
+BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
+DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
+ONE = HierarchySpec(((7, 2.0),))
+PINNED_EXACT = {
+    ("BIG", 3000, 0.5): "16fa2cd9582b75e18ab2a2b924e4ae8311366ef74567743d4959bb2a25b4a69b",
+    ("BIG", 3000, 1.0): "e747b1a6d3d1df1d0cc60f06ea82a66453122fbdf91ca1edaed8953be1e5605d",
+    ("BIG", 3000, 1.5): "8a01f973f8f76634b155179b391466103d26a13b86d6f94edc9c531477ebf45e",
+    ("BIG", 100, 1.0): "1b058fe515769e34d95e3a6b9ee8a399941b11eb388419ff8a6a1f71d98a373a",
+    ("DEEP", 127, 0.7): "511b5152b86066604ef48ba95dbe6d63d3ab464c9264d47440522c972e16fa11",
+    ("DEEP", 250, 0.7): "902a666910f25524ecc2c7dab4f826b178f3438b2170fdc1fd3af9034a22b209",
+    ("L3", 0, 0.0): "14679e1999974b26647e9227ea357d815c68289a4410e7ddb598a99319f1daf5",
+    ("L3", 0, -0.7): "14679e1999974b26647e9227ea357d815c68289a4410e7ddb598a99319f1daf5",
+    ("L3", 0, 50.0): "14679e1999974b26647e9227ea357d815c68289a4410e7ddb598a99319f1daf5",
+    ("L3", 1, 0.0): "4b4b4f6427bf20527082d84f8050f1f8893544cbdbf32ad484d638a0429b3ae8",
+    ("L3", 1, -0.7): "5e40b157db2ac9d7db5ede049bc6cc94656250f422fa557f685e353a661fbe23",
+    ("L3", 1, 50.0): "4ad47d99ac6f516d8efc75172c31441469953eb0553db424eecd53cbac2cb33c",
+    ("L3", 13, 0.0): "f69da44d78de2297f3fade9a884dd6e6310ab7f78df9eb516ecece36c2e1adca",
+    ("L3", 13, -0.7): "cd904a12d3ebad8d1daa82d189f33647db33d627ddf456117b0a5d79c03612c8",
+    ("L3", 13, 50.0): "23eb290f49e450424ab99974728b5271d029572f2974a12a7848d8abb2e286f6",
+    ("L3", 14, 0.0): "9c8eae938b3b2381d8bd60c1d8805e45d3465028a28d264bc28e5984c2604ed9",
+    ("L3", 14, -0.7): "a21407ac6d089e1a5080ef3aea89a0e3352907beb8ca908fcdffc524ed80ece7",
+    ("L3", 14, 50.0): "3ebe715bf6131e12219c5360dea62a28c1faa2220aa6608300a4daac0e1f06ac",
+    ("ONE", 3, 0.9): "31c2f18b2525c8bdc15faae63de224b088aa552438c823c4323369bf80567afe",
+}
+
+
+def test_exact_canonical_bits_pinned():
+    specs = {"BIG": BIG, "DEEP": DEEP, "L3": L3, "ONE": ONE}
+    digests = {}
+    for name, agents, beta in PINNED_EXACT:
+        ex = exact_canonical(specs[name], agents, beta)
+        digest = hashlib.sha256(ex.mean_occupancy.tobytes())
+        for marg in ex.marginals:
+            digest.update(marg.tobytes())
+        digest.update(ex.log_weight_total.hex().encode())
+        digests[name, agents, beta] = digest.hexdigest()
+    assert digests == PINNED_EXACT
 
 
 # --- census entropy -------------------------------------------------------------

@@ -402,6 +402,16 @@ def test_maxwell_rejects_delta_and_parametric():
         maxwell_check(_family(1.0), 5, GibbsParams(-2.0, 1.0), 100)
 
 
+def test_maxwell_step_must_stay_below_one():
+    # a relative step >= 1 moves a probe state out of the state space
+    for step in (1.0, 5.0):
+        with pytest.raises(ValidationError) as err:
+            maxwell_check(TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100,
+                          step=step)
+        assert err.value.violations == [
+            f"step must be a finite number in (0, 1), got {step!r}"]
+
+
 # --- equation of state -------------------------------------------------------
 
 def test_eos_zero_activity_row_is_analytic():
