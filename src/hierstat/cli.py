@@ -484,9 +484,9 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                 pump_fraction=pump, pumped_moves=run.pumped_moves,
                 relax_mean_occupancy=[float(m) for m in means],
                 relax_stderr=[float(s) for s in stderrs])
-        _emit(out / "trajectory.csv", _csv_text(header, rows))
         summary["oracle"] = (_canonical_oracle(spec, agents, beta, means, stderrs)
                              if oracle else None)
+        _emit(out / "trajectory.csv", _csv_text(header, rows))
 
     _emit(out / "summary.json", _json_text(summary))
     click.echo(f"wrote trajectory.csv and summary.json to {out}")

@@ -142,13 +142,22 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
     ``agents``, so the cost is about sum_i d_i x (window width) logaddexp
     terms, and no window is wider than ``agents`` + 1 coefficients.
     """
-    from scipy.special import logsumexp  # imported here, as in _level_log_poly
-
     problems = []
     agents = check_int(agents, "agents", problems, 0, spec.total_positions)
     beta = check_real(beta, "beta", problems)
     if problems:
         raise ValidationError(problems)
+    try:  # a log weight beyond the double range would come back as NaN
+        with np.errstate(over="raise", invalid="raise"):
+            return _exact_log_space(spec, agents, beta)
+    except FloatingPointError:
+        raise ValidationError("beta must keep every log weight (beta x salary x agents, "
+                              f"summed over levels) finite, got {beta!r}") from None
+
+
+def _exact_log_space(spec, agents, beta):
+    """:func:`exact_canonical` on checked arguments."""
+    from scipy.special import logsumexp  # imported here, as in _level_log_poly
 
     polys = [_level_log_poly(lv.capacity, lv.salary, beta) for lv in spec.levels]
     n_levels = len(polys)

@@ -22,6 +22,7 @@ outputs regardless of the path taken.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +137,9 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     agents = sum(r)
     vacant = sum(caps) - agents
 
-    u_src = rng.random(steps).tolist()
-    u_tgt = rng.random(steps).tolist()
+    # agents and vacant stay fixed: one numpy product per stream, same bits as u * agents
+    t_src = (rng.random(steps) * agents).tolist()
+    t_tgt = (rng.random(steps) * vacant).tolist()
     u_acc = rng.random(steps).tolist()
 
     # acceptance of src -> tgt at code src * n_levels + tgt: certain (u < 1.0)
@@ -151,36 +153,33 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     record = memoryview(codes)
     hist = np.zeros((steps, n_levels), dtype=np.int32)
     hist[:1] = r
-    r = list(r)
+    # occ[j] / vac[j]: agents / vacancies in levels 0..j.  bisect_right picks
+    # the first j with t < occ[j], where a running-sum scan stops; the counts
+    # are integers, so both compare exactly and pick alike.  hi = last keeps
+    # the scan's fallback to the last level for a t at the total.
+    occ = np.cumsum(r).tolist()
+    vac = (np.cumsum(caps) - occ).tolist()
+    last = n_levels - 1
     accepted = 0
-    levels = range(n_levels)
     if agents and vacant:
         for i in range(steps):
-            t = u_src[i] * agents
-            cum = 0.0
-            src = n_levels - 1
-            for j in levels:
-                cum += r[j]
-                if t < cum:
-                    src = j
-                    break
-            t = u_tgt[i] * vacant
-            cum = 0.0
-            tgt = n_levels - 1
-            for j in levels:
-                cum += caps[j] - r[j]
-                if t < cum:
-                    tgt = j
-                    break
+            src = bisect_right(occ, t_src[i], 0, last)
+            tgt = bisect_right(vac, t_tgt[i], 0, last)
             code = src * n_levels + tgt
             if u_acc[i] < accept[code]:
                 accepted += 1
-                if src != tgt:
-                    r[src] -= 1
-                    r[tgt] += 1
+                if src < tgt:
+                    for j in range(src, tgt):
+                        occ[j] -= 1
+                        vac[j] += 1
+                    record[i] = code + 1
+                elif src > tgt:
+                    for j in range(tgt, src):
+                        occ[j] += 1
+                        vac[j] -= 1
                     record[i] = code + 1
 
-    del u_src, u_tgt, u_acc  # ~100 bytes a step; free them before the rebuild
+    del t_src, t_tgt, u_acc  # ~100 bytes a step; free them before the rebuild
     # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
     moved = np.flatnonzero(codes)
     src, tgt = np.divmod(codes[moved] - 1, n_levels)
@@ -188,7 +187,8 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     hist[moved, tgt] += 1
     np.cumsum(hist, axis=0, out=hist)
     # added level by level from 0, the order of a per-row -sum(s * k): same bits
-    return hist, -sum(s * k for s, k in zip(sals, hist.T)), accepted, r
+    return (hist, -sum(s * k for s, k in zip(sals, hist.T)), accepted,
+            np.diff(occ, prepend=0).tolist())
 
 
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):

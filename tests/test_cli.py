@@ -281,6 +281,17 @@ def test_simulate_negative_beta(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_simulate_oracle_overflowing_beta(runner, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(main, [
+        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
+        "--output-dir", str(out), "--beta", "1e308", "--oracle"])
+    assert result.exit_code == 2
+    assert "validation error: beta" in result.output
+    assert not (out / "summary.json").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_deterministic_outputs(runner, tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -99,6 +99,20 @@ def test_dp_infeasible_agents():
         exact_canonical(L3, -1, 1.0)
 
 
+@pytest.mark.parametrize("spec, agents, beta", [
+    ("BIG", 3000, 1e305),  # beta * salary * r overflows
+    ("L3", 3, 5e307),
+    ("L3", 3, -5e307),
+    ("L3", 14, 1e307),  # each term is finite, their sum over the levels is not
+], ids=["big", "l3-hot", "l3-negative", "l3-sum"])
+def test_dp_overflowing_beta_is_validation_error(spec, agents, beta):
+    with pytest.raises(ValidationError, match="beta"):
+        exact_canonical({"BIG": BIG, "L3": L3}[spec], agents, beta)
+    # just inside the double range the reference still answers
+    edge = exact_canonical(L3, 14, 9e306)
+    assert edge.mean_occupancy.tolist() == [1.0, 3.0, 10.0]
+
+
 def test_dp_marginal_approaches_closed_form_with_growing_reservoir():
     # merge everything but the capacity-3 level into one growing reservoir;
     # calibrate the multiplier from the closed-form total and compare the

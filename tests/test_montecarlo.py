@@ -18,8 +18,13 @@ from hierstat import (
     social_laser_scenario,
 )
 from hierstat.gentile import gentile_mean
+from hierstat.montecarlo import _initial_occupancy, _run_position_chain
 
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
+DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
+S17 = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
+BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
+ONE = HierarchySpec(((7, 2.0),))
 
 
 # --- grand-canonical sampler --------------------------------------------------
@@ -132,6 +137,89 @@ def test_many_level_history_moves_one_agent_per_step():
     assert np.allclose(run.energies, -(occ @ spec.salaries), rtol=1e-14)
 
 
+# Recorded before the step loop picked levels by bisection, as is the pumped
+# run below; 17 levels take move codes above one byte.
+def test_many_level_full_history_bits_pinned():
+    run = simulate_canonical(S17, 70, 0.6, 4_000, 3, record_every=1)
+    digest = hashlib.sha256(run.occupancies.tobytes() + run.energies.tobytes())
+    digest.update(run.acceptance_rate.hex().encode())
+    assert digest.hexdigest() \
+        == "3f7d7b06bddd0ce3c406a2bcf1c754c61955cd9224ba3c37564656113a75fc0e"
+
+
+def _scan(counts, t):
+    """First level whose running count exceeds t, else the last level."""
+    cum = 0.0
+    for j, k in enumerate(counts):
+        cum += k
+        if t < cum:
+            return j
+    return len(counts) - 1
+
+
+def _linear_scan_chain(spec, beta, r, steps, rng):
+    """Reference step loop: a running-sum scan per pick, one row per step."""
+    caps = spec.capacities.tolist()
+    sals = spec.salaries.tolist()
+    agents = sum(r)
+    vacant = sum(caps) - agents
+    u_src = rng.random(steps).tolist()
+    u_tgt = rng.random(steps).tolist()
+    u_acc = rng.random(steps).tolist()
+    r = list(r)
+    rows, energies, accepted = [], [], 0
+    for i in range(steps):
+        if agents and vacant:
+            src = _scan(r, u_src[i] * agents)
+            tgt = _scan([c - k for c, k in zip(caps, r)], u_tgt[i] * vacant)
+            cut = sals[src] - sals[tgt]
+            if u_acc[i] < (1.0 if cut <= 0.0 or beta <= 0.0 else math.exp(-beta * cut)):
+                accepted += 1
+                r[src] -= 1
+                r[tgt] += 1
+        rows.append(list(r))
+        energies.append(-sum(s * k for s, k in zip(sals, r)))
+    return np.array(rows, dtype=np.int32), np.array(energies), accepted, r
+
+
+@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "ONE", "BIG"])
+def test_step_loop_matches_linear_scan(name):
+    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "ONE": ONE, "BIG": BIG}[name]
+    total = spec.total_positions
+    for agents in sorted({0, 1, total // 2, total - 1, total}):
+        for beta in (1.0, 0.0, -0.5, 50.0):
+            for seed in (0, 1):
+                got, want = [], []
+                for out, loop in ((got, _run_position_chain), (want, _linear_scan_chain)):
+                    rng = np.random.default_rng(seed)
+                    r0 = _initial_occupancy(spec, agents, rng)
+                    out.extend(loop(spec, beta, r0, 1_500, rng))
+                assert np.array_equal(got[0], want[0]), (agents, beta, seed)
+                assert got[1].tobytes() == want[1].tobytes(), (agents, beta, seed)
+                assert got[2:] == want[2:], (agents, beta, seed)
+
+
+class _FixedDraws:
+    """Stands in for a Generator: ``random`` hands out the given streams in turn."""
+
+    def __init__(self, *streams):
+        self.streams = list(streams)
+
+    def random(self, size):
+        return np.array(self.streams.pop(0), dtype=float)
+
+
+def test_step_loop_ties_match_linear_scan():
+    # exact products land on running counts, an empty first level included;
+    # u = 1.0 reaches the total, where the scan falls back to the last level
+    for r0 in ([0, 2, 6], [0, 2, 4]):
+        for u in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
+            got, want = (loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [0.0]))
+                         for loop in (_run_position_chain, _linear_scan_chain))
+            assert np.array_equal(got[0], want[0]), (r0, u)
+            assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], (r0, u)
+
+
 def test_negative_beta_takes_every_move():
     # beta < 0 favours salary cuts; the acceptance e^{-beta dE} must not overflow
     run = simulate_canonical(L3, 8, -1000.0, 100, 0)
@@ -200,6 +288,15 @@ def test_laser_deterministic():
     assert np.array_equal(a.occupancies, b.occupancies)
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.phases, b.phases)
+
+
+# The relax phase starts from the final state the equilibration chain returns.
+def test_pumped_relaxation_bits_pinned():
+    run = pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 3_000, 3_000, 4)
+    digest = hashlib.sha256(run.occupancies.tobytes() + run.energies.tobytes()
+                            + run.phases.tobytes())
+    assert digest.hexdigest() \
+        == "5016f6b5274f507806365bd095489651578dc2f8c5e5d827bdf3318aa3e6ad99"
 
 
 def test_pump_fraction_validated():
