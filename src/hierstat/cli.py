@@ -417,9 +417,6 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
     record_every = _pick(record_every, cfg, "record_every", 1, kind=int)
     burn_in = _pick(None, cfg, "burn_in", 0.1, kind=float)
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if scenario == "grand_canonical":
         _require(cfg, ("capacity", "salary", "alpha"), " for grand_canonical runs")
         level = OccupancyLevel(_number(cfg["capacity"], "capacity", int),
@@ -428,8 +425,8 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
         idx = np.arange(0, sample.samples.size, record_every)
+        header = ["step", "r"]
         rows = [(int(sample.burn_in + i), int(sample.samples[i])) for i in idx]
-        _emit(out / "trajectory.csv", _csv_text(["step", "r"], rows))
         summary = {
             "scenario": scenario, "seed": seed, "steps": steps,
             "burn_in": sample.burn_in,
@@ -486,8 +483,10 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                 relax_stderr=[float(s) for s in stderrs])
         summary["oracle"] = (_canonical_oracle(spec, agents, beta, means, stderrs)
                              if oracle else None)
-        _emit(out / "trajectory.csv", _csv_text(header, rows))
 
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _emit(out / "trajectory.csv", _csv_text(header, rows))
     _emit(out / "summary.json", _json_text(summary))
     click.echo(f"wrote trajectory.csv and summary.json to {out}")
 

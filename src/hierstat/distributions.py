@@ -172,13 +172,11 @@ def atoms(dist: SalaryDistribution):
     return None
 
 
-def integrate_against(dist: SalaryDistribution, f, *, rel_tol: float = 1e-10,
-                      breakpoints=()):
+def integrate_against(dist: SalaryDistribution, f, *, breakpoints=()):
     """integral of phi(eps) * f(eps) d eps; exact for discrete variants.
 
-    ``f`` may return a scalar or a fixed-shape vector.
+    ``f`` may return a scalar or a fixed-length sequence.
     """
-    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     pts = atoms(dist)
     if pts is not None:
         total = None
@@ -189,8 +187,7 @@ def integrate_against(dist: SalaryDistribution, f, *, rel_tol: float = 1e-10,
         return total if total.ndim else float(total)
     if isinstance(dist, Uniform):
         width = dist.upper - dist.lower
-        est = integrate_adaptive(f, dist.lower, dist.upper, rel_tol=rel_tol,
-                                 breakpoints=breakpoints)
+        est = integrate_adaptive(f, dist.lower, dist.upper, breakpoints=breakpoints)
         return np.asarray(est) / width if np.ndim(est) else est / width
     if isinstance(dist, Histogram):
         total = None
@@ -198,8 +195,7 @@ def integrate_against(dist: SalaryDistribution, f, *, rel_tol: float = 1e-10,
             if mass == 0.0:
                 continue
             lo, hi = dist.edges[i], dist.edges[i + 1]
-            est = np.asarray(integrate_adaptive(f, lo, hi, rel_tol=rel_tol,
-                                                breakpoints=breakpoints))
+            est = np.asarray(integrate_adaptive(f, lo, hi, breakpoints=breakpoints))
             piece = est * (mass / (hi - lo))
             total = piece if total is None else total + piece
         total = np.asarray(total)

@@ -2,18 +2,19 @@
 
 Everything here uses the salary sign convention, lambda(eps) =
 alpha + beta * eps, except :func:`fermi_market_share`, which integrates
-the cost-convention Fermi-Dirac share.  Point-mass distributions bypass
-quadrature entirely: their moments are the closed single-level forms.
+the cost-convention Fermi-Dirac share.  The moments and their
+derivative integrals share one six-component integrand, hence one set of
+panels.  Point-mass distributions bypass quadrature entirely: their
+moments are the closed single-level forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 
 from .distributions import Delta, integrate_against, resolve, support
-from .errors import ValidationError, check_real, checked
+from .errors import ValidationError
 from .gentile import (
     GibbsParams,
     fermi_dirac,
@@ -55,58 +56,49 @@ def _crossing(dist, params) -> tuple:
     return ()
 
 
-def _moment_integrand(params: GibbsParams, d: int, derivatives: bool = False):
-    """eps -> [f, eps f, log Z] at lambda = alpha + beta eps, followed by
-    [f', eps f', eps^2 f'] when ``derivatives`` is set."""
+def _moment_integrand(params: GibbsParams, d: int):
+    """eps -> (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps."""
     a, b = params.alpha, params.beta
 
     def f(eps):
         lam = a + b * eps
         fv = gentile_mean(lam, d)
-        if not derivatives:
-            return np.array([fv, eps * fv, log_partition(lam, d)])
         fp = gentile_mean_dlambda(lam, d)
-        return np.array([fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp])
+        return fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp
     return f
 
 
-def moment_integrals(dist, d: int, params: GibbsParams, *,
-                     derivatives: bool = False, rel_tol: float = 1e-10) -> dict:
-    """Raw moment integrals at one parameter point.
+def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
+    """Raw moment integrals at one parameter point, in one pass.
 
-    Always returns n, m1 = integral of eps phi f, and omega; with
-    ``derivatives`` also A = integral of phi f', B = eps-weighted,
-    C = eps^2-weighted.  Families are resolved first; the phi terms of
-    the derivatives are handled one level up (thermostatics).
+    Returns n, m1 = integral of eps phi f, omega, and the derivative
+    integrals A = integral of phi f', B = eps-weighted, C = eps^2-weighted.
+    Families are resolved first; the phi terms of the derivatives are
+    handled one level up (thermostatics).
     """
     base = resolve(dist, params)
-    vals = integrate_against(base, _moment_integrand(params, d, derivatives),
-                             rel_tol=rel_tol, breakpoints=_crossing(base, params))
-    out = {"n": float(vals[0]), "m1": float(vals[1]), "omega": float(vals[2])}
-    if derivatives:
-        out.update(A=float(vals[3]), B=float(vals[4]), C=float(vals[5]))
-    return out
+    vals = integrate_against(base, _moment_integrand(params, d),
+                             breakpoints=_crossing(base, params))
+    return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
 
 
-def omega(dist, d: int, params: GibbsParams, *, rel_tol: float = 1e-10) -> float:
+def omega(dist, d: int, params: GibbsParams) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
     base = resolve(dist, params)
     return float(integrate_against(
         base, lambda eps: log_partition(params.alpha + params.beta * eps, d),
-        rel_tol=rel_tol, breakpoints=_crossing(base, params)))
+        breakpoints=_crossing(base, params)))
 
 
-def ensemble_moments(dist, d: int, params: GibbsParams, *,
-                     rel_tol: float = 1e-10) -> EnsembleMoments:
+def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
     """All three moments in one integration pass, with range checks."""
-    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     base = resolve(dist, params)
     if isinstance(base, Delta):
         lam = params.alpha + params.beta * base.point
         mom = EnsembleMoments(gentile_mean(lam, d), -base.point,
                               log_partition(lam, d))
     else:
-        m = moment_integrals(base, d, params, rel_tol=rel_tol)
+        m = moment_integrals(base, d, params)
         mom = EnsembleMoments(m["n"], -m["m1"] / m["n"], m["omega"])
 
     lo, hi = support(base)
@@ -123,8 +115,7 @@ def ensemble_moments(dist, d: int, params: GibbsParams, *,
     return mom
 
 
-def fermi_market_share(dist, params: GibbsParams, *,
-                       rel_tol: float = 1e-10) -> float:
+def fermi_market_share(dist, params: GibbsParams) -> float:
     """Mean occupied share of capacity-1 states across a cost distribution.
 
     Cost convention: the share at cost eps is 1 / (e^{beta eps - alpha} + 1).
@@ -135,4 +126,4 @@ def fermi_market_share(dist, params: GibbsParams, *,
     eps_star = a / b
     bp = (eps_star,) if lo < eps_star < hi else ()
     return float(integrate_against(base, lambda eps: fermi_dirac(a - b * eps),
-                                   rel_tol=rel_tol, breakpoints=bp))
+                                   breakpoints=bp))

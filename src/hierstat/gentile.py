@@ -130,11 +130,15 @@ class GibbsParams:
 
 
 def activity(level: OccupancyLevel, params: GibbsParams) -> float:
-    """Activity exponent of a level under the given Gibbs parameters;
-    a ValidationError if it is not finite."""
-    if level.sign is EnergySign.COST:
-        return _check_lambda(params.alpha - params.beta * level.money_scale)
-    return _check_lambda(params.alpha + params.beta * level.money_scale)
+    """Activity exponent of a level under the given Gibbs parameters; a
+    ValidationError naming alpha, beta and money_scale if it is not finite."""
+    scale = -level.money_scale if level.sign is EnergySign.COST else level.money_scale
+    lam = params.alpha + params.beta * scale
+    if not math.isfinite(lam):
+        raise ValidationError(
+            f"activity is not finite for alpha={params.alpha!r}, "
+            f"beta={params.beta!r}, money_scale={level.money_scale!r}")
+    return lam
 
 
 @lru_cache(maxsize=None)

@@ -61,6 +61,8 @@ __all__ = [
 
 #: admissible beta range for the inverse problem
 BETA_WINDOW = (1e-6, 1e3)
+#: both scaled residuals below this count as solved
+_NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class MaxwellReport:
     step: float
 
 
-def _phi_terms(dist, d, params, rel_tol):
+def _phi_terms(dist, d, params):
     """Finite-difference phi-dependence parts of the moment derivatives.
 
     For each parameter the perturbed distribution is integrated against
@@ -153,7 +155,7 @@ def _phi_terms(dist, d, params, rel_tol):
     frozen = _moment_integrand(params, d)
 
     def against(concrete):
-        return np.asarray(integrate_against(concrete, frozen, rel_tol=rel_tol))
+        return np.asarray(integrate_against(concrete, frozen))
 
     h = PHI_STEP
     d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
@@ -161,8 +163,7 @@ def _phi_terms(dist, d, params, rel_tol):
     return d_alpha, d_beta
 
 
-def thermo_derivatives(dist, d: int, params: GibbsParams, *,
-                       rel_tol: float = 1e-10) -> ThermoDerivatives:
+def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
     """Total derivatives of n, u and omega with respect to alpha and beta.
 
     The integrand parts are differentiated under the integral with the
@@ -171,9 +172,8 @@ def thermo_derivatives(dist, d: int, params: GibbsParams, *,
     a value here, not an error.
     """
     d = _check_capacity(d)
-    base = resolve(dist, params)
-    m = moment_integrals(base, d, params, derivatives=True, rel_tol=rel_tol)
-    phi_a, phi_b = _phi_terms(dist, d, params, rel_tol)
+    m = moment_integrals(dist, d, params)
+    phi_a, phi_b = _phi_terms(dist, d, params)
 
     n = m["n"]
     u = -m["m1"] / n
@@ -190,17 +190,14 @@ def thermo_derivatives(dist, d: int, params: GibbsParams, *,
                              float(phi_a[2]), float(phi_b[2]))
 
 
-def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u, rel_tol):
-    params = GibbsParams(alpha, beta)
-    base = resolve(dist, params)
-    m = moment_integrals(base, d, params, rel_tol=rel_tol)
+def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
+    m = moment_integrals(dist, d, GibbsParams(alpha, beta))
     n = m["n"]
     u = -m["m1"] / n
     return np.array([(n - n_target) / n_target, (u - u_target) / scale_u])
 
 
-def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
-                     rel_tol: float = 1e-12) -> GibbsParams:
+def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsParams:
     """Solve (n, u) = targets for (alpha, beta).
 
     Damped Newton (up to 80 steps, each halved up to 60 times) with the analytic
@@ -209,10 +206,11 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     for a family), and alpha0 makes a point mass at the phi-mean salary
     hold ``n_target`` elements.  Near a saturated atom a 1e-12 residual
     still allows ~1e-8 of error in (alpha, beta), so once both residuals
-    pass ``rel_tol`` one more step goes through the same line search; if
+    are within 1e-12 one more step goes through the same line search; if
     it is rejected or its Jacobian fails, the converged iterate is kept.
     Point masses are refused outright: their u is constant, so the system
-    is rank one.
+    is rank one.  The moments and the Jacobian at an iterate come from one
+    quadrature pass at its fixed accuracy.
 
     Raises only :class:`ValidationError` (capacity or targets out of
     range), :class:`SingularInversion` (a point mass, or a singular
@@ -243,8 +241,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     alpha = (activity_for_mean(d, n_target)
              - beta * integrate_against(probe, lambda eps: eps))
     try:
-        res = _scaled_residual(dist, d, alpha, beta, n_target, u_target,
-                               scale_u, rel_tol)
+        res = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
@@ -254,10 +251,9 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
     message = "inverse problem did not converge"
     for _ in range(80):
         # a converged iterate gets one more step, then is returned as it stands
-        converged = abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol
+        converged = abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL
         try:
-            der = thermo_derivatives(dist, d, GibbsParams(alpha, beta),
-                                     rel_tol=rel_tol)
+            der = thermo_derivatives(dist, d, GibbsParams(alpha, beta))
         except (AccuracyError, OverflowError) as exc:
             if converged:
                 return GibbsParams(alpha, beta)
@@ -281,12 +277,12 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
             if lo_b < b_new < hi_b and math.isfinite(a_new):
                 try:
                     res_new = _scaled_residual(dist, d, a_new, b_new, n_target,
-                                               u_target, scale_u, rel_tol)
+                                               u_target, scale_u)
                 except (ValidationError, AccuracyError, OverflowError):
                     t *= 0.5
                     continue
                 norm_new = float(np.hypot(*res_new))
-                if norm_new < norm * (1.0 - 1e-4 * t) or norm_new < rel_tol:
+                if norm_new < norm * (1.0 - 1e-4 * t) or norm_new < _NEWTON_TOL:
                     alpha, beta, res, norm = a_new, b_new, res_new, norm_new
                     accepted = True
                     break
@@ -295,7 +291,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
             return GibbsParams(alpha, beta)
         if not accepted:
             break
-    if abs(res[0]) <= rel_tol and abs(res[1]) <= rel_tol:
+    if abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL:
         return GibbsParams(alpha, beta)
     if beta < 10 * lo_b or beta > 0.1 * hi_b:
         # a pinned beta usually means the (n, u) pair lies outside the
@@ -308,8 +304,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float, *,
                         alpha=float(alpha), beta=float(beta))
 
 
-def thermo_state(dist, d: int, params: GibbsParams, volume: int, *,
-                 rel_tol: float = 1e-10) -> ThermoState:
+def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     """Full thermostatic state at (alpha, beta) for ``volume`` companies.
 
     Fixed phi (including every point mass) takes the closed-form route
@@ -320,13 +315,13 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int, *,
     d = _check_capacity(d)
     volume = checked(check_int, volume, "volume", 1)
 
-    mom = ensemble_moments(dist, d, params, rel_tol=rel_tol)
+    mom = ensemble_moments(dist, d, params)
     n, u, om = mom.n, mom.u, mom.omega
     alpha, beta = params.alpha, params.beta
     psi = om / n + beta * u - alpha
 
     if is_parametric(dist):
-        der = thermo_derivatives(dist, d, params, rel_tol=rel_tol)
+        der = thermo_derivatives(dist, d, params)
         if der.jacobian == 0.0 or not math.isfinite(der.jacobian):
             raise SingularInversion(
                 "zero moment Jacobian: the chain rule for the entropy "
@@ -359,15 +354,14 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int, *,
                        alpha=alpha, beta=beta)
 
 
-def entropy_per_element(dist, d: int, n: float, u: float, *,
-                        rel_tol: float = 1e-12) -> float:
+def entropy_per_element(dist, d: int, n: float, u: float) -> float:
     """psi(n, u) through the inverse problem (fixed or parametric phi)."""
-    params = invert_to_params(dist, d, n, u, rel_tol=rel_tol)
+    params = invert_to_params(dist, d, n, u)
     mom = ensemble_moments(dist, d, params)
     return mom.omega / mom.n + params.beta * mom.u - params.alpha
 
 
-def _intensive_at(dist, d, energy, elements, volume, rel_tol):
+def _intensive_at(dist, d, energy, elements, volume):
     """(1/T, mu/T, p/T) as functions of the extensive variables.
 
     Fixed phi only: the triple is (beta, alpha, omega) at the parameters
@@ -376,24 +370,24 @@ def _intensive_at(dist, d, energy, elements, volume, rel_tol):
     """
     n = elements / volume
     u = energy / elements
-    params = invert_to_params(dist, d, n, u, rel_tol=rel_tol)
+    params = invert_to_params(dist, d, n, u)
     om = ensemble_moments(dist, d, params).omega
     return params.beta, params.alpha, om
 
 
 def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
-                  step: float = 1e-3, rel_tol: float = 1e-12) -> MaxwellReport:
+                  step: float = 1e-3) -> MaxwellReport:
     """Cross-derivative consistency of the entropy potential.
 
     Checks d(1/T)/dN = -d(mu/T)/dE, d(1/T)/dV = d(p/T)/dE and
     d(p/T)/dN = -d(mu/T)/dV by central differences around the state,
     at relative step ``step`` in (0, 1) and again at half step so the
-    caller can verify second-order convergence.  Requires a fixed,
-    non-point-mass phi, otherwise S is not a free function of (E, N) at
-    fixed V.
+    caller can verify second-order convergence.  Each probe point is an
+    inversion solved to scaled residuals of 1e-12.  Requires
+    a fixed, non-point-mass phi, otherwise S is not a free function of
+    (E, N) at fixed V.
     """
     step = checked(check_real, step, "step", 0, 1, open_low=True, open_high=True)
-    rel_tol = checked(check_real, rel_tol, "rel_tol", 0, open_low=True)
     if is_parametric(dist):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
     if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
@@ -413,8 +407,8 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
             args_m = [e0, n0, v0]
             args_p[var] += h_var
             args_m[var] -= h_var
-            fp = _intensive_at(dist, d, *args_p, rel_tol)[component]
-            fm = _intensive_at(dist, d, *args_m, rel_tol)[component]
+            fp = _intensive_at(dist, d, *args_p)[component]
+            fm = _intensive_at(dist, d, *args_m)[component]
             return (fp - fm) / (2.0 * h_var)
 
         # components: 0 -> 1/T, 1 -> mu/T, 2 -> p/T; vars: 0 -> E, 1 -> N, 2 -> V

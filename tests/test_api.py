@@ -3,6 +3,7 @@ malformed numeric arguments raise only ValidationError."""
 
 import ast
 import importlib
+import inspect
 import math
 import pkgutil
 from pathlib import Path
@@ -22,7 +23,6 @@ from hierstat import (
     activity_for_mean,
     condensation_abscissa,
     critical_temperature,
-    ensemble_moments,
     eos_sweep,
     exact_canonical,
     gentile_census,
@@ -64,6 +64,17 @@ def test_reexports_are_in_submodule_all():
     assert undeclared == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_numerics_take_no_tolerance_options(module):
+    # one quadrature rule and one Newton tolerance: nothing to tune
+    mod = importlib.import_module(f"hierstat.{module}")
+    taking = [f"{name}({param})" for name in getattr(mod, "__all__", ())
+              if inspect.isfunction(getattr(mod, name))
+              for param in inspect.signature(getattr(mod, name)).parameters
+              if param in ("rel_tol", "max_depth", "derivatives")]
+    assert taking == []
+
+
 # --- argument checking -------------------------------------------------------------
 
 _SPEC = HierarchySpec(((1, 2.0), (4, 1.0)))
@@ -101,8 +112,6 @@ _MALFORMED = {
         TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=0.0),
     "maxwell-step-one": lambda: maxwell_check(
         TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=1.0),
-    "ensemble-moments-rel-tol-string": lambda: ensemble_moments(
-        Uniform(0.5, 2.5), 5, GibbsParams(-2.0, 1.0), rel_tol="x"),
     "histogram-mass-bool": lambda: Histogram((0, 1), (True,)),
     "histogram-edges-strings": lambda: Histogram(("0", "1"), (1.0,)),
     "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),

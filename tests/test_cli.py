@@ -63,6 +63,14 @@ def test_gentile_single_point(runner):
     assert float(rows[0][0]) == -1.0
 
 
+def test_gentile_single_point_overflow_names_the_inputs(runner):
+    result = runner.invoke(main, ["gentile", "-d", "3", "--alpha", "1",
+                                  "--beta", "1e308", "--epsilon", "2"])
+    assert result.exit_code == 2
+    assert ("validation error: activity is not finite for alpha=1.0, "
+            "beta=1e+308, money_scale=2.0") in result.output
+
+
 def test_gentile_empty_grid_rejected(runner):
     result = runner.invoke(main, ["gentile", "-d", "3", "--points", "0"])
     assert result.exit_code == 2
@@ -424,6 +432,22 @@ def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, comman
     assert f"validation error: {key} must be" in result.output
 
 
+@pytest.mark.parametrize("base, message", [
+    (_GRAND, "activity is not finite for alpha=-3.0, beta=1e+308, money_scale=2.0"),
+    (_CANONICAL, "validation error: beta must keep every log weight"),
+], ids=["grand-canonical", "canonical"])
+def test_rejected_simulate_leaves_no_output_dir(runner, tmp_path, base, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
+                                  "--output-dir", str(out), "--beta", "1e308",
+                                  "--oracle"])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_config_integral_float_accepted_as_integer(runner, tmp_path):
     outputs = []
     for d, volume in ((5, 100), (5.0, 100.0)):
@@ -437,10 +461,13 @@ def test_config_integral_float_accepted_as_integer(runner, tmp_path):
 # --- import path -----------------------------------------------------------------
 
 def test_import_loads_no_scipy():
-    # scipy costs ~0.6 s to import; only exact_canonical loads it, lazily
+    # scipy costs ~0.6 s to import; only exact_canonical loads it, lazily.
+    # numpy.polynomial (~10 ms) is not needed at all: the quadrature rule's
+    # nodes and weights are literals
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, hierstat, hierstat.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -41,6 +41,16 @@ def test_activity_salary_convention():
     assert float(activity(level, GibbsParams(-5.0, 1.0))) == -3.0
 
 
+@pytest.mark.parametrize("sign", list(EnergySign))
+def test_activity_overflow_names_the_inputs(sign):
+    level = OccupancyLevel(3, 2.0, sign)
+    with pytest.raises(ValidationError) as err:
+        activity(level, GibbsParams(-3.0, 1e308))
+    message = str(err.value)
+    assert "alpha=-3.0" in message and "beta=1e+308" in message
+    assert "money_scale=2.0" in message
+
+
 # --- partition sum ---------------------------------------------------------
 
 def test_partition_capacity_one_at_zero():

@@ -168,7 +168,7 @@ def test_derivatives_at_criterion_9_newton_iterate():
     # the Jacobian integrand crosses |lambda| (d+1) ~ 1e-2 here, where the
     # kernels' old round-off exceeded the quadrature's 1e-12 allowance
     params = GibbsParams(-22.944873451606554, 10.247197359556033)
-    der = thermo_derivatives(_DRAW_37, 9, params, rel_tol=1e-12)
+    der = thermo_derivatives(_DRAW_37, 9, params)
     assert math.isfinite(der.jacobian) and der.jacobian != 0.0
 
 
@@ -178,6 +178,25 @@ def test_inversion_roundtrip_criterion_9_draw_37():
     rec = invert_to_params(_DRAW_37, 9, mom.n, mom.u)
     assert abs(rec.alpha - params.alpha) < 1e-8
     assert abs(rec.beta - params.beta) < 1e-8
+
+
+# Uniform draws from a wide box (d, alpha, beta from default_rng(5)) whose
+# Jacobian quadrature used to raise AccuracyError, ending in NoConvergence
+@pytest.mark.parametrize("d, alpha, beta", [
+    (1000, -5.21303680965688, 2.2909042757144293),
+    (500, -4.335952010936178, 2.1420344924093686),
+    (1000, -5.53252158840252, 4.320186408026348),
+    (1000, -2.8555283254505675, 1.3229240970506315),
+    (1000, -5.1834160853894655, 3.6994782378704425),
+    (1000, -3.424257379799214, 2.8458429003662484),
+    (500, -2.336842408994391, 1.1704229441634988),
+])
+def test_inversion_roundtrip_large_capacity(d, alpha, beta):
+    dist = Uniform(0.5, 2.5)
+    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
+    rec = invert_to_params(dist, d, mom.n, mom.u)
+    assert abs(rec.alpha - alpha) < 1e-8
+    assert abs(rec.beta - beta) < 1e-8
 
 
 def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
