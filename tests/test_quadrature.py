@@ -93,8 +93,8 @@ def test_rule_constants_equal_scipy():
 
 
 def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
-    # the old whole-vs-halves estimate spent 19186 panel evaluations here
-    # and still raised AccuracyError
+    # near the activity crossing at d = 1000 the error estimate must stop at
+    # the kernels' real error, not chase round-off
     mpmath = pytest.importorskip("mpmath")
     panels = []
     panel = quadrature.gauss_legendre_panel

@@ -180,8 +180,8 @@ def test_inversion_roundtrip_criterion_9_draw_37():
     assert abs(rec.beta - params.beta) < 1e-8
 
 
-# Uniform draws from a wide box (d, alpha, beta from default_rng(5)) whose
-# Jacobian quadrature used to raise AccuracyError, ending in NoConvergence
+# Uniform draws at d >= 500 from a wide box (d, alpha, beta from
+# default_rng(5)): every Newton iterate's quadrature must converge
 @pytest.mark.parametrize("d, alpha, beta", [
     (1000, -5.21303680965688, 2.2909042757144293),
     (500, -4.335952010936178, 2.1420344924093686),
