@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from .distributions import Delta, integrate_against, resolve, support
 from .errors import ValidationError
 from .gentile import (
@@ -56,18 +55,6 @@ def _crossing(dist, params) -> tuple:
     return ()
 
 
-def _moment_integrand(params: GibbsParams, d: int):
-    """eps -> (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps."""
-    a, b = params.alpha, params.beta
-
-    def f(eps):
-        lam = a + b * eps
-        fv = gentile_mean(lam, d)
-        fp = gentile_mean_dlambda(lam, d)
-        return fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp
-    return f
-
-
 def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     """Raw moment integrals at one parameter point, in one pass.
 
@@ -77,8 +64,14 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     handled one level up (thermostatics).
     """
     base = resolve(dist, params)
-    vals = integrate_against(base, _moment_integrand(params, d),
-                             breakpoints=_crossing(base, params))
+    a, b = params.alpha, params.beta
+
+    def f(eps):  # (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps
+        lam = a + b * eps
+        fv = gentile_mean(lam, d)
+        fp = gentile_mean_dlambda(lam, d)
+        return fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp
+    vals = integrate_against(base, f, breakpoints=_crossing(base, params))
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
 
 

@@ -5,7 +5,9 @@ The forward maps (alpha, beta) -> (n, u, omega) come from
 
 * the inverse problem (n, u) -> (alpha, beta), by damped Newton from a
   computed starting point (support width and the point-mass activity
-  at the phi-mean salary), with one extra step after convergence;
+  at the phi-mean salary), with one extra step after convergence.  Each
+  accepted iterate is integrated once: its Jacobian reuses the moment
+  pass that scored it in the line search;
 * analytic parameter derivatives of the moments, including the
   finite-difference phi terms when the distribution depends on the
   parameters;
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, integrate_against, is_parametric, resolve, support
-from .ensemble import PHI_STEP, _moment_integrand, ensemble_moments, moment_integrals
+from .ensemble import PHI_STEP, ensemble_moments, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
 from .gentile import (
@@ -148,11 +150,14 @@ def _phi_terms(dist, d, params):
     the frozen base integrand (f, eps f, log Z at the base parameters).
     Returns zeros for a fixed phi.
     """
-    zero = np.zeros(3)
     if not is_parametric(dist):
-        return zero, zero
+        return np.zeros(3), np.zeros(3)
     a, b = params.alpha, params.beta
-    frozen = _moment_integrand(params, d)
+
+    def frozen(eps):
+        lam = a + b * eps
+        fv = gentile_mean(lam, d)
+        return fv, eps * fv, log_partition(lam, d)
 
     def against(concrete):
         return np.asarray(integrate_against(concrete, frozen))
@@ -172,9 +177,12 @@ def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
     a value here, not an error.
     """
     d = _check_capacity(d)
-    m = moment_integrals(dist, d, params)
-    phi_a, phi_b = _phi_terms(dist, d, params)
+    return _derivatives(dist, d, params, moment_integrals(dist, d, params))
 
+
+def _derivatives(dist, d, params, m):
+    """:func:`thermo_derivatives` from the moment integrals ``m`` at ``params``."""
+    phi_a, phi_b = _phi_terms(dist, d, params)
     n = m["n"]
     u = -m["m1"] / n
     dn_da = m["A"] + phi_a[0]
@@ -192,9 +200,8 @@ def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
     m = moment_integrals(dist, d, GibbsParams(alpha, beta))
-    n = m["n"]
-    u = -m["m1"] / n
-    return np.array([(n - n_target) / n_target, (u - u_target) / scale_u])
+    n, u = m["n"], -m["m1"] / m["n"]
+    return np.array([(n - n_target) / n_target, (u - u_target) / scale_u]), m
 
 
 def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsParams:
@@ -209,8 +216,9 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     are within 1e-12 one more step goes through the same line search; if
     it is rejected or its Jacobian fails, the converged iterate is kept.
     Point masses are refused outright: their u is constant, so the system
-    is rank one.  The moments and the Jacobian at an iterate come from one
-    quadrature pass at its fixed accuracy.
+    is rank one.  Each accepted iterate (and the start) is integrated once:
+    the moment pass that scored it in the line search also gives its
+    Jacobian, so a solve costs one quadrature pass per residual.
 
     Raises only :class:`ValidationError` (capacity or targets out of
     range), :class:`SingularInversion` (a point mass, or a singular
@@ -219,6 +227,11 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     a Jacobian whose quadrature fails at an iterate; it carries the
     residuals and (alpha, beta) of the last accepted iterate.
     """
+    return _solve(dist, d, n_target, u_target)[0]
+
+
+def _solve(dist, d, n_target, u_target):
+    """:func:`invert_to_params`, also returning the moment integrals at the solution."""
     d = _check_capacity(d)
     probe = dist.build(0.0, 1.0) if is_parametric(dist) else dist
     if isinstance(probe, Delta):
@@ -241,7 +254,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     alpha = (activity_for_mean(d, n_target)
              - beta * integrate_against(probe, lambda eps: eps))
     try:
-        res = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
+        res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
@@ -253,11 +266,10 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
         # a converged iterate gets one more step, then is returned as it stands
         converged = abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL
         try:
-            der = thermo_derivatives(dist, d, GibbsParams(alpha, beta))
+            der = _derivatives(dist, d, GibbsParams(alpha, beta), m)
         except (AccuracyError, OverflowError) as exc:
-            if converged:
-                return GibbsParams(alpha, beta)
-            message += f" (the Jacobian failed at the last iterate: {exc})"
+            if not converged:
+                message += f" (the Jacobian failed at the last iterate: {exc})"
             break
         jac = np.array([[der.dn_dalpha / n_target, der.dn_dbeta / n_target],
                         [der.du_dalpha / scale_u, der.du_dbeta / scale_u]])
@@ -265,7 +277,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             if converged:
-                return GibbsParams(alpha, beta)
+                break
             raise SingularInversion(
                 "Jacobian of (n, u) with respect to (alpha, beta) is singular "
                 f"at alpha={float(alpha)!r}, beta={float(beta)!r}") from None
@@ -276,23 +288,23 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
             b_new = beta + t * step[1]
             if lo_b < b_new < hi_b and math.isfinite(a_new):
                 try:
-                    res_new = _scaled_residual(dist, d, a_new, b_new, n_target,
-                                               u_target, scale_u)
+                    res_new, m_new = _scaled_residual(dist, d, a_new, b_new, n_target,
+                                                      u_target, scale_u)
                 except (ValidationError, AccuracyError, OverflowError):
                     t *= 0.5
                     continue
                 norm_new = float(np.hypot(*res_new))
                 if norm_new < norm * (1.0 - 1e-4 * t) or norm_new < _NEWTON_TOL:
-                    alpha, beta, res, norm = a_new, b_new, res_new, norm_new
+                    alpha, beta, res, norm, m = a_new, b_new, res_new, norm_new, m_new
                     accepted = True
                     break
             t *= 0.5
         if converged:
-            return GibbsParams(alpha, beta)
+            return GibbsParams(alpha, beta), m
         if not accepted:
             break
     if abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL:
-        return GibbsParams(alpha, beta)
+        return GibbsParams(alpha, beta), m
     if beta < 10 * lo_b or beta > 0.1 * hi_b:
         # a pinned beta usually means the (n, u) pair lies outside the
         # attainable set of this distribution (u cannot exceed minus the
@@ -356,9 +368,8 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
 
 def entropy_per_element(dist, d: int, n: float, u: float) -> float:
     """psi(n, u) through the inverse problem (fixed or parametric phi)."""
-    params = invert_to_params(dist, d, n, u)
-    mom = ensemble_moments(dist, d, params)
-    return mom.omega / mom.n + params.beta * mom.u - params.alpha
+    params, m = _solve(dist, d, n, u)
+    return m["omega"] / m["n"] + params.beta * (-m["m1"] / m["n"]) - params.alpha
 
 
 def _intensive_at(dist, d, energy, elements, volume):
@@ -370,9 +381,8 @@ def _intensive_at(dist, d, energy, elements, volume):
     """
     n = elements / volume
     u = energy / elements
-    params = invert_to_params(dist, d, n, u)
-    om = ensemble_moments(dist, d, params).omega
-    return params.beta, params.alpha, om
+    params, m = _solve(dist, d, n, u)
+    return params.beta, params.alpha, m["omega"]
 
 
 def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,

@@ -1,15 +1,18 @@
 """Inverse problem, entropy derivatives and the thermodynamic map."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import hierstat.ensemble as ensemble
 import hierstat.thermostatics as thermostatics
 from hierstat import (
     AccuracyError,
     Delta,
     GibbsParams,
+    HierstatError,
     Histogram,
     NoConvergence,
     ParametricFamily,
@@ -82,6 +85,25 @@ def test_derivatives_match_finite_differences_parametric():
                (der.domega_dalpha, der.domega_dbeta)[idx]]
         for g, f in zip(got, fd):
             assert g == pytest.approx(f, rel=1e-4, abs=1e-8)
+
+
+def test_phi_terms_evaluate_no_occupation_derivative(monkeypatch):
+    # the frozen integrand of the phi terms is (f, eps f, log Z): no f'
+    calls = []
+    real = ensemble.gentile_mean_dlambda
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (ensemble, thermostatics):
+        monkeypatch.setattr(module, "gentile_mean_dlambda", counted, raising=False)
+    fam = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
+                                                2.5 + 0.05 * math.tanh(b - 1.0)))
+    phi_a, phi_b = thermostatics._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
+    assert calls == []
+    assert phi_a.shape == phi_b.shape == (3,)
+    assert np.all(phi_a != 0.0) and np.all(phi_b != 0.0)
 
 
 def test_fixed_phi_omega_derivatives_closed_form():
@@ -206,7 +228,7 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
         calls.append(args)
         raise AccuracyError("quadrature did not converge to tolerance")
 
-    monkeypatch.setattr(thermostatics, "thermo_derivatives", failing)
+    monkeypatch.setattr(thermostatics, "_derivatives", failing)
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
     with pytest.raises(NoConvergence) as err:
@@ -251,18 +273,18 @@ def test_inversion_roundtrip_hard_two_point_draws(p, d, alpha, beta):
 
 def _zero_jacobian_after(monkeypatch, real_calls):
     """Make every Jacobian after the first ``real_calls`` exactly zero."""
-    real = thermostatics.thermo_derivatives
+    real = thermostatics._derivatives
     points = []
 
-    def patched(dist, d, params, **kwargs):
-        der = real(dist, d, params, **kwargs)
+    def patched(dist, d, params, m):
+        der = real(dist, d, params, m)
         points.append((params.alpha, params.beta))
         if len(points) <= real_calls:
             return der
         return thermostatics.ThermoDerivatives(0.0, 0.0, 0.0, 0.0, der.domega_dalpha,
                                                der.domega_dbeta, 0.0)
 
-    monkeypatch.setattr(thermostatics, "thermo_derivatives", patched)
+    monkeypatch.setattr(thermostatics, "_derivatives", patched)
     return points
 
 
@@ -277,16 +299,8 @@ def test_inversion_singular_at_start_raises(monkeypatch):
     assert "np.float64" not in str(err.value)
 
 
-def test_inversion_moment_evaluations_per_draw(monkeypatch):
-    # criterion 9's draws (seed 23): a start scan would cost ~1700 each
-    calls = []
-    real = thermostatics.moment_integrals
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(thermostatics, "moment_integrals", counted)
+def _criterion_9_draws():
+    """The 50 (distribution, capacity, params) draws of criterion 9 (seed 23)."""
     rng = np.random.default_rng(23)
     for k in range(50):
         if k % 2 == 0:
@@ -295,10 +309,41 @@ def test_inversion_moment_evaluations_per_draw(monkeypatch):
             dist = Uniform(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0)))
         d = int(rng.integers(2, 12))
         params = GibbsParams(float(rng.uniform(-4, 0.5)), float(rng.uniform(0.3, 2.5)))
+        yield k, dist, d, params
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(thermostatics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thermostatics, name, counted)
+    return calls
+
+
+def test_inversion_moment_evaluations_per_draw(monkeypatch):
+    # criterion 9's draws (seed 23): a start scan would cost ~1700 each
+    calls = _count_calls(monkeypatch, "moment_integrals")
+    for k, dist, d, params in _criterion_9_draws():
         mom = ensemble_moments(dist, d, params)
         calls.clear()
         invert_to_params(dist, d, mom.n, mom.u)
         assert len(calls) <= 40, (k, len(calls))
+
+
+def test_inversion_integrates_each_point_once(monkeypatch):
+    # an accepted iterate's Jacobian reuses the moment pass of its residual
+    passes = _count_calls(monkeypatch, "moment_integrals")
+    residuals = _count_calls(monkeypatch, "_scaled_residual")
+    for k, dist, d, params in _criterion_9_draws():
+        mom = ensemble_moments(dist, d, params)
+        passes.clear()
+        residuals.clear()
+        invert_to_params(dist, d, mom.n, mom.u)
+        assert len(passes) == len(residuals), (k, len(passes), len(residuals))
 
 
 def test_inversion_singular_at_later_iterate_raises(monkeypatch):
@@ -310,6 +355,51 @@ def test_inversion_singular_at_later_iterate_raises(monkeypatch):
     assert len(points) == 2  # no restart from a later iterate
     assert f"alpha={points[1][0]!r}" in str(err.value)
     assert "np.float64" not in str(err.value)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except HierstatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _solver_records():
+    """Reprs (or errors) of round trips, states, derivatives and Maxwell reports."""
+    rng = np.random.default_rng(31)
+    capacities = (2, 3, 5, 9, 20, 50, 200, 1000)
+    out = []
+    for k in range(48):
+        if k % 3 == 0:
+            dist = Uniform(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0)))
+        elif k % 3 == 1:
+            dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.1, 0.9)))
+        else:
+            dist = _family(float(rng.uniform(0.5, 1.5)))
+        d = capacities[k % len(capacities)]
+        params = GibbsParams(float(rng.uniform(-8, 2)), float(rng.uniform(0.1, 5)))
+        mom = ensemble_moments(dist, d, params)
+        out.append(_outcome(invert_to_params, dist, d, mom.n, mom.u))
+        out.append(_outcome(thermo_state, dist, d, params, 7))
+        out.append(_outcome(thermo_derivatives, dist, d, params))
+    # u above minus the phi-mean salary: the last accepted iterate is reported
+    out.append(_outcome(invert_to_params, Uniform(0.5, 2.5), 9, 4.0, -1.45))
+    for dist, d in ((Uniform(0.5, 2.5), 9), (TwoPoint(1.0, 3.0, 0.5), 5)):
+        out.append(_outcome(entropy_per_element, dist, d, 3.0, -1.8))
+        out.append(_outcome(maxwell_check, dist, d, GibbsParams(-2.0, 1.0), 100))
+    return out
+
+
+def test_solver_results_bits_pinned():
+    # recorded before the Jacobian reused the accepted iterate's moment pass;
+    # 7 of the 149 records are errors (ValidationError, SingularInversion,
+    # NoConvergence), pinned with their messages
+    records = _solver_records()
+    assert len(records) == 149
+    errors = ("ValidationError:", "SingularInversion:", "NoConvergence:")
+    assert sum(r.startswith(errors) for r in records) == 7
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "1587abcf39daf4834a0d940d93405a26b50e5eea84a5ed84fb15b50ba14db481"
 
 
 # --- thermodynamic state -----------------------------------------------------
