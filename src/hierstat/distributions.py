@@ -157,8 +157,6 @@ def support(dist: SalaryDistribution) -> tuple:
         return dist.lower, dist.upper
     if isinstance(dist, Histogram):
         live = [i for i, m in enumerate(dist.masses) if m > 0]
-        if not live:
-            return dist.edges[0], dist.edges[-1]
         return dist.edges[live[0]], dist.edges[live[-1] + 1]
     raise ValidationError(f"not a salary distribution: {dist!r}")
 

@@ -85,7 +85,14 @@ def omega(dist, d: int, params: GibbsParams) -> float:
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
     """All three moments in one integration pass, with range checks."""
+    return _checked_moments(dist, d, params)[0]
+
+
+def _checked_moments(dist, d, params):
+    """:func:`ensemble_moments` and the :func:`moment_integrals` record it
+    came from (None for a point mass, which takes the closed forms)."""
     base = resolve(dist, params)
+    m = None
     if isinstance(base, Delta):
         lam = params.alpha + params.beta * base.point
         mom = EnsembleMoments(gentile_mean(lam, d), -base.point,
@@ -105,7 +112,7 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
         problems.append(f"energy per element {mom.u} outside [{-hi}, {-lo}]")
     if problems:  # pragma: no cover - guards numerical breakage only
         raise ValidationError(problems)
-    return mom
+    return mom, m
 
 
 def fermi_market_share(dist, params: GibbsParams) -> float:
@@ -115,8 +122,6 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
     """
     base = resolve(dist, params)
     a, b = params.alpha, params.beta
-    lo, hi = support(base)
-    eps_star = a / b
-    bp = (eps_star,) if lo < eps_star < hi else ()
+    # the cost activity a - b eps vanishes at eps = a / b = -(-a) / b
     return float(integrate_against(base, lambda eps: fermi_dirac(a - b * eps),
-                                   breakpoints=bp))
+                                   breakpoints=_crossing(base, GibbsParams(-a, b))))

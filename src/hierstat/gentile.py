@@ -362,7 +362,9 @@ def _increasing_root(func, target: float) -> float:
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed den gives brentq.c an inf or nan step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre = scur

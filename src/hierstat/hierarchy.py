@@ -131,6 +131,15 @@ def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:
             - gammaln(capacity - r + 1.0) + beta * salary * r)
 
 
+def _check_agents(spec, agents, problems):
+    """``agents`` checked against the positions of ``spec``, which must be a
+    :class:`HierarchySpec`; violations go to ``problems``."""
+    total = spec.total_positions if isinstance(spec, HierarchySpec) else None
+    if total is None:
+        problems.append("spec must be a HierarchySpec")
+    return check_int(agents, "agents", problems, 0, total)
+
+
 def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalExpectations:
     """Exact level expectations for ``agents`` agents at inverse temperature beta.
 
@@ -143,7 +152,7 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
     terms, and no window is wider than ``agents`` + 1 coefficients.
     """
     problems = []
-    agents = check_int(agents, "agents", problems, 0, spec.total_positions)
+    agents = _check_agents(spec, agents, problems)
     beta = check_real(beta, "beta", problems)
     if problems:
         raise ValidationError(problems)

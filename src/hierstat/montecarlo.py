@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError, check_int, check_real
 from .gentile import GibbsParams, OccupancyLevel, activity
-from .hierarchy import HierarchySpec
+from .hierarchy import HierarchySpec, _check_agents
 
 __all__ = [
     "GrandCanonicalSample",
@@ -194,10 +194,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):
     """(agents, beta, seed, record_every) checked for both hierarchy
     chains; violations go to ``problems``."""
-    total = spec.total_positions if isinstance(spec, HierarchySpec) else None
-    if total is None:
-        problems.append("spec must be a HierarchySpec")
-    return (check_int(agents, "agents", problems, 0, total),
+    return (_check_agents(spec, agents, problems),
             check_real(beta, "beta", problems),
             check_int(seed, "seed", problems, 0),
             check_int(record_every, "record_every", problems, 1))

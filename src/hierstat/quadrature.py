@@ -73,8 +73,6 @@ def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b) or b < a:
         raise ValidationError(f"invalid integration interval [{a}, {b}]")
-    if a == b:
-        return 0.0
 
     edges = [a]
     for p in sorted(set(float(p) for p in breakpoints)):

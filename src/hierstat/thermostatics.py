@@ -15,9 +15,11 @@ The forward maps (alpha, beta) -> (n, u, omega) come from
   free energy, via the entropy per element psi = omega/n + beta u - alpha.
   For a parameter-independent phi the closed forms T = 1/beta,
   mu = alpha T, p = T omega apply and the general chain-rule path reduces
-  to them exactly;
-* second-derivative (Maxwell) residual reports, the equation-of-state
-  sweep for a common salary level, and the condensation temperature.
+  to them exactly.  A state integrates its point once: the chain rule
+  takes its Jacobian from the moment pass that gave n, u and omega;
+* second-derivative (Maxwell) residual reports from 12 probe solves,
+  one per perturbed (E, N, V) point, the equation-of-state sweep for a
+  common salary level, and the condensation temperature.
 
 Point-mass distributions make (n, u) -> (alpha, beta) rank deficient
 (u is constant), so inversion refuses them with
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, integrate_against, is_parametric, resolve, support
-from .ensemble import PHI_STEP, ensemble_moments, moment_integrals
+from .ensemble import PHI_STEP, _checked_moments, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
 from .gentile import (
@@ -322,18 +324,19 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     Fixed phi (including every point mass) takes the closed-form route
     T = 1/beta, mu = alpha T, p = T omega; a parametric phi goes through
     the chain rule with the moment Jacobian, which needs the Jacobian to
-    be nonzero.
+    be nonzero; the Jacobian reuses the moment integrals of n, u and omega.
     """
     d = _check_capacity(d)
     volume = checked(check_int, volume, "volume", 1)
 
-    mom = ensemble_moments(dist, d, params)
+    mom, m = _checked_moments(dist, d, params)
     n, u, om = mom.n, mom.u, mom.omega
     alpha, beta = params.alpha, params.beta
     psi = om / n + beta * u - alpha
 
     if is_parametric(dist):
-        der = thermo_derivatives(dist, d, params)
+        der = _derivatives(dist, d, params,
+                           moment_integrals(dist, d, params) if m is None else m)
         if der.jacobian == 0.0 or not math.isfinite(der.jacobian):
             raise SingularInversion(
                 "zero moment Jacobian: the chain rule for the entropy "
@@ -372,19 +375,6 @@ def entropy_per_element(dist, d: int, n: float, u: float) -> float:
     return m["omega"] / m["n"] + params.beta * (-m["m1"] / m["n"]) - params.alpha
 
 
-def _intensive_at(dist, d, energy, elements, volume):
-    """(1/T, mu/T, p/T) as functions of the extensive variables.
-
-    Fixed phi only: the triple is (beta, alpha, omega) at the parameters
-    solving n = elements/volume, u = energy/elements.  ``volume`` may be
-    fractional here; it only enters through the density.
-    """
-    n = elements / volume
-    u = energy / elements
-    params, m = _solve(dist, d, n, u)
-    return params.beta, params.alpha, m["omega"]
-
-
 def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
                   step: float = 1e-3) -> MaxwellReport:
     """Cross-derivative consistency of the entropy potential.
@@ -392,8 +382,10 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     Checks d(1/T)/dN = -d(mu/T)/dE, d(1/T)/dV = d(p/T)/dE and
     d(p/T)/dN = -d(mu/T)/dV by central differences around the state,
     at relative step ``step`` in (0, 1) and again at half step so the
-    caller can verify second-order convergence.  Each probe point is an
-    inversion solved to scaled residuals of 1e-12.  Requires
+    caller can verify second-order convergence.  E, N and V are each moved
+    up and down at both steps, and each of these 12 probe points is solved
+    once, by an inversion to scaled residuals of 1e-12; one central
+    difference per variable gives all three of 1/T, mu/T and p/T.  Requires
     a fixed, non-point-mass phi, otherwise S is not a free function of
     (E, N) at fixed V.
     """
@@ -410,23 +402,19 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     e0, n0, v0 = state.energy_total, state.elements, float(volume)
 
     def residuals(h: float):
-        h_e, h_n, h_v = h * abs(e0), h * n0, h * v0
-
-        def grad(var: int, h_var: float, component: int):
-            args_p = [e0, n0, v0]
-            args_m = [e0, n0, v0]
-            args_p[var] += h_var
-            args_m[var] -= h_var
-            fp = _intensive_at(dist, d, *args_p)[component]
-            fm = _intensive_at(dist, d, *args_m)[component]
-            return (fp - fm) / (2.0 * h_var)
-
-        # components: 0 -> 1/T, 1 -> mu/T, 2 -> p/T; vars: 0 -> E, 1 -> N, 2 -> V
-        pairs = (
-            (grad(1, h_n, 0), -grad(0, h_e, 1)),
-            (grad(2, h_v, 0), grad(0, h_e, 2)),
-            (grad(1, h_n, 2), -grad(2, h_v, 1)),
-        )
+        # grad[var][k]: central difference of (1/T, mu/T, p/T)[k] = (beta, alpha,
+        # omega) at n = N/V, u = E/N, in var = E, N, V; six probe solves per step
+        grad = []
+        for var, h_var in enumerate((h * abs(e0), h * n0, h * v0)):
+            probes = []
+            for shift in (h_var, -h_var):
+                energy, elements, vol = (x + shift if i == var else x
+                                         for i, x in enumerate((e0, n0, v0)))
+                solved, m = _solve(dist, d, elements / vol, energy / elements)
+                probes.append((solved.beta, solved.alpha, m["omega"]))
+            grad.append([(fp - fm) / (2.0 * h_var) for fp, fm in zip(*probes)])
+        (de_b, de_a, de_o), (dn_b, _, dn_o), (dv_b, dv_a, _) = grad
+        pairs = ((dn_b, -de_a), (dv_b, de_o), (dn_o, -dv_a))
         return tuple(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs)
 
     full = residuals(step)

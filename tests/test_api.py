@@ -94,6 +94,7 @@ _MALFORMED = {
     "condensation-abscissa-none": lambda: condensation_abscissa(3, None),
     "critical-temperature-string": lambda: critical_temperature(3, "x"),
     "exact-canonical-beta-string": lambda: exact_canonical(_SPEC, 1, "x"),
+    "exact-canonical-spec-list": lambda: exact_canonical([(1, 3.0)], 1, 1.0),
     "invert-n-target-string": lambda: invert_to_params(Uniform(0, 1), 3, "x", -0.5),
     "canonical-seed-string": lambda: simulate_canonical(_SPEC, 2, 1.0, 100, "x"),
     "canonical-burn-in-string": lambda: simulate_canonical(

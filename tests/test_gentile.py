@@ -295,6 +295,9 @@ def _brent_problems():
         for u in rng.uniform(0.0, 1.0, 10):
             problems.append((gentile_mean, d, float(u) * d))
             problems.append((log_partition, d, float(u) * 6.0 * math.log1p(d)))
+    # tiny targets: brentq.c's extrapolation denominator underflows to zero
+    for d in (1, 5, 1000, 10**6):
+        problems += [(gentile_mean, d, t) for t in (1e-300, 1e-250, 1e-200, 1e-150, 1e-110)]
     return problems
 
 

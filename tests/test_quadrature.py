@@ -32,6 +32,8 @@ def test_breakpoints_isolate_kink():
 def test_vector_integrand():
     est = integrate_adaptive(lambda x: np.array([1.0, x, x * x]), 0.0, 1.0)
     assert est == pytest.approx([1.0, 0.5, 1 / 3], rel=1e-13)
+    empty = integrate_adaptive(lambda x: (x, 2 * x), 1.0, 1.0)
+    assert isinstance(empty, np.ndarray) and empty.tolist() == [0.0, 0.0]
 
 
 def test_nonconvergence_carries_estimate_and_bound():

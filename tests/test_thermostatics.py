@@ -317,7 +317,7 @@ def _count_calls(monkeypatch, name):
     real = getattr(thermostatics, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(thermostatics, name, counted)
@@ -453,6 +453,21 @@ def test_parametric_phi_shifts_temperature_off_beta():
     assert abs(1.0 / state.temperature - params.beta) > 1e-3
 
 
+def test_parametric_state_integrates_its_point_once(monkeypatch):
+    # n, u, omega and the chain-rule Jacobian share one moment pass
+    points = []
+    real = ensemble.moment_integrals
+
+    def counted(dist, d, params):
+        points.append(params)
+        return real(dist, d, params)
+
+    for module in (ensemble, thermostatics):
+        monkeypatch.setattr(module, "moment_integrals", counted)
+    thermo_state(_family(1.0), 5, GibbsParams(-2.0, 1.0), 100)
+    assert points == [GibbsParams(-2.0, 1.0)]
+
+
 def test_parametric_chain_rule_matches_entropy_differences():
     fam = _family(1.0)
     params = GibbsParams(-1.5, 0.8)
@@ -502,6 +517,16 @@ def test_maxwell_reference_state():
     rep = maxwell_check(TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100)
     assert all(r < 1e-4 for r in rep.residuals)
     assert all(o >= 1.8 for o in rep.orders)
+
+
+def test_maxwell_solves_each_probe_point_once(monkeypatch):
+    # E, N and V moved up and down at the step and at half step
+    solves = _count_calls(monkeypatch, "_solve")
+    for dist, d in ((TwoPoint(1.0, 3.0, 0.5), 5), (Uniform(0.5, 2.5), 9)):
+        solves.clear()
+        maxwell_check(dist, d, GibbsParams(-2.0, 1.0), 100)
+        assert len(solves) == 12
+        assert len({args[2:] for args in solves}) == 12
 
 
 def test_maxwell_rejects_delta_and_parametric():
