@@ -26,7 +26,6 @@ __all__ = [
     "SalaryDistribution",
     "ParametricFamily",
     "support",
-    "atoms",
     "integrate_against",
     "resolve",
     "is_parametric",
@@ -146,59 +145,44 @@ def resolve(dist, params) -> SalaryDistribution:
     return dist
 
 
-def support(dist: SalaryDistribution) -> tuple:
-    """(lowest, highest) money value carrying mass."""
+def _pieces(dist: SalaryDistribution) -> tuple:
+    """Weighted pieces (lo, hi, mass): an atom when lo == hi, otherwise the
+    mass spread evenly over [lo, hi].  Zero-mass bins are left out."""
     if isinstance(dist, Delta):
-        return dist.point, dist.point
+        return ((dist.point, dist.point, 1.0),)
     if isinstance(dist, TwoPoint):
-        lo = min(dist.epsilon1, dist.epsilon2)
-        return lo, max(dist.epsilon1, dist.epsilon2)
+        return ((dist.epsilon1, dist.epsilon1, dist.weight),
+                (dist.epsilon2, dist.epsilon2, 1.0 - dist.weight))
     if isinstance(dist, Uniform):
-        return dist.lower, dist.upper
+        return ((dist.lower, dist.upper, 1.0),)
     if isinstance(dist, Histogram):
-        live = [i for i, m in enumerate(dist.masses) if m > 0]
-        return dist.edges[live[0]], dist.edges[live[-1] + 1]
+        return tuple((lo, hi, mass) for lo, hi, mass
+                     in zip(dist.edges, dist.edges[1:], dist.masses) if mass > 0.0)
     raise ValidationError(f"not a salary distribution: {dist!r}")
 
 
-def atoms(dist: SalaryDistribution):
-    """List of (epsilon, mass) for purely discrete variants, else None."""
-    if isinstance(dist, Delta):
-        return [(dist.point, 1.0)]
-    if isinstance(dist, TwoPoint):
-        return [(dist.epsilon1, dist.weight), (dist.epsilon2, 1.0 - dist.weight)]
-    return None
+def support(dist: SalaryDistribution) -> tuple:
+    """(lowest, highest) money value carrying mass."""
+    pieces = _pieces(dist)
+    return min(p[0] for p in pieces), max(p[1] for p in pieces)
 
 
 def integrate_against(dist: SalaryDistribution, f, *, breakpoints=()):
-    """integral of phi(eps) * f(eps) d eps; exact for discrete variants.
+    """integral of phi(eps) * f(eps) d eps; atoms are summed exactly.
 
-    ``f`` may return a scalar or a fixed-length sequence.
+    ``f`` may return a scalar or a fixed-length sequence.  Each interval
+    piece is integrated adaptively, split at the ``breakpoints`` inside it.
     """
-    pts = atoms(dist)
-    if pts is not None:
-        total = None
-        for eps, mass in pts:
-            v = mass * np.asarray(f(eps), dtype=float)
-            total = v if total is None else total + v
-        total = np.asarray(total)
-        return total if total.ndim else float(total)
-    if isinstance(dist, Uniform):
-        width = dist.upper - dist.lower
-        est = integrate_adaptive(f, dist.lower, dist.upper, breakpoints=breakpoints)
-        return np.asarray(est) / width if np.ndim(est) else est / width
-    if isinstance(dist, Histogram):
-        total = None
-        for i, mass in enumerate(dist.masses):
-            if mass == 0.0:
-                continue
-            lo, hi = dist.edges[i], dist.edges[i + 1]
-            est = np.asarray(integrate_adaptive(f, lo, hi, breakpoints=breakpoints))
-            piece = est * (mass / (hi - lo))
-            total = piece if total is None else total + piece
-        total = np.asarray(total)
-        return total if total.ndim else float(total)
-    raise ValidationError(f"not a salary distribution: {dist!r}")
+    total = None
+    for lo, hi, mass in _pieces(dist):
+        if lo == hi:
+            piece = mass * np.asarray(f(lo), dtype=float)
+        else:
+            est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
+            piece = mass * (np.asarray(est) / (hi - lo))
+        total = piece if total is None else total + piece
+    total = np.asarray(total)
+    return total if total.ndim else float(total)
 
 
 _JSON_TYPES = ("delta", "two_point", "uniform", "histogram")

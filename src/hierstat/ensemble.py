@@ -4,8 +4,10 @@ Everything here uses the salary sign convention, lambda(eps) =
 alpha + beta * eps, except :func:`fermi_market_share`, which integrates
 the cost-convention Fermi-Dirac share.  The moments and their
 derivative integrals share one six-component integrand, hence one set of
-panels.  Point-mass distributions bypass quadrature entirely: their
-moments are the closed single-level forms.
+panels.  Every integral goes through
+:func:`~hierstat.distributions.integrate_against`, which sums point masses
+exactly and splits each interval piece where the activity changes sign;
+for a point mass u is -epsilon0 exactly.
 """
 
 from __future__ import annotations
@@ -46,15 +48,6 @@ class EnsembleMoments:
     omega: float
 
 
-def _crossing(dist, params) -> tuple:
-    """Points where lambda(eps) = 0 inside the support, as quadrature breakpoints."""
-    lo, hi = support(dist)
-    eps_star = -params.alpha / params.beta
-    if lo < eps_star < hi:
-        return (eps_star,)
-    return ()
-
-
 def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     """Raw moment integrals at one parameter point, in one pass.
 
@@ -71,16 +64,16 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
         fv = gentile_mean(lam, d)
         fp = gentile_mean_dlambda(lam, d)
         return fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp
-    vals = integrate_against(base, f, breakpoints=_crossing(base, params))
+    vals = integrate_against(base, f, breakpoints=(-a / b,))
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
 
 
 def omega(dist, d: int, params: GibbsParams) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
-    base = resolve(dist, params)
-    return float(integrate_against(
-        base, lambda eps: log_partition(params.alpha + params.beta * eps, d),
-        breakpoints=_crossing(base, params)))
+    a, b = params.alpha, params.beta
+    return float(integrate_against(resolve(dist, params),
+                                   lambda eps: log_partition(a + b * eps, d),
+                                   breakpoints=(-a / b,)))
 
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
@@ -90,16 +83,11 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
 
 def _checked_moments(dist, d, params):
     """:func:`ensemble_moments` and the :func:`moment_integrals` record it
-    came from (None for a point mass, which takes the closed forms)."""
+    came from.  A point mass keeps u = -epsilon0 exactly."""
     base = resolve(dist, params)
-    m = None
-    if isinstance(base, Delta):
-        lam = params.alpha + params.beta * base.point
-        mom = EnsembleMoments(gentile_mean(lam, d), -base.point,
-                              log_partition(lam, d))
-    else:
-        m = moment_integrals(base, d, params)
-        mom = EnsembleMoments(m["n"], -m["m1"] / m["n"], m["omega"])
+    m = moment_integrals(base, d, params)
+    u = -base.point if isinstance(base, Delta) else -m["m1"] / m["n"]
+    mom = EnsembleMoments(m["n"], u, m["omega"])
 
     lo, hi = support(base)
     problems = []
@@ -120,8 +108,8 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
 
     Cost convention: the share at cost eps is 1 / (e^{beta eps - alpha} + 1).
     """
-    base = resolve(dist, params)
     a, b = params.alpha, params.beta
-    # the cost activity a - b eps vanishes at eps = a / b = -(-a) / b
-    return float(integrate_against(base, lambda eps: fermi_dirac(a - b * eps),
-                                   breakpoints=_crossing(base, GibbsParams(-a, b))))
+    # the cost activity a - b eps vanishes at eps = a / b
+    return float(integrate_against(resolve(dist, params),
+                                   lambda eps: fermi_dirac(a - b * eps),
+                                   breakpoints=(a / b,)))

@@ -235,7 +235,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
 def _solve(dist, d, n_target, u_target):
     """:func:`invert_to_params`, also returning the moment integrals at the solution."""
     d = _check_capacity(d)
-    probe = dist.build(0.0, 1.0) if is_parametric(dist) else dist
+    probe = resolve(dist, GibbsParams(0.0, 1.0))
     if isinstance(probe, Delta):
         raise SingularInversion(
             "point-mass distribution: u is constant, the map (alpha, beta) -> (n, u) "
@@ -335,8 +335,7 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     psi = om / n + beta * u - alpha
 
     if is_parametric(dist):
-        der = _derivatives(dist, d, params,
-                           moment_integrals(dist, d, params) if m is None else m)
+        der = _derivatives(dist, d, params, m)
         if der.jacobian == 0.0 or not math.isfinite(der.jacobian):
             raise SingularInversion(
                 "zero moment Jacobian: the chain rule for the entropy "

@@ -14,7 +14,7 @@ from hierstat import (
     distribution_from_json,
     distribution_to_json,
 )
-from hierstat.distributions import atoms, integrate_against, is_parametric, resolve, support
+from hierstat.distributions import integrate_against, is_parametric, resolve, support
 
 
 ALL_VARIANTS = [
@@ -40,9 +40,13 @@ def test_support_and_atoms():
     assert support(TwoPoint(3.0, 1.0, 0.4)) == (1.0, 3.0)
     assert support(Uniform(0.5, 2.5)) == (0.5, 2.5)
     assert support(Histogram((0.0, 1.0, 2.0), (0.0, 1.0))) == (1.0, 2.0)
-    assert atoms(Delta(2.0)) == [(2.0, 1.0)]
-    assert atoms(TwoPoint(1.0, 3.0, 0.4)) == [(1.0, 0.4), (3.0, 0.6)]
-    assert atoms(Uniform(0.0, 1.0)) is None
+    # an atom is weighted exactly by its mass; a density has no atoms
+    def at(*points):
+        return lambda e: [float(e == p) for p in points]
+    assert integrate_against(Delta(2.0), at(2.0)) == 1.0
+    assert integrate_against(TwoPoint(1.0, 3.0, 0.4), at(1.0, 3.0)).tolist() \
+        == [0.4, 1.0 - 0.4]
+    assert integrate_against(Uniform(0.0, 1.0), at(0.0, 1.0)).tolist() == [0.0, 0.0]
 
 
 def test_first_moment_per_variant():
