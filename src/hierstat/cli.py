@@ -154,8 +154,6 @@ def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)

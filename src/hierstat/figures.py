@@ -86,17 +86,16 @@ def _overlay(relative: bool):
     return header, rows, svg
 
 
-def _activity_grid(d: int, lam_lo: float, lam_hi: float, points: int = 301):
-    grid = np.linspace(lam_lo, lam_hi, points)
-    grid = np.unique(np.concatenate([grid, [0.0]]))
-    return grid
+def _activity_grid(lam_lo: float, lam_hi: float):
+    """301 evenly spaced activities plus lambda = 0, ascending."""
+    return np.unique(np.concatenate([np.linspace(lam_lo, lam_hi, 301), [0.0]]))
 
 
 def _eos_rows(d: int):
     """(lambda, n, omega) over a grid spanning fillings 1e-3/d .. 0.99."""
     lam_lo = activity_for_mean(d, 1e-3)
     lam_hi = activity_for_mean(d, 0.99 * d)
-    table = eos_sweep(d, _activity_grid(d, lam_lo, lam_hi))
+    table = eos_sweep(d, _activity_grid(lam_lo, lam_hi))
     return table.lam, table.n_over_d * d, table.p_over_T
 
 
@@ -142,7 +141,7 @@ def _fig7():
         log_dp1 = math.log1p(d)
         lam_lo = _solve_omega(d, log_dp1 / 2.0)   # x = 2
         lam_hi = _solve_omega(d, log_dp1 / 0.4)   # x = 0.4
-        table = eos_sweep(d, _activity_grid(d, lam_lo, lam_hi))
+        table = eos_sweep(d, _activity_grid(lam_lo, lam_hi))
         rows.extend((d, float(l), float(x), float(fill))
                     for l, x, fill in zip(table.lam, table.x, table.n_over_d))
         series.append((f"d={d}", table.x, table.n_over_d))

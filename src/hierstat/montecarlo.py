@@ -45,12 +45,12 @@ __all__ = [
 PHASE_NAMES = ("equilibrate", "pump", "relax")
 
 
-def _batch_stderr(x: np.ndarray, nbatches: int = 32) -> float:
-    """Standard error of the mean by batch means (autocorrelation safe)."""
+def _batch_stderr(x: np.ndarray) -> float:
+    """Standard error of the mean by 32 batch means (autocorrelation safe)."""
     n = x.size
     if n < 4:
         return float(np.std(x) / math.sqrt(max(n, 1)))
-    nb = min(nbatches, n // 2)
+    nb = min(32, n // 2)
     m = n // nb
     bm = x[:nb * m].reshape(nb, m).mean(axis=1)
     return float(bm.std(ddof=1) / math.sqrt(nb))

@@ -16,6 +16,8 @@ __all__ = ["line_chart"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
+_WIDTH = 800
+_HEIGHT = 600
 _MARGIN_LEFT = 80
 _MARGIN_RIGHT = 170
 _MARGIN_TOP = 40
@@ -35,14 +37,14 @@ def _limits(values):
 
 
 def line_chart(series, *, x_label: str = "", y_label: str = "",
-               title: str = "", width: int = 800, height: int = 600) -> str:
+               title: str = "") -> str:
     """Render ``series`` = [(label, xs, ys), ...] as an SVG document."""
     xs_all = [float(x) for _, xs, _ in series for x in xs]
     ys_all = [float(y) for _, _, ys in series for y in ys]
     x_lo, x_hi = _limits(xs_all)
     y_lo, y_hi = _limits(ys_all)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -51,10 +53,10 @@ def line_chart(series, *, x_label: str = "", y_label: str = "",
         return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
+        f'width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
     axis_y = _MARGIN_TOP + plot_h
@@ -75,7 +77,7 @@ def line_chart(series, *, x_label: str = "", y_label: str = "",
         out.append(f'<text x="{_MARGIN_LEFT - 10}" y="{py + 4:.2f}" '
                    f'text-anchor="end" font-family="sans-serif" '
                    f'font-size="12">{t:.4g}</text>')
-    out.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 14}" '
+    out.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 14}" '
                f'text-anchor="middle" font-family="sans-serif" '
                f'font-size="14">{x_label}</text>')
     out.append(f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.2f}" '

@@ -150,10 +150,10 @@ def _phi_terms(dist, d, params):
 
     For each parameter the perturbed distribution is integrated against
     the frozen base integrand (f, eps f, log Z at the base parameters).
-    Returns zeros for a fixed phi.
+    Returns two lists of three floats, zeros for a fixed phi.
     """
     if not is_parametric(dist):
-        return np.zeros(3), np.zeros(3)
+        return [0.0] * 3, [0.0] * 3
     a, b = params.alpha, params.beta
 
     def frozen(eps):
@@ -167,7 +167,7 @@ def _phi_terms(dist, d, params):
     h = PHI_STEP
     d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
     d_beta = (against(dist.build(a, b + h)) - against(dist.build(a, b - h))) / (2 * h)
-    return d_alpha, d_beta
+    return d_alpha.tolist(), d_beta.tolist()
 
 
 def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
@@ -197,7 +197,7 @@ def _derivatives(dist, d, params, m):
     dom_db = -u * n + phi_b[2]
     jac = dn_da * du_db - dn_db * du_da
     return ThermoDerivatives(dn_da, dn_db, du_da, du_db, dom_da, dom_db, jac,
-                             float(phi_a[2]), float(phi_b[2]))
+                             phi_a[2], phi_b[2])
 
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):

@@ -147,6 +147,34 @@ def test_fig7_half_filling_row_for_every_capacity(runner, tmp_path):
     assert anchored == {1, 5, 50, 500, 5000, 50000}
 
 
+_FIGURE_SHA256 = {
+    1: ("76ef0068b27ecd7aa3686b66775644789924110692ffe555aee88a453cc5053e",
+        "b2165e4b352be2321e51d0143e30aa767fccd97ae9abca7a153ba2ce8f19968b"),
+    2: ("386448e6c902478b1bda88ea42d8d447d52d67876a219f943de1a9314107a460",
+        "3d1f5e91c63752e0bde906cc360eecc6f437295de52519af2aaf193df9ec1701"),
+    3: ("4f0ea4ae21b1472fddc307137cd64c686f77c831c9430151277b5c1d15df60bc",
+        "cfa1f9cc38f1001aa5c52d3923f4a903199b50c5adf91e5bde4666e270ab9df2"),
+    4: ("5a75886aed1f0e6e97edec54327b3aed67091bf187c341b532216ac7e81c0441",
+        "e826392221244b46d4174080126a6101cc7caae7447dc38baca79f19aa86b62c"),
+    5: ("78b05ca07960530fe58b4e888a835491d13e231285720113e1befd9043ad0a5f",
+        "1a06b3f9fb9966eb9b173866f739d8f93a900a8c50bcd1480771e3d0fd5fe2a2"),
+    6: ("d8078d93379d4ab7928a3ca2d3d5a263256a2fa6d37d977c6bafe40c0831f4d8",
+        "2053d1acaeb884b1d45827e2c63a8bb2c6a7f88cbd55b3b79c0cd815cb3e6e27"),
+    7: ("44d00a264fd1bb9572226e708f7071acd05e4e54405720754600223f83e42142",
+        "d8ec352e9e0fd83c040d1c9b70f6a544a4f300cfa1eee13a065eda11533a38e9"),
+}
+
+
+def test_figure_bytes_pinned():
+    # sha256 of the CSV text and the SVG of every figure: they regenerate byte for byte
+    from hierstat.figures import FIGURE_IDS, build_figure
+    for fig_id in FIGURE_IDS:
+        header, rows, svg = build_figure(fig_id)
+        got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (hierstat.cli._csv_text(header, rows), svg))
+        assert got == _FIGURE_SHA256[fig_id], fig_id
+
+
 # --- eos -----------------------------------------------------------------------
 
 def test_eos_header_and_anchor_row(runner):

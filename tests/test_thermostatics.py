@@ -1,5 +1,6 @@
 """Inverse problem, entropy derivatives and the thermodynamic map."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -102,8 +103,8 @@ def test_phi_terms_evaluate_no_occupation_derivative(monkeypatch):
                                                 2.5 + 0.05 * math.tanh(b - 1.0)))
     phi_a, phi_b = thermostatics._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
     assert calls == []
-    assert phi_a.shape == phi_b.shape == (3,)
-    assert np.all(phi_a != 0.0) and np.all(phi_b != 0.0)
+    assert len(phi_a) == len(phi_b) == 3
+    assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
 
 
 def test_fixed_phi_omega_derivatives_closed_form():
@@ -299,6 +300,67 @@ def test_inversion_singular_at_start_raises(monkeypatch):
     assert "np.float64" not in str(err.value)
 
 
+def test_inversion_start_moment_failure_is_no_convergence(monkeypatch):
+    def failing(*args):
+        raise AccuracyError("quadrature did not converge to tolerance")
+
+    monkeypatch.setattr(thermostatics, "_scaled_residual", failing)
+    with pytest.raises(NoConvergence) as err:
+        invert_to_params(TwoPoint(1.0, 3.0, 0.4), 5, 2.0, -2.0)
+    assert "starting point" in str(err.value)
+    assert type(err.value.alpha) is float and type(err.value.beta) is float
+
+
+def test_inversion_halves_past_a_failing_trial(monkeypatch):
+    # the first line-search trial's moments fail: the step is halved, and
+    # the solve still converges
+    real = thermostatics._scaled_residual
+    calls = []
+
+    def flaky(*args):
+        calls.append(args[2:4])
+        if len(calls) == 2:
+            raise AccuracyError("quadrature did not converge to tolerance")
+        return real(*args)
+
+    monkeypatch.setattr(thermostatics, "_scaled_residual", flaky)
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
+    rec = invert_to_params(dist, 5, mom.n, mom.u)
+    (a0, b0), (a1, b1), (a2, b2) = calls[:3]
+    assert a2 - a0 == pytest.approx(0.5 * (a1 - a0), rel=1e-12)
+    assert b2 - b0 == pytest.approx(0.5 * (b1 - b0), rel=1e-12)
+    assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("failure", ["singular", "raises"])
+def test_inversion_keeps_converged_iterate_when_next_jacobian_fails(monkeypatch,
+                                                                    failure):
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
+    jacobians = _count_calls(monkeypatch, "_derivatives")
+    invert_to_params(dist, 5, mom.n, mom.u)
+    converged_at = len(jacobians)  # the last Jacobian is taken at the converged iterate
+    monkeypatch.undo()
+
+    real = thermostatics._derivatives
+    points = []
+
+    def patched(dist, d, params, m):
+        points.append(params)
+        if len(points) < converged_at:
+            return real(dist, d, params, m)
+        if failure == "raises":
+            raise AccuracyError("quadrature did not converge to tolerance")
+        return thermostatics.ThermoDerivatives(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(thermostatics, "_derivatives", patched)
+    rec = invert_to_params(dist, 5, mom.n, mom.u)
+    assert len(points) == converged_at
+    assert rec == points[-1]
+    assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
+
+
 def _criterion_9_draws():
     """The 50 (distribution, capacity, params) draws of criterion 9 (seed 23)."""
     rng = np.random.default_rng(23)
@@ -391,18 +453,30 @@ def _solver_records():
 
 
 def test_solver_results_bits_pinned():
-    # recorded before the Jacobian reused the accepted iterate's moment pass;
-    # 7 of the 149 records are errors (ValidationError, SingularInversion,
+    # recorded before the Jacobian reused the accepted iterate's moment pass,
+    # then once more when the derivative fields became Python floats (every
+    # record equal to the old one with np.float64(x) written as x); 7 of the
+    # 149 records are errors (ValidationError, SingularInversion,
     # NoConvergence), pinned with their messages
     records = _solver_records()
     assert len(records) == 149
     errors = ("ValidationError:", "SingularInversion:", "NoConvergence:")
     assert sum(r.startswith(errors) for r in records) == 7
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "1587abcf39daf4834a0d940d93405a26b50e5eea84a5ed84fb15b50ba14db481"
+    assert digest == "213628a5eb3cc6f975b4f5ad4c00d1b96ef7777adbbb8332cbbc5eeda03187b7"
 
 
 # --- thermodynamic state -----------------------------------------------------
+
+@pytest.mark.parametrize("dist", [TwoPoint(1.0, 3.0, 0.4), _family(1.0)],
+                         ids=["two-point", "family"])
+def test_state_and_derivative_fields_are_python_floats(dist):
+    params = GibbsParams(-1.5, 0.8)
+    for record in (thermo_state(dist, 5, params, 100),
+                   thermo_derivatives(dist, 5, params)):
+        for field in dataclasses.fields(record):
+            if field.type == "float":
+                assert type(getattr(record, field.name)) is float, field.name
 
 def test_state_closed_forms_fixed_phi():
     dist = TwoPoint(1.0, 3.0, 0.5)
