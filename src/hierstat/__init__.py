@@ -8,84 +8,49 @@ state (temperature, financial potential, pressure, entropy, equations
 of state), exact and Monte Carlo occupancy references, and a CLI.
 """
 
-from .distributions import (
-    Delta,
-    Histogram,
-    ParametricFamily,
-    SalaryDistribution,
-    TwoPoint,
-    Uniform,
-    distribution_from_json,
-    distribution_to_json,
-)
-from .ensemble import (
-    EnsembleMoments,
-    ensemble_moments,
-    fermi_market_share,
-    omega,
-)
-from .errors import (
-    AccuracyError,
-    HierstatError,
-    ImbalancedEntry,
-    NoConvergence,
-    SingularInversion,
-    ValidationError,
-)
-from .gentile import (
-    EnergySign,
-    GibbsParams,
-    OccupancyLevel,
-    activity,
-    activity_for_mean,
-    bose_einstein,
-    fermi_dirac,
-    gentile_mean,
-    gentile_mean_direct,
-    gentile_mean_dlambda,
-    log_partition,
-    occupancy_probabilities,
-    partition,
-)
-from .hierarchy import (
-    CanonicalExpectations,
-    EnsembleCensus,
-    HierarchyLevel,
-    HierarchySpec,
-    census_entropy,
-    exact_canonical,
-    gentile_census,
-)
-from .ledger import (
-    BalanceReport,
-    LedgerEntry,
-    Transaction,
-    TransactionLedger,
-    ledger_audit,
-    subset_balance,
-)
-from .montecarlo import (
-    CanonicalRun,
-    GrandCanonicalSample,
-    LaserRun,
-    pumped_relaxation,
-    sample_grand_canonical,
-    simulate_canonical,
-    social_laser_scenario,
-)
-from .thermostatics import (
-    EosTable,
-    MaxwellReport,
-    ThermoDerivatives,
-    ThermoState,
-    condensation_abscissa,
-    critical_temperature,
-    eos_sweep,
-    entropy_per_element,
-    invert_to_params,
-    maxwell_check,
-    thermo_derivatives,
-    thermo_state,
-)
+from importlib import import_module
+
+#: submodule -> the public names the package re-exports from it.  Each is
+#: imported on first access (PEP 562), so ``import hierstat`` loads no
+#: numpy; only the submodules a caller reaches do.
+_EXPORTS = {
+    "distributions": ("Delta", "Histogram", "ParametricFamily", "SalaryDistribution",
+                      "TwoPoint", "Uniform", "distribution_from_json",
+                      "distribution_to_json"),
+    "ensemble": ("EnsembleMoments", "ensemble_moments", "fermi_market_share", "omega"),
+    "errors": ("AccuracyError", "HierstatError", "ImbalancedEntry", "NoConvergence",
+               "SingularInversion", "ValidationError"),
+    "gentile": ("EnergySign", "GibbsParams", "OccupancyLevel", "activity",
+                "activity_for_mean", "bose_einstein", "fermi_dirac", "gentile_mean",
+                "gentile_mean_direct", "gentile_mean_dlambda", "log_partition",
+                "occupancy_probabilities", "partition", "EosTable", "eos_sweep"),
+    "hierarchy": ("CanonicalExpectations", "EnsembleCensus", "HierarchyLevel",
+                  "HierarchySpec", "census_entropy", "exact_canonical", "gentile_census"),
+    "ledger": ("BalanceReport", "LedgerEntry", "Transaction", "TransactionLedger",
+               "ledger_audit", "subset_balance"),
+    "montecarlo": ("CanonicalRun", "GrandCanonicalSample", "LaserRun", "pumped_relaxation",
+                   "sample_grand_canonical", "simulate_canonical", "social_laser_scenario"),
+    "thermostatics": ("MaxwellReport", "ThermoDerivatives", "ThermoState",
+                      "condensation_abscissa", "critical_temperature",
+                      "entropy_per_element", "invert_to_params", "maxwell_check",
+                      "thermo_derivatives", "thermo_state"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups are plain dict hits
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

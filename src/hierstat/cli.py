@@ -18,9 +18,7 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .distributions import Delta, distribution_from_json
 from .errors import (
     AccuracyError,
     NoConvergence,
@@ -31,21 +29,20 @@ from .errors import (
 )
 from .figures import build_figure
 from .gentile import (
+    EOS_COLUMNS,
     EnergySign,
     GibbsParams,
     OccupancyLevel,
+    _grid,
     activity,
+    eos_sweep,
     gentile_mean,
     occupancy_probabilities,
 )
-from .hierarchy import HierarchySpec, exact_canonical
-from .montecarlo import (
-    PHASE_NAMES,
-    pumped_relaxation,
-    sample_grand_canonical,
-    simulate_canonical,
-)
-from .thermostatics import EOS_COLUMNS, eos_sweep, invert_to_params, thermo_state
+
+# gentile, eos and figures run on the scalar kernels alone; thermo and
+# simulate import the numpy-based modules inside their commands, so that
+# starting the CLI loads no numpy
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -154,7 +151,7 @@ def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
 
 
 def _fmt(value):
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
@@ -233,7 +230,7 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
         level = OccupancyLevel(capacity, epsilon, EnergySign(sign))
         grid = [activity(level, GibbsParams(alpha, beta))]
     else:
-        grid = [float(x) for x in np.linspace(lambda_min, lambda_max, points)]
+        grid = _grid(lambda_min, lambda_max, points)
 
     d = capacity
     value_col = "f_g_over_d" if relative else "f_g"
@@ -292,9 +289,7 @@ def cmd_eos(capacity, lambda_min, lambda_max, points, output, json_config):
     if problems:
         raise ValidationError(problems)
 
-    grid = np.linspace(lambda_min, lambda_max, points)
-    if lambda_min <= 0.0 <= lambda_max:
-        grid = np.unique(np.concatenate([grid, [0.0]]))
+    grid = _grid(lambda_min, lambda_max, points, zero=lambda_min <= 0.0 <= lambda_max)
     table = eos_sweep(capacity, grid)
     _emit(output, _csv_text(EOS_COLUMNS, list(table.rows())))
 
@@ -314,6 +309,9 @@ def cmd_thermo(json_config, out_csv):
     The config needs "distribution", "d", "volume" and one of
     (alpha, beta), (n, u) or, for a point mass, (lambda, beta).
     """
+    from .distributions import Delta, distribution_from_json
+    from .thermostatics import invert_to_params, thermo_state
+
     cfg = _load_config(json_config)
     _require(cfg, ("distribution", "d", "volume"))
     dist = distribution_from_json(cfg["distribution"])
@@ -359,6 +357,8 @@ def cmd_thermo(json_config, out_csv):
 
 
 def _parse_levels(cfg):
+    from .hierarchy import HierarchySpec
+
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ValidationError("config key 'levels' must be a non-empty list")
@@ -380,6 +380,8 @@ def _canonical_oracle(spec, agents, beta, means, stderrs):
     when the hierarchy is too large to enumerate."""
     if spec.total_positions > 10_000:
         return None
+    from .hierarchy import exact_canonical
+
     exact = exact_canonical(spec, agents, beta)
     return {
         "mean_occupancy": [float(m) for m in exact.mean_occupancy],
@@ -404,6 +406,9 @@ def _canonical_oracle(spec, agents, beta, means, stderrs):
 def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                  agents, pump_fraction, record_every):
     """Run a seeded chain and write trajectory.csv plus summary.json."""
+    from .montecarlo import (PHASE_NAMES, pumped_relaxation, sample_grand_canonical,
+                             simulate_canonical)
+
     cfg = _load_config(json_config)
     scenario = _pick(scenario, cfg, "scenario", "canonical")
     if scenario not in _SCENARIOS:
@@ -422,7 +427,7 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
         params = GibbsParams(_number(cfg["alpha"], "alpha", float), beta)
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
-        idx = np.arange(0, sample.samples.size, record_every)
+        idx = range(0, sample.samples.size, record_every)
         header = ["step", "r"]
         rows = [(int(sample.burn_in + i), int(sample.samples[i])) for i in idx]
         summary = {

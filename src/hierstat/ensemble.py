@@ -83,16 +83,19 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
 
 def _checked_moments(dist, d, params):
     """:func:`ensemble_moments` and the :func:`moment_integrals` record it
-    came from.  A point mass keeps u = -epsilon0 exactly."""
+    came from.  A point mass keeps u = -epsilon0 exactly.  An occupancy
+    that underflows to 0 (or saturates at d) is a ValidationError naming
+    alpha and beta, raised before u = -m1 / n is formed."""
     base = resolve(dist, params)
     m = moment_integrals(base, d, params)
+    if not 0.0 < m["n"] < d:
+        raise ValidationError(f"occupancy density {m['n']} outside (0, {d}) at "
+                              f"alpha={params.alpha!r}, beta={params.beta!r}")
     u = -base.point if isinstance(base, Delta) else -m["m1"] / m["n"]
     mom = EnsembleMoments(m["n"], u, m["omega"])
 
     lo, hi = support(base)
     problems = []
-    if not 0.0 < mom.n < d:
-        problems.append(f"occupancy density {mom.n} outside (0, {d})")
     if mom.omega < 0.0:
         problems.append(f"omega {mom.omega} negative")
     slack = 1e-9 * max(1.0, hi)

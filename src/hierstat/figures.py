@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ValidationError
 from .gentile import (
     EnergySign,
     GibbsParams,
     OccupancyLevel,
+    _grid,
     _increasing_root,
     activity,
     activity_for_mean,
+    eos_sweep,
     fermi_dirac,
     gentile_mean,
     log_partition,
 )
 from .svgplot import line_chart
-from .thermostatics import eos_sweep
 
 __all__ = ["FIGURE_IDS", "EOS_D_VALUES", "build_figure"]
 
@@ -45,7 +44,7 @@ _OVERLAY_D_VALUES = (1, 2, 5, 20)
 
 def _share_sigmoid(sign: EnergySign, alpha: float):
     params = GibbsParams(alpha, 1.0)
-    eps = np.linspace(0.0, 10.0, 201)
+    eps = _grid(0.0, 10.0, 201)
     share = [fermi_dirac(activity(OccupancyLevel(1, e, sign), params))
              for e in eps]
     return eps, share
@@ -53,7 +52,7 @@ def _share_sigmoid(sign: EnergySign, alpha: float):
 
 def _fig1():
     eps, share = _share_sigmoid(EnergySign.COST, 5.0)
-    rows = [(float(e), s) for e, s in zip(eps, share)]
+    rows = list(zip(eps, share))
     svg = line_chart([("occupied share", eps, share)],
                      x_label="cost epsilon", y_label="occupied share",
                      title="Share of occupied capacity-1 states vs cost")
@@ -62,7 +61,7 @@ def _fig1():
 
 def _fig2():
     eps, share = _share_sigmoid(EnergySign.SALARY, -5.0)
-    rows = [(float(e), s) for e, s in zip(eps, share)]
+    rows = list(zip(eps, share))
     svg = line_chart([("occupied share", eps, share)],
                      x_label="salary epsilon", y_label="occupied share",
                      title="Share of occupied capacity-1 states vs salary")
@@ -70,15 +69,14 @@ def _fig2():
 
 
 def _overlay(relative: bool):
-    lams = np.linspace(-10.0, 10.0, 401)
+    lams = _grid(-10.0, 10.0, 401)
     columns = []
     for d in _OVERLAY_D_VALUES:
-        vals = np.array([gentile_mean(l, d) for l in lams])
-        columns.append(vals / d if relative else vals)
+        vals = [gentile_mean(l, d) for l in lams]
+        columns.append([v / d for v in vals] if relative else vals)
     prefix = "rel" if relative else "f_g"
     header = ("lambda",) + tuple(f"{prefix}_d{d}" for d in _OVERLAY_D_VALUES)
-    rows = [tuple(float(v) for v in (lam, *[c[i] for c in columns]))
-            for i, lam in enumerate(lams)]
+    rows = list(zip(lams, *columns))
     series = [(f"d={d}", lams, c) for d, c in zip(_OVERLAY_D_VALUES, columns)]
     y = "mean population / d" if relative else "mean population"
     svg = line_chart(series, x_label="activity lambda", y_label=y,
@@ -86,17 +84,12 @@ def _overlay(relative: bool):
     return header, rows, svg
 
 
-def _activity_grid(lam_lo: float, lam_hi: float):
-    """301 evenly spaced activities plus lambda = 0, ascending."""
-    return np.unique(np.concatenate([np.linspace(lam_lo, lam_hi, 301), [0.0]]))
-
-
 def _eos_rows(d: int):
     """(lambda, n, omega) over a grid spanning fillings 1e-3/d .. 0.99."""
     lam_lo = activity_for_mean(d, 1e-3)
     lam_hi = activity_for_mean(d, 0.99 * d)
-    table = eos_sweep(d, _activity_grid(lam_lo, lam_hi))
-    return table.lam, table.n_over_d * d, table.p_over_T
+    table = eos_sweep(d, _grid(lam_lo, lam_hi, 301, zero=True))
+    return table.lam, [v * d for v in table.n_over_d], table.p_over_T
 
 
 def _fig5():
@@ -105,9 +98,8 @@ def _fig5():
     series = []
     for d in EOS_D_VALUES:
         grid, n, om = _eos_rows(d)
-        rows.extend((d, float(l), float(nv), float(nv / d), float(o))
-                    for l, nv, o in zip(grid, n, om))
-        series.append((f"d={d}", n / d, om))
+        rows.extend((d, l, nv, nv / d, o) for l, nv, o in zip(grid, n, om))
+        series.append((f"d={d}", [nv / d for nv in n], om))
     svg = line_chart(series, x_label="N/(Vd)", y_label="p/T",
                      title="Thermal equation of state")
     return header, rows, svg
@@ -119,9 +111,8 @@ def _fig6():
     series = []
     for d in EOS_D_VALUES:
         grid, n, _ = _eos_rows(d)
-        rows.extend((d, float(l), float(nv / d), float(l))
-                    for l, nv in zip(grid, n))
-        series.append((f"d={d}", n / d, grid))
+        rows.extend((d, l, nv / d, l) for l, nv in zip(grid, n))
+        series.append((f"d={d}", [nv / d for nv in n], grid))
     svg = line_chart(series, x_label="N/(Vd)",
                      y_label="(epsilon0 + mu)/T",
                      title="Financial potential vs filling")
@@ -141,9 +132,8 @@ def _fig7():
         log_dp1 = math.log1p(d)
         lam_lo = _solve_omega(d, log_dp1 / 2.0)   # x = 2
         lam_hi = _solve_omega(d, log_dp1 / 0.4)   # x = 0.4
-        table = eos_sweep(d, _activity_grid(lam_lo, lam_hi))
-        rows.extend((d, float(l), float(x), float(fill))
-                    for l, x, fill in zip(table.lam, table.x, table.n_over_d))
+        table = eos_sweep(d, _grid(lam_lo, lam_hi, 301, zero=True))
+        rows.extend((d, *row) for row in zip(table.lam, table.x, table.n_over_d))
         series.append((f"d={d}", table.x, table.n_over_d))
     svg = line_chart(series, x_label="(T/p) ln(d+1)", y_label="N/(Vd)",
                      title="Condensation of a common-salary level")

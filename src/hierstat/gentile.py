@@ -23,6 +23,10 @@ cancel by less than one digit, so all three kernels stay within about
 ten ulp on both sides.  Outside the series region positive activities are
 mapped through the complement identity f(lambda) = d - f(-lambda) so
 nothing ever overflows.
+
+The equation-of-state sweep of a common-salary level and the grid helper
+behind the CLI and the figures live here too, so those paths need no
+numpy; only the probability vector and the direct-sum oracle import it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import NoConvergence, ValidationError, check_int, check_real, checked
 
@@ -52,6 +54,9 @@ __all__ = [
     "fermi_dirac",
     "bose_einstein",
     "activity_for_mean",
+    "EOS_COLUMNS",
+    "EosTable",
+    "eos_sweep",
 ]
 
 #: below this value of |lambda| * (d + 1) the closed forms lose digits to
@@ -223,13 +228,25 @@ def partition(lam, d: int) -> float:
     return math.exp(log_partition(lam, d))
 
 
-def occupancy_probabilities(lam, d: int) -> np.ndarray:
-    """p(r) = exp(lambda r) / Z, computed with the max exponent subtracted."""
+def _weights(lam, d):
+    """r = 0..d and the weights exp(lambda r - lambda r_max) as arrays,
+    where r_max is the r of the largest weight.  While lambda r_max is
+    finite the exponent is formed as that difference; beyond it, as
+    lambda (r - r_max), so a huge activity gives the one-hot answer rather
+    than inf - inf.  Weights that underflow are 0."""
+    import numpy as np
     lam = _check_lambda(lam)
-    d = _check_capacity(d)
-    r = np.arange(d + 1, dtype=float)
-    logw = lam * r
-    w = np.exp(logw - logw.max())
+    r = np.arange(_check_capacity(d) + 1, dtype=float)
+    top = r.size - 1 if lam > 0.0 else 0
+    with np.errstate(over="ignore"):
+        logw = lam * r - lam * top if math.isfinite(lam * top) else lam * (r - top)
+    return r, np.exp(logw)
+
+
+def occupancy_probabilities(lam, d: int):
+    """p(r) = exp(lambda r) / Z as an array, computed relative to the
+    largest weight, so any finite lambda gives finite values summing to 1."""
+    w = _weights(lam, d)[1]
     return w / w.sum()
 
 
@@ -257,11 +274,7 @@ def gentile_mean_direct(lam, d: int) -> float:
     (O(d) work and memory); kept separate so the closed form can be
     cross-checked against it and never silently replaced by it.
     """
-    lam = _check_lambda(lam)
-    d = _check_capacity(d)
-    r = np.arange(d + 1, dtype=float)
-    logw = lam * r
-    w = np.exp(logw - logw.max())
+    r, w = _weights(lam, d)
     return float((r * w).sum() / w.sum())
 
 
@@ -398,3 +411,75 @@ def activity_for_mean(d: int, target: float) -> float:
     target = checked(check_real, target, "target", 0, d, open_low=True, open_high=True)
     return _increasing_root(lambda l: gentile_mean(l, d), target)
 
+
+
+def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:
+    """``num`` evenly spaced floats, bit for bit ``numpy.linspace``.
+
+    Point i is i * step + start, or (i / (num - 1)) * (stop - start) +
+    start when the step underflows to 0, and the last point is ``stop``.
+    With ``zero``, lambda = 0 is added and the points are sorted, NaN
+    last, with duplicates dropped, keeping the first of -0.0 and 0.0, as
+    ``numpy.unique`` of the concatenation does.
+    """
+    delta = stop - start
+    div = num - 1
+    step = delta / div if div else 0.0
+    if step:
+        points = [i * step + start for i in range(num)]
+    else:
+        points = [i / max(div, 1) * delta + start for i in range(num)]
+    if div:
+        points[-1] = stop
+    return sorted(set(points + [0.0]), key=lambda x: (x != x, x)) if zero else points
+
+
+#: fixed header of the equation-of-state table
+EOS_COLUMNS = ("lambda", "n_over_d", "p_over_T", "mu_shifted_over_T", "x")
+
+
+@dataclass(frozen=True)
+class EosTable:
+    """Equation-of-state sweep for a common-salary level: one tuple of
+    floats per column, one entry per activity.
+
+    p_over_T is omega; mu_shifted_over_T is the activity itself (the
+    salary-shifted financial potential over temperature); x is
+    ln(d+1)/omega, the temperature in units of the condensation
+    temperature.
+    """
+
+    lam: tuple
+    n_over_d: tuple
+    p_over_T: tuple
+    mu_shifted_over_T: tuple
+    x: tuple
+
+    def rows(self):
+        return zip(self.lam, self.n_over_d, self.p_over_T, self.mu_shifted_over_T, self.x)
+
+
+def eos_sweep(d: int, lambda_grid) -> EosTable:
+    """Evaluate the parametric equation of state on an activity grid.
+
+    At lambda = 0 the occupancy is exactly half filling and x is exactly
+    one, by the series branch.  Below lambda ~ -745 omega underflows to
+    0, and x is then inf.
+    """
+    d = _check_capacity(d)
+    try:
+        grid = list(lambda_grid)
+    except TypeError:
+        grid = []
+    if not grid:
+        raise ValidationError("lambda grid must be a non-empty 1-d vector")
+    problems = []
+    lams = tuple([check_real(lam, f"lambda_grid[{i}]", problems)
+                  for i, lam in enumerate(grid)])
+    if problems:
+        raise ValidationError(problems)
+    omega = tuple(log_partition(lam, d) for lam in lams)
+    log_dp1 = math.log1p(d)
+    return EosTable(lam=lams, n_over_d=tuple(gentile_mean(lam, d) / d for lam in lams),
+                    p_over_T=omega, mu_shifted_over_T=lams,
+                    x=tuple(log_dp1 / om if om else math.inf for om in omega))

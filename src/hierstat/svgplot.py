@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .gentile import _grid
 
 __all__ = ["line_chart"]
 
@@ -64,13 +64,13 @@ def line_chart(series, *, x_label: str = "", y_label: str = "",
                f'x2="{_MARGIN_LEFT + plot_w}" y2="{axis_y}" stroke="black"/>')
     out.append(f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" '
                f'x2="{_MARGIN_LEFT}" y2="{axis_y}" stroke="black"/>')
-    for t in np.linspace(x_lo, x_hi, 5):
+    for t in _grid(x_lo, x_hi, 5):
         px = sx(t)
         out.append(f'<line x1="{px:.2f}" y1="{axis_y}" x2="{px:.2f}" '
                    f'y2="{axis_y + 6}" stroke="black"/>')
         out.append(f'<text x="{px:.2f}" y="{axis_y + 22}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12">{t:.4g}</text>')
-    for t in np.linspace(y_lo, y_hi, 5):
+    for t in _grid(y_lo, y_hi, 5):
         py = sy(t)
         out.append(f'<line x1="{_MARGIN_LEFT - 6}" y1="{py:.2f}" '
                    f'x2="{_MARGIN_LEFT}" y2="{py:.2f}" stroke="black"/>')

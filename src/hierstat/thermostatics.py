@@ -18,8 +18,9 @@ The forward maps (alpha, beta) -> (n, u, omega) come from
   to them exactly.  A state integrates its point once: the chain rule
   takes its Jacobian from the moment pass that gave n, u and omega;
 * second-derivative (Maxwell) residual reports from 12 probe solves,
-  one per perturbed (E, N, V) point, the equation-of-state sweep for a
-  common salary level, and the condensation temperature.
+  one per perturbed (E, N, V) point, and the condensation temperature.
+  The equation-of-state sweep for a common salary level lives next to
+  the kernels in :mod:`hierstat.gentile` and is re-exported here.
 
 Point-mass distributions make (n, u) -> (alpha, beta) rank deficient
 (u is constant), so inversion refuses them with
@@ -38,9 +39,12 @@ from .distributions import Delta, integrate_against, is_parametric, resolve, sup
 from .ensemble import PHI_STEP, _checked_moments, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
-from .gentile import (
+from .gentile import (  # the EOS block is re-exported here unchanged
+    EOS_COLUMNS,
+    EosTable,
     GibbsParams,
     activity_for_mean,
+    eos_sweep,
     gentile_mean,
     log_partition,
     _check_capacity,
@@ -423,58 +427,6 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
         for f, h in zip(full, half))
     return MaxwellReport(residuals=full, residuals_half=half,
                          orders=orders, step=step)
-
-
-#: fixed header of the equation-of-state table
-EOS_COLUMNS = ("lambda", "n_over_d", "p_over_T", "mu_shifted_over_T", "x")
-
-
-@dataclass(frozen=True)
-class EosTable:
-    """Equation-of-state sweep for a common-salary level, row per activity.
-
-    p_over_T is omega; mu_shifted_over_T is the activity itself (the
-    salary-shifted financial potential over temperature); x is
-    ln(d+1)/omega, the temperature in units of the condensation
-    temperature.
-    """
-
-    lam: np.ndarray
-    n_over_d: np.ndarray
-    p_over_T: np.ndarray
-    mu_shifted_over_T: np.ndarray
-    x: np.ndarray
-
-    def rows(self):
-        for i in range(self.lam.size):
-            yield (float(self.lam[i]), float(self.n_over_d[i]),
-                   float(self.p_over_T[i]), float(self.mu_shifted_over_T[i]),
-                   float(self.x[i]))
-
-
-def eos_sweep(d: int, lambda_grid) -> EosTable:
-    """Evaluate the parametric equation of state on an activity grid.
-
-    At lambda = 0 the occupancy is exactly half filling and x is exactly
-    one, by the series branch.
-    """
-    d = _check_capacity(d)
-    grid = np.asarray(lambda_grid, dtype=object)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("lambda grid must be a non-empty 1-d vector")
-    problems = []
-    grid = np.array([check_real(lam, f"lambda_grid[{i}]", problems)
-                     for i, lam in enumerate(grid)])
-    if problems:
-        raise ValidationError(problems)
-    log_dp1 = math.log1p(d)
-    n_over_d = np.empty(grid.size)
-    p_over_t = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        n_over_d[i] = gentile_mean(lam, d) / d
-        p_over_t[i] = log_partition(lam, d)
-    return EosTable(lam=grid.copy(), n_over_d=n_over_d, p_over_T=p_over_t,
-                    mu_shifted_over_T=grid.copy(), x=log_dp1 / p_over_t)
 
 
 def critical_temperature(d: int, pressure: float) -> float:

@@ -1,12 +1,10 @@
 """Public names: every export resolves and every re-export is declared;
 malformed numeric arguments raise only ValidationError."""
 
-import ast
 import importlib
 import inspect
 import math
 import pkgutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,11 +45,9 @@ def test_all_entries_resolve(module):
 
 
 def _reexports():
-    """(submodule, name) for each ``from .submodule import name`` in hierstat."""
-    tree = ast.parse(Path(hierstat.__file__).read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
+    """(submodule, name) for each name in hierstat's lazy export table."""
+    return [(module, name) for module, names in hierstat._EXPORTS.items()
+            for name in names]
 
 
 def test_reexports_are_in_submodule_all():
@@ -62,6 +58,17 @@ def test_reexports_are_in_submodule_all():
                   and name not in getattr(importlib.import_module(f"hierstat.{module}"),
                                           "__all__", ())]
     assert undeclared == []
+
+
+def test_package_exports_resolve_and_are_cached():
+    # PEP 562 exports: each name is its submodule's object, cached on first
+    # access so that later lookups are plain attribute hits
+    for name in hierstat.__all__:
+        module = importlib.import_module(f"hierstat.{hierstat._MODULE_OF[name]}")
+        assert getattr(hierstat, name) is getattr(module, name)
+        assert name in vars(hierstat) and name in dir(hierstat)
+    with pytest.raises(AttributeError):
+        hierstat.no_such_name
 
 
 @pytest.mark.parametrize("module", MODULES)

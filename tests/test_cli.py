@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import hierstat.cli
+import hierstat.thermostatics
 from hierstat import SingularInversion
 from hierstat.cli import main
 
@@ -189,6 +190,14 @@ def test_eos_header_and_anchor_row(runner):
     assert float(anchor[0][4]) == 1.0
 
 
+def test_eos_underflowed_omega_writes_inf(runner):
+    result = runner.invoke(main, ["eos", "-d", "3", "--lambda-min", "-1000",
+                                  "--lambda-max", "-999", "--points", "2"])
+    assert result.exit_code == 0
+    _, rows = _rows(result.output)
+    assert [r[4] for r in rows] == ["inf", "inf"]
+
+
 def test_eos_validation(runner):
     result = runner.invoke(main, ["eos", "-d", "0", "--points", "-1"])
     assert result.exit_code == 2
@@ -241,7 +250,7 @@ def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypat
         raise SingularInversion("Jacobian of (n, u) with respect to (alpha, beta) "
                                 "is singular at alpha=-3.0, beta=1.5")
 
-    monkeypatch.setattr(hierstat.cli, "invert_to_params", singular)
+    monkeypatch.setattr(hierstat.thermostatics, "invert_to_params", singular)
     cfg = _thermo_cfg(tmp_path, {
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
@@ -251,6 +260,17 @@ def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypat
     assert result.exit_code == 3
     assert "singular at alpha=-3.0" in result.output
     assert "delta distribution" not in result.output
+
+
+@pytest.mark.parametrize("dist, alpha", [
+    ({"type": "uniform", "lower": 0.5, "upper": 2.5}, -760.0),
+    ({"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0, "weight": 0.5}, -800.0)])
+def test_thermo_underflowed_occupancy_exits_2(runner, tmp_path, dist, alpha):
+    cfg = _thermo_cfg(tmp_path, {"distribution": dist, "d": 9, "volume": 100,
+                                 "alpha": alpha, "beta": 1.0})
+    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    assert result.exit_code == 2, result.output
+    assert f"alpha={alpha!r}, beta=1.0" in result.output
 
 
 def test_thermo_delta_lambda_beta_parameterization(runner, tmp_path):
@@ -500,3 +520,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # gentile, eos and figures run on the math kernels alone, so they skip
+    # numpy's import (about half of a call's start-up); thermo and simulate
+    # import it inside their commands
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = str(tmp_path)
+    calls = [["gentile", "-d", "5", "--output", f"{out}/g.csv"],
+             ["eos", "-d", "50", "--output", f"{out}/e.csv"]]
+    calls += [["figures", "--figure", str(k), "--output-dir", out] for k in range(1, 8)]
+    code = ("import sys, hierstat, hierstat.cli\n"
+            f"for args in {calls!r}:\n"
+            "    hierstat.cli.main.main(args=args, standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("fig*.svg"))) == 7

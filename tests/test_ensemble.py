@@ -13,6 +13,7 @@ from hierstat import (
     Histogram,
     TwoPoint,
     Uniform,
+    ValidationError,
     ensemble_moments,
     fermi_dirac,
     fermi_market_share,
@@ -201,3 +202,12 @@ def test_moment_bundle_consistent():
     mom = ensemble_moments(dist, 4, params)
     assert mom.omega == pytest.approx(omega(dist, 4, params), rel=1e-12)
     assert 0.0 < mom.n < 4 and mom.omega > 0.0
+
+
+@pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),
+                                         (TwoPoint(1.0, 3.0, 0.5), -800.0)])
+def test_underflowed_occupancy_is_a_validation_error(dist, alpha):
+    # n underflows to 0.0; the check runs before u = -m1 / n is formed
+    with pytest.raises(ValidationError) as err:
+        ensemble_moments(dist, 9, GibbsParams(alpha, 1.0))
+    assert f"alpha={alpha!r}, beta=1.0" in str(err.value)

@@ -1,6 +1,7 @@
 """Single-level statistics: worked values, limits and closed-form identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,46 @@ def test_pmf_normalization(d):
         p = occupancy_probabilities(float(lam), d)
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
+
+
+@pytest.mark.parametrize("lam", [1e308, -1e308])
+def test_pmf_and_direct_mean_at_huge_activity(lam):
+    # lambda r overflows for r >= 2: the exponent is formed relative to the
+    # largest weight, so the answer is one-hot and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = occupancy_probabilities(lam, 2)
+        direct = gentile_mean_direct(lam, 2)
+    assert p.tolist() == ([0.0, 0.0, 1.0] if lam > 0 else [1.0, 0.0, 0.0])
+    assert np.all(np.isfinite(p)) and p.sum() == 1.0
+    assert direct == (2.0 if lam > 0 else 0.0)
+
+
+# --- the grid helper ---------------------------------------------------------
+
+def _grid_cases():
+    """(start, stop, num): edge cases, the CLI default and every figure grid."""
+    from hierstat.figures import EOS_D_VALUES, _solve_omega
+    tiny = 5e-324
+    cases = [(-2.0, 3.0, 1), (4.0, 4.0, 1), (4.0, 4.0, 6), (-0.0, -0.0, 3), (-0.0, 0.0, 2),
+             (0.0, -0.0, 1), (-0.0, 1.0, 1), (-0.0, 1.0, 7), (-1.0, -0.0, 5),
+             (-tiny, tiny, 9), (-1e-320, 3e-321, 17), (0.0, 4 * tiny, 1000),
+             (1.0, 1.0 + 2.2e-16, 50), (-1e-300, -1e-300 + 1e-316, 64),
+             (-10.0, 10.0, 401), (0.0, 10.0, 201)]
+    for d in EOS_D_VALUES:
+        cases.append((activity_for_mean(d, 1e-3), activity_for_mean(d, 0.99 * d), 301))
+        log_dp1 = math.log1p(d)
+        cases.append((_solve_omega(d, log_dp1 / 2.0), _solve_omega(d, log_dp1 / 0.4), 301))
+    return cases
+
+
+@pytest.mark.parametrize("start, stop, num", _grid_cases())
+def test_grid_matches_numpy_bit_for_bit(start, stop, num):
+    from hierstat.gentile import _grid
+    ref = np.linspace(start, stop, num)
+    assert np.array(_grid(start, stop, num)).tobytes() == ref.tobytes()
+    with_zero = np.unique(np.concatenate([ref, [0.0]]))
+    assert np.array(_grid(start, stop, num, zero=True)).tobytes() == with_zero.tobytes()
 
 
 # --- mean occupation -------------------------------------------------------

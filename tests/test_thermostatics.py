@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -631,6 +632,16 @@ def test_eos_zero_activity_row_is_analytic():
         assert table.p_over_T[i] == pytest.approx(math.log1p(d), rel=1e-15)
     assert EOS_COLUMNS == ("lambda", "n_over_d", "p_over_T",
                            "mu_shifted_over_T", "x")
+
+
+def test_eos_underflowed_omega_gives_infinite_x():
+    # omega = log Z underflows to 0 far below lambda = 0: x is inf, without
+    # a division warning or a ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = eos_sweep(3, [-1e300, -1000.0])
+    assert table.p_over_T == (0.0, 0.0)
+    assert table.x == (math.inf, math.inf)
 
 
 def test_eos_ideal_gas_regime():
