@@ -412,7 +412,6 @@ def activity_for_mean(d: int, target: float) -> float:
     return _increasing_root(lambda l: gentile_mean(l, d), target)
 
 
-
 def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:
     """``num`` evenly spaced floats, bit for bit ``numpy.linspace``.
 
