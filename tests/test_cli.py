@@ -527,10 +527,10 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     # numpy's import (about half of a call's start-up); thermo and simulate
     # import it inside their commands
     src = Path(__file__).resolve().parent.parent / "src"
-    out = str(tmp_path)
-    calls = [["gentile", "-d", "5", "--output", f"{out}/g.csv"],
-             ["eos", "-d", "50", "--output", f"{out}/e.csv"]]
-    calls += [["figures", "--figure", str(k), "--output-dir", out] for k in range(1, 8)]
+    outdir = str(tmp_path)
+    calls = [["gentile", "-d", "5", "--output", f"{outdir}/g.csv"],
+             ["eos", "-d", "50", "--output", f"{outdir}/e.csv"]]
+    calls += [["figures", "--figure", str(k), "--output-dir", outdir] for k in range(1, 8)]
     code = ("import sys, hierstat, hierstat.cli\n"
             f"for args in {calls!r}:\n"
             "    hierstat.cli.main.main(args=args, standalone_mode=False)\n"
