@@ -40,9 +40,8 @@ from .gentile import (
     occupancy_probabilities,
 )
 
-# gentile, eos and figures run on the scalar kernels alone; thermo and
-# simulate import the numpy-based modules inside their commands, so that
-# starting the CLI loads no numpy
+# gentile, eos and figures run on the scalar kernels alone; thermo and simulate
+# import the numpy-based modules inside their commands, so the CLI loads no numpy
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3

@@ -81,18 +81,22 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
     return _checked_moments(dist, d, params)[0]
 
 
-def _checked_moments(dist, d, params):
-    """:func:`ensemble_moments` and the :func:`moment_integrals` record it
-    came from.  A point mass keeps u = -epsilon0 exactly.  An occupancy
-    that underflows to 0 (or saturates at d) is a ValidationError naming
-    alpha and beta, raised before u = -m1 / n is formed."""
-    base = resolve(dist, params)
-    m = moment_integrals(base, d, params)
+def _n_and_u(m, d, params):
+    """(n, u = -m1 / n) of the :func:`moment_integrals` record ``m``; an n
+    outside (0, d), as on underflow, is a ValidationError naming alpha and beta."""
     if not 0.0 < m["n"] < d:
         raise ValidationError(f"occupancy density {m['n']} outside (0, {d}) at "
                               f"alpha={params.alpha!r}, beta={params.beta!r}")
-    u = -base.point if isinstance(base, Delta) else -m["m1"] / m["n"]
-    mom = EnsembleMoments(m["n"], u, m["omega"])
+    return m["n"], -m["m1"] / m["n"]
+
+
+def _checked_moments(dist, d, params):
+    """:func:`ensemble_moments` and the :func:`moment_integrals` record it
+    came from.  A point mass keeps u = -epsilon0 exactly."""
+    base = resolve(dist, params)
+    m = moment_integrals(base, d, params)
+    n, u = _n_and_u(m, d, params)
+    mom = EnsembleMoments(n, -base.point if isinstance(base, Delta) else u, m["omega"])
 
     lo, hi = support(base)
     problems = []

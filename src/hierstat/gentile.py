@@ -229,11 +229,9 @@ def partition(lam, d: int) -> float:
 
 
 def _weights(lam, d):
-    """r = 0..d and the weights exp(lambda r - lambda r_max) as arrays,
-    where r_max is the r of the largest weight.  While lambda r_max is
-    finite the exponent is formed as that difference; beyond it, as
-    lambda (r - r_max), so a huge activity gives the one-hot answer rather
-    than inf - inf.  Weights that underflow are 0."""
+    """r = 0..d and the weights exp(lambda r - lambda r_max) as arrays, r_max
+    the r of the largest weight; once lambda r_max overflows the exponent is
+    lambda (r - r_max), so a huge activity gives the one-hot answer."""
     import numpy as np
     lam = _check_lambda(lam)
     r = np.arange(_check_capacity(d) + 1, dtype=float)
@@ -421,13 +419,12 @@ def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:
     last, with duplicates dropped, keeping the first of -0.0 and 0.0, as
     ``numpy.unique`` of the concatenation does.
     """
-    delta = stop - start
     div = num - 1
-    step = delta / div if div else 0.0
+    step = (stop - start) / div if div else 0.0
     if step:
         points = [i * step + start for i in range(num)]
     else:
-        points = [i / max(div, 1) * delta + start for i in range(num)]
+        points = [i / max(div, 1) * (stop - start) + start for i in range(num)]
     if div:
         points[-1] = stop
     return sorted(set(points + [0.0]), key=lambda x: (x != x, x)) if zero else points

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, integrate_against, is_parametric, resolve, support
-from .ensemble import PHI_STEP, _checked_moments, moment_integrals
+from .ensemble import PHI_STEP, _checked_moments, _n_and_u, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
@@ -205,8 +205,9 @@ def _derivatives(dist, d, params, m):
 
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
-    m = moment_integrals(dist, d, GibbsParams(alpha, beta))
-    n, u = m["n"], -m["m1"] / m["n"]
+    params = GibbsParams(alpha, beta)
+    m = moment_integrals(dist, d, params)
+    n, u = _n_and_u(m, d, params)
     return np.array([(n - n_target) / n_target, (u - u_target) / scale_u]), m
 
 
@@ -230,7 +231,7 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     range), :class:`SingularInversion` (a point mass, or a singular
     Jacobian at an unconverged iterate) and :class:`NoConvergence`.  The
     last covers an exhausted budget, a stalled line search and moments or
-    a Jacobian whose quadrature fails at an iterate; it carries the
+    a Jacobian that fail at an iterate; it carries the
     residuals and (alpha, beta) of the last accepted iterate.
     """
     return _solve(dist, d, n_target, u_target)[0]
@@ -261,7 +262,7 @@ def _solve(dist, d, n_target, u_target):
              - beta * integrate_against(probe, lambda eps: eps))
     try:
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
-    except (AccuracyError, OverflowError) as exc:
+    except (ValidationError, AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
                             alpha=alpha, beta=beta) from None

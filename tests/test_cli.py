@@ -273,6 +273,29 @@ def test_thermo_underflowed_occupancy_exits_2(runner, tmp_path, dist, alpha):
     assert f"alpha={alpha!r}, beta=1.0" in result.output
 
 
+def test_thermo_inversion_past_underflowed_trial_exits_0(runner, tmp_path, monkeypatch):
+    # a line-search trial whose occupancy underflows to 0 is halved past,
+    # not a ZeroDivisionError traceback
+    real = hierstat.thermostatics.moment_integrals
+    calls = []
+
+    def underflow_second(dist, d, params):
+        calls.append(params)
+        m = real(dist, d, params)
+        return {**m, "n": 0.0} if len(calls) == 2 else m
+
+    monkeypatch.setattr(hierstat.thermostatics, "moment_integrals", underflow_second)
+    cfg = _thermo_cfg(tmp_path, {
+        "distribution": {"type": "two_point", "epsilon1": 1.0,
+                         "epsilon2": 3.0, "weight": 0.4},
+        "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
+    })
+    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    assert result.exit_code == 0, result.output
+    assert len(calls) > 2
+    assert json.loads(result.output)["n"] == pytest.approx(2.5, rel=1e-9)
+
+
 def test_thermo_delta_lambda_beta_parameterization(runner, tmp_path):
     cfg = _thermo_cfg(tmp_path, {
         "distribution": {"type": "delta", "epsilon0": 2.0},
@@ -511,9 +534,14 @@ def test_config_integral_float_accepted_as_integer(runner, tmp_path):
 def test_import_loads_no_scipy():
     # scipy costs ~0.6 s to import; only exact_canonical loads it, lazily.
     # numpy.polynomial (~10 ms) is not needed at all: the quadrature rule's
-    # nodes and weights are literals
+    # nodes and weights are literals.  The package's exports are lazy, so
+    # every submodule is imported here explicitly
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, hierstat, hierstat.cli; "
+    code = ("import importlib, pkgutil, sys, hierstat, hierstat.cli; "
+            "mods = [importlib.import_module(f'hierstat.{m.name}') "
+            "for m in pkgutil.iter_modules(hierstat.__path__)]; "
+            "assert len(mods) >= 12, len(mods); "
+            "[getattr(hierstat, name) for name in hierstat.__all__]; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
             "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -334,6 +334,41 @@ def test_inversion_halves_past_a_failing_trial(monkeypatch):
     assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
 
 
+def _underflow_moments_on(monkeypatch, calls_to_zero):
+    """Make the listed moment passes (1-based) report an occupancy of 0."""
+    real = thermostatics.moment_integrals
+    calls = []
+
+    def patched(dist, d, params):
+        calls.append((params.alpha, params.beta))
+        m = real(dist, d, params)
+        return {**m, "n": 0.0} if len(calls) in calls_to_zero else m
+
+    monkeypatch.setattr(thermostatics, "moment_integrals", patched)
+    return calls
+
+
+def test_inversion_halves_past_an_underflowed_trial(monkeypatch):
+    # n = 0 at the first line-search trial is refused before u = -m1 / n is
+    # formed: the step is halved, and the solve still converges
+    calls = _underflow_moments_on(monkeypatch, {2})
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
+    rec = invert_to_params(dist, 5, mom.n, mom.u)
+    (a0, b0), (a1, b1), (a2, b2) = calls[:3]
+    assert a2 - a0 == pytest.approx(0.5 * (a1 - a0), rel=1e-12)
+    assert b2 - b0 == pytest.approx(0.5 * (b1 - b0), rel=1e-12)
+    assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
+
+
+def test_inversion_underflowed_start_is_no_convergence(monkeypatch):
+    _underflow_moments_on(monkeypatch, {1})
+    with pytest.raises(NoConvergence) as err:
+        invert_to_params(TwoPoint(1.0, 3.0, 0.4), 5, 2.0, -2.0)
+    assert "starting point" in str(err.value)
+    assert "occupancy density 0.0 outside (0, 5)" in str(err.value)
+
+
 @pytest.mark.parametrize("failure", ["singular", "raises"])
 def test_inversion_keeps_converged_iterate_when_next_jacobian_fails(monkeypatch,
                                                                     failure):
