@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -146,6 +147,9 @@ def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
         if lambda_min > lambda_max:
             problems.append(
                 f"grid is empty: lambda-min {lambda_min} exceeds lambda-max {lambda_max}")
+        elif not math.isfinite(lambda_max - lambda_min):
+            problems.append(f"grid span is not finite: lambda-min {lambda_min} "
+                            f"to lambda-max {lambda_max}")
     return problems
 
 

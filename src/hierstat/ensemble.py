@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from .distributions import Delta, integrate_against, resolve, support
 from .errors import ValidationError
-from .gentile import (
-    GibbsParams,
-    fermi_dirac,
-    gentile_mean,
-    gentile_mean_dlambda,
-    log_partition,
-)
+from .gentile import GibbsParams, _check_capacity, _check_lambda, _kernels, fermi_dirac
 
 __all__ = [
     "EnsembleMoments",
@@ -58,12 +52,11 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     """
     base = resolve(dist, params)
     a, b = params.alpha, params.beta
+    d = _check_capacity(d)
 
     def f(eps):  # (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps
-        lam = a + b * eps
-        fv = gentile_mean(lam, d)
-        fp = gentile_mean_dlambda(lam, d)
-        return fv, eps * fv, log_partition(lam, d), fp, eps * fp, eps * eps * fp
+        fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
+        return fv, eps * fv, logz, fp, eps * fp, eps * eps * fp
     vals = integrate_against(base, f, breakpoints=(-a / b,))
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
 
@@ -71,8 +64,9 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
 def omega(dist, d: int, params: GibbsParams) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
     a, b = params.alpha, params.beta
+    d = _check_capacity(d)
     return float(integrate_against(resolve(dist, params),
-                                   lambda eps: log_partition(a + b * eps, d),
+                                   lambda eps: _kernels(_check_lambda(a + b * eps), d)[2],
                                    breakpoints=(-a / b,)))
 
 

@@ -24,6 +24,13 @@ ten ulp on both sides.  Outside the series region positive activities are
 mapped through the complement identity f(lambda) = d - f(-lambda) so
 nothing ever overflows.
 
+The three kernels share one body, ``_kernels``, and one branch test: the
+series branch sums three Horner polynomials in the same y; the closed form
+takes e^{-t} and 1 - e^{-t} once for each of t = |lambda| and t = |x| and
+forms f from their ratio, the variance from the ratio over the square and
+log(1 - e^{-t}) from whichever is exact (Maechler's ln 1/2 switch).  The
+public kernels check and index; quadrature integrands call it per node.
+
 The equation-of-state sweep of a common-salary level and the grid helper
 behind the CLI and the figures live here too, so those paths need no
 numpy; only the probability vector and the direct-sum oracle import it.
@@ -191,11 +198,27 @@ def _inv_expm1(x: float) -> float:
 _LN_HALF = math.log(0.5)
 
 
-def _log1mexp(t: float) -> float:
-    # log(1 - e^t) for t < 0 with full relative precision at both ends
-    if t < _LN_HALF:
-        return math.log1p(-math.exp(t))
-    return math.log(-math.expm1(t))
+def _kernels(lam: float, d: int) -> tuple:
+    """(f, f', log Z) at a checked finite lambda and capacity d, from the
+    fused body the module docstring describes."""
+    dd = d + 1.0
+    x = lam * dd
+    if abs(x) < SERIES_CUTOFF:
+        mean, var, logz = _series_coefficients(d)
+        y = x * x
+        return (0.5 * d + dd * x * _horner(mean, y),
+                d * (d + 2.0) / 12.0 + dd * dd * y * _horner(var, y),
+                math.log1p(d) + 0.5 * lam * d + y * _horner(logz, y))
+    a, t = abs(lam), abs(x)
+    ea, ma = math.exp(-a), -math.expm1(-a)
+    et, mt = math.exp(-t), -math.expm1(-t)
+    f = ea / ma - dd * (et / mt)
+    fp = ea / (ma * ma) - dd * dd * (et / (mt * mt))
+    log_t = math.log1p(-et) if -t < _LN_HALF else math.log(mt)
+    log_a = math.log1p(-ea) if -a < _LN_HALF else math.log(ma)
+    if lam > 0.0:
+        return d - f, fp, lam * d + log_t - log_a
+    return f, fp, log_t - log_a
 
 
 def log_partition(lam, d: int) -> float:
@@ -204,15 +227,7 @@ def log_partition(lam, d: int) -> float:
     Safe for any |lambda| * d, including values whose Z would overflow a
     double; callers in that regime must stay in log space.
     """
-    lam = _check_lambda(lam)
-    d = _check_capacity(d)
-    x = lam * (d + 1.0)
-    if abs(x) < SERIES_CUTOFF:
-        y = x * x
-        return math.log1p(d) + 0.5 * lam * d + y * _horner(_series_coefficients(d)[2], y)
-    if lam > 0.0:
-        return lam * d + _log1mexp(-x) - _log1mexp(-lam)
-    return _log1mexp(x) - _log1mexp(lam)
+    return _kernels(_check_lambda(lam), _check_capacity(d))[2]
 
 
 def partition(lam, d: int) -> float:
@@ -256,13 +271,7 @@ def gentile_mean(lam, d: int) -> float:
     exactly d/2 there) and the complement identity for lambda > 0.
     Strictly increasing in lambda with range (0, d).
     """
-    lam = _check_lambda(lam)
-    d = _check_capacity(d)
-    x = lam * (d + 1.0)
-    if abs(x) < SERIES_CUTOFF:
-        return 0.5 * d + (d + 1.0) * x * _horner(_series_coefficients(d)[0], x * x)
-    f = _inv_expm1(abs(lam)) - (d + 1.0) * _inv_expm1(abs(x))
-    return d - f if lam > 0.0 else f
+    return _kernels(_check_lambda(lam), _check_capacity(d))[0]
 
 
 def gentile_mean_direct(lam, d: int) -> float:
@@ -283,23 +292,7 @@ def gentile_mean_dlambda(lam, d: int) -> float:
     term-by-term derivative of the mean's series while |lambda| (d+1)
     is below ``SERIES_CUTOFF``.
     """
-    lam = _check_lambda(lam)
-    d = _check_capacity(d)
-    x = lam * (d + 1.0)
-    dd = d + 1.0
-    if abs(x) < SERIES_CUTOFF:
-        y = x * x
-        return d * (d + 2.0) / 12.0 + dd * dd * y * _horner(_series_coefficients(d)[1], y)
-    a = _inv_sq_sinh_half(abs(lam))
-    b = _inv_sq_sinh_half(abs(x))
-    return a - dd * dd * b
-
-
-def _inv_sq_sinh_half(x: float) -> float:
-    # 1 / (4 sinh^2(x/2)) = e^{-x} / (1 - e^{-x})^2 for x > 0
-    t = math.exp(-x)
-    u = -math.expm1(-x)
-    return t / (u * u)
+    return _kernels(_check_lambda(lam), _check_capacity(d))[1]
 
 
 def fermi_dirac(lam) -> float:
@@ -474,8 +467,8 @@ def eos_sweep(d: int, lambda_grid) -> EosTable:
                   for i, lam in enumerate(grid)])
     if problems:
         raise ValidationError(problems)
-    omega = tuple(log_partition(lam, d) for lam in lams)
+    mean, _, omega = zip(*[_kernels(lam, d) for lam in lams])
     log_dp1 = math.log1p(d)
-    return EosTable(lam=lams, n_over_d=tuple(gentile_mean(lam, d) / d for lam in lams),
+    return EosTable(lam=lams, n_over_d=tuple(f / d for f in mean),
                     p_over_T=omega, mu_shifted_over_T=lams,
                     x=tuple(log_dp1 / om if om else math.inf for om in omega))

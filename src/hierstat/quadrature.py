@@ -14,10 +14,13 @@ import numpy as np
 
 from .errors import AccuracyError, ValidationError
 
-__all__ = ["integrate_adaptive", "gauss_legendre_panel", "PANEL_TOL", "MAX_DEPTH"]
+__all__ = ["integrate_adaptive", "gauss_legendre_panel", "PANEL_TOL", "MAX_DEPTH",
+           "MAX_PANELS"]
 
 PANEL_TOL = 1e-12
 MAX_DEPTH = 20
+#: panels per call, as QUADPACK's ``limit``; converging integrals use <= ~530
+MAX_PANELS = 4096
 
 # scipy's _quadrature_gk21 constants for the nodes x >= 0, descending; the rule
 # is symmetric, and the odd positions of the full node list are the Gauss nodes
@@ -68,7 +71,8 @@ def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
 
     Raises :class:`AccuracyError` carrying the estimate and the summed
     error bound if a panel still misses ``PANEL_TOL`` after ``MAX_DEPTH``
-    bisections.
+    bisections, or when bisecting it would take the call past
+    ``MAX_PANELS`` panels.
     """
     a, b = float(a), float(b)
     if not np.isfinite(a) or not np.isfinite(b) or b < a:
@@ -84,15 +88,17 @@ def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
     err_total = 0.0
     failed = False
     stack = [(edges[i], edges[i + 1], 0) for i in range(len(edges) - 1)]
+    budget = MAX_PANELS - len(stack)  # panels not yet owed to a stacked interval
     while stack:
         lo, hi, depth = stack.pop()
         est, err, abs_int = gauss_legendre_panel(f, lo, hi)
         converged = bool(np.all(err <= PANEL_TOL * abs_int))
-        if converged or depth >= MAX_DEPTH:
+        if converged or depth >= MAX_DEPTH or budget < 2:
             result = est if result is None else result + est
             err_total += float(np.max(err))
             failed = failed or not converged
         else:
+            budget -= 2
             mid = 0.5 * (lo + hi)
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))

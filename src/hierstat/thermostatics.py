@@ -45,9 +45,10 @@ from .gentile import (  # the EOS block is re-exported here unchanged
     GibbsParams,
     activity_for_mean,
     eos_sweep,
-    gentile_mean,
     log_partition,
     _check_capacity,
+    _check_lambda,
+    _kernels,
 )
 
 __all__ = [
@@ -161,9 +162,8 @@ def _phi_terms(dist, d, params):
     a, b = params.alpha, params.beta
 
     def frozen(eps):
-        lam = a + b * eps
-        fv = gentile_mean(lam, d)
-        return fv, eps * fv, log_partition(lam, d)
+        fv, _, logz = _kernels(_check_lambda(a + b * eps), d)
+        return fv, eps * fv, logz
 
     def against(concrete):
         return np.asarray(integrate_against(concrete, frozen))
@@ -180,10 +180,13 @@ def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
     The integrand parts are differentiated under the integral with the
     analytic occupation derivative; a parametric phi adds central
     finite-difference terms with step ``PHI_STEP``.  A zero Jacobian is
-    a value here, not an error.
+    a value here, not an error; an n that underflows to 0 is a ValidationError.
     """
     d = _check_capacity(d)
-    return _derivatives(dist, d, params, moment_integrals(dist, d, params))
+    m = moment_integrals(dist, d, params)
+    if not m["n"] > 0.0:
+        _n_and_u(m, d, params)  # raises; n = d still has derivatives
+    return _derivatives(dist, d, params, m)
 
 
 def _derivatives(dist, d, params, m):

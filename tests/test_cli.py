@@ -205,6 +205,18 @@ def test_eos_validation(runner):
     assert result.output.count("validation error") == 2
 
 
+@pytest.mark.parametrize("command", ["gentile", "eos"])
+@pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("-inf", "1"), ("nan", "1")])
+def test_sweep_span_not_finite_rejected(runner, command, low, high):
+    # lambda-max - lambda-min overflows: one message naming both flags,
+    # not a non-finite grid point
+    result = runner.invoke(main, [command, "-d", "1", "--lambda-min", low,
+                                  "--lambda-max", high, "--points", "3"])
+    assert result.exit_code == 2
+    assert result.output == (f"validation error: grid span is not finite: "
+                             f"lambda-min {float(low)} to lambda-max {float(high)}\n")
+
+
 def test_io_failure_exit_code(runner, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     result = runner.invoke(main, ["eos", "-d", "3", "--points", "3",

@@ -204,6 +204,22 @@ def test_moment_bundle_consistent():
     assert 0.0 < mom.n < 4 and mom.omega > 0.0
 
 
+def test_moment_pass_makes_one_kernel_call_per_node(monkeypatch):
+    # a deterministic work count: 4 K21 panels x 21 nodes, one fused
+    # (f, f', log Z) evaluation per node
+    import hierstat.ensemble as ensemble
+    calls = []
+    real = ensemble._kernels
+
+    def counted(lam, d):
+        calls.append(lam)
+        return real(lam, d)
+
+    monkeypatch.setattr(ensemble, "_kernels", counted)
+    ensemble.moment_integrals(Uniform(0.5, 2.5), 9, GibbsParams(-2.0, 1.0))
+    assert len(calls) == 84
+
+
 @pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),
                                          (TwoPoint(1.0, 3.0, 0.5), -800.0)])
 def test_underflowed_occupancy_is_a_validation_error(dist, alpha):

@@ -235,6 +235,33 @@ def test_kernels_against_mpmath_oracle(d):
     assert not too_far, f"d={d}: {too_far}"
 
 
+def _switch_pair(d):
+    """The largest lambda > 0 with lambda (d+1) below the series cutoff, and
+    the next double up, on the closed-form side."""
+    dd = d + 1.0
+    lam = 2.0 / dd
+    while lam * dd >= 2.0:
+        lam = math.nextafter(lam, 0.0)
+    while math.nextafter(lam, math.inf) * dd < 2.0:
+        lam = math.nextafter(lam, math.inf)
+    return lam, math.nextafter(lam, math.inf)
+
+
+def test_kernel_bits_pinned():
+    # every bit of (f, f', log Z) on both branches, both sides of the switch
+    # and at the extremes of the double range; recorded once, never re-recorded
+    import hashlib
+    records = []
+    for d in (1, 2, 9, 100, 10**6, 2**60 + 1):
+        magnitudes = _switch_pair(d) + (5e-324, 1e-300, 0.5, 30.0, 700.0, 1e308)
+        for lam in [s * m for m in magnitudes for s in (-1.0, 1.0)]:
+            records.append(repr((gentile_mean(lam, d), gentile_mean_dlambda(lam, d),
+                                 log_partition(lam, d))))
+    assert len(records) == 96
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "0180d55038edfb853824d038e63f38e6b4197d969122273b9cd2270ac8650f3c"
+
+
 def test_particle_hole_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hierstat import AccuracyError, GibbsParams, Uniform, ValidationError, quadrature
+from hierstat import (AccuracyError, GibbsParams, Uniform, ValidationError, ensemble_moments,
+                      quadrature)
 from hierstat.ensemble import moment_integrals
 from hierstat.quadrature import integrate_adaptive
 
@@ -43,6 +44,24 @@ def test_nonconvergence_carries_estimate_and_bound():
         integrate_adaptive(f, 0.0, 1.0)
     assert err.value.estimate == pytest.approx(1 - math.pi / 6, abs=1e-2)
     assert err.value.error_bound > 0.0
+
+
+def test_panel_budget_stops_a_nonconverging_integral(monkeypatch):
+    # eps^2 f' overflows to nan on every panel of this support, so none meets
+    # the tolerance; without the budget the bisection ran 2,097,151 panels
+    # to MAX_DEPTH before failing
+    panels = []
+    panel = quadrature.gauss_legendre_panel
+
+    def counted(*args):
+        panels.append(None)
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
+    with pytest.raises(AccuracyError) as err:
+        ensemble_moments(Uniform(0.0, 1e300), 9, GibbsParams(-1e300, 1.0))
+    assert quadrature.MAX_PANELS - 1 <= len(panels) <= quadrature.MAX_PANELS
+    assert err.value.estimate.shape == (6,) and err.value.error_bound is not None
 
 
 def test_interval_validation():

@@ -89,21 +89,25 @@ def test_derivatives_match_finite_differences_parametric():
             assert g == pytest.approx(f, rel=1e-4, abs=1e-8)
 
 
-def test_phi_terms_evaluate_no_occupation_derivative(monkeypatch):
-    # the frozen integrand of the phi terms is (f, eps f, log Z): no f'
-    calls = []
-    real = ensemble.gentile_mean_dlambda
+def test_phi_terms_one_kernel_call_per_node(monkeypatch):
+    # the frozen integrand (f, eps f, log Z) takes all three from one fused
+    # kernel call per quadrature node
+    import hierstat.quadrature as quadrature
+    calls = {"kernels": 0, "panels": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
 
-    for module in (ensemble, thermostatics):
-        monkeypatch.setattr(module, "gentile_mean_dlambda", counted, raising=False)
+    monkeypatch.setattr(thermostatics, "_kernels", counting("kernels", thermostatics._kernels))
+    monkeypatch.setattr(quadrature, "gauss_legendre_panel",
+                        counting("panels", quadrature.gauss_legendre_panel))
     fam = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
                                                 2.5 + 0.05 * math.tanh(b - 1.0)))
     phi_a, phi_b = thermostatics._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
-    assert calls == []
+    assert calls["panels"] > 0 and calls["kernels"] == 21 * calls["panels"]
     assert len(phi_a) == len(phi_b) == 3
     assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
 
@@ -116,6 +120,17 @@ def test_fixed_phi_omega_derivatives_closed_form():
     assert der.domega_dalpha == mom.n
     assert der.domega_dbeta == -mom.u * mom.n
     assert der.phi_omega_dalpha == 0.0 and der.phi_omega_dbeta == 0.0
+
+
+def test_derivatives_at_underflowed_occupancy_name_the_parameters():
+    # n underflows to 0.0: the ValidationError of ensemble_moments, not a
+    # ZeroDivisionError from u = -m1 / n
+    with pytest.raises(ValidationError) as err:
+        thermo_derivatives(Uniform(0.5, 2.5), 9, GibbsParams(-760.0, 1.0))
+    assert "alpha=-760.0, beta=1.0" in str(err.value)
+    # a saturated level, n = d, is still a value with a zero Jacobian
+    der = thermo_derivatives(TwoPoint(1.0, 3.0, 0.5), 2, GibbsParams(800.0, 1.0))
+    assert der.jacobian == 0.0 and der.domega_dalpha == 2.0
 
 
 def test_delta_derivatives_are_rank_one():
