@@ -92,10 +92,10 @@ def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
     while stack:
         lo, hi, depth = stack.pop()
         est, err, abs_int = gauss_legendre_panel(f, lo, hi)
-        converged = bool(np.all(err <= PANEL_TOL * abs_int))
+        converged = bool((err <= PANEL_TOL * abs_int).all())
         if converged or depth >= MAX_DEPTH or budget < 2:
             result = est if result is None else result + est
-            err_total += float(np.max(err))
+            err_total += float(err.max())
             failed = failed or not converged
         else:
             budget -= 2
