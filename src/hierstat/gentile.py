@@ -25,11 +25,12 @@ mapped through the complement identity f(lambda) = d - f(-lambda) so
 nothing ever overflows.
 
 The three kernels share one body, ``_kernels``, and one branch test: the
-series branch sums three Horner polynomials in the same y; the closed form
-takes e^{-t} and 1 - e^{-t} once for each of t = |lambda| and t = |x| and
-forms f from their ratio, the variance from the ratio over the square and
-log(1 - e^{-t}) from whichever is exact (Maechler's ln 1/2 switch).  The
-public kernels check and index; quadrature integrands call it per node.
+series branch runs one Horner loop over rows of three coefficients in the
+same y; the closed form takes e^{-t} and 1 - e^{-t} once for each of
+t = |lambda| and t = |x| and forms f from their ratio, the variance from
+the ratio over the square and log(1 - e^{-t}) from whichever is exact
+(Maechler's ln 1/2 switch).  The public kernels check and index;
+quadrature integrands call it per node.
 
 The equation-of-state sweep of a common-salary level and the grid helper
 behind the CLI and the figures live here too, so those paths need no
@@ -164,7 +165,7 @@ def _bernoulli_ratios() -> tuple:
 
 @lru_cache(maxsize=256)
 def _series_coefficients(d: int) -> tuple:
-    """Horner coefficients (highest power first) of the series branch.
+    """Series-branch Horner rows (f, f', log Z), highest power first.
 
     With x = lambda (d+1), y = x^2 and t_k = B_2k (1 - (d+1)^-2k) / (2k)!,
 
@@ -172,22 +173,17 @@ def _series_coefficients(d: int) -> tuple:
         f'     = d(d+2)/12 + (d+1)^2 y sum_{k>=2} (2k-1) t_k y^(k-2)
         log Z  = log(d+1) + d lambda/2 + y sum_{k>=1} t_k/(2k) y^(k-1).
 
-    Scaling by x keeps the coefficients bounded for every capacity, so
-    nothing overflows; they are formed exactly and rounded once.
+    The f' polynomial is one degree lower, so its column starts with a 0.0
+    that leaves its Horner sum unchanged.  Scaling by x keeps the
+    coefficients bounded for every capacity, so nothing overflows; they
+    are formed exactly and rounded once.
     """
     q = Fraction(1, (d + 1) ** 2)
     t = [b * (1 - q ** k) for k, b in enumerate(_bernoulli_ratios(), 1)]
-    mean = tuple(float(c) for c in reversed(t))
-    var = tuple(float((2 * k - 1) * t[k - 1]) for k in range(len(t), 1, -1))
-    logz = tuple(float(t[k - 1] / (2 * k)) for k in range(len(t), 0, -1))
-    return mean, var, logz
-
-
-def _horner(coeffs: tuple, y: float) -> float:
-    s = 0.0
-    for c in coeffs:
-        s = s * y + c
-    return s
+    mean = [float(c) for c in reversed(t)]
+    var = [0.0] + [float((2 * k - 1) * t[k - 1]) for k in range(len(t), 1, -1)]
+    logz = [float(t[k - 1] / (2 * k)) for k in range(len(t), 0, -1)]
+    return tuple(zip(mean, var, logz))
 
 
 def _inv_expm1(x: float) -> float:
@@ -204,11 +200,13 @@ def _kernels(lam: float, d: int) -> tuple:
     dd = d + 1.0
     x = lam * dd
     if abs(x) < SERIES_CUTOFF:
-        mean, var, logz = _series_coefficients(d)
         y = x * x
-        return (0.5 * d + dd * x * _horner(mean, y),
-                d * (d + 2.0) / 12.0 + dd * dd * y * _horner(var, y),
-                math.log1p(d) + 0.5 * lam * d + y * _horner(logz, y))
+        mean = var = logz = 0.0
+        for cm, cv, cl in _series_coefficients(d):
+            mean, var, logz = mean * y + cm, var * y + cv, logz * y + cl
+        return (0.5 * d + dd * x * mean,
+                d * (d + 2.0) / 12.0 + dd * dd * y * var,
+                math.log1p(d) + 0.5 * lam * d + y * logz)
     a, t = abs(lam), abs(x)
     ea, ma = math.exp(-a), -math.expm1(-a)
     et, mt = math.exp(-t), -math.expm1(-t)

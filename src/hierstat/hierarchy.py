@@ -9,7 +9,9 @@ occupied positions uniformly (hypergeometric level counts).  The
 computation runs level by level as a polynomial convolution over the
 total agent count, entirely in log space, keeping only the
 coefficients that can still add up to the requested agent count; the
-cost is roughly sum_i d_i times the width of those windows.
+cost is roughly sum_i d_i times the width of those windows.  Rows are
+folded in blocks, one logaddexp reduction each, in term-by-term order;
+the -inf padding is inert, so no bit depends on the block size.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
     "census_entropy",
     "gentile_census",
 ]
+
+_FOLD_BLOCK = 1 << 16  # elements per logaddexp reduction in _log_convolve
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,28 @@ def _log_convolve(a, b, lo: int, hi: int):
     coefficient of x^(start + j) in a polynomial of degree ``degree``, and
     the product comes back in that form.  Each kept coefficient folds its
     terms with logaddexp in ascending order of the lower-degree factor's
-    index, skipping -inf, so the window does not change its bits.
+    index k.  Row k, that factor's coefficient plus a window of the other
+    padded with -inf, is a strided view, and one ``logaddexp.reduce`` over
+    the running result stacked on a block of rows continues the same left
+    fold; logaddexp(x, -inf) and logaddexp(-inf, x) are exactly x, so the
+    padding and -inf coefficients leave the bits of a term-by-term fold.
     """
     if a[0] > b[0]:
         a, b = b, a
     (a_deg, a_lo, a_co), (b_deg, b_lo, b_co) = a, b
-    out = np.full(hi - lo + 1, -np.inf)
-    for k, c in enumerate(a_co.tolist(), a_lo):
-        first = max(lo, k + b_lo)
-        last = min(hi, k + b_lo + b_co.size - 1)
-        if c == -np.inf or first > last:
-            continue
-        seg = out[first - lo:last - lo + 1]
-        np.logaddexp(seg, b_co[first - k - b_lo:last - k - b_lo + 1] + c, out=seg)
-    return a_deg + b_deg, lo, out
+    width = hi - lo + 1
+    pad = np.full(width - 1, -np.inf)
+    # row k starts at window lo - k - b_lo + width - 1; rows k0..k1-1 meet [lo, hi]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, b_co, pad)), width)
+    k0, k1 = max(a_lo, lo - b_lo - b_co.size + 1), min(a_lo + a_co.size, hi - b_lo + 1)
+    step = max(1, _FOLD_BLOCK // width)
+    block = np.full((min(step, k1 - k0) + 1, width), -np.inf)  # row 0: the fold so far
+    for k in range(k0, k1, step):
+        n, s = min(step, k1 - k), lo - k - b_lo + width - 1
+        np.add(windows[s - n + 1:s + 1][::-1], a_co[k - a_lo:k - a_lo + n, None],
+               out=block[1:n + 1])
+        block[0] = np.logaddexp.reduce(block[:n + 1], axis=0)
+    return a_deg + b_deg, lo, block[0].copy()
 
 
 def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:

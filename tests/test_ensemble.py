@@ -8,6 +8,7 @@ import pytest
 from conftest import midpoint_integral
 
 from hierstat import (
+    AccuracyError,
     Delta,
     GibbsParams,
     Histogram,
@@ -227,3 +228,14 @@ def test_underflowed_occupancy_is_a_validation_error(dist, alpha):
     with pytest.raises(ValidationError) as err:
         ensemble_moments(dist, 9, GibbsParams(alpha, 1.0))
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
+
+
+@pytest.mark.xfail(strict=True, raises=AccuracyError,
+                   reason="at d = 10**6 some panels' local error stays above "
+                          "PANEL_TOL = 1e-12 of their integral of |f| down to "
+                          "MAX_DEPTH, so the per-panel target is not reachable there")
+@pytest.mark.parametrize("alpha, beta", [(-7.4073663903078, 3.6491958186739293),
+                                         (-2.7326, 4.6923)])
+def test_forward_moments_at_a_million_positions(alpha, beta):
+    mom = ensemble_moments(Uniform(0.5, 2.5), 10**6, GibbsParams(alpha, beta))
+    assert 0.0 < mom.n < 10**6

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from scipy.optimize import brentq
 
 from conftest import enumerate_position_measure
 
+from hierstat import hierarchy
 from hierstat import (
     EnsembleCensus,
     GibbsParams,
@@ -175,6 +177,74 @@ def test_exact_canonical_bits_pinned():
         digest.update(ex.log_weight_total.hex().encode())
         digests[name, agents, beta] = digest.hexdigest()
     assert digests == PINNED_EXACT
+
+
+def _row_by_row_log_convolve(a, b, lo, hi):
+    """The fold :func:`hierarchy._log_convolve` replays: one logaddexp call
+    per coefficient of the lower-degree factor, ascending, skipping -inf."""
+    if a[0] > b[0]:
+        a, b = b, a
+    (a_deg, a_lo, a_co), (b_deg, b_lo, b_co) = a, b
+    out = np.full(hi - lo + 1, -np.inf)
+    for k, c in enumerate(a_co.tolist(), a_lo):
+        first = max(lo, k + b_lo)
+        last = min(hi, k + b_lo + b_co.size - 1)
+        if c == -np.inf or first > last:
+            continue
+        seg = out[first - lo:last - lo + 1]
+        np.logaddexp(seg, b_co[first - k - b_lo:last - k - b_lo + 1] + c, out=seg)
+    return a_deg + b_deg, lo, out
+
+
+def _random_exact_cases(n):
+    rng = np.random.default_rng(20261018)
+    for i in range(n):
+        levels = int(rng.integers(1, 6))
+        caps = np.sort(rng.choice(np.arange(1, 80), levels, replace=False))
+        salaries = np.sort(rng.uniform(0.1, 5.0, levels))[::-1]
+        spec = HierarchySpec(tuple(zip(caps.tolist(), salaries.tolist())))
+        total = spec.total_positions
+        agents = (0, total, int(rng.integers(0, total + 1)))[i % 3]
+        beta = (0.0, float(rng.uniform(-3.0, 0.0)), float(rng.uniform(0.0, 3.0)),
+                40.0)[i // 3 % 4]
+        yield spec, agents, beta
+
+
+@pytest.mark.parametrize("block", [hierarchy._FOLD_BLOCK, 97, 1])
+def test_blocked_fold_matches_row_by_row_bits(monkeypatch, block):
+    monkeypatch.setattr(hierarchy, "_FOLD_BLOCK", block)
+    blocked = hierarchy._log_convolve
+    narrow = []
+
+    def watched(a, b, lo, hi):
+        narrow.append(hi - lo + 1 < min(a[2].size, b[2].size))
+        return blocked(a, b, lo, hi)
+
+    cases = list(_random_exact_cases(240))
+    assert sum(len(spec) == 1 for spec, _, _ in cases) >= 20
+    monkeypatch.setattr(hierarchy, "_log_convolve", watched)
+    got = [exact_canonical(*case) for case in cases]
+    assert any(narrow)
+    monkeypatch.setattr(hierarchy, "_log_convolve", _row_by_row_log_convolve)
+    for case, ex in zip(cases, got):
+        ref = exact_canonical(*case)
+        assert ex.mean_occupancy.tobytes() == ref.mean_occupancy.tobytes(), case
+        assert [m.tobytes() for m in ex.marginals] == [m.tobytes() for m in ref.marginals]
+        assert ex.log_weight_total.hex() == ref.log_weight_total.hex()
+
+
+def test_blocked_fold_memory_stays_small():
+    # unblocked, the middle product would be a 2001 x 5001 matrix (80 MB)
+    spec = HierarchySpec(((2000, 3.0), (3000, 2.0), (5000, 1.0)))
+    exact_canonical(L3, 5, 0.8)  # the scipy imports stay outside the trace
+    tracemalloc.start()
+    try:
+        ex = exact_canonical(spec, 5000, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert float(ex.mean_occupancy.sum()) == pytest.approx(5000.0, rel=1e-12)
+    assert peak < 4e6
 
 
 # --- census entropy -------------------------------------------------------------
