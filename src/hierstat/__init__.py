@@ -29,7 +29,7 @@ _EXPORTS = {
     "ledger": ("BalanceReport", "LedgerEntry", "Transaction", "TransactionLedger",
                "ledger_audit", "subset_balance"),
     "montecarlo": ("CanonicalRun", "GrandCanonicalSample", "LaserRun", "pumped_relaxation",
-                   "sample_grand_canonical", "simulate_canonical", "social_laser_scenario"),
+                   "sample_grand_canonical", "simulate_canonical"),
     "thermostatics": ("MaxwellReport", "ThermoDerivatives", "ThermoState",
                       "condensation_abscissa", "critical_temperature",
                       "entropy_per_element", "invert_to_params", "maxwell_check",

@@ -3,9 +3,10 @@
 Subcommands: ``gentile`` (occupancy curves), ``figures`` (the seven
 standard charts as CSV + SVG), ``thermo`` (one thermostatic state),
 ``eos`` (equation-of-state sweep) and ``simulate`` (seeded chains from a
-JSON config).  Every command accepts ``--json-config FILE`` with flags
-winning over file values.  Exit codes: 0 success, 2 validation,
-3 numerical failure, 4 i/o.
+JSON config).  Every command accepts ``--json-config FILE``: each
+option's name is a config key typed like the option, and a flag wins
+over the file.  Exit codes: 0 success, 2 validation, 3 numerical
+failure, 4 i/o.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ValidationError,
     check_int,
     check_real,
+    checked,
 )
 from .figures import build_figure
 from .gentile import (
@@ -52,12 +54,25 @@ _SCENARIOS = ("canonical", "grand_canonical", "social_laser")
 
 
 def _guard(fn):
-    """Map package errors onto the documented exit codes."""
+    """Merge ``--json-config`` into the options and map package errors onto
+    the documented exit codes.
+
+    Each option left at its default takes the config value stored under the
+    option's name, checked against the option's type.  The command gets the
+    loaded config as its first argument, for its config-only keys.
+    """
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(json_config, **options):
         try:
-            return fn(*args, **kwargs)
+            cfg = _load_config(json_config)
+            ctx = click.get_current_context()
+            for param in ctx.command.params:
+                if (param.name in options and param.name in cfg
+                        and ctx.get_parameter_source(param.name)
+                        is click.core.ParameterSource.DEFAULT):
+                    options[param.name] = _option_value(param, cfg[param.name])
+            return fn(cfg, **options)
         except ValidationError as exc:
             for line in exc.violations:
                 click.echo(f"validation error: {line}", err=True)
@@ -108,29 +123,32 @@ def _require(cfg, keys, context=""):
         raise ValidationError(missing)
 
 
-def _pick(flag, cfg, key, default=None, kind=None):
-    """The flag if given, else the config value (of type ``kind`` when
-    ``kind`` is set), else ``default``."""
-    if flag is not None:
-        return flag
-    if key not in cfg:
-        return default
-    return cfg[key] if kind is None else _number(cfg[key], key, kind)
+def _option_value(param, value):
+    """The config ``value`` for option ``param``, typed like the option: a
+    flag takes a bool, an int or float option a number, a choice one of its
+    choices and any other option a string."""
+    kind = {"boolean": bool, "integer": int, "float": float}.get(param.type.name)
+    if kind is not None:
+        return _number(value, param.name, kind)
+    if isinstance(param.type, click.Choice):
+        if value not in param.type.choices:
+            raise ValidationError(f"{param.name} must be one of "
+                                  f"{tuple(param.type.choices)}, got {value!r}")
+    elif not isinstance(value, str):
+        raise ValidationError(f"{param.name} must be a string, got {value!r}")
+    return value
 
 
-def _resolve_seed(flag, cfg):
-    if flag is not None:
-        return flag
-    if "seed" in cfg:
-        return _number(cfg["seed"], "seed", int)
-    env = os.environ.get("HIERSTAT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"HIERSTAT_SEED must be an integer, got {env!r}") from None
-    return 0
+def _resolve_seed(seed):
+    """``seed`` when a flag or the config gives one, else ``HIERSTAT_SEED``,
+    else 0."""
+    if seed is not None:
+        return seed
+    env = os.environ.get("HIERSTAT_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"HIERSTAT_SEED must be an integer, got {env!r}") from None
 
 
 def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
@@ -183,9 +201,9 @@ def main():
 
 @main.command("gentile")
 @click.option("--capacity", "-d", type=int, default=None, help="Level capacity d.")
-@click.option("--lambda-min", type=float, default=None)
-@click.option("--lambda-max", type=float, default=None)
-@click.option("--points", type=int, default=None, help="Grid size.")
+@click.option("--lambda-min", type=float, default=-10.0)
+@click.option("--lambda-max", type=float, default=10.0)
+@click.option("--points", type=int, default=401, help="Grid size.")
 @click.option("--relative", is_flag=True, default=False,
               help="Emit mean population divided by d.")
 @click.option("--pmf", is_flag=True, default=False,
@@ -193,30 +211,17 @@ def main():
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--epsilon", type=float, default=None)
-@click.option("--sign", type=click.Choice(["cost", "salary"]), default=None)
-@click.option("--output", type=str, default=None, help="CSV path, '-' for stdout.")
+@click.option("--sign", type=click.Choice(["cost", "salary"]), default="salary")
+@click.option("--output", type=str, default="-", help="CSV path, '-' for stdout.")
 @click.option("--json-config", type=str, default=None)
 @_guard
-def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
-                alpha, beta, epsilon, sign, output, json_config):
+def cmd_gentile(cfg, capacity, lambda_min, lambda_max, points, relative, pmf,
+                alpha, beta, epsilon, sign, output):
     """Mean population of one level over an activity grid.
 
     Either sweep --lambda-min/--lambda-max/--points, or give
     --alpha/--beta/--epsilon (and --sign) for a single activity row.
     """
-    cfg = _load_config(json_config)
-    capacity = _pick(capacity, cfg, "capacity", kind=int)
-    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0, kind=float)
-    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
-    points = _pick(points, cfg, "points", 401, kind=int)
-    relative = relative or _pick(None, cfg, "relative", False, kind=bool)
-    pmf = pmf or _pick(None, cfg, "pmf", False, kind=bool)
-    alpha = _pick(alpha, cfg, "alpha", kind=float)
-    beta = _pick(beta, cfg, "beta", kind=float)
-    epsilon = _pick(epsilon, cfg, "epsilon", kind=float)
-    sign = _pick(sign, cfg, "sign", "salary")
-    output = _pick(output, cfg, "output", "-")
-
     point_mode = any(v is not None for v in (alpha, beta, epsilon))
     problems = _sweep_problems(capacity, lambda_min, lambda_max, points,
                                sweep=not point_mode)
@@ -252,14 +257,11 @@ def cmd_gentile(capacity, lambda_min, lambda_max, points, relative, pmf,
 
 @main.command("figures")
 @click.option("--figure", type=int, default=None, help="Figure id, 1..7.")
-@click.option("--output-dir", type=str, default=None)
+@click.option("--output-dir", type=str, default=".")
 @click.option("--json-config", type=str, default=None)
 @_guard
-def cmd_figures(figure, output_dir, json_config):
+def cmd_figures(cfg, figure, output_dir):
     """Write figN.csv and figN.svg for one standard chart."""
-    cfg = _load_config(json_config)
-    figure = _pick(figure, cfg, "figure", kind=int)
-    output_dir = _pick(output_dir, cfg, "output_dir", ".")
     header, rows, svg = build_figure(figure)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,24 +272,18 @@ def cmd_figures(figure, output_dir, json_config):
 
 @main.command("eos")
 @click.option("--capacity", "-d", type=int, default=None)
-@click.option("--lambda-min", type=float, default=None)
-@click.option("--lambda-max", type=float, default=None)
-@click.option("--points", type=int, default=None)
-@click.option("--output", type=str, default=None, help="CSV path, '-' for stdout.")
+@click.option("--lambda-min", type=float, default=-10.0)
+@click.option("--lambda-max", type=float, default=10.0)
+@click.option("--points", type=int, default=401)
+@click.option("--output", type=str, default="-", help="CSV path, '-' for stdout.")
 @click.option("--json-config", type=str, default=None)
 @_guard
-def cmd_eos(capacity, lambda_min, lambda_max, points, output, json_config):
+def cmd_eos(cfg, capacity, lambda_min, lambda_max, points, output):
     """Equation-of-state sweep for a common-salary level.
 
     The zero activity (half filling, x = 1) is always inserted into the
     grid when the range covers it.
     """
-    cfg = _load_config(json_config)
-    capacity = _pick(capacity, cfg, "capacity", kind=int)
-    lambda_min = _pick(lambda_min, cfg, "lambda_min", -10.0, kind=float)
-    lambda_max = _pick(lambda_max, cfg, "lambda_max", 10.0, kind=float)
-    points = _pick(points, cfg, "points", 401, kind=int)
-    output = _pick(output, cfg, "output", "-")
     problems = _sweep_problems(capacity, lambda_min, lambda_max, points)
     if problems:
         raise ValidationError(problems)
@@ -306,7 +302,7 @@ _DELTA_GUIDANCE = ("delta distribution: supply (alpha, beta) or (lambda, beta) "
 @click.option("--out-csv", type=str, default=None,
               help="Also write the state as a one-row CSV.")
 @_guard
-def cmd_thermo(json_config, out_csv):
+def cmd_thermo(cfg, out_csv):
     """Full thermostatic state from a JSON config.
 
     The config needs "distribution", "d", "volume" and one of
@@ -315,7 +311,6 @@ def cmd_thermo(json_config, out_csv):
     from .distributions import Delta, distribution_from_json
     from .thermostatics import invert_to_params, thermo_state
 
-    cfg = _load_config(json_config)
     _require(cfg, ("distribution", "d", "volume"))
     dist = distribution_from_json(cfg["distribution"])
     d = _number(cfg["d"], "d", int)
@@ -398,36 +393,29 @@ def _canonical_oracle(spec, agents, beta, means, stderrs):
 @click.option("--output-dir", type=str, default=".")
 @click.option("--oracle", is_flag=True, default=False,
               help="Compare estimates against the exact reference when feasible.")
-@click.option("--scenario", type=click.Choice(_SCENARIOS), default=None)
+@click.option("--scenario", type=click.Choice(_SCENARIOS), default="canonical")
 @click.option("--seed", type=int, default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--beta", type=float, default=None)
+@click.option("--steps", type=int, default=100_000)
+@click.option("--beta", type=float, default=1.0)
 @click.option("--agents", type=int, default=None)
-@click.option("--pump-fraction", type=float, default=None)
-@click.option("--record-every", type=int, default=None)
+@click.option("--pump-fraction", type=float, default=0.5)
+@click.option("--record-every", type=int, default=1)
 @_guard
-def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
+def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
                  agents, pump_fraction, record_every):
     """Run a seeded chain and write trajectory.csv plus summary.json."""
     from .montecarlo import (PHASE_NAMES, pumped_relaxation, sample_grand_canonical,
                              simulate_canonical)
 
-    cfg = _load_config(json_config)
-    scenario = _pick(scenario, cfg, "scenario", "canonical")
-    if scenario not in _SCENARIOS:
-        raise ValidationError(
-            f"scenario must be one of {_SCENARIOS}, got {scenario!r}")
-    seed = _resolve_seed(seed, cfg)
-    steps = _pick(steps, cfg, "steps", 100_000, kind=int)
-    beta = _pick(beta, cfg, "beta", 1.0, kind=float)
-    record_every = _pick(record_every, cfg, "record_every", 1, kind=int)
-    burn_in = _pick(None, cfg, "burn_in", 0.1, kind=float)
+    seed = _resolve_seed(seed)
+    burn_in = _number(cfg.get("burn_in", 0.1), "burn_in", float)
 
     if scenario == "grand_canonical":
         _require(cfg, ("capacity", "salary", "alpha"), " for grand_canonical runs")
         level = OccupancyLevel(_number(cfg["capacity"], "capacity", int),
                                _number(cfg["salary"], "salary", float))
         params = GibbsParams(_number(cfg["alpha"], "alpha", float), beta)
+        record_every = checked(check_int, record_every, "record_every", 1)
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
         idx = range(0, sample.samples.size, record_every)
@@ -450,7 +438,8 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
             }
     else:  # canonical or social_laser: a chain over a hierarchy
         spec = _parse_levels(cfg)
-        agents = _pick(agents, cfg, "agents", spec.total_positions // 2, kind=int)
+        if agents is None:
+            agents = spec.total_positions // 2
         header = ["step"] + [f"r_{i + 1}" for i in range(len(spec))] + ["energy"]
         summary = {
             "scenario": scenario, "seed": seed, "steps": steps,
@@ -475,8 +464,7 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                 stderr=[float(s) for s in stderrs],
                 energy_mean=float(run.energies[kept].mean()))
         else:
-            pump = _pick(pump_fraction, cfg, "pump_fraction", 0.5, kind=float)
-            run = pumped_relaxation(spec, agents, beta, pump, steps, steps, seed,
+            run = pumped_relaxation(spec, agents, beta, pump_fraction, steps, steps, seed,
                                     record_every=record_every)
             header.append("phase")
             rows = [(int(s), *(int(r) for r in occ), float(e), PHASE_NAMES[p])
@@ -484,7 +472,7 @@ def cmd_simulate(json_config, output_dir, oracle, scenario, seed, steps, beta,
                                             run.energies, run.phases)]
             means, stderrs = run.relax_mean_occupancy, run.relax_stderr
             summary.update(
-                pump_fraction=pump, pumped_moves=run.pumped_moves,
+                pump_fraction=pump_fraction, pumped_moves=run.pumped_moves,
                 relax_mean_occupancy=[float(m) for m in means],
                 relax_stderr=[float(s) for s in stderrs])
         summary["oracle"] = (_canonical_oracle(spec, agents, beta, means, stderrs)

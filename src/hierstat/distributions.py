@@ -218,7 +218,7 @@ def distribution_from_json(obj: dict) -> SalaryDistribution:
         return TwoPoint(obj["epsilon1"], obj["epsilon2"], obj["weight"])
     if kind == "uniform":
         return Uniform(obj["lower"], obj["upper"])
-    return Histogram(tuple(obj["edges"]), tuple(obj["masses"]))
+    return Histogram(obj["edges"], obj["masses"])
 
 
 def distribution_to_json(dist: SalaryDistribution) -> dict:

@@ -39,7 +39,6 @@ __all__ = [
     "sample_grand_canonical",
     "pumped_relaxation",
     "simulate_canonical",
-    "social_laser_scenario",
 ]
 
 PHASE_NAMES = ("equilibrate", "pump", "relax")
@@ -270,30 +269,19 @@ class LaserRun:
     pump_fraction: float
 
 
-def social_laser_scenario(spec: HierarchySpec, beta: float,
-                          pump_fraction: float, steps: int, seed: int, *,
-                          record_every: int = 1) -> LaserRun:
-    """Equilibrate, force a population inversion, then watch the collapse.
-
-    The pump moves round(pump_fraction * agents) agents, drawn from the
-    lowest level indices that still hold anyone, into vacancies at the
-    highest level indices (the lowest salaries).  A zero fraction is a
-    plain equilibrium run; this is a demonstration scenario, not a
-    quantitative estimator.  The agent count defaults to half the
-    positions, and both phases run ``steps`` moves; use
-    :func:`pumped_relaxation` to choose them.
-    """
-    return pumped_relaxation(spec, spec.total_positions // 2, beta,
-                             pump_fraction, steps, steps, seed,
-                             record_every=record_every)
-
-
 def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
                       pump_fraction: float, equilibration_steps: int,
                       relax_steps: int, seed: int, *,
                       record_every: int = 1) -> LaserRun:
-    """Like :func:`social_laser_scenario` but with an explicit agent count
-    and phase lengths (``relax_steps`` >= 1, ``equilibration_steps`` >= 0)."""
+    """Equilibrate, force a population inversion, then watch the collapse.
+
+    The chain equilibrates for ``equilibration_steps`` (>= 0) moves.  The
+    pump then moves round(pump_fraction * agents) agents, drawn from the
+    lowest level indices that still hold anyone, into vacancies at the
+    highest level indices (the lowest salaries), and the chain relaxes for
+    ``relax_steps`` (>= 1) moves.  A zero fraction is a plain equilibrium
+    run; this is a demonstration scenario, not a quantitative estimator.
+    """
     problems = []
     agents, beta, seed, record_every = _check_chain_args(spec, agents, beta, seed,
                                                          record_every, problems)

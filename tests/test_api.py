@@ -21,6 +21,7 @@ from hierstat import (
     activity_for_mean,
     condensation_abscissa,
     critical_temperature,
+    distribution_from_json,
     eos_sweep,
     exact_canonical,
     gentile_census,
@@ -30,7 +31,6 @@ from hierstat import (
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
-    social_laser_scenario,
 )
 from hierstat.errors import check_int, check_real
 
@@ -114,7 +114,8 @@ _MALFORMED = {
     "pumped-relax-steps-zero": lambda: pumped_relaxation(_SPEC, 2, 1.0, 0.5, 100, 0, 0),
     "pumped-relax-steps-negative": lambda: pumped_relaxation(
         _SPEC, 2, 1.0, 0.5, 100, -5, 0),
-    "social-laser-steps-string": lambda: social_laser_scenario(_SPEC, 1.0, 0.5, "x", 0),
+    "pumped-relax-steps-string": lambda: pumped_relaxation(
+        _SPEC, 2, 1.0, 0.5, "x", "x", 0),
     "gentile-census-capacity-fraction": lambda: gentile_census([1.0], [1.0], 2.5, _PARAMS),
     "maxwell-step-zero": lambda: maxwell_check(
         TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=0.0),
@@ -122,6 +123,8 @@ _MALFORMED = {
         TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=1.0),
     "histogram-mass-bool": lambda: Histogram((0, 1), (True,)),
     "histogram-edges-strings": lambda: Histogram(("0", "1"), (1.0,)),
+    "histogram-json-edges-number": lambda: distribution_from_json(
+        {"type": "histogram", "edges": 5, "masses": [1.0]}),
     "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),
     "eos-sweep-grid-numeric-strings": lambda: eos_sweep(3, ["0.1", "0.2"]),
     "eos-sweep-grid-bool": lambda: eos_sweep(3, [0.1, True]),

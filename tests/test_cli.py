@@ -484,6 +484,7 @@ _CANONICAL = {"scenario": "canonical",
               "agents": 3, "beta": 0.8, "steps": 20000, "seed": 5}
 _GRAND = {"scenario": "grand_canonical", "capacity": 3, "salary": 2.0,
           "alpha": -3.0, "beta": 1.0, "steps": 20000, "seed": 2}
+_POINT = {"capacity": 2, "alpha": 1.0, "beta": 1.0, "epsilon": 2.0}
 
 
 @pytest.mark.parametrize("command, base, key, value", [
@@ -497,11 +498,18 @@ _GRAND = {"scenario": "grand_canonical", "capacity": 3, "salary": 2.0,
     ("simulate", _GRAND, "capacity", 2.5),
     ("gentile", {"capacity": 2, "points": 3}, "relative", "false"),
     ("gentile", {"capacity": 2, "points": 3}, "pmf", 1),
+    ("gentile", _POINT, "sign", "bogus"),
+    ("gentile", {"capacity": 2, "points": 3}, "output", 5),
+    ("figures", {"figure": 1}, "output_dir", 7),
+    ("simulate", _GRAND, "record_every", 0),
+    ("simulate", _GRAND, "record_every", -3),
 ], ids=["thermo-d-fraction", "thermo-volume-fraction", "thermo-d-string",
         "gentile-capacity-string", "gentile-lambda-min-null",
         "simulate-steps-string", "simulate-seed-string",
         "simulate-grand-capacity-fraction", "gentile-relative-string",
-        "gentile-pmf-number"])
+        "gentile-pmf-number", "gentile-point-sign-unknown",
+        "gentile-output-number", "figures-output-dir-number",
+        "simulate-grand-record-every-zero", "simulate-grand-record-every-negative"])
 def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, command,
                                                         base, key, value):
     # neither truncated to an integer nor a traceback: exit 2, key named
@@ -513,6 +521,63 @@ def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, comman
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"validation error: {key} must be" in result.output
+
+
+_OPTIONS = [(name, param.name) for name, command in main.commands.items()
+            for param in command.params if param.name != "json_config"]
+
+
+@pytest.mark.parametrize("command, key", _OPTIONS,
+                         ids=[f"{c}-{k}" for c, k in _OPTIONS])
+def test_every_option_is_a_typed_config_key(runner, tmp_path, monkeypatch,
+                                            command, key):
+    # a config value is checked against its option's declared type, so no
+    # option's config key can reach the command untyped
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: [1]}))
+    result = runner.invoke(main, [command, "--json-config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"validation error: {key} must be" in result.output
+
+
+def test_config_sets_simulate_output_dir_and_oracle(runner, tmp_path):
+    out = tmp_path / "from-config"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CANONICAL, "output_dir": str(out), "oracle": True}))
+    result = runner.invoke(main, ["simulate", "--json-config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["oracle"] is not None
+    assert (out / "trajectory.csv").exists()
+
+
+def test_config_sets_thermo_out_csv(runner, tmp_path):
+    target = tmp_path / "state.csv"
+    cfg = _thermo_cfg(tmp_path, {**_THERMO_AB, "out_csv": str(target)})
+    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    assert result.exit_code == 0, result.output
+    header, rows = _rows(target.read_text())
+    assert header[:2] == ["n", "u"] and len(rows) == 1
+
+
+def test_output_flag_wins_over_config_output(runner, tmp_path):
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": 2, "points": 3,
+                               "output": str(from_config)}))
+    result = runner.invoke(main, ["gentile", "--json-config", str(cfg)])
+    assert result.exit_code == 0 and result.output == ""
+    written = from_config.read_text()
+    result = runner.invoke(main, ["gentile", "--json-config", str(cfg),
+                                  "--output", str(from_flag)])
+    assert result.exit_code == 0
+    assert from_flag.read_text() == written
+    from_config.unlink()
+    result = runner.invoke(main, ["gentile", "--json-config", str(cfg),
+                                  "--output", "-"])
+    assert result.exit_code == 0 and result.output == written
+    assert not from_config.exists()
 
 
 @pytest.mark.parametrize("base, message", [

@@ -15,7 +15,6 @@ from hierstat import (
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
-    social_laser_scenario,
 )
 from hierstat.gentile import gentile_mean
 from hierstat.montecarlo import _initial_occupancy, _run_position_chain
@@ -274,12 +273,6 @@ def test_laser_recovers_equilibrium_occupancy():
         for m, e, s in zip(run.relax_mean_occupancy, exact.mean_occupancy,
                            run.relax_stderr):
             assert abs(m - e) <= 3 * s
-
-
-def test_laser_default_entry_point():
-    run = social_laser_scenario(LASER_SPEC, 2.0, 0.5, 3_000, 7)
-    assert run.agents == LASER_SPEC.total_positions // 2
-    assert set(np.unique(run.phases)) <= {0, 1, 2}
 
 
 def test_laser_deterministic():
