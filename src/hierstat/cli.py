@@ -373,19 +373,9 @@ def _parse_levels(cfg):
     return HierarchySpec(tuple(parsed))
 
 
-def _canonical_oracle(spec, agents, beta, means, stderrs):
-    """Exact reference and z-scores of the chain's level means, or None
-    when the hierarchy is too large to enumerate."""
-    if spec.total_positions > 10_000:
-        return None
-    from .hierarchy import exact_canonical
-
-    exact = exact_canonical(spec, agents, beta)
-    return {
-        "mean_occupancy": [float(m) for m in exact.mean_occupancy],
-        "z_scores": [float((m - e) / max(s, 1e-300))
-                     for m, e, s in zip(means, exact.mean_occupancy, stderrs)],
-    }
+def _z_scores(estimates, exact, stderrs):
+    """(estimate - exact) / stderr per entry; a zero stderr counts as 1e-300."""
+    return [float((m - e) / max(s, 1e-300)) for m, e, s in zip(estimates, exact, stderrs)]
 
 
 @main.command("simulate")
@@ -404,11 +394,14 @@ def _canonical_oracle(spec, agents, beta, means, stderrs):
 def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
                  agents, pump_fraction, record_every):
     """Run a seeded chain and write trajectory.csv plus summary.json."""
+    from .hierarchy import exact_canonical
     from .montecarlo import (PHASE_NAMES, pumped_relaxation, sample_grand_canonical,
                              simulate_canonical)
 
     seed = _resolve_seed(seed)
     burn_in = _number(cfg.get("burn_in", 0.1), "burn_in", float)
+    summary = {"scenario": scenario, "seed": seed, "steps": steps, "beta": beta,
+               "oracle": None}
 
     if scenario == "grand_canonical":
         _require(cfg, ("capacity", "salary", "alpha"), " for grand_canonical runs")
@@ -418,69 +411,55 @@ def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
         record_every = checked(check_int, record_every, "record_every", 1)
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
-        idx = range(0, sample.samples.size, record_every)
         header = ["step", "r"]
-        rows = [(int(sample.burn_in + i), int(sample.samples[i])) for i in idx]
-        summary = {
-            "scenario": scenario, "seed": seed, "steps": steps,
-            "burn_in": sample.burn_in,
-            "capacity": level.capacity, "salary": level.money_scale,
-            "alpha": params.alpha, "beta": params.beta,
-            "mean": sample.mean, "stderr": sample.stderr,
-            "probabilities": [float(p) for p in sample.probabilities],
-            "oracle": None,
-        }
+        columns = [range(sample.burn_in, sample.steps, record_every),
+                   sample.samples[::record_every].tolist()]
+        summary.update(
+            burn_in=sample.burn_in, capacity=level.capacity, salary=level.money_scale,
+            alpha=params.alpha, mean=sample.mean, stderr=sample.stderr,
+            probabilities=sample.probabilities.tolist())
         if oracle:
             exact = gentile_mean(activity(level, params), level.capacity)
-            summary["oracle"] = {
-                "mean": exact,
-                "z": (sample.mean - exact) / max(sample.stderr, 1e-300),
-            }
+            summary["oracle"] = {"mean": exact, "z": _z_scores(
+                [sample.mean], [exact], [sample.stderr])[0]}
     else:  # canonical or social_laser: a chain over a hierarchy
         spec = _parse_levels(cfg)
         if agents is None:
             agents = spec.total_positions // 2
         header = ["step"] + [f"r_{i + 1}" for i in range(len(spec))] + ["energy"]
-        summary = {
-            "scenario": scenario, "seed": seed, "steps": steps,
-            "agents": agents, "beta": beta,
-            "levels": [{"capacity": lv.capacity, "salary": lv.salary}
-                       for lv in spec.levels],
-        }
+        summary.update(agents=agents, levels=[
+            {"capacity": lv.capacity, "salary": lv.salary} for lv in spec.levels])
         if scenario == "canonical":
             run = simulate_canonical(spec, agents, beta, steps, seed,
                                      burn_in_fraction=burn_in,
                                      record_every=record_every)
-            rows = [(int(s), *(int(r) for r in occ), float(e))
-                    for s, occ, e in zip(run.recorded_steps, run.occupancies,
-                                         run.energies)]
-            kept = run.recorded_steps >= run.burn_in
-            if not kept.any():  # trajectory thinned past the burn-in window
-                kept[-1] = True
+            tags = []
+            # energies from the burn-in on, or the last one if thinned past it
+            kept = min(run.recorded_steps.searchsorted(run.burn_in), len(run.energies) - 1)
             means, stderrs = run.mean_occupancy, run.stderr
             summary.update(
                 burn_in=run.burn_in, acceptance_rate=run.acceptance_rate,
-                mean_occupancy=[float(m) for m in means],
-                stderr=[float(s) for s in stderrs],
-                energy_mean=float(run.energies[kept].mean()))
+                mean_occupancy=means.tolist(), stderr=stderrs.tolist(),
+                energy_mean=float(run.energies[kept:].mean()))
         else:
             run = pumped_relaxation(spec, agents, beta, pump_fraction, steps, steps, seed,
                                     record_every=record_every)
             header.append("phase")
-            rows = [(int(s), *(int(r) for r in occ), float(e), PHASE_NAMES[p])
-                    for s, occ, e, p in zip(run.recorded_steps, run.occupancies,
-                                            run.energies, run.phases)]
+            tags = [[PHASE_NAMES[p] for p in run.phases.tolist()]]
             means, stderrs = run.relax_mean_occupancy, run.relax_stderr
             summary.update(
                 pump_fraction=pump_fraction, pumped_moves=run.pumped_moves,
-                relax_mean_occupancy=[float(m) for m in means],
-                relax_stderr=[float(s) for s in stderrs])
-        summary["oracle"] = (_canonical_oracle(spec, agents, beta, means, stderrs)
-                             if oracle else None)
+                relax_mean_occupancy=means.tolist(), relax_stderr=stderrs.tolist())
+        columns = [run.recorded_steps.tolist(), *run.occupancies.T.tolist(),
+                   run.energies.tolist(), *tags]
+        if oracle and spec.total_positions <= 10_000:  # beyond, the exact sum is too slow
+            exact = exact_canonical(spec, agents, beta).mean_occupancy
+            summary["oracle"] = {"mean_occupancy": exact.tolist(),
+                                 "z_scores": _z_scores(means, exact, stderrs)}
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _emit(out / "trajectory.csv", _csv_text(header, rows))
+    _emit(out / "trajectory.csv", _csv_text(header, zip(*columns)))
     _emit(out / "summary.json", _json_text(summary))
     click.echo(f"wrote trajectory.csv and summary.json to {out}")
 

@@ -42,30 +42,16 @@ EOS_D_VALUES = (1, 5, 50, 500, 5000, 50000)
 _OVERLAY_D_VALUES = (1, 2, 5, 20)
 
 
-def _share_sigmoid(sign: EnergySign, alpha: float):
+def _share(sign: EnergySign, alpha: float):
+    """Figures 1 and 2: occupied share of capacity-1 states vs their cost or salary."""
     params = GibbsParams(alpha, 1.0)
     eps = _grid(0.0, 10.0, 201)
     share = [fermi_dirac(activity(OccupancyLevel(1, e, sign), params))
              for e in eps]
-    return eps, share
-
-
-def _fig1():
-    eps, share = _share_sigmoid(EnergySign.COST, 5.0)
-    rows = list(zip(eps, share))
     svg = line_chart([("occupied share", eps, share)],
-                     x_label="cost epsilon", y_label="occupied share",
-                     title="Share of occupied capacity-1 states vs cost")
-    return ("epsilon", "share"), rows, svg
-
-
-def _fig2():
-    eps, share = _share_sigmoid(EnergySign.SALARY, -5.0)
-    rows = list(zip(eps, share))
-    svg = line_chart([("occupied share", eps, share)],
-                     x_label="salary epsilon", y_label="occupied share",
-                     title="Share of occupied capacity-1 states vs salary")
-    return ("epsilon", "share"), rows, svg
+                     x_label=f"{sign.value} epsilon", y_label="occupied share",
+                     title=f"Share of occupied capacity-1 states vs {sign.value}")
+    return ("epsilon", "share"), list(zip(eps, share)), svg
 
 
 def _overlay(relative: bool):
@@ -140,8 +126,10 @@ def _fig7():
     return header, rows, svg
 
 
-_BUILDERS = {1: _fig1, 2: _fig2, 3: lambda: _overlay(False),
-             4: lambda: _overlay(True), 5: _fig5, 6: _fig6, 7: _fig7}
+_BUILDERS = {1: lambda: _share(EnergySign.COST, 5.0),
+             2: lambda: _share(EnergySign.SALARY, -5.0),
+             3: lambda: _overlay(False), 4: lambda: _overlay(True),
+             5: _fig5, 6: _fig6, 7: _fig7}
 
 
 def build_figure(fig_id: int):

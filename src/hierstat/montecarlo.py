@@ -55,6 +55,18 @@ def _batch_stderr(x: np.ndarray) -> float:
     return float(bm.std(ddof=1) / math.sqrt(nb))
 
 
+def _estimates(history: np.ndarray):
+    """Per-level means and batch standard errors of a one-row-per-step history."""
+    kept = history.astype(float)
+    return kept.mean(axis=0), np.array([_batch_stderr(col) for col in kept.T])
+
+
+def _energies(spec: HierarchySpec, occupancies: np.ndarray) -> np.ndarray:
+    """Energy -sum_j salary_j * k_j of each occupancy row, added level by level
+    from 0 as a per-row -sum(s * k) adds: the trajectory pins depend on that order."""
+    return -sum(s * k for s, k in zip(spec.salaries.tolist(), occupancies.T))
+
+
 @dataclass(frozen=True)
 class GrandCanonicalSample:
     """Chain output for one level: kept samples, empirical law and moments."""
@@ -128,7 +140,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                         steps: int, rng: np.random.Generator):
     """Position-swap Metropolis for ``steps`` moves from state ``r``.
 
-    Returns (occupancy history, energy history, accepted count, final r).
+    Returns (int32 occupancy history, one row per step; accepted count; final r).
     """
     caps = spec.capacities.tolist()
     sals = spec.salaries.tolist()
@@ -185,9 +197,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     hist[moved, src] -= 1
     hist[moved, tgt] += 1
     np.cumsum(hist, axis=0, out=hist)
-    # added level by level from 0, the order of a per-row -sum(s * k): same bits
-    return (hist, -sum(s * k for s, k in zip(sals, hist.T)), accepted,
-            np.diff(occ, prepend=0).tolist())
+    return hist, accepted, np.diff(occ, prepend=0).tolist()
 
 
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):
@@ -235,14 +245,13 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
         raise ValidationError(problems)
     rng = np.random.default_rng(seed)
     r0 = _initial_occupancy(spec, agents, rng)
-    hist, energies, accepted, _ = _run_position_chain(spec, beta, r0, steps, rng)
+    hist, accepted, _ = _run_position_chain(spec, beta, r0, steps, rng)
     burn = int(steps * burn_in_fraction)
-    kept = hist[burn:].astype(float)
-    means = kept.mean(axis=0)
-    errs = np.array([_batch_stderr(kept[:, j]) for j in range(kept.shape[1])])
+    means, errs = _estimates(hist[burn:])
     idx = np.arange(0, steps, record_every)
+    occ = hist[idx]
     return CanonicalRun(
-        recorded_steps=idx, occupancies=hist[idx], energies=energies[idx],
+        recorded_steps=idx, occupancies=occ, energies=_energies(spec, occ),
         mean_occupancy=means, stderr=errs,
         acceptance_rate=accepted / steps, steps=steps, burn_in=burn,
         seed=seed, beta=beta, agents=agents)
@@ -293,53 +302,35 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
         raise ValidationError(problems)
     rng = np.random.default_rng(seed)
     caps = spec.capacities.tolist()
-    sals = spec.salaries.tolist()
 
     r = _initial_occupancy(spec, agents, rng)
-    hist_eq, en_eq, _, r = _run_position_chain(spec, beta, r, equilibration_steps, rng)
+    hist_eq, _, r = _run_position_chain(spec, beta, r, equilibration_steps, rng)
 
     # population inversion: drain top-salary levels into bottom vacancies
-    moves = int(round(pump_fraction * agents))
     pump_rows = []
-    pump_energies = []
-    done = 0
-    while done < moves:
+    for _ in range(round(pump_fraction * agents)):
         src = next((j for j in range(len(caps)) if r[j] > 0), None)
         tgt = next((j for j in reversed(range(len(caps))) if r[j] < caps[j]), None)
         if src is None or tgt is None or tgt <= src:
             break
         r[src] -= 1
         r[tgt] += 1
-        done += 1
         pump_rows.append(list(r))
-        pump_energies.append(-sum(s * k for s, k in zip(sals, r)))
 
-    hist_rx, en_rx, _, r = _run_position_chain(spec, beta, r, relax_steps, rng)
+    hist_rx, _, _ = _run_position_chain(spec, beta, r, relax_steps, rng)
 
-    idx_eq = np.arange(0, hist_eq.shape[0], record_every)
-    idx_rx = np.arange(0, hist_rx.shape[0], record_every)
+    idx_eq = np.arange(0, equilibration_steps, record_every)
+    idx_rx = np.arange(0, relax_steps, record_every)
     n_pump = len(pump_rows)
-    occ = np.concatenate([
-        hist_eq[idx_eq],
-        np.array(pump_rows, dtype=np.int32).reshape(n_pump, len(caps)),
-        hist_rx[idx_rx],
-    ])
-    energies = np.concatenate([en_eq[idx_eq], np.array(pump_energies),
-                               en_rx[idx_rx]])
-    steps_eq = idx_eq
-    steps_pump = np.full(n_pump, hist_eq.shape[0])
-    steps_rx = hist_eq.shape[0] + idx_rx
-    recorded = np.concatenate([steps_eq, steps_pump, steps_rx])
-    phases = np.concatenate([
-        np.zeros(idx_eq.size, dtype=np.int8),
-        np.ones(n_pump, dtype=np.int8),
-        np.full(idx_rx.size, 2, dtype=np.int8),
-    ])
-
-    tail = hist_rx[hist_rx.shape[0] // 2:].astype(float)
-    relax_err = np.array([_batch_stderr(tail[:, j]) for j in range(tail.shape[1])])
+    pumped = np.array(pump_rows, dtype=np.int32).reshape(n_pump, len(caps))
+    occ = np.concatenate([hist_eq[idx_eq], pumped, hist_rx[idx_rx]])
+    recorded = np.concatenate([idx_eq, np.full(n_pump, equilibration_steps),
+                               equilibration_steps + idx_rx])
+    phases = np.repeat(np.arange(len(PHASE_NAMES), dtype=np.int8),
+                       (idx_eq.size, n_pump, idx_rx.size))
+    means, errs = _estimates(hist_rx[relax_steps // 2:])
     return LaserRun(recorded_steps=recorded, occupancies=occ,
-                    energies=energies, phases=phases, pumped_moves=done,
-                    relax_mean_occupancy=tail.mean(axis=0), relax_stderr=relax_err,
+                    energies=_energies(spec, occ), phases=phases, pumped_moves=n_pump,
+                    relax_mean_occupancy=means, relax_stderr=errs,
                     seed=seed, beta=beta, agents=agents,
                     pump_fraction=pump_fraction)

@@ -365,6 +365,34 @@ def test_simulate_golden_trajectory_bytes(runner, tmp_path, extra, digest):
     assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
 
+_GRAND_CANONICAL_CFG = {
+    "scenario": "grand_canonical", "capacity": 3, "salary": 2.0, "alpha": -3.0,
+    "beta": 1.0, "steps": 50000, "seed": 2, "record_every": 7,
+}
+
+
+@pytest.mark.parametrize("cfg, extra, digests", [
+    (_GRAND_CANONICAL_CFG, [], {
+        "trajectory.csv": "bf56d8eba5c3d7fef8a31a389d115ff22ceb8e3d4a2fa95bf5cd25f1cb8a6e65",
+        "summary.json": "882e62d65ac61ce71fbb6abccd175e218cec4e863852598139d928bfd7ef119c"}),
+    (None, ["--scenario", "social_laser"], {
+        "summary.json": "a8e96a82d87645a181cc4703e5dbbd8746d265b23c48fc5cdcd6bf08afc3b6b0"}),
+], ids=["grand-canonical-thinned", "social-laser-summary"])
+def test_simulate_output_bytes_pinned(runner, tmp_path, cfg, extra, digests):
+    # thinned grand-canonical steps (burn_in + i * record_every) and the
+    # relax-phase estimates are in no golden file
+    path = DATA / "golden_simulate_config.json"
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["simulate", "--json-config", str(path),
+                                  "--output-dir", str(out), "--oracle", *extra])
+    assert result.exit_code == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_simulate_negative_beta(runner, tmp_path):
     result = runner.invoke(main, [
         "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),

@@ -17,7 +17,7 @@ from hierstat import (
     simulate_canonical,
 )
 from hierstat.gentile import gentile_mean
-from hierstat.montecarlo import _initial_occupancy, _run_position_chain
+from hierstat.montecarlo import _energies, _initial_occupancy, _run_position_chain
 
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
@@ -193,6 +193,7 @@ def test_step_loop_matches_linear_scan(name):
                     rng = np.random.default_rng(seed)
                     r0 = _initial_occupancy(spec, agents, rng)
                     out.extend(loop(spec, beta, r0, 1_500, rng))
+                got.insert(1, _energies(spec, got[0]))
                 assert np.array_equal(got[0], want[0]), (agents, beta, seed)
                 assert got[1].tobytes() == want[1].tobytes(), (agents, beta, seed)
                 assert got[2:] == want[2:], (agents, beta, seed)
@@ -213,8 +214,9 @@ def test_step_loop_ties_match_linear_scan():
     # u = 1.0 reaches the total, where the scan falls back to the last level
     for r0 in ([0, 2, 6], [0, 2, 4]):
         for u in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
-            got, want = (loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [0.0]))
+            got, want = (list(loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [0.0])))
                          for loop in (_run_position_chain, _linear_scan_chain))
+            got.insert(1, _energies(L3, got[0]))
             assert np.array_equal(got[0], want[0]), (r0, u)
             assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], (r0, u)
 
