@@ -1,22 +1,20 @@
 """Salary/cost distributions phi(epsilon) for the ensemble integrals.
 
 Support is restricted to bounded intervals of [0, inf) plus a point
-mass, so every integral here is either an exact atom sum or a
-convergent panel quadrature.  A distribution can also be declared as a
-parametric family that resolves to a concrete variant at each Gibbs
-parameter pair; the moment derivatives then pick up finite-difference
-phi terms.
+mass, so every integral over phi is either an exact atom sum or a
+convergent panel quadrature; :mod:`hierstat.ensemble` forms them all
+from the weighted pieces declared here.  A distribution can also be
+declared as a parametric family that resolves to a concrete variant at
+each Gibbs parameter pair; the moment derivatives then pick up
+finite-difference phi terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import ValidationError, check_real, checked
-from .quadrature import integrate_adaptive
 
 __all__ = [
     "Delta",
@@ -26,9 +24,7 @@ __all__ = [
     "SalaryDistribution",
     "ParametricFamily",
     "support",
-    "integrate_against",
     "resolve",
-    "is_parametric",
     "distribution_from_json",
     "distribution_to_json",
 ]
@@ -131,10 +127,6 @@ class ParametricFamily:
             raise ValidationError("build must be callable")
 
 
-def is_parametric(dist) -> bool:
-    return isinstance(dist, ParametricFamily)
-
-
 def resolve(dist, params) -> SalaryDistribution:
     """Concrete distribution at the given Gibbs parameters."""
     if isinstance(dist, ParametricFamily):
@@ -167,25 +159,13 @@ def support(dist: SalaryDistribution) -> tuple:
     return min(p[0] for p in pieces), max(p[1] for p in pieces)
 
 
-def integrate_against(dist: SalaryDistribution, f, *, breakpoints=()):
-    """integral of phi(eps) * f(eps) d eps; atoms are summed exactly.
-
-    ``f`` may return a scalar or a fixed-length sequence.  Each interval
-    piece is integrated adaptively, split at the ``breakpoints`` inside it.
-    """
-    total = None
-    for lo, hi, mass in _pieces(dist):
-        if lo == hi:
-            piece = mass * np.asarray(f(lo), dtype=float)
-        else:
-            est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
-            piece = mass * (np.asarray(est) / (hi - lo))
-        total = piece if total is None else total + piece
-    total = np.asarray(total)
-    return total if total.ndim else float(total)
-
-
-_JSON_TYPES = ("delta", "two_point", "uniform", "histogram")
+#: JSON type name -> (class, JSON field names in the order of the class's fields)
+_JSON_SCHEMA = {
+    "delta": (Delta, ("epsilon0",)),
+    "two_point": (TwoPoint, ("epsilon1", "epsilon2", "weight")),
+    "uniform": (Uniform, ("lower", "upper")),
+    "histogram": (Histogram, ("edges", "masses")),
+}
 
 
 def distribution_from_json(obj: dict) -> SalaryDistribution:
@@ -198,38 +178,21 @@ def distribution_from_json(obj: dict) -> SalaryDistribution:
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"distribution must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("type")
-    if kind not in _JSON_TYPES:
-        raise ValidationError(
-            f"distribution type must be one of {_JSON_TYPES}, got {kind!r}")
-    required = {
-        "delta": ("epsilon0",),
-        "two_point": ("epsilon1", "epsilon2", "weight"),
-        "uniform": ("lower", "upper"),
-        "histogram": ("edges", "masses"),
-    }[kind]
-    missing = [k for k in required if k not in obj]
+    kind, kinds = obj.get("type"), tuple(_JSON_SCHEMA)  # a tuple: kind may be unhashable
+    if kind not in kinds:
+        raise ValidationError(f"distribution type must be one of {kinds}, got {kind!r}")
+    cls, names = _JSON_SCHEMA[kind]
+    missing = [k for k in names if k not in obj]
     if missing:
         raise ValidationError([f"distribution field {k!r} is required for "
                                f"type {kind!r}" for k in missing])
-    if kind == "delta":
-        return Delta(obj["epsilon0"])
-    if kind == "two_point":
-        return TwoPoint(obj["epsilon1"], obj["epsilon2"], obj["weight"])
-    if kind == "uniform":
-        return Uniform(obj["lower"], obj["upper"])
-    return Histogram(obj["edges"], obj["masses"])
+    return cls(*(obj[k] for k in names))
 
 
 def distribution_to_json(dist: SalaryDistribution) -> dict:
-    if isinstance(dist, Delta):
-        return {"type": "delta", "epsilon0": dist.point}
-    if isinstance(dist, TwoPoint):
-        return {"type": "two_point", "epsilon1": dist.epsilon1,
-                "epsilon2": dist.epsilon2, "weight": dist.weight}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "lower": dist.lower, "upper": dist.upper}
-    if isinstance(dist, Histogram):
-        return {"type": "histogram", "edges": list(dist.edges),
-                "masses": list(dist.masses)}
+    for kind, (cls, names) in _JSON_SCHEMA.items():
+        if isinstance(dist, cls):
+            values = (getattr(dist, f.name) for f in fields(dist))
+            return {"type": kind, **{k: list(v) if isinstance(v, tuple) else v
+                                     for k, v in zip(names, values)}}
     raise ValidationError(f"not a salary distribution: {dist!r}")

@@ -4,19 +4,22 @@ Everything here uses the salary sign convention, lambda(eps) =
 alpha + beta * eps, except :func:`fermi_market_share`, which integrates
 the cost-convention Fermi-Dirac share.  The moments and their
 derivative integrals share one six-component integrand, hence one set of
-panels.  Every integral goes through
-:func:`~hierstat.distributions.integrate_against`, which sums point masses
-exactly and splits each interval piece where the activity changes sign;
-for a point mass u is -epsilon0 exactly.
+panels.  Every integral over phi is formed here, the phi terms of a
+family's derivatives included, and goes through :func:`integrate_against`,
+which sums point masses exactly and splits each interval piece where the
+activity changes sign; for a point mass u is -epsilon0 exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import Delta, integrate_against, resolve, support
+import numpy as np
+
+from .distributions import Delta, ParametricFamily, _pieces, resolve, support
 from .errors import ValidationError
 from .gentile import GibbsParams, _check_capacity, _check_lambda, _kernels, fermi_dirac
+from .quadrature import integrate_adaptive
 
 __all__ = [
     "EnsembleMoments",
@@ -24,6 +27,7 @@ __all__ = [
     "omega",
     "fermi_market_share",
     "moment_integrals",
+    "integrate_against",
     "PHI_STEP",
 ]
 
@@ -42,13 +46,44 @@ class EnsembleMoments:
     omega: float
 
 
+def integrate_against(dist, f, *, breakpoints=()):
+    """integral of phi(eps) * f(eps) d eps; atoms are summed exactly.
+
+    ``f`` may return a scalar or a fixed-length sequence.  Each interval
+    piece is integrated adaptively, split at the ``breakpoints`` inside it;
+    an overflow there is a ValidationError naming the piece.
+    """
+    total = None
+    for lo, hi, mass in _pieces(dist):
+        if lo == hi:
+            piece = mass * np.asarray(f(lo), dtype=float)
+        else:
+            try:
+                with np.errstate(over="raise"):
+                    est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
+                    piece = mass * (np.asarray(est) / (hi - lo))
+            except FloatingPointError:
+                raise ValidationError(f"the integral over [{lo!r}, {hi!r}] overflows") from None
+        total = piece if total is None else total + piece
+    total = np.asarray(total)
+    return total if total.ndim else float(total)
+
+
+def _integrate_at(a, b, dist, f, breakpoints=()):
+    """:func:`integrate_against`, its ValidationErrors naming alpha and beta."""
+    try:
+        return integrate_against(dist, f, breakpoints=breakpoints)
+    except ValidationError as exc:
+        raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
+
+
 def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     """Raw moment integrals at one parameter point, in one pass.
 
     Returns n, m1 = integral of eps phi f, omega, and the derivative
     integrals A = integral of phi f', B = eps-weighted, C = eps^2-weighted.
-    Families are resolved first; the phi terms of the derivatives are
-    handled one level up (thermostatics).
+    Families are resolved first; the phi terms of the derivatives come
+    from :func:`_phi_terms`.
     """
     base = resolve(dist, params)
     a, b = params.alpha, params.beta
@@ -57,17 +92,41 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     def f(eps):  # (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps
         fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
         return fv, eps * fv, logz, fp, eps * fp, eps * eps * fp
-    vals = integrate_against(base, f, breakpoints=(-a / b,))
+    vals = _integrate_at(a, b, base, f, (-a / b,))
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
+
+
+def _phi_terms(dist, d, params):
+    """Finite-difference phi-dependence parts of the moment derivatives.
+
+    For each parameter the perturbed distribution is integrated against
+    the frozen base integrand (f, eps f, log Z at the base parameters).
+    Returns two lists of three floats, zeros for a fixed phi.
+    """
+    if not isinstance(dist, ParametricFamily):
+        return [0.0] * 3, [0.0] * 3
+    a, b = params.alpha, params.beta
+
+    def frozen(eps):
+        fv, _, logz = _kernels(_check_lambda(a + b * eps), d)
+        return fv, eps * fv, logz
+
+    def against(concrete):
+        return np.asarray(_integrate_at(a, b, concrete, frozen))
+
+    h = PHI_STEP
+    d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
+    d_beta = (against(dist.build(a, b + h)) - against(dist.build(a, b - h))) / (2 * h)
+    return d_alpha.tolist(), d_beta.tolist()
 
 
 def omega(dist, d: int, params: GibbsParams) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
     a, b = params.alpha, params.beta
     d = _check_capacity(d)
-    return float(integrate_against(resolve(dist, params),
-                                   lambda eps: _kernels(_check_lambda(a + b * eps), d)[2],
-                                   breakpoints=(-a / b,)))
+    return float(_integrate_at(a, b, resolve(dist, params),
+                               lambda eps: _kernels(_check_lambda(a + b * eps), d)[2],
+                               (-a / b,)))
 
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
@@ -111,6 +170,5 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
     """
     a, b = params.alpha, params.beta
     # the cost activity a - b eps vanishes at eps = a / b
-    return float(integrate_against(resolve(dist, params),
-                                   lambda eps: fermi_dirac(a - b * eps),
-                                   breakpoints=(a / b,)))
+    return float(_integrate_at(a, b, resolve(dist, params),
+                               lambda eps: fermi_dirac(a - b * eps), (a / b,)))

@@ -1,7 +1,8 @@
 """Thermostatic state of the company ensemble.
 
-The forward maps (alpha, beta) -> (n, u, omega) come from
-:mod:`hierstat.ensemble`.  This module adds:
+The forward maps (alpha, beta) -> (n, u, omega), and every other
+integral over phi, come from :mod:`hierstat.ensemble`; this module only
+does algebra on its records.  It adds:
 
 * the inverse problem (n, u) -> (alpha, beta), by damped Newton from a
   computed starting point (support width and the point-mass activity
@@ -9,8 +10,8 @@ The forward maps (alpha, beta) -> (n, u, omega) come from
   accepted iterate is integrated once: its Jacobian reuses the moment
   pass that scored it in the line search;
 * analytic parameter derivatives of the moments, including the
-  finite-difference phi terms when the distribution depends on the
-  parameters;
+  finite-difference phi terms (from the ensemble) when the distribution
+  depends on the parameters;
 * the map to temperature, financial potential, pressure and the Gibbs
   free energy, via the entropy per element psi = omega/n + beta u - alpha.
   For a parameter-independent phi the closed forms T = 1/beta,
@@ -35,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Delta, integrate_against, is_parametric, resolve, support
-from .ensemble import PHI_STEP, _checked_moments, _n_and_u, moment_integrals
+from .distributions import Delta, ParametricFamily, resolve, support
+from .ensemble import (_checked_moments, _n_and_u, _phi_terms, integrate_against,
+                       moment_integrals)
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
@@ -47,8 +49,6 @@ from .gentile import (  # the EOS block is re-exported here unchanged
     eos_sweep,
     log_partition,
     _check_capacity,
-    _check_lambda,
-    _kernels,
 )
 
 __all__ = [
@@ -150,37 +150,13 @@ class MaxwellReport:
     step: float
 
 
-def _phi_terms(dist, d, params):
-    """Finite-difference phi-dependence parts of the moment derivatives.
-
-    For each parameter the perturbed distribution is integrated against
-    the frozen base integrand (f, eps f, log Z at the base parameters).
-    Returns two lists of three floats, zeros for a fixed phi.
-    """
-    if not is_parametric(dist):
-        return [0.0] * 3, [0.0] * 3
-    a, b = params.alpha, params.beta
-
-    def frozen(eps):
-        fv, _, logz = _kernels(_check_lambda(a + b * eps), d)
-        return fv, eps * fv, logz
-
-    def against(concrete):
-        return np.asarray(integrate_against(concrete, frozen))
-
-    h = PHI_STEP
-    d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
-    d_beta = (against(dist.build(a, b + h)) - against(dist.build(a, b - h))) / (2 * h)
-    return d_alpha.tolist(), d_beta.tolist()
-
-
 def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
     """Total derivatives of n, u and omega with respect to alpha and beta.
 
     The integrand parts are differentiated under the integral with the
     analytic occupation derivative; a parametric phi adds central
-    finite-difference terms with step ``PHI_STEP``.  A zero Jacobian is
-    a value here, not an error; an n that underflows to 0 is a ValidationError.
+    finite-difference terms with step ``ensemble.PHI_STEP``.  A zero Jacobian is
+    a value; an underflowed n or a non-finite derivative is a ValidationError.
     """
     d = _check_capacity(d)
     m = moment_integrals(dist, d, params)
@@ -202,9 +178,11 @@ def _derivatives(dist, d, params, m):
     du_db = -(dm1_db + u * dn_db) / n
     dom_da = n + phi_a[2]
     dom_db = -u * n + phi_b[2]
-    jac = dn_da * du_db - dn_db * du_da
-    return ThermoDerivatives(dn_da, dn_db, du_da, du_db, dom_da, dom_db, jac,
-                             phi_a[2], phi_b[2])
+    values = (dn_da, dn_db, du_da, du_db, dom_da, dom_db, dn_da * du_db - dn_db * du_da)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"derivative not finite at alpha={params.alpha!r}, "
+                              f"beta={params.beta!r}")
+    return ThermoDerivatives(*values, phi_a[2], phi_b[2])
 
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
@@ -231,11 +209,11 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     Jacobian, so a solve costs one quadrature pass per residual.
 
     Raises only :class:`ValidationError` (capacity or targets out of
-    range), :class:`SingularInversion` (a point mass, or a singular
-    Jacobian at an unconverged iterate) and :class:`NoConvergence`.  The
-    last covers an exhausted budget, a stalled line search and moments or
-    a Jacobian that fail at an iterate; it carries the
-    residuals and (alpha, beta) of the last accepted iterate.
+    range, or a phi-mean salary that overflows), :class:`SingularInversion`
+    (a point mass, or a singular Jacobian at an unconverged iterate) and
+    :class:`NoConvergence`.  The last covers an exhausted budget, a stalled
+    line search and moments or a Jacobian that fail at an iterate; it
+    carries the residuals and (alpha, beta) of the last accepted iterate.
     """
     return _solve(dist, d, n_target, u_target)[0]
 
@@ -253,7 +231,7 @@ def _solve(dist, d, n_target, u_target):
     n_target = check_real(n_target, "n_target", problems, 0, d,
                           open_low=True, open_high=True)
     lo, hi = support(probe)
-    u_lo, u_hi = (-math.inf, math.inf) if is_parametric(dist) else (-hi, -lo)
+    u_lo, u_hi = (-math.inf, math.inf) if isinstance(dist, ParametricFamily) else (-hi, -lo)
     u_target = check_real(u_target, "u_target", problems, u_lo, u_hi,
                           open_low=True, open_high=True)
     if problems:
@@ -277,7 +255,7 @@ def _solve(dist, d, n_target, u_target):
         converged = abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL
         try:
             der = _derivatives(dist, d, GibbsParams(alpha, beta), m)
-        except (AccuracyError, OverflowError) as exc:
+        except (ValidationError, AccuracyError, OverflowError) as exc:
             if not converged:
                 message += f" (the Jacobian failed at the last iterate: {exc})"
             break
@@ -342,9 +320,9 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     alpha, beta = params.alpha, params.beta
     psi = om / n + beta * u - alpha
 
-    if is_parametric(dist):
+    if isinstance(dist, ParametricFamily):
         der = _derivatives(dist, d, params, m)
-        if der.jacobian == 0.0 or not math.isfinite(der.jacobian):
+        if der.jacobian == 0.0:
             raise SingularInversion(
                 "zero moment Jacobian: the chain rule for the entropy "
                 "derivatives is undefined at this point")
@@ -397,7 +375,7 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     (E, N) at fixed V.
     """
     step = checked(check_real, step, "step", 0, 1, open_low=True, open_high=True)
-    if is_parametric(dist):
+    if isinstance(dist, ParametricFamily):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
     if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
         raise ValidationError(

@@ -655,6 +655,22 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_only_ensemble_integrates_over_phi():
+    # distributions only declares phi and thermostatics only solves: every
+    # integral over phi, and the quadrature behind it, belongs to ensemble
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, hierstat.distributions; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
+            "or m == 'hierstat.quadrature'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    import hierstat.thermostatics as thermostatics
+    integrand_names = {"_kernels", "_check_lambda", "integrate_adaptive", "PHI_STEP"}
+    assert not integrand_names & set(vars(thermostatics))
+
+
 def test_scalar_commands_load_no_numpy(tmp_path):
     # gentile, eos and figures run on the math kernels alone, so they skip
     # numpy's import (about half of a call's start-up); thermo and simulate

@@ -14,7 +14,8 @@ from hierstat import (
     distribution_from_json,
     distribution_to_json,
 )
-from hierstat.distributions import integrate_against, is_parametric, resolve, support
+from hierstat.distributions import resolve, support
+from hierstat.ensemble import integrate_against
 
 
 ALL_VARIANTS = [
@@ -92,7 +93,7 @@ def test_json_errors_are_explicit():
 
 def test_parametric_family_resolution():
     fam = ParametricFamily(lambda a, b: TwoPoint(1.0, 3.0, 0.3 + 0.1 * np.tanh(a)))
-    assert is_parametric(fam)
+    assert isinstance(fam, ParametricFamily)
     params = GibbsParams(0.0, 1.0)
     concrete = resolve(fam, params)
     assert concrete == TwoPoint(1.0, 3.0, 0.3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from hierstat import (
     ensemble_moments,
     entropy_per_element,
     eos_sweep,
+    fermi_market_share,
     invert_to_params,
     maxwell_check,
     thermo_derivatives,
@@ -101,12 +103,12 @@ def test_phi_terms_one_kernel_call_per_node(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(thermostatics, "_kernels", counting("kernels", thermostatics._kernels))
+    monkeypatch.setattr(ensemble, "_kernels", counting("kernels", ensemble._kernels))
     monkeypatch.setattr(quadrature, "gauss_legendre_panel",
                         counting("panels", quadrature.gauss_legendre_panel))
     fam = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
                                                 2.5 + 0.05 * math.tanh(b - 1.0)))
-    phi_a, phi_b = thermostatics._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
+    phi_a, phi_b = ensemble._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
     assert calls["panels"] > 0 and calls["kernels"] == 21 * calls["panels"]
     assert len(phi_a) == len(phi_b) == 3
     assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
@@ -131,6 +133,67 @@ def test_derivatives_at_underflowed_occupancy_name_the_parameters():
     # a saturated level, n = d, is still a value with a zero Jacobian
     der = thermo_derivatives(TwoPoint(1.0, 3.0, 0.5), 2, GibbsParams(800.0, 1.0))
     assert der.jacobian == 0.0 and der.domega_dalpha == 2.0
+
+
+def _count_panels(monkeypatch):
+    import hierstat.quadrature as quadrature
+    panels = []
+    real = quadrature.gauss_legendre_panel
+
+    def counted(*args):
+        panels.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
+    return panels
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, dist, alpha, max_panels", [
+    (ensemble_moments, Uniform(0.0, 1e300), -1.0, 1),
+    (ensemble_moments, Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, 2),
+    (thermo_derivatives, TwoPoint(1.0, 1e300, 0.5), -1.0, 0),
+    (thermo_derivatives, Delta(1e300), -1.0, 0),
+])
+def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, max_panels):
+    # an overflow inside a quadrature panel, or eps^2 f' = inf * 0 in a
+    # derivative, names the parameters and stops at once
+    panels = _count_panels(monkeypatch)
+    with pytest.raises(ValidationError) as err:
+        call(dist, 9, GibbsParams(alpha, 1.0))
+    assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
+    assert len(panels) <= max_panels
+
+
+def test_moments_stay_finite_where_derivatives_overflow():
+    mom = ensemble_moments(TwoPoint(1.0, 1e300, 0.5), 9, GibbsParams(-1.0, 1.0))
+    assert all(map(math.isfinite, dataclasses.astuple(mom)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_inputs_raise_only_documented_errors(monkeypatch):
+    # a fixed grid of extreme but valid inputs: each call returns finite
+    # values or raises ValidationError or AccuracyError, and evaluates at
+    # most MAX_PANELS panels
+    from hierstat.quadrature import MAX_PANELS
+    panels = _count_panels(monkeypatch)
+    dists = (Uniform(0.0, 1e300), Histogram((0.0, 1.0, 1e10), (0.5, 0.5)),
+             TwoPoint(1.0, 1e300, 0.5), Uniform(0.0, 1e-300),
+             TwoPoint(1e-200, 1e200, 0.5), Delta(1e300))
+    calls = (ensemble_moments, thermo_derivatives,
+             lambda dist, d, params: thermo_state(dist, d, params, 10),
+             lambda dist, d, params: fermi_market_share(dist, params))
+    for dist, alpha, d, call in itertools.product(dists, (-1e300, -1.0, 0.5, 1e300),
+                                                  (1, 9, 10**6), calls):
+        panels.clear()
+        try:
+            result = call(dist, d, GibbsParams(alpha, 1.0))
+        except (ValidationError, AccuracyError):
+            pass
+        else:
+            values = (result,) if isinstance(result, float) else dataclasses.astuple(result)
+            assert all(map(math.isfinite, values)), (dist, alpha, d, result)
+        assert len(panels) <= MAX_PANELS, (dist, alpha, d)
 
 
 def test_delta_derivatives_are_rank_one():
