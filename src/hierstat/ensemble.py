@@ -2,23 +2,30 @@
 
 Everything here uses the salary sign convention, lambda(eps) =
 alpha + beta * eps, except :func:`fermi_market_share`, which integrates
-the cost-convention Fermi-Dirac share.  The moments and their
-derivative integrals share one six-component integrand, hence one set of
-panels.  Every integral over phi is formed here, the phi terms of a
-family's derivatives included, and goes through :func:`integrate_against`,
-which sums point masses exactly and splits each interval piece where the
-activity changes sign; for a point mass u is -epsilon0 exactly.
+the cost-convention Fermi-Dirac share.  Every integral over phi is formed
+here, the phi terms of a family's derivatives included.  The moments and
+their derivative integrals are six averages, over each piece of phi, of
+a kernel times a polynomial in eps.  Over a uniform piece at least
+``W_MIN`` wide in activity each has a closed form in f, log Z and G, the
+antiderivative of log Z, at the two ends of the piece
+(:func:`_closed_piece`), so a moment pass costs two kernel evaluations
+and two of G per piece.  Point masses are summed exactly, and narrower
+pieces go through the adaptive quadrature of :func:`integrate_against`
+with one six-component integrand, split where the activity changes sign;
+for a point mass u is -epsilon0 exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Delta, ParametricFamily, _pieces, resolve, support
 from .errors import ValidationError
-from .gentile import GibbsParams, _check_capacity, _check_lambda, _kernels, fermi_dirac
+from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
+                      _log_partition_integral, fermi_dirac)
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -33,6 +40,18 @@ __all__ = [
 
 #: central-difference step for the phi(alpha, beta) dependence terms
 PHI_STEP = 1e-6
+#: narrowest activity width beta (hi - lo) of an interval piece whose
+#: moments come from closed forms.  Their error grows as the width shrinks
+#: (C by about 1/width^3), so narrower pieces go to quadrature; the sweep
+#: in tests/test_closed_form.py holds every component within 1e-13 above it
+W_MIN = 0.3
+#: largest ratio of the summed magnitudes of the terms of B or C to their
+#: value that the closed forms accept, so that they stay within about 2e-13
+#: where f' peaks near eps = 0; over the accuracy sweep the ratio stays
+#: below 1.5e3, while a peak at eps = 0 itself gives about d
+_MAX_CANCEL = 1e4
+#: Veltkamp's splitting factor 2^27 + 1 for doubles
+_SPLIT = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -55,18 +74,23 @@ def integrate_against(dist, f, *, breakpoints=()):
     """
     total = None
     for lo, hi, mass in _pieces(dist):
-        if lo == hi:
-            piece = mass * np.asarray(f(lo), dtype=float)
-        else:
-            try:
-                with np.errstate(over="raise"):
-                    est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
-                    piece = mass * (np.asarray(est) / (hi - lo))
-            except FloatingPointError:
-                raise ValidationError(f"the integral over [{lo!r}, {hi!r}] overflows") from None
+        piece = _piece_by_quadrature(f, lo, hi, mass, breakpoints)
         total = piece if total is None else total + piece
     total = np.asarray(total)
     return total if total.ndim else float(total)
+
+
+def _piece_by_quadrature(f, lo, hi, mass, breakpoints):
+    """mass times the average of ``f`` over one piece: its value at an atom,
+    an adaptive quadrature over an interval."""
+    if lo == hi:
+        return mass * np.asarray(f(lo), dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
+            return mass * (np.asarray(est) / (hi - lo))
+    except FloatingPointError:
+        raise ValidationError(f"the integral over [{lo!r}, {hi!r}] overflows") from None
 
 
 def _integrate_at(a, b, dist, f, breakpoints=()):
@@ -75,6 +99,118 @@ def _integrate_at(a, b, dist, f, breakpoints=()):
         return integrate_against(dist, f, breakpoints=breakpoints)
     except ValidationError as exc:
         raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
+
+
+def _activity(a, b, eps):
+    """lambda = alpha + beta eps as a checked float and the error of its
+    rounding, from Dekker's exact product and Knuth's exact sum (zero where
+    splitting would overflow).  Near lambda = 0 the rounding of alpha
+    dominates a kernel's error at large d."""
+    lam = _check_lambda(a + b * eps)
+    if max(abs(b), abs(eps)) > 1e290:
+        return lam, 0.0
+    p = b * eps
+    bh = _SPLIT * b
+    bh -= bh - b
+    eh = _SPLIT * eps
+    eh -= eh - eps
+    p_err = ((bh * eh - p) + bh * (eps - eh) + (b - bh) * eh) + (b - bh) * (eps - eh)
+    v = lam - a
+    s_err = (a - (lam - v)) + (p - v)
+    return lam, s_err + p_err
+
+
+def _end_values(lam, err, d):
+    """(f, log Z, G) at lambda + err for a small rounding error err, each
+    moved by err times its derivative (f', f, log Z)."""
+    f, fp, logz = _kernels(lam, d)
+    g = _log_partition_integral(lam, d)
+    return f + fp * err, logz + f * err, g + logz * err
+
+
+def _closed_piece(lo, hi, a, b, d):
+    """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi] at
+    lambda = alpha + beta eps, from the kernels and G at its two ends; None
+    when its activity width w = lambda(hi) - lambda(lo) is below ``W_MIN``
+    or when B or C cancels by more than ``_MAX_CANCEL``.
+
+    With t = lambda - lambda_mid in [-w/2, w/2] and [h] = h(end) - h(start),
+    the centred integrals are
+
+        a0 = int f'  = [f]          b0 = int f    = [log Z]
+        a1 = int t f' = (w/2) (f(end) + f(start)) - b0
+        b1 = int t f  = (w/2) (log Z(end) + log Z(start)) - [G]
+        a2 = int t^2 f' = (w/2)^2 a0 - 2 b1,   omega = int log Z = [G],
+
+    and eps = eps_mid + s t with s = (hi - lo) / w turns them into the six
+    averages.  A piece with lambda(lo) > 0 is integrated in its mirror image
+    [-lambda(hi), -lambda(lo)], where f = d - f(-lambda) and log Z = d lambda
+    + log Z(-lambda) leave only the small complements to difference.  B and
+    C cancel where f' peaks near eps = 0 (a large d with the activity
+    crossing zero there), which the sums of the magnitudes of their terms
+    detect.
+    """
+    lam_lo, err_lo = _activity(a, b, lo)
+    lam_hi, err_hi = _activity(a, b, hi)
+    w = lam_hi - lam_lo
+    if not w >= W_MIN:
+        return None
+    mirror = lam_lo > 0.0
+    if mirror:
+        ends = ((-lam_hi, -err_hi), (-lam_lo, -err_lo))
+    else:
+        ends = ((lam_lo, err_lo), (lam_hi, err_hi))
+    (f0, l0, g0), (f1, l1, g1) = (_end_values(lam, err, d) for lam, err in ends)
+    w += err_hi - err_lo
+    h = 0.5 * w
+    a0 = f1 - f0
+    b0 = l1 - l0
+    om = g1 - g0
+    a1 = h * (f1 + f0) - b0
+    b1 = h * (l1 + l0) - om
+    a2 = h * (h * a0) - 2.0 * b1
+    abs_a1 = h * (f1 + f0) + abs(b0)
+    abs_a2 = h * (h * abs(a0)) + 2.0 * (h * (l1 + l0) + abs(om))
+    if mirror:
+        mid_lam = (0.5 * lam_lo + 0.5 * lam_hi) + 0.5 * (err_lo + err_hi)
+        a1, b0, om = -a1, w * d - b0, w * d * mid_lam + om
+    s = (hi - lo) / w
+    mid = 0.5 * lo + 0.5 * hi
+    n, big_a = b0 / w, a0 / w
+    big_b = mid * big_a + s * (a1 / w)
+    big_c = mid * big_b + s * ((mid * a1 + s * a2) / w)
+    abs_b = mid * big_a + s * (abs_a1 / w)
+    abs_c = mid * abs_b + s * ((mid * abs_a1 + s * abs_a2) / w)
+    if abs_b > _MAX_CANCEL * abs(big_b) or abs_c > _MAX_CANCEL * abs(big_c):
+        return None
+    avg = (n, mid * n + s * (b1 / w), om / w, big_a, big_b, big_c)
+    if not all(map(math.isfinite, avg)):
+        raise ValidationError(f"the closed-form moments over [{lo!r}, {hi!r}] "
+                              f"are not finite")
+    return avg
+
+
+def _moment_pass(dist, a, b, d):
+    """(n, m1, omega, A, B, C) of the concrete ``dist`` at (alpha, beta), as
+    a list: closed forms for interval pieces at least ``W_MIN`` wide in
+    activity, quadrature of the six-component integrand for atoms and
+    narrower pieces.  ValidationErrors name alpha and beta."""
+    def f(eps):  # (f, eps f, log Z, f', eps f', eps (eps f')) at lambda = alpha + beta eps
+        fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
+        return fv, eps * fv, logz, fp, eps * fp, eps * (eps * fp)
+
+    total = None
+    try:
+        for lo, hi, mass in _pieces(dist):
+            avg = _closed_piece(lo, hi, a, b, d) if lo < hi else None
+            if avg is None:
+                piece = _piece_by_quadrature(f, lo, hi, mass, (-a / b,)).tolist()
+            else:
+                piece = [mass * v for v in avg]
+            total = piece if total is None else [t + p for t, p in zip(total, piece)]
+    except ValidationError as exc:
+        raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
+    return total
 
 
 def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
@@ -86,33 +222,24 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     from :func:`_phi_terms`.
     """
     base = resolve(dist, params)
-    a, b = params.alpha, params.beta
-    d = _check_capacity(d)
-
-    def f(eps):  # (f, eps f, log Z, f', eps f', eps^2 f') at lambda = alpha + beta eps
-        fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
-        return fv, eps * fv, logz, fp, eps * fp, eps * eps * fp
-    vals = _integrate_at(a, b, base, f, (-a / b,))
-    return dict(zip(("n", "m1", "omega", "A", "B", "C"), map(float, vals)))
+    vals = _moment_pass(base, params.alpha, params.beta, _check_capacity(d))
+    return dict(zip(("n", "m1", "omega", "A", "B", "C"), vals))
 
 
 def _phi_terms(dist, d, params):
     """Finite-difference phi-dependence parts of the moment derivatives.
 
     For each parameter the perturbed distribution is integrated against
-    the frozen base integrand (f, eps f, log Z at the base parameters).
-    Returns two lists of three floats, zeros for a fixed phi.
+    the frozen base integrand (f, eps f, log Z at the base parameters),
+    the first three components of a moment pass.  Returns two lists of
+    three floats, zeros for a fixed phi.
     """
     if not isinstance(dist, ParametricFamily):
         return [0.0] * 3, [0.0] * 3
     a, b = params.alpha, params.beta
 
-    def frozen(eps):
-        fv, _, logz = _kernels(_check_lambda(a + b * eps), d)
-        return fv, eps * fv, logz
-
     def against(concrete):
-        return np.asarray(_integrate_at(a, b, concrete, frozen))
+        return np.asarray(_moment_pass(concrete, a, b, d)[:3])
 
     h = PHI_STEP
     d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
@@ -122,11 +249,13 @@ def _phi_terms(dist, d, params):
 
 def omega(dist, d: int, params: GibbsParams) -> float:
     """Pressure generator: integral of phi(eps) log Z(lambda(eps)) d eps >= 0."""
-    a, b = params.alpha, params.beta
-    d = _check_capacity(d)
-    return float(_integrate_at(a, b, resolve(dist, params),
-                               lambda eps: _kernels(_check_lambda(a + b * eps), d)[2],
-                               (-a / b,)))
+    return moment_integrals(dist, d, params)["omega"]
+
+
+def _phi_mean(dist) -> float:
+    """The phi-mean salary of a concrete distribution, exactly: the sum of
+    mass (lo + hi) / 2 over its pieces."""
+    return sum(mass * (0.5 * lo + 0.5 * hi) for lo, hi, mass in _pieces(dist))
 
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:

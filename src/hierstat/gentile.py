@@ -30,7 +30,15 @@ same y; the closed form takes e^{-t} and 1 - e^{-t} once for each of
 t = |lambda| and t = |x| and forms f from their ratio, the variance from
 the ratio over the square and log(1 - e^{-t}) from whichever is exact
 (Maechler's ln 1/2 switch).  The public kernels check and index;
-quadrature integrands call it per node.
+the ensemble calls it at the ends of a piece, or per node of a quadrature.
+
+Integrals of the kernels over an activity interval need one more
+function, the antiderivative G of log Z (``_log_partition_integral``).
+It is a difference of dilogarithms, G(lambda) = Li2(e^lambda) -
+Li2(e^(lambda D)) / D with D = d + 1 for lambda <= 0, mapped through the
+same complement identity for lambda > 0.  Li2(e^-t) is summed from its
+Bernoulli series, which shares the kernels' coefficients, below t = 1 and
+from e^-kt / k^2 above, within a few ulp of mpmath on both sides.
 
 The equation-of-state sweep of a common-salary level and the grid helper
 behind the CLI and the figures live here too, so those paths need no
@@ -217,6 +225,65 @@ def _kernels(lam: float, d: int) -> tuple:
     if lam > 0.0:
         return d - f, fp, lam * d + log_t - log_a
     return f, fp, log_t - log_a
+
+
+#: Li2(e^-t) comes from its Bernoulli series below this t and from the
+#: direct sum above it; both sides stay within a few ulp of mpmath
+_LI2_SWITCH = 1.0
+
+#: Li2(1) = zeta(2) = pi^2 / 6, correctly rounded
+_ZETA2 = 1.6449340668482264
+
+
+@lru_cache(maxsize=None)
+def _li2_coefficients() -> tuple:
+    """B_2k / ((2k) (2k+1)!) for k = _SERIES_TERMS .. 1, highest power first."""
+    return tuple(float(c / ((2 * k) * (2 * k + 1)))
+                 for k, c in reversed(list(enumerate(_bernoulli_ratios(), 1))))
+
+
+def _li2_exp(t: float) -> float:
+    """The dilogarithm Li2(e^-t) at t >= 0.
+
+    Below ``_LI2_SWITCH`` it is the Bernoulli series (L. Lewin,
+    Polylogarithms and Associated Functions, 1981, ch. 1)
+
+        Li2(e^-t) = zeta(2) + t (log t - 1) - t^2/4
+                    + sum_k B_2k t^(2k+1) / ((2k) (2k+1)!),
+
+    which shares its coefficients with the kernels' series; above it, the
+    sum over k of e^(-kt) / k^2 in Horner form, cut where e^(-kt) < 1e-16.
+    """
+    if t >= _LI2_SWITCH:
+        z = math.exp(-t)
+        tail = 0.0
+        for k in range(int(37.0 / t) + 2, 1, -1):
+            tail = tail * z + 1.0 / (k * k)
+        return z + z * (z * tail)
+    if t == 0.0:
+        return _ZETA2
+    y = t * t
+    tail = 0.0
+    for c in _li2_coefficients():
+        tail = tail * y + c
+    return _ZETA2 + (t * (math.log(t) - 1.0) + y * (t * tail - 0.25))
+
+
+def _log_partition_integral(lam: float, d: int) -> float:
+    """G(lambda), the antiderivative of log Z with G(-inf) = 0.
+
+    With D = d + 1, G(lambda) = Li2(e^lambda) - Li2(e^(lambda D)) / D for
+    lambda <= 0, and the complement log Z(lambda) = d lambda + log Z(-lambda)
+    gives G(lambda) = d lambda^2 / 2 - G(-lambda) + 2 G(0) for lambda > 0,
+    with G(0) = zeta(2) d / D.  Every term is non-negative there, so
+    nothing cancels.  Overflows to inf for huge positive lambda.
+    """
+    a = abs(lam)
+    dd = d + 1.0
+    g = _li2_exp(a) - _li2_exp(a * dd) / dd
+    if lam > 0.0:
+        return 0.5 * d * lam * lam + (2.0 * _ZETA2 * d / dd - g)
+    return g
 
 
 def log_partition(lam, d: int) -> float:

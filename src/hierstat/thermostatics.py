@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Delta, ParametricFamily, resolve, support
-from .ensemble import (_checked_moments, _n_and_u, _phi_terms, integrate_against,
-                       moment_integrals)
+from .ensemble import _checked_moments, _n_and_u, _phi_mean, _phi_terms, moment_integrals
 from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
@@ -199,19 +198,19 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     Jacobian; beta is kept inside ``BETA_WINDOW``.  The start is computed:
     beta0 = 1/(hi - lo) over the support of phi (of ``dist.build(0, 1)``
     for a family), and alpha0 makes a point mass at the phi-mean salary
-    hold ``n_target`` elements.  Near a saturated atom a 1e-12 residual
-    still allows ~1e-8 of error in (alpha, beta), so once both residuals
-    are within 1e-12 one more step goes through the same line search; if
-    it is rejected or its Jacobian fails, the converged iterate is kept.
-    Point masses are refused outright: their u is constant, so the system
-    is rank one.  Each accepted iterate (and the start) is integrated once:
-    the moment pass that scored it in the line search also gives its
-    Jacobian, so a solve costs one quadrature pass per residual.
+    (summed exactly from the pieces of phi) hold ``n_target`` elements.
+    Near a saturated atom a 1e-12 residual still allows ~1e-8 of error in
+    (alpha, beta), so once both residuals are within 1e-12 one more step
+    goes through the same line search; if it is rejected or its Jacobian
+    fails, the converged iterate is kept.  Point masses are refused
+    outright: their u is constant, so the system is rank one.  Each
+    accepted iterate (and the start) is integrated once: the moment pass
+    that scored it in the line search also gives its Jacobian, so a solve
+    costs one moment pass per residual.
 
     Raises only :class:`ValidationError` (capacity or targets out of
-    range, or a phi-mean salary that overflows), :class:`SingularInversion`
-    (a point mass, or a singular Jacobian at an unconverged iterate) and
-    :class:`NoConvergence`.  The last covers an exhausted budget, a stalled
+    range), :class:`SingularInversion` (a point mass, or a singular
+    Jacobian at an unconverged iterate) and :class:`NoConvergence`.  The last covers an exhausted budget, a stalled
     line search and moments or a Jacobian that fail at an iterate; it
     carries the residuals and (alpha, beta) of the last accepted iterate.
     """
@@ -239,8 +238,7 @@ def _solve(dist, d, n_target, u_target):
 
     scale_u = max(abs(u_target), 1e-12)
     beta = 1.0 / (hi - lo)
-    alpha = (activity_for_mean(d, n_target)
-             - beta * integrate_against(probe, lambda eps: eps))
+    alpha = activity_for_mean(d, n_target) - beta * _phi_mean(probe)
     try:
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (ValidationError, AccuracyError, OverflowError) as exc:

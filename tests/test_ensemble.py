@@ -8,7 +8,6 @@ import pytest
 from conftest import midpoint_integral
 
 from hierstat import (
-    AccuracyError,
     Delta,
     GibbsParams,
     Histogram,
@@ -206,19 +205,29 @@ def test_moment_bundle_consistent():
 
 
 def test_moment_pass_makes_one_kernel_call_per_node(monkeypatch):
-    # a deterministic work count: 4 K21 panels x 21 nodes, one fused
-    # (f, f', log Z) evaluation per node
+    # deterministic work counts: a piece 2 wide in activity takes the closed
+    # form, one fused (f, f', log Z) evaluation at each end and no panel; a
+    # piece narrower than W_MIN keeps one evaluation per K21 node
     import hierstat.ensemble as ensemble
-    calls = []
-    real = ensemble._kernels
+    import hierstat.quadrature as quadrature
+    calls, panels = [], []
+    real, panel = ensemble._kernels, quadrature.gauss_legendre_panel
 
     def counted(lam, d):
         calls.append(lam)
         return real(lam, d)
 
+    def counted_panel(*args):
+        panels.append(None)
+        return panel(*args)
+
     monkeypatch.setattr(ensemble, "_kernels", counted)
+    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted_panel)
     ensemble.moment_integrals(Uniform(0.5, 2.5), 9, GibbsParams(-2.0, 1.0))
-    assert len(calls) == 84
+    assert (len(calls), len(panels)) == (2, 0)
+    calls.clear()
+    ensemble.moment_integrals(Uniform(0.5, 0.6), 9, GibbsParams(-2.0, 1.0))
+    assert 0.1 < ensemble.W_MIN and len(panels) > 0 and len(calls) == 21 * len(panels)
 
 
 @pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),
@@ -230,12 +239,10 @@ def test_underflowed_occupancy_is_a_validation_error(dist, alpha):
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
 
 
-@pytest.mark.xfail(strict=True, raises=AccuracyError,
-                   reason="at d = 10**6 some panels' local error stays above "
-                          "PANEL_TOL = 1e-12 of their integral of |f| down to "
-                          "MAX_DEPTH, so the per-panel target is not reachable there")
 @pytest.mark.parametrize("alpha, beta", [(-7.4073663903078, 3.6491958186739293),
                                          (-2.7326, 4.6923)])
 def test_forward_moments_at_a_million_positions(alpha, beta):
+    # activity widths of about 7 and 9 take the closed form; the quadrature
+    # could not meet its per-panel tolerance here
     mom = ensemble_moments(Uniform(0.5, 2.5), 10**6, GibbsParams(alpha, beta))
     assert 0.0 < mom.n < 10**6

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hierstat import (AccuracyError, GibbsParams, Uniform, ValidationError, ensemble_moments,
-                      quadrature)
+import hierstat.ensemble as ensemble
+from hierstat import AccuracyError, GibbsParams, Uniform, ValidationError, quadrature
 from hierstat.ensemble import moment_integrals
 from hierstat.quadrature import integrate_adaptive
 
@@ -47,9 +47,9 @@ def test_nonconvergence_carries_estimate_and_bound():
 
 
 def test_panel_budget_stops_a_nonconverging_integral(monkeypatch):
-    # eps^2 f' overflows to nan on every panel of this support, so none meets
-    # the tolerance; without the budget the bisection ran 2,097,151 panels
-    # to MAX_DEPTH before failing
+    # a six-component integrand that is NaN on every panel meets the
+    # tolerance nowhere; without the budget the bisection would run
+    # 2,097,151 panels to MAX_DEPTH before failing
     panels = []
     panel = quadrature.gauss_legendre_panel
 
@@ -59,7 +59,7 @@ def test_panel_budget_stops_a_nonconverging_integral(monkeypatch):
 
     monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
     with pytest.raises(AccuracyError) as err:
-        ensemble_moments(Uniform(0.0, 1e300), 9, GibbsParams(-1e300, 1.0))
+        integrate_adaptive(lambda x: (math.nan,) * 6, 0.0, 1.0)
     assert quadrature.MAX_PANELS - 1 <= len(panels) <= quadrature.MAX_PANELS
     assert err.value.estimate.shape == (6,) and err.value.error_bound is not None
 
@@ -115,7 +115,8 @@ def test_rule_constants_equal_scipy():
 
 def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
     # near the activity crossing at d = 1000 the error estimate must stop at
-    # the kernels' real error, not chase round-off
+    # the kernels' real error, not chase round-off; W_MIN is lifted so that
+    # the piece takes the quadrature, as a piece narrower than it does
     mpmath = pytest.importorskip("mpmath")
     panels = []
     panel = quadrature.gauss_legendre_panel
@@ -125,6 +126,7 @@ def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
         return panel(*args)
 
     monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
+    monkeypatch.setattr(ensemble, "W_MIN", math.inf)
     alpha, beta, d = -2.856, 1.323, 1000
     m = moment_integrals(Uniform(0.5, 2.5), d, GibbsParams(alpha, beta))
     assert len(panels) <= 100

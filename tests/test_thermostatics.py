@@ -93,7 +93,8 @@ def test_derivatives_match_finite_differences_parametric():
 
 def test_phi_terms_one_kernel_call_per_node(monkeypatch):
     # the frozen integrand (f, eps f, log Z) takes all three from one fused
-    # kernel call per quadrature node
+    # kernel call: at each end of a piece in closed form, per quadrature
+    # node of a piece narrower than W_MIN
     import hierstat.quadrature as quadrature
     calls = {"kernels": 0, "panels": 0}
 
@@ -106,12 +107,19 @@ def test_phi_terms_one_kernel_call_per_node(monkeypatch):
     monkeypatch.setattr(ensemble, "_kernels", counting("kernels", ensemble._kernels))
     monkeypatch.setattr(quadrature, "gauss_legendre_panel",
                         counting("panels", quadrature.gauss_legendre_panel))
-    fam = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
-                                                2.5 + 0.05 * math.tanh(b - 1.0)))
-    phi_a, phi_b = ensemble._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
-    assert calls["panels"] > 0 and calls["kernels"] == 21 * calls["panels"]
-    assert len(phi_a) == len(phi_b) == 3
-    assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
+    wide = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
+                                                 2.5 + 0.05 * math.tanh(b - 1.0)))
+    narrow = ParametricFamily(lambda a, b: Uniform(0.5 + 0.01 * math.tanh(a),
+                                                   0.6 + 0.01 * math.tanh(b - 1.0)))
+    for fam, closed in ((wide, True), (narrow, False)):
+        calls.update(kernels=0, panels=0)
+        phi_a, phi_b = ensemble._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
+        if closed:  # four perturbed pieces, two ends each
+            assert (calls["kernels"], calls["panels"]) == (8, 0)
+        else:
+            assert calls["panels"] > 0 and calls["kernels"] == 21 * calls["panels"]
+        assert len(phi_a) == len(phi_b) == 3
+        assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
 
 
 def test_fixed_phi_omega_derivatives_closed_form():
@@ -152,17 +160,24 @@ def _count_panels(monkeypatch):
 @pytest.mark.parametrize("call, dist, alpha, max_panels", [
     (ensemble_moments, Uniform(0.0, 1e300), -1.0, 1),
     (ensemble_moments, Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, 2),
-    (thermo_derivatives, TwoPoint(1.0, 1e300, 0.5), -1.0, 0),
-    (thermo_derivatives, Delta(1e300), -1.0, 0),
 ])
 def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, max_panels):
-    # an overflow inside a quadrature panel, or eps^2 f' = inf * 0 in a
-    # derivative, names the parameters and stops at once
+    # an overflowing closed form or quadrature panel names the parameters
+    # and stops at once
     panels = _count_panels(monkeypatch)
     with pytest.raises(ValidationError) as err:
         call(dist, 9, GibbsParams(alpha, 1.0))
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
     assert len(panels) <= max_panels
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist", [TwoPoint(1.0, 1e300, 0.5), Delta(1e300)])
+def test_saturated_atom_derivatives_are_finite(dist):
+    # C is formed as eps (eps f'), so a saturated atom at eps ~ 1e300, where
+    # f' = 0, adds 0 rather than inf * 0 = nan
+    der = thermo_derivatives(dist, 9, GibbsParams(-1.0, 1.0))
+    assert all(map(math.isfinite, dataclasses.astuple(der)))
 
 
 def test_moments_stay_finite_where_derivatives_overflow():
@@ -569,7 +584,9 @@ def _solver_records():
 def test_solver_results_bits_pinned():
     # recorded before the Jacobian reused the accepted iterate's moment pass,
     # then once more when the derivative fields became Python floats (every
-    # record equal to the old one with np.float64(x) written as x); 7 of the
+    # record equal to the old one with np.float64(x) written as x), and again
+    # when uniform pieces took the closed-form moments (61 records moved,
+    # each checked against a 45-digit oracle; see CHANGES.md); 7 of the
     # 149 records are errors (ValidationError, SingularInversion,
     # NoConvergence), pinned with their messages
     records = _solver_records()
@@ -577,7 +594,7 @@ def test_solver_results_bits_pinned():
     errors = ("ValidationError:", "SingularInversion:", "NoConvergence:")
     assert sum(r.startswith(errors) for r in records) == 7
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "213628a5eb3cc6f975b4f5ad4c00d1b96ef7777adbbb8332cbbc5eeda03187b7"
+    assert digest == "c1ac2725179f94395180e450212e373ca264537a5481cd540cd82190b7a61ee8"
 
 
 # --- thermodynamic state -----------------------------------------------------
