@@ -12,7 +12,8 @@ antiderivative of log Z, at the two ends of the piece
 and two of G per piece.  Point masses are summed exactly, and narrower
 pieces go through the adaptive quadrature of :func:`integrate_against`
 with one six-component integrand, split where the activity changes sign;
-for a point mass u is -epsilon0 exactly.
+for a point mass u is -epsilon0 exactly.  numpy and the quadrature are
+imported only for those narrower pieces and by :func:`integrate_against`.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import Delta, ParametricFamily, _pieces, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
                       _log_partition_integral, fermi_dirac)
-from .quadrature import integrate_adaptive
 
 __all__ = [
     "EnsembleMoments",
@@ -72,19 +70,22 @@ def integrate_against(dist, f, *, breakpoints=()):
     piece is integrated adaptively, split at the ``breakpoints`` inside it;
     an overflow there is a ValidationError naming the piece.
     """
+    import numpy as np
     total = None
     for lo, hi, mass in _pieces(dist):
-        piece = _piece_by_quadrature(f, lo, hi, mass, breakpoints)
+        piece = (mass * np.asarray(f(lo), dtype=float) if lo == hi
+                 else _piece_by_quadrature(f, lo, hi, mass, breakpoints))
         total = piece if total is None else total + piece
     total = np.asarray(total)
     return total if total.ndim else float(total)
 
 
 def _piece_by_quadrature(f, lo, hi, mass, breakpoints):
-    """mass times the average of ``f`` over one piece: its value at an atom,
-    an adaptive quadrature over an interval."""
-    if lo == hi:
-        return mass * np.asarray(f(lo), dtype=float)
+    """mass times the average of ``f`` over the interval [lo, hi], by
+    adaptive quadrature.  numpy and the quadrature are loaded here, so a
+    moment pass with no piece to integrate numerically loads neither."""
+    import numpy as np
+    from .quadrature import integrate_adaptive
     try:
         with np.errstate(over="raise"):
             est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
@@ -192,9 +193,9 @@ def _closed_piece(lo, hi, a, b, d):
 
 def _moment_pass(dist, a, b, d):
     """(n, m1, omega, A, B, C) of the concrete ``dist`` at (alpha, beta), as
-    a list: closed forms for interval pieces at least ``W_MIN`` wide in
-    activity, quadrature of the six-component integrand for atoms and
-    narrower pieces.  ValidationErrors name alpha and beta."""
+    a list of floats: the six-component integrand at atoms, closed forms
+    for interval pieces at least ``W_MIN`` wide in activity, quadrature for
+    narrower ones.  ValidationErrors (an overflowing lambda too) name alpha and beta."""
     def f(eps):  # (f, eps f, log Z, f', eps f', eps (eps f')) at lambda = alpha + beta eps
         fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
         return fv, eps * fv, logz, fp, eps * fp, eps * (eps * fp)
@@ -202,7 +203,7 @@ def _moment_pass(dist, a, b, d):
     total = None
     try:
         for lo, hi, mass in _pieces(dist):
-            avg = _closed_piece(lo, hi, a, b, d) if lo < hi else None
+            avg = f(lo) if lo == hi else _closed_piece(lo, hi, a, b, d)
             if avg is None:
                 piece = _piece_by_quadrature(f, lo, hi, mass, (-a / b,)).tolist()
             else:
@@ -238,13 +239,13 @@ def _phi_terms(dist, d, params):
         return [0.0] * 3, [0.0] * 3
     a, b = params.alpha, params.beta
 
-    def against(concrete):
-        return np.asarray(_moment_pass(concrete, a, b, d)[:3])
+    def difference(plus, minus):
+        ahead, behind = (_moment_pass(p, a, b, d)[:3] for p in (plus, minus))
+        return [(x - y) / (2 * h) for x, y in zip(ahead, behind)]
 
     h = PHI_STEP
-    d_alpha = (against(dist.build(a + h, b)) - against(dist.build(a - h, b))) / (2 * h)
-    d_beta = (against(dist.build(a, b + h)) - against(dist.build(a, b - h))) / (2 * h)
-    return d_alpha.tolist(), d_beta.tolist()
+    return (difference(dist.build(a + h, b), dist.build(a - h, b)),
+            difference(dist.build(a, b + h), dist.build(a, b - h)))
 
 
 def omega(dist, d: int, params: GibbsParams) -> float:

@@ -465,7 +465,8 @@ def activity_for_mean(d: int, target: float) -> float:
     """
     d = _check_capacity(d)
     target = checked(check_real, target, "target", 0, d, open_low=True, open_high=True)
-    return _increasing_root(lambda l: gentile_mean(l, d), target)
+    # the bracket's lambdas are finite floats, so the kernel needs no checks
+    return _increasing_root(lambda l: _kernels(l, d)[0], target)
 
 
 def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:

@@ -8,7 +8,8 @@ does algebra on its records.  It adds:
   computed starting point (support width and the point-mass activity
   at the phi-mean salary), with one extra step after convergence.  Each
   accepted iterate is integrated once: its Jacobian reuses the moment
-  pass that scored it in the line search;
+  pass that scored it in the line search.  It runs on Python floats (the
+  Newton step is a 2x2 LU solve), so this module loads no numpy;
 * analytic parameter derivatives of the moments, including the
   finite-difference phi terms (from the ensemble) when the distribution
   depends on the parameters;
@@ -19,7 +20,8 @@ does algebra on its records.  It adds:
   to them exactly.  A state integrates its point once: the chain rule
   takes its Jacobian from the moment pass that gave n, u and omega;
 * second-derivative (Maxwell) residual reports from 12 probe solves,
-  one per perturbed (E, N, V) point, and the condensation temperature.
+  one per perturbed (E, N, V) point, each started at the state's
+  (alpha, beta), and the condensation temperature.
   The equation-of-state sweep for a common salary level lives next to
   the kernels in :mod:`hierstat.gentile` and is re-exported here.
 
@@ -33,8 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import Delta, ParametricFamily, resolve, support
 from .ensemble import _checked_moments, _n_and_u, _phi_mean, _phi_terms, moment_integrals
@@ -188,7 +188,18 @@ def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
     params = GibbsParams(alpha, beta)
     m = moment_integrals(dist, d, params)
     n, u = _n_and_u(m, d, params)
-    return np.array([(n - n_target) / n_target, (u - u_target) / scale_u]), m
+    return ((n - n_target) / n_target, (u - u_target) / scale_u), m
+
+
+def _lu_solve_2x2(j11, j12, j21, j22, b1, b2):
+    """(x1, x2) with [[j11, j12], [j21, j22]] (x1, x2) = (b1, b2), by LU
+    with partial pivoting in plain floats; an exactly zero pivot raises
+    ZeroDivisionError."""
+    if abs(j21) > abs(j11):
+        j11, j12, b1, j21, j22, b2 = j21, j22, b2, j11, j12, b1
+    low = j21 / j11
+    x2 = (b2 - low * b1) / (j22 - low * j12)
+    return (b1 - j12 * x2) / j11, x2
 
 
 def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsParams:
@@ -217,8 +228,9 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     return _solve(dist, d, n_target, u_target)[0]
 
 
-def _solve(dist, d, n_target, u_target):
-    """:func:`invert_to_params`, also returning the moment integrals at the solution."""
+def _solve(dist, d, n_target, u_target, start=None):
+    """:func:`invert_to_params`, also returning the moment integrals at the
+    solution; Newton starts from ``start`` = (alpha, beta) when it is given."""
     d = _check_capacity(d)
     probe = resolve(dist, GibbsParams(0.0, 1.0))
     if isinstance(probe, Delta):
@@ -237,15 +249,17 @@ def _solve(dist, d, n_target, u_target):
         raise ValidationError(problems)
 
     scale_u = max(abs(u_target), 1e-12)
-    beta = 1.0 / (hi - lo)
-    alpha = activity_for_mean(d, n_target) - beta * _phi_mean(probe)
+    if start is None:
+        beta = 1.0 / (hi - lo)
+        start = activity_for_mean(d, n_target) - beta * _phi_mean(probe), beta
+    alpha, beta = start
     try:
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (ValidationError, AccuracyError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
                             alpha=alpha, beta=beta) from None
-    norm = float(np.hypot(*res))
+    norm = math.hypot(*res)
     lo_b, hi_b = BETA_WINDOW
     message = "inverse problem did not converge"
     for _ in range(80):
@@ -257,16 +271,16 @@ def _solve(dist, d, n_target, u_target):
             if not converged:
                 message += f" (the Jacobian failed at the last iterate: {exc})"
             break
-        jac = np.array([[der.dn_dalpha / n_target, der.dn_dbeta / n_target],
-                        [der.du_dalpha / scale_u, der.du_dbeta / scale_u]])
         try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
+            step = _lu_solve_2x2(der.dn_dalpha / n_target, der.dn_dbeta / n_target,
+                                 der.du_dalpha / scale_u, der.du_dbeta / scale_u,
+                                 -res[0], -res[1])
+        except ZeroDivisionError:
             if converged:
                 break
             raise SingularInversion(
                 "Jacobian of (n, u) with respect to (alpha, beta) is singular "
-                f"at alpha={float(alpha)!r}, beta={float(beta)!r}") from None
+                f"at alpha={alpha!r}, beta={beta!r}") from None
         t = 1.0
         accepted = False
         for _ in range(60):
@@ -279,7 +293,7 @@ def _solve(dist, d, n_target, u_target):
                 except (ValidationError, AccuracyError, OverflowError):
                     t *= 0.5
                     continue
-                norm_new = float(np.hypot(*res_new))
+                norm_new = math.hypot(*res_new)
                 if norm_new < norm * (1.0 - 1e-4 * t) or norm_new < _NEWTON_TOL:
                     alpha, beta, res, norm, m = a_new, b_new, res_new, norm_new, m_new
                     accepted = True
@@ -297,9 +311,8 @@ def _solve(dist, d, n_target, u_target):
         # plain phi-average of the money scale)
         message += " (beta pinned at the search boundary; the target pair " \
                    "may be unattainable for this distribution)"
-    raise NoConvergence(message,
-                        residual_n=float(res[0]), residual_u=float(res[1]),
-                        alpha=float(alpha), beta=float(beta))
+    raise NoConvergence(message, residual_n=res[0], residual_u=res[1],
+                        alpha=alpha, beta=beta)
 
 
 def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
@@ -367,10 +380,10 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     at relative step ``step`` in (0, 1) and again at half step so the
     caller can verify second-order convergence.  E, N and V are each moved
     up and down at both steps, and each of these 12 probe points is solved
-    once, by an inversion to scaled residuals of 1e-12; one central
-    difference per variable gives all three of 1/T, mu/T and p/T.  Requires
-    a fixed, non-point-mass phi, otherwise S is not a free function of
-    (E, N) at fixed V.
+    once, by an inversion to scaled residuals of 1e-12 started at the
+    state's (alpha, beta); one central difference per variable gives all
+    three of 1/T, mu/T and p/T.  Requires a fixed, non-point-mass phi,
+    otherwise S is not a free function of (E, N) at fixed V.
     """
     step = checked(check_real, step, "step", 0, 1, open_low=True, open_high=True)
     if isinstance(dist, ParametricFamily):
@@ -393,7 +406,8 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
             for shift in (h_var, -h_var):
                 energy, elements, vol = (x + shift if i == var else x
                                          for i, x in enumerate((e0, n0, v0)))
-                solved, m = _solve(dist, d, elements / vol, energy / elements)
+                solved, m = _solve(dist, d, elements / vol, energy / elements,
+                                   (state.alpha, state.beta))
                 probes.append((solved.beta, solved.alpha, m["omega"]))
             grad.append([(fp - fm) / (2.0 * h_var) for fp, fm in zip(*probes)])
         (de_b, de_a, de_o), (dn_b, _, dn_o), (dv_b, dv_a, _) = grad

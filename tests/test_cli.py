@@ -673,8 +673,8 @@ def test_only_ensemble_integrates_over_phi():
 
 def test_scalar_commands_load_no_numpy(tmp_path):
     # gentile, eos and figures run on the math kernels alone, so they skip
-    # numpy's import (about half of a call's start-up); thermo and simulate
-    # import it inside their commands
+    # numpy's import (about half of a call's start-up); simulate imports it
+    # inside its command, and thermo only for a quadrature fallback
     src = Path(__file__).resolve().parent.parent / "src"
     outdir = str(tmp_path)
     calls = [["gentile", "-d", "5", "--output", f"{outdir}/g.csv"],
@@ -689,3 +689,43 @@ def test_scalar_commands_load_no_numpy(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
     assert len(list(tmp_path.glob("fig*.svg"))) == 7
+
+
+def _loaded_numpy(code):
+    """The numpy modules a fresh interpreter has loaded after running ``code``,
+    and its stdout before them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    *before, last = out.splitlines()
+    return last, "\n".join(before)
+
+
+def test_thermostatics_import_loads_no_numpy():
+    # the inverse problem runs on Python floats, and ensemble imports numpy
+    # only for a piece that falls back to quadrature
+    assert _loaded_numpy("import hierstat.thermostatics")[0] == "[]"
+
+
+@pytest.mark.parametrize("distribution, point, numpy_loaded", [
+    # atoms only, solved from (n, u)
+    ({"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0, "weight": 0.4},
+     {"n": 2.0, "u": -2.5}, False),
+    # one piece 2.0 wide in activity: closed-form moments
+    ({"type": "uniform", "lower": 0.5, "upper": 2.5}, {"alpha": -2.0, "beta": 1.0}, False),
+    # a first piece 0.1 wide in activity, below W_MIN: quadrature, numpy loaded lazily
+    ({"type": "histogram", "edges": [0.5, 0.6, 2.5], "masses": [0.1, 0.9]},
+     {"alpha": -2.0, "beta": 1.0}, True),
+])
+def test_thermo_loads_numpy_only_for_quadrature(tmp_path, distribution, point,
+                                                numpy_loaded):
+    cfg = _thermo_cfg(tmp_path, {"distribution": distribution, "d": 9, "volume": 100,
+                                 **point})
+    args = ["thermo", "--json-config", cfg]
+    modules, out = _loaded_numpy(
+        f"import hierstat.cli; hierstat.cli.main.main(args={args!r}, standalone_mode=False)")
+    assert (modules != "[]") == numpy_loaded
+    state = json.loads(out)
+    assert state["residuals"]["euler_identity"] < 1e-8

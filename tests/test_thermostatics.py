@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -548,6 +550,48 @@ def test_inversion_singular_at_later_iterate_raises(monkeypatch):
     assert "np.float64" not in str(err.value)
 
 
+def test_lu_solve_2x2_matches_exact_solve():
+    # random systems with a 1-norm condition number of at most 4, against
+    # Cramer's rule in exact rationals, in ulps of the larger component
+    rng = random.Random(23)
+    checked = 0
+    while checked < 500:
+        j11, j12, j21, j22, b1, b2 = (rng.uniform(-1.0, 1.0) for _ in range(6))
+        a11, a12, a21, a22 = map(Fraction, (j11, j12, j21, j22))
+        det = a11 * a22 - a12 * a21
+        inverse_norm = max(abs(a22) + abs(a21), abs(a12) + abs(a11)) / abs(det)
+        if max(abs(a11) + abs(a21), abs(a12) + abs(a22)) * inverse_norm > 4:
+            continue
+        checked += 1
+        exact = ((a22 * Fraction(b1) - a12 * Fraction(b2)) / det,
+                 (a11 * Fraction(b2) - a21 * Fraction(b1)) / det)
+        got = thermostatics._lu_solve_2x2(j11, j12, j21, j22, b1, b2)
+        ulp = math.ulp(max(abs(float(x)) for x in exact))
+        assert all(abs(Fraction(g) - x) <= 8 * ulp for g, x in zip(got, exact)), \
+            (j11, j12, j21, j22, b1, b2)
+
+
+@pytest.mark.parametrize("rows", [
+    ((0.0, 2.0), (0.0, 1.0)),  # the alpha column is zero
+    ((2.0, 4.0), (1.0, 2.0)),  # proportional rows
+])
+def test_inversion_exactly_singular_jacobian_raises(monkeypatch, rows):
+    # every Jacobian has the given scaled rows (powers of two times the
+    # targets, so the scaling is exact): the first pivot or the second is
+    # exactly zero
+    n_target, u_target = 2.0, -2.5
+    (na, nb), (ua, ub) = rows
+
+    def singular(dist, d, params, m):
+        return thermostatics.ThermoDerivatives(na * n_target, nb * n_target,
+                                               -ua * u_target, -ub * u_target,
+                                               0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(thermostatics, "_derivatives", singular)
+    with pytest.raises(SingularInversion, match="is singular at alpha="):
+        invert_to_params(TwoPoint(1.0, 3.0, 0.4), 9, n_target, u_target)
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -586,15 +630,18 @@ def test_solver_results_bits_pinned():
     # then once more when the derivative fields became Python floats (every
     # record equal to the old one with np.float64(x) written as x), and again
     # when uniform pieces took the closed-form moments (61 records moved,
-    # each checked against a 45-digit oracle; see CHANGES.md); 7 of the
-    # 149 records are errors (ValidationError, SingularInversion,
-    # NoConvergence), pinned with their messages
+    # each checked against a 45-digit oracle; see CHANGES.md), and when the
+    # Newton step became a float LU solve and the Maxwell probes started at
+    # the state (33 records moved: round trips, two error messages and both
+    # Maxwell reports, compared with the parent's in CHANGES.md); 7 of the 149 records are
+    # errors (ValidationError, SingularInversion, NoConvergence), pinned
+    # with their messages
     records = _solver_records()
     assert len(records) == 149
     errors = ("ValidationError:", "SingularInversion:", "NoConvergence:")
     assert sum(r.startswith(errors) for r in records) == 7
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "c1ac2725179f94395180e450212e373ca264537a5481cd540cd82190b7a61ee8"
+    assert digest == "bc9080a67f3a74461869983b36ade524d336c71ec9b0a24f445c3ee904f6838e"
 
 
 # --- thermodynamic state -----------------------------------------------------
@@ -732,6 +779,18 @@ def test_maxwell_solves_each_probe_point_once(monkeypatch):
         maxwell_check(dist, d, GibbsParams(-2.0, 1.0), 100)
         assert len(solves) == 12
         assert len({args[2:] for args in solves}) == 12
+
+
+def test_maxwell_probes_start_at_the_state(monkeypatch):
+    # 12 warm-started probe solves: at most 5 moment passes each (7 from the
+    # computed cold start), and no activity_for_mean root for a cold start
+    passes = _count_calls(monkeypatch, "moment_integrals")
+    roots = _count_calls(monkeypatch, "activity_for_mean")
+    for dist, d in ((TwoPoint(1.0, 3.0, 0.5), 5), (Uniform(0.5, 2.5), 9)):
+        passes.clear()
+        maxwell_check(dist, d, GibbsParams(-2.0, 1.0), 100)
+        assert len(passes) <= 60, (dist, len(passes))
+        assert roots == []
 
 
 def test_maxwell_rejects_delta_and_parametric():
