@@ -1,19 +1,19 @@
 """Ensemble moments of the level statistics over a salary distribution.
 
 Everything here uses the salary sign convention, lambda(eps) =
-alpha + beta * eps, except :func:`fermi_market_share`, which integrates
-the cost-convention Fermi-Dirac share.  Every integral over phi is formed
-here, the phi terms of a family's derivatives included.  The moments and
+alpha + beta * eps; :func:`fermi_market_share` reaches it by mirroring its
+cost distribution.  Every integral over phi is formed here, in one moment
+pass, the phi terms of a family's derivatives included.  The moments and
 their derivative integrals are six averages, over each piece of phi, of
 a kernel times a polynomial in eps.  Over a uniform piece at least
 ``W_MIN`` wide in activity each has a closed form in f, log Z and G, the
 antiderivative of log Z, at the two ends of the piece
 (:func:`_closed_piece`), so a moment pass costs two kernel evaluations
 and two of G per piece.  Point masses are summed exactly, and narrower
-pieces go through the adaptive quadrature of :func:`integrate_against`
-with one six-component integrand, split where the activity changes sign;
-for a point mass u is -epsilon0 exactly.  numpy and the quadrature are
-imported only for those narrower pieces and by :func:`integrate_against`.
+pieces go through the adaptive quadrature with one six-component
+integrand, split where the activity changes sign; for a point mass u is
+-epsilon0 exactly.  numpy and the quadrature are imported only for those
+narrower pieces.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .distributions import Delta, ParametricFamily, _pieces, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
-                      _log_partition_integral, fermi_dirac)
+                      _log_partition_integral)
 
 __all__ = [
     "EnsembleMoments",
@@ -32,7 +32,6 @@ __all__ = [
     "omega",
     "fermi_market_share",
     "moment_integrals",
-    "integrate_against",
     "PHI_STEP",
 ]
 
@@ -63,23 +62,6 @@ class EnsembleMoments:
     omega: float
 
 
-def integrate_against(dist, f, *, breakpoints=()):
-    """integral of phi(eps) * f(eps) d eps; atoms are summed exactly.
-
-    ``f`` may return a scalar or a fixed-length sequence.  Each interval
-    piece is integrated adaptively, split at the ``breakpoints`` inside it;
-    an overflow there is a ValidationError naming the piece.
-    """
-    import numpy as np
-    total = None
-    for lo, hi, mass in _pieces(dist):
-        piece = (mass * np.asarray(f(lo), dtype=float) if lo == hi
-                 else _piece_by_quadrature(f, lo, hi, mass, breakpoints))
-        total = piece if total is None else total + piece
-    total = np.asarray(total)
-    return total if total.ndim else float(total)
-
-
 def _piece_by_quadrature(f, lo, hi, mass, breakpoints):
     """mass times the average of ``f`` over the interval [lo, hi], by
     adaptive quadrature.  numpy and the quadrature are loaded here, so a
@@ -89,17 +71,9 @@ def _piece_by_quadrature(f, lo, hi, mass, breakpoints):
     try:
         with np.errstate(over="raise"):
             est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
-            return mass * (np.asarray(est) / (hi - lo))
+            return mass * (est / (hi - lo))
     except FloatingPointError:
         raise ValidationError(f"the integral over [{lo!r}, {hi!r}] overflows") from None
-
-
-def _integrate_at(a, b, dist, f, breakpoints=()):
-    """:func:`integrate_against`, its ValidationErrors naming alpha and beta."""
-    try:
-        return integrate_against(dist, f, breakpoints=breakpoints)
-    except ValidationError as exc:
-        raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
 
 
 def _activity(a, b, eps):
@@ -191,10 +165,10 @@ def _closed_piece(lo, hi, a, b, d):
     return avg
 
 
-def _moment_pass(dist, a, b, d):
-    """(n, m1, omega, A, B, C) of the concrete ``dist`` at (alpha, beta), as
-    a list of floats: the six-component integrand at atoms, closed forms
-    for interval pieces at least ``W_MIN`` wide in activity, quadrature for
+def _moment_pass(pieces, a, b, d):
+    """(n, m1, omega, A, B, C) of the ``pieces`` (lo, hi, mass) at (alpha,
+    beta), as a list of floats: the six-component integrand at atoms, closed
+    forms for interval pieces at least ``W_MIN`` wide in activity, quadrature for
     narrower ones.  ValidationErrors (an overflowing lambda too) name alpha and beta."""
     def f(eps):  # (f, eps f, log Z, f', eps f', eps (eps f')) at lambda = alpha + beta eps
         fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
@@ -202,12 +176,10 @@ def _moment_pass(dist, a, b, d):
 
     total = None
     try:
-        for lo, hi, mass in _pieces(dist):
+        for lo, hi, mass in pieces:
             avg = f(lo) if lo == hi else _closed_piece(lo, hi, a, b, d)
-            if avg is None:
-                piece = _piece_by_quadrature(f, lo, hi, mass, (-a / b,)).tolist()
-            else:
-                piece = [mass * v for v in avg]
+            piece = (_piece_by_quadrature(f, lo, hi, mass, (-a / b,)).tolist()
+                     if avg is None else [mass * v for v in avg])
             total = piece if total is None else [t + p for t, p in zip(total, piece)]
     except ValidationError as exc:
         raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
@@ -223,7 +195,7 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     from :func:`_phi_terms`.
     """
     base = resolve(dist, params)
-    vals = _moment_pass(base, params.alpha, params.beta, _check_capacity(d))
+    vals = _moment_pass(_pieces(base), params.alpha, params.beta, _check_capacity(d))
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), vals))
 
 
@@ -240,7 +212,7 @@ def _phi_terms(dist, d, params):
     a, b = params.alpha, params.beta
 
     def difference(plus, minus):
-        ahead, behind = (_moment_pass(p, a, b, d)[:3] for p in (plus, minus))
+        ahead, behind = (_moment_pass(_pieces(p), a, b, d)[:3] for p in (plus, minus))
         return [(x - y) / (2 * h) for x, y in zip(ahead, behind)]
 
     h = PHI_STEP
@@ -296,9 +268,9 @@ def _checked_moments(dist, d, params):
 def fermi_market_share(dist, params: GibbsParams) -> float:
     """Mean occupied share of capacity-1 states across a cost distribution.
 
-    Cost convention: the share at cost eps is 1 / (e^{beta eps - alpha} + 1).
+    Cost convention: the share at cost eps is 1 / (e^{beta eps - alpha} + 1),
+    the Gentile mean at d = 1 and activity alpha - beta eps: the n of a
+    d = 1 moment pass over phi mirrored to eps' = -eps.
     """
-    a, b = params.alpha, params.beta
-    # the cost activity a - b eps vanishes at eps = a / b
-    return float(_integrate_at(a, b, resolve(dist, params),
-                               lambda eps: fermi_dirac(a - b * eps), (a / b,)))
+    mirrored = [(-hi, -lo, mass) for lo, hi, mass in _pieces(resolve(dist, params))]
+    return _moment_pass(mirrored, params.alpha, params.beta, 1)[0]

@@ -150,11 +150,16 @@ def ledger_audit(ledger: TransactionLedger) -> BalanceReport:
 
 
 def subset_balance(ledger: TransactionLedger, indices) -> tuple:
-    """(sum of party deltas, sum of leakage) over a subset of entries.
+    """(sum of party deltas, sum of leakage) over the entries at ``indices``.
 
     The two always sum to zero: whatever the parties lose over any
     subset of transfers is exactly what the sink gained there.
     """
+    problems = []
+    indices = [check_int(i, f"indices[{k}]", problems, 0, len(ledger.entries) - 1)
+               for k, i in enumerate(indices)]
+    if problems:
+        raise ValidationError(problems)
     delta = 0
     leak = 0
     for i in indices:

@@ -4,8 +4,8 @@ A panel is bisected until each component's error estimate is within
 ``PANEL_TOL`` of that component's integral of |f| over the panel.  Known
 awkward points (for example where an integrand switches across a
 removable singularity) can be passed as breakpoints so that no panel
-straddles them.  Integrands may return scalars or fixed-length
-sequences, which lets callers evaluate several moments in one pass.
+straddles them.  An integrand returns a fixed-length sequence, so that
+one pass evaluates several moments.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ def gauss_legendre_panel(f, lo: float, hi: float) -> tuple:
 
 
 def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
-    """Integrate ``f`` over [a, b]: a float for scalar integrands, an
-    ndarray for vector ones.
+    """Integrate ``f`` over [a, b]: an ndarray, one entry per component of ``f``.
 
     Raises :class:`AccuracyError` carrying the estimate and the summed
     error bound if a panel still misses ``PANEL_TOL`` after ``MAX_DEPTH``
@@ -103,9 +102,7 @@ def integrate_adaptive(f, a: float, b: float, *, breakpoints=()):
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))
 
-    result = np.asarray(result)
     if failed:
         raise AccuracyError("quadrature did not converge to tolerance",
-                            estimate=result if result.ndim else float(result),
-                            error_bound=err_total)
-    return result if result.ndim else float(result)
+                            estimate=result, error_bound=err_total)
+    return result

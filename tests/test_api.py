@@ -15,6 +15,8 @@ from hierstat import (
     HierarchySpec,
     Histogram,
     OccupancyLevel,
+    Transaction,
+    TransactionLedger,
     TwoPoint,
     Uniform,
     ValidationError,
@@ -31,6 +33,7 @@ from hierstat import (
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
+    subset_balance,
 )
 from hierstat.errors import check_int, check_real
 
@@ -87,6 +90,9 @@ def test_numerics_take_no_tolerance_options(module):
 _SPEC = HierarchySpec(((1, 2.0), (4, 1.0)))
 _LEVEL = OccupancyLevel(3, 1.0)
 _PARAMS = GibbsParams(0.0, 1.0)
+_LEDGER = TransactionLedger({"a": 100})
+_LEDGER.record(Transaction("a", "b", 40))
+_LEDGER.record(Transaction("b", "a", 10, leakage=1))
 
 # each call must fail argument checking with ValidationError, not escape
 # as a TypeError, a plain ValueError or a silently wrong result
@@ -128,6 +134,11 @@ _MALFORMED = {
     "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),
     "eos-sweep-grid-numeric-strings": lambda: eos_sweep(3, ["0.1", "0.2"]),
     "eos-sweep-grid-bool": lambda: eos_sweep(3, [0.1, True]),
+    "subset-balance-index-negative": lambda: subset_balance(_LEDGER, [-1]),
+    "subset-balance-index-bool": lambda: subset_balance(_LEDGER, [True]),
+    "subset-balance-index-past-end": lambda: subset_balance(_LEDGER, [5]),
+    "subset-balance-index-string": lambda: subset_balance(_LEDGER, ["0"]),
+    "subset-balance-index-float": lambda: subset_balance(_LEDGER, [0.0]),
 }
 
 

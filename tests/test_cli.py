@@ -709,6 +709,23 @@ def test_thermostatics_import_loads_no_numpy():
     assert _loaded_numpy("import hierstat.thermostatics")[0] == "[]"
 
 
+def test_market_share_off_quadrature_loads_no_numpy():
+    # the share is the n of a d = 1 moment pass: atoms and pieces at least
+    # W_MIN wide in activity (here at least 1 wide) take no K21 panel, so
+    # neither the quadrature nor numpy, which it imports, is loaded
+    code = ("import sys\n"
+            "from hierstat import Delta, GibbsParams, Histogram, TwoPoint, Uniform\n"
+            "from hierstat.ensemble import W_MIN, fermi_market_share\n"
+            "dists = (Delta(2.0), TwoPoint(1.0, 3.0, 0.4), Uniform(0.5, 2.5),\n"
+            "         Histogram((0.0, 1.0, 1e10), (0.5, 0.5)))\n"
+            "for alpha in (-30.0, -1.0, 0.5, 2.0, 30.0):\n"
+            "    for dist in dists:\n"
+            "        assert 0.0 <= fermi_market_share(dist, GibbsParams(alpha, 1.0)) <= 1.0\n"
+            "print(W_MIN <= 1.0, 'hierstat.quadrature' in sys.modules)")
+    modules, out = _loaded_numpy(code)
+    assert (modules, out) == ("[]", "True False")
+
+
 @pytest.mark.parametrize("distribution, point, numpy_loaded", [
     # atoms only, solved from (n, u)
     ({"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0, "weight": 0.4},

@@ -1,4 +1,4 @@
-"""Salary distribution variants: validation, JSON round trip, integration."""
+"""Salary distribution variants: validation, JSON round trip, weighted pieces."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from hierstat import (
     distribution_from_json,
     distribution_to_json,
 )
-from hierstat.distributions import resolve, support
-from hierstat.ensemble import integrate_against
+from hierstat.distributions import _pieces, resolve, support
+from hierstat.ensemble import _phi_mean
 
 
 ALL_VARIANTS = [
@@ -28,7 +28,7 @@ ALL_VARIANTS = [
 
 @pytest.mark.parametrize("dist", ALL_VARIANTS)
 def test_total_mass_is_one(dist):
-    assert integrate_against(dist, lambda e: 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert sum(mass for _, _, mass in _pieces(dist)) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dist", ALL_VARIANTS)
@@ -41,24 +41,20 @@ def test_support_and_atoms():
     assert support(TwoPoint(3.0, 1.0, 0.4)) == (1.0, 3.0)
     assert support(Uniform(0.5, 2.5)) == (0.5, 2.5)
     assert support(Histogram((0.0, 1.0, 2.0), (0.0, 1.0))) == (1.0, 2.0)
-    # an atom is weighted exactly by its mass; a density has no atoms
-    def at(*points):
-        return lambda e: [float(e == p) for p in points]
-    assert integrate_against(Delta(2.0), at(2.0)) == 1.0
-    assert integrate_against(TwoPoint(1.0, 3.0, 0.4), at(1.0, 3.0)).tolist() \
-        == [0.4, 1.0 - 0.4]
-    assert integrate_against(Uniform(0.0, 1.0), at(0.0, 1.0)).tolist() == [0.0, 0.0]
+    # an atom is a piece with lo == hi weighted exactly by its mass; a
+    # density declares interval pieces only
+    assert _pieces(Delta(2.0)) == ((2.0, 2.0, 1.0),)
+    assert _pieces(TwoPoint(1.0, 3.0, 0.4)) == ((1.0, 1.0, 0.4), (3.0, 3.0, 1.0 - 0.4))
+    assert _pieces(Uniform(0.0, 1.0)) == ((0.0, 1.0, 1.0),)
 
 
 def test_first_moment_per_variant():
-    assert integrate_against(Delta(2.0), lambda e: e) == 2.0
-    assert integrate_against(TwoPoint(1.0, 3.0, 0.4), lambda e: e) \
-        == pytest.approx(0.4 * 1 + 0.6 * 3, rel=1e-14)
-    assert integrate_against(Uniform(0.5, 2.5), lambda e: e) \
-        == pytest.approx(1.5, rel=1e-12)
+    assert _phi_mean(Delta(2.0)) == 2.0
+    assert _phi_mean(TwoPoint(1.0, 3.0, 0.4)) == pytest.approx(0.4 * 1 + 0.6 * 3, rel=1e-14)
+    assert _phi_mean(Uniform(0.5, 2.5)) == pytest.approx(1.5, rel=1e-12)
     hist = Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3))
     expected = 0.2 * 0.5 + 0.5 * 1.5 + 0.3 * 3.0
-    assert integrate_against(hist, lambda e: e) == pytest.approx(expected, rel=1e-12)
+    assert _phi_mean(hist) == pytest.approx(expected, rel=1e-12)
 
 
 def test_validation_failures():

@@ -21,6 +21,8 @@ from hierstat import (
     log_partition,
     omega,
 )
+from hierstat.distributions import _pieces
+from hierstat.ensemble import W_MIN
 
 
 # --- occupancy density -------------------------------------------------------
@@ -118,6 +120,73 @@ def test_market_share_symmetric_uniform_is_half():
     oracle = midpoint_integral(lambda e: fermi_dirac(alpha - beta * e), 0.0, 4.0) / 4.0
     assert got == pytest.approx(0.5, abs=1e-12)
     assert got == pytest.approx(oracle, abs=1e-8)
+
+
+def _share_oracle(mpmath, dist, alpha, beta):
+    """The share at 60 digits.  Over a uniform piece [lo, hi] it is the
+    softplus difference (s(alpha - beta lo) - s(alpha - beta hi)) /
+    (beta (hi - lo)), s(x) = log(1 + e^x); an atom at eps adds its mass times
+    1 / (1 + e^-lambda) at the float activity lambda = alpha - beta eps."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        softplus = lambda x: mpmath.log1p(mpmath.exp(x))
+        total = mpmath.mpf(0)
+        for lo, hi, mass in _pieces(dist):
+            if lo == hi:
+                share = 1 / (1 + mpmath.exp(-mpmath.mpf(alpha - beta * lo)))
+            else:
+                share = ((softplus(a - b * lo) - softplus(a - b * hi))
+                         / (b * (mpmath.mpf(hi) - lo)))
+            total += mass * share
+        return total
+
+
+def _share_draws():
+    """600 fixed draws: (params, Uniform, Histogram with bins 0.01 to 0.5
+    wide, TwoPoint, Delta), alpha in [-30, 30], beta log-uniform in [1e-3, 30]."""
+    rng = np.random.default_rng(3)
+    for _ in range(600):
+        alpha = rng.uniform(-30.0, 30.0)
+        beta = math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+        lo, width, e1, e2 = rng.uniform(0.0, 3.0, 4).tolist()
+        edges = lo + np.cumsum(np.r_[0.0, rng.uniform(0.01, 0.5, 4)])
+        masses = rng.dirichlet(np.ones(4))
+        masses[-1] = 1.0 - masses[:-1].sum()
+        yield (GibbsParams(float(alpha), beta), Uniform(lo, lo + 0.05 + width),
+               Histogram(tuple(edges.tolist()), tuple(masses.tolist())),
+               TwoPoint(e1, e2, float(rng.uniform(0.05, 0.95))), Delta(e1))
+
+
+def test_market_share_matches_a_60_digit_oracle():
+    # measured worst cases over these draws: Uniform 1.1e-15 and Histogram
+    # 7.9e-16 relative (6.8e-15 and 6.1e-15 on the former scalar quadrature),
+    # TwoPoint 1.9 and Delta 2.1 ulp; most histogram bins are narrower than
+    # W_MIN in activity and take the quadrature fallback
+    mpmath = pytest.importorskip("mpmath")
+    narrow = 0
+    for params, uniform, hist, two_point, delta in _share_draws():
+        a, b = params.alpha, params.beta
+        for dist in (uniform, hist):
+            oracle = _share_oracle(mpmath, dist, a, b)
+            error = abs(fermi_market_share(dist, params) - oracle)
+            assert error <= 2e-15 * oracle, (dist, a, b, error / oracle)
+        for dist in (two_point, delta):
+            oracle = float(_share_oracle(mpmath, dist, a, b))
+            ulps = abs(fermi_market_share(dist, params) - oracle) / math.ulp(oracle)
+            assert ulps <= 4.0, (dist, a, b, ulps)
+        narrow += sum(b * (hi - lo) < W_MIN for lo, hi, _ in _pieces(hist))
+    assert narrow > 1000
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.5])
+def test_market_share_over_a_wide_bin(alpha):
+    # the bin [1, 1e10] adds about 1e-11 to the share; a first K21 panel
+    # over it sees only zeros, so the former quadrature returned exactly
+    # 0.25 at alpha = 0.5; the closed form is within 1.2e-16 here
+    mpmath = pytest.importorskip("mpmath")
+    hist = Histogram((0.0, 1.0, 1e10), (0.5, 0.5))
+    oracle = _share_oracle(mpmath, hist, alpha, 1.0)
+    assert abs(fermi_market_share(hist, GibbsParams(alpha, 1.0)) - oracle) <= 2e-15 * oracle
 
 
 # --- generating identity -----------------------------------------------------

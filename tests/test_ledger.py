@@ -65,6 +65,19 @@ def test_subset_balance_mirrors_leakage():
         assert delta == -leak
 
 
+def test_subset_balance_checks_every_index():
+    # a negative index, a bool, one past the end, a string and a float:
+    # one ValidationError names each of them
+    bad = [-1, True, 3, "0", 0.0]
+    with pytest.raises(ValidationError) as err:
+        subset_balance(_sample_ledger(), [0] + bad)
+    assert err.value.violations == [f"indices[{k}] must be an integer in [0, 2], got {i!r}"
+                                    for k, i in enumerate(bad, start=1)]
+    assert subset_balance(_sample_ledger(), []) == (0, 0)
+    with pytest.raises(ValidationError):
+        subset_balance(TransactionLedger(), [0])
+
+
 def test_transaction_validation():
     with pytest.raises(ValidationError):
         Transaction("a", "b", -5)

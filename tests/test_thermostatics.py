@@ -191,7 +191,7 @@ def test_moments_stay_finite_where_derivatives_overflow():
 def test_extreme_inputs_raise_only_documented_errors(monkeypatch):
     # a fixed grid of extreme but valid inputs: each call returns finite
     # values or raises ValidationError or AccuracyError, and evaluates at
-    # most MAX_PANELS panels
+    # most MAX_PANELS panels; the number of raising inputs is pinned per call
     from hierstat.quadrature import MAX_PANELS
     panels = _count_panels(monkeypatch)
     dists = (Uniform(0.0, 1e300), Histogram((0.0, 1.0, 1e10), (0.5, 0.5)),
@@ -200,17 +200,28 @@ def test_extreme_inputs_raise_only_documented_errors(monkeypatch):
     calls = (ensemble_moments, thermo_derivatives,
              lambda dist, d, params: thermo_state(dist, d, params, 10),
              lambda dist, d, params: fermi_market_share(dist, params))
-    for dist, alpha, d, call in itertools.product(dists, (-1e300, -1.0, 0.5, 1e300),
-                                                  (1, 9, 10**6), calls):
+    raised, share_raised = [0] * len(calls), set()
+    for dist, alpha, d, k in itertools.product(dists, (-1e300, -1.0, 0.5, 1e300),
+                                               (1, 9, 10**6), range(len(calls))):
         panels.clear()
         try:
-            result = call(dist, d, GibbsParams(alpha, 1.0))
-        except (ValidationError, AccuracyError):
-            pass
+            result = calls[k](dist, d, GibbsParams(alpha, 1.0))
+        except (ValidationError, AccuracyError) as exc:
+            raised[k] += 1
+            if k == 3:
+                assert isinstance(exc, ValidationError)
+                assert f"alpha={alpha!r}, beta=1.0" in str(exc)
+                share_raised.add((dist, alpha))
         else:
             values = (result,) if isinstance(result, float) else dataclasses.astuple(result)
             assert all(map(math.isfinite, values)), (dist, alpha, d, result)
         assert len(panels) <= MAX_PANELS, (dist, alpha, d)
+    # the share, the n of a d = 1 moment pass, refuses the points where omega,
+    # m1 or C of that pass overflow, as every other moment does there (the
+    # true shares at alpha = -1 and 0.5 on [0, 1e300] are 3.1e-301 and 9.7e-301)
+    assert share_raised == {(dists[0], -1.0), (dists[0], 0.5), (dists[0], 1e300),
+                            (dists[1], 1e300)}
+    assert raised == [41, 31, 41, 12]
 
 
 def test_delta_derivatives_are_rank_one():
