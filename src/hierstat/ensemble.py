@@ -270,7 +270,16 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
 
     Cost convention: the share at cost eps is 1 / (e^{beta eps - alpha} + 1),
     the Gentile mean at d = 1 and activity alpha - beta eps: the n of a
-    d = 1 moment pass over phi mirrored to eps' = -eps.
+    d = 1 moment pass over phi mirrored to eps' = -eps, piece by piece, so
+    that an overflow names the piece of phi as given.
     """
-    mirrored = [(-hi, -lo, mass) for lo, hi, mass in _pieces(resolve(dist, params))]
-    return _moment_pass(mirrored, params.alpha, params.beta, 1)[0]
+    a, b = params.alpha, params.beta
+    share = None
+    for lo, hi, mass in _pieces(resolve(dist, params)):
+        try:
+            n = _moment_pass([(-hi, -lo, mass)], a, b, 1)[0]
+        except ValidationError:
+            raise ValidationError(f"at alpha={a!r}, beta={b!r}: the d = 1 moments "
+                                  f"over the cost piece [{lo!r}, {hi!r}] overflow") from None
+        share = n if share is None else share + n
+    return share

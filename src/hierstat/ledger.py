@@ -155,6 +155,11 @@ def subset_balance(ledger: TransactionLedger, indices) -> tuple:
     The two always sum to zero: whatever the parties lose over any
     subset of transfers is exactly what the sink gained there.
     """
+    try:
+        indices = list(indices)
+    except TypeError:
+        raise ValidationError(f"indices must be an iterable of entry indices, "
+                              f"got {indices!r}") from None
     problems = []
     indices = [check_int(i, f"indices[{k}]", problems, 0, len(ledger.entries) - 1)
                for k, i in enumerate(indices)]

@@ -22,7 +22,6 @@ outputs regardless of the path taken.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +147,10 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     agents = sum(r)
     vacant = sum(caps) - agents
 
-    # agents and vacant stay fixed: one numpy product per stream, same bits as u * agents
-    t_src = (rng.random(steps) * agents).tolist()
-    t_tgt = (rng.random(steps) * vacant).tolist()
+    # agents and vacant stay fixed: one numpy product per stream, same bits as
+    # u * agents; its floor is the rank of the picked agent (vacancy)
+    k_src = (rng.random(steps) * agents).astype(np.intp).tolist()
+    k_tgt = (rng.random(steps) * vacant).astype(np.intp).tolist()
     u_acc = rng.random(steps).tolist()
 
     # acceptance of src -> tgt at code src * n_levels + tgt: certain (u < 1.0)
@@ -164,33 +164,47 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     record = memoryview(codes)
     hist = np.zeros((steps, n_levels), dtype=np.int32)
     hist[:1] = r
-    # occ[j] / vac[j]: agents / vacancies in levels 0..j.  bisect_right picks
-    # the first j with t < occ[j], where a running-sum scan stops; the counts
-    # are integers, so both compare exactly and pick alike.  hi = last keeps
-    # the scan's fallback to the last level for a t at the total.
+    # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
+    # the level of the rank-k agent / vacancy in level order, the first j
+    # with k < occ[j] (k < vac[j]), where a running-sum scan stops; each
+    # list ends with the last level at rank agents / vacant, the scan's
+    # fallback for a product that rounds up to the total.  A move src -> tgt
+    # shifts occ and vac by one at each j between them, and only the ranks
+    # at those boundaries change level.  An empty (full) level makes two
+    # boundaries share a rank, so the writes run in the order that leaves
+    # the scan's answer there: held with j ascending and free with j
+    # descending when src < tgt, the reverse when src > tgt.
+    last = n_levels - 1
+    held = [j for j in range(n_levels) for _ in range(r[j])] + [last]
+    free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])] + [last]
     occ = np.cumsum(r).tolist()
     vac = (np.cumsum(caps) - occ).tolist()
-    last = n_levels - 1
     accepted = 0
     if agents and vacant:
         for i in range(steps):
-            src = bisect_right(occ, t_src[i], 0, last)
-            tgt = bisect_right(vac, t_tgt[i], 0, last)
+            src = held[k_src[i]]
+            tgt = free[k_tgt[i]]
             code = src * n_levels + tgt
             if u_acc[i] < accept[code]:
                 accepted += 1
                 if src < tgt:
                     for j in range(src, tgt):
                         occ[j] -= 1
+                        held[occ[j]] = j + 1
+                    for j in range(tgt - 1, src - 1, -1):
+                        free[vac[j]] = j
                         vac[j] += 1
                     record[i] = code + 1
                 elif src > tgt:
-                    for j in range(tgt, src):
+                    for j in range(src - 1, tgt - 1, -1):
+                        held[occ[j]] = j
                         occ[j] += 1
+                    for j in range(tgt, src):
                         vac[j] -= 1
+                        free[vac[j]] = j + 1
                     record[i] = code + 1
 
-    del t_src, t_tgt, u_acc  # ~100 bytes a step; free them before the rebuild
+    del k_src, k_tgt, u_acc  # up to ~100 bytes a step; free them before the rebuild
     # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
     moved = np.flatnonzero(codes)
     src, tgt = np.divmod(codes[moved] - 1, n_levels)

@@ -78,6 +78,14 @@ def test_subset_balance_checks_every_index():
         subset_balance(TransactionLedger(), [0])
 
 
+@pytest.mark.parametrize("indices", [0, None])
+def test_subset_balance_rejects_a_non_iterable(indices):
+    with pytest.raises(ValidationError) as err:
+        subset_balance(_sample_ledger(), indices)
+    assert err.value.violations == [
+        f"indices must be an iterable of entry indices, got {indices!r}"]
+
+
 def test_transaction_validation():
     with pytest.raises(ValidationError):
         Transaction("a", "b", -5)

@@ -26,6 +26,16 @@ BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
 ONE = HierarchySpec(((7, 2.0),))
 
 
+class UNIT:
+    """Twelve capacity-1 levels, salaries 12..1, so every level is empty or
+    full.  A HierarchySpec needs growing capacities; the step loop reads
+    only these three attributes."""
+
+    capacities = np.ones(12, dtype=int)
+    salaries = np.arange(12.0, 0.0, -1.0)
+    total_positions = 12
+
+
 # --- grand-canonical sampler --------------------------------------------------
 
 def test_capacity_one_balanced_point():
@@ -181,9 +191,11 @@ def _linear_scan_chain(spec, beta, r, steps, rng):
     return np.array(rows, dtype=np.int32), np.array(energies), accepted, r
 
 
-@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "ONE", "BIG"])
+@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "ONE", "BIG", "UNIT"])
 def test_step_loop_matches_linear_scan(name):
-    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "ONE": ONE, "BIG": BIG}[name]
+    # UNIT's moves cross only empty or full levels, whose boundaries share
+    # ranks in the loop's rank lists
+    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "ONE": ONE, "BIG": BIG, "UNIT": UNIT}[name]
     total = spec.total_positions
     for agents in sorted({0, 1, total // 2, total - 1, total}):
         for beta in (1.0, 0.0, -0.5, 50.0):

@@ -174,6 +174,20 @@ def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, max_pane
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dist, alpha, piece", [
+    (Uniform(0.0, 1e300), -1.0, "[0.0, 1e+300]"),
+    (Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, "[1.0, 10000000000.0]"),
+])
+def test_share_overflow_names_the_cost_piece(dist, alpha, piece):
+    # the share integrates phi mirrored to -eps; its error names the piece
+    # as given, not the mirrored one
+    with pytest.raises(ValidationError) as err:
+        fermi_market_share(dist, GibbsParams(alpha, 1.0))
+    assert str(err.value) == (f"at alpha={alpha!r}, beta=1.0: the d = 1 moments "
+                              f"over the cost piece {piece} overflow")
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dist", [TwoPoint(1.0, 1e300, 0.5), Delta(1e300)])
 def test_saturated_atom_derivatives_are_finite(dist):
     # C is formed as eps (eps f'), so a saturated atom at eps ~ 1e300, where
