@@ -22,7 +22,6 @@ from pathlib import Path
 import click
 
 from .errors import (
-    AccuracyError,
     NoConvergence,
     SingularInversion,
     ValidationError,
@@ -43,8 +42,8 @@ from .gentile import (
     occupancy_probabilities,
 )
 
-# gentile, eos and figures run on the scalar kernels alone, thermo loads numpy
-# only for a quadrature fallback, and simulate imports it inside its command
+# gentile, eos, figures and thermo run on the scalar kernels alone, and
+# simulate imports numpy inside its command
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -77,7 +76,7 @@ def _guard(fn):
             for line in exc.violations:
                 click.echo(f"validation error: {line}", err=True)
             sys.exit(EXIT_VALIDATION)
-        except (NoConvergence, AccuracyError, SingularInversion) as exc:
+        except (NoConvergence, SingularInversion) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except OSError as exc:

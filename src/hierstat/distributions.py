@@ -1,9 +1,9 @@
 """Salary/cost distributions phi(epsilon) for the ensemble integrals.
 
 Support is restricted to bounded intervals of [0, inf) plus a point
-mass, so every integral over phi is either an exact atom sum or a
-convergent panel quadrature; :mod:`hierstat.ensemble` forms them all
-from the weighted pieces declared here.  A distribution can also be
+mass, so every integral over phi is an exact atom sum, a closed form or
+a fixed quadrature rule over a bounded piece; :mod:`hierstat.ensemble`
+forms them all from the weighted pieces declared here.  A distribution can also be
 declared as a parametric family that resolves to a concrete variant at
 each Gibbs parameter pair; the moment derivatives then pick up
 finite-difference phi terms.

@@ -10,10 +10,10 @@ a kernel times a polynomial in eps.  Over a uniform piece at least
 antiderivative of log Z, at the two ends of the piece
 (:func:`_closed_piece`), so a moment pass costs two kernel evaluations
 and two of G per piece.  Point masses are summed exactly, and narrower
-pieces go through the adaptive quadrature with one six-component
-integrand, split where the activity changes sign; for a point mass u is
--epsilon0 exactly.  numpy and the quadrature are imported only for those
-narrower pieces.
+pieces, or pieces whose closed forms would cancel, take the fixed
+Gauss-Legendre rule of :mod:`hierstat.quadrature`, graded about
+lambda = 0 (12 kernel evaluations per panel, about 13 per narrow piece);
+for a point mass u is -epsilon0 exactly.  No path loads numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .distributions import Delta, ParametricFamily, _pieces, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
                       _log_partition_integral)
+from .quadrature import graded_nodes
 
 __all__ = [
     "EnsembleMoments",
@@ -39,8 +40,9 @@ __all__ = [
 PHI_STEP = 1e-6
 #: narrowest activity width beta (hi - lo) of an interval piece whose
 #: moments come from closed forms.  Their error grows as the width shrinks
-#: (C by about 1/width^3), so narrower pieces go to quadrature; the sweep
-#: in tests/test_closed_form.py holds every component within 1e-13 above it
+#: (C by about 1/width^3), so narrower pieces take the graded rule; the sweep
+#: in tests/test_closed_form.py holds every component of the closed forms
+#: within 1e-13 above it, and of the graded rule within 4e-15 below it
 W_MIN = 0.3
 #: largest ratio of the summed magnitudes of the terms of B or C to their
 #: value that the closed forms accept, so that they stay within about 2e-13
@@ -62,18 +64,23 @@ class EnsembleMoments:
     omega: float
 
 
-def _piece_by_quadrature(f, lo, hi, mass, breakpoints):
-    """mass times the average of ``f`` over the interval [lo, hi], by
-    adaptive quadrature.  numpy and the quadrature are loaded here, so a
-    moment pass with no piece to integrate numerically loads neither."""
-    import numpy as np
-    from .quadrature import integrate_adaptive
-    try:
-        with np.errstate(over="raise"):
-            est = integrate_adaptive(f, lo, hi, breakpoints=breakpoints)
-            return mass * (est / (hi - lo))
-    except FloatingPointError:
-        raise ValidationError(f"the integral over [{lo!r}, {hi!r}] overflows") from None
+def _piece_by_quadrature(lo, hi, a, b, d):
+    """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi] by the
+    graded rule of :func:`~hierstat.quadrature.graded_nodes`, with each node's
+    eps taken from its fraction of the piece, counted from the nearer end."""
+    (lam_lo, err_lo), (lam_hi, err_hi) = _activity(a, b, lo), _activity(a, b, hi)
+    span = hi - lo
+    n = m1 = om = big_a = big_b = big_c = 0.0
+    for lam, upper, t, weight in graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
+        eps = hi - t * span if upper else lo + t * span
+        fv, fp, logz = _kernels(lam, d)
+        n += weight * fv
+        m1 += weight * (eps * fv)
+        om += weight * logz
+        big_a += weight * fp
+        big_b += weight * (eps * fp)
+        big_c += weight * (eps * (eps * fp))
+    return n, m1, om, big_a, big_b, big_c
 
 
 def _activity(a, b, eps):
@@ -158,28 +165,27 @@ def _closed_piece(lo, hi, a, b, d):
     abs_c = mid * abs_b + s * ((mid * abs_a1 + s * abs_a2) / w)
     if abs_b > _MAX_CANCEL * abs(big_b) or abs_c > _MAX_CANCEL * abs(big_c):
         return None
-    avg = (n, mid * n + s * (b1 / w), om / w, big_a, big_b, big_c)
-    if not all(map(math.isfinite, avg)):
-        raise ValidationError(f"the closed-form moments over [{lo!r}, {hi!r}] "
-                              f"are not finite")
-    return avg
+    return n, mid * n + s * (b1 / w), om / w, big_a, big_b, big_c
 
 
-def _moment_pass(pieces, a, b, d):
-    """(n, m1, omega, A, B, C) of the ``pieces`` (lo, hi, mass) at (alpha,
-    beta), as a list of floats: the six-component integrand at atoms, closed
-    forms for interval pieces at least ``W_MIN`` wide in activity, quadrature for
-    narrower ones.  ValidationErrors (an overflowing lambda too) name alpha and beta."""
-    def f(eps):  # (f, eps f, log Z, f', eps f', eps (eps f')) at lambda = alpha + beta eps
-        fv, fp, logz = _kernels(_check_lambda(a + b * eps), d)
-        return fv, eps * fv, logz, fp, eps * fp, eps * (eps * fp)
-
+def _moment_pass(pieces, a, b, d, k=6):
+    """The first ``k`` of (n, m1, omega, A, B, C) of the ``pieces`` (lo, hi,
+    mass) at (alpha, beta), as a list of floats: the six-component integrand
+    at atoms, closed forms for interval pieces at least ``W_MIN`` wide in
+    activity, the graded rule for the others.  An interval piece whose first
+    ``k`` averages are not finite, or any piece whose lambda overflows, is a
+    ValidationError naming alpha and beta."""
     total = None
     try:
         for lo, hi, mass in pieces:
-            avg = f(lo) if lo == hi else _closed_piece(lo, hi, a, b, d)
-            piece = (_piece_by_quadrature(f, lo, hi, mass, (-a / b,)).tolist()
-                     if avg is None else [mass * v for v in avg])
+            if lo == hi:
+                fv, fp, logz = _kernels(_check_lambda(a + b * lo), d)
+                avg = fv, lo * fv, logz, fp, lo * fp, lo * (lo * fp)
+            else:
+                avg = _closed_piece(lo, hi, a, b, d) or _piece_by_quadrature(lo, hi, a, b, d)
+                if not all(map(math.isfinite, avg[:k])):
+                    raise ValidationError(f"the moments over [{lo!r}, {hi!r}] are not finite")
+            piece = [mass * v for v in avg[:k]]
             total = piece if total is None else [t + p for t, p in zip(total, piece)]
     except ValidationError as exc:
         raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
@@ -212,7 +218,7 @@ def _phi_terms(dist, d, params):
     a, b = params.alpha, params.beta
 
     def difference(plus, minus):
-        ahead, behind = (_moment_pass(_pieces(p), a, b, d)[:3] for p in (plus, minus))
+        ahead, behind = (_moment_pass(_pieces(p), a, b, d, 3) for p in (plus, minus))
         return [(x - y) / (2 * h) for x, y in zip(ahead, behind)]
 
     h = PHI_STEP
@@ -277,7 +283,7 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
     share = None
     for lo, hi, mass in _pieces(resolve(dist, params)):
         try:
-            n = _moment_pass([(-hi, -lo, mass)], a, b, 1)[0]
+            n, = _moment_pass([(-hi, -lo, mass)], a, b, 1, 1)
         except ValidationError:
             raise ValidationError(f"at alpha={a!r}, beta={b!r}: the d = 1 moments "
                                   f"over the cost piece [{lo!r}, {hi!r}] overflow") from None

@@ -89,7 +89,9 @@ class AccuracyError(HierstatError):
     """A numerical routine could not reach the requested tolerance.
 
     ``estimate`` is the best value achieved, ``error_bound`` the
-    estimated error attached to it.
+    estimated error attached to it.  Nothing in the package raises it any
+    more: the moments come from closed forms and one fixed quadrature rule.
+    It stays exported for callers' ``except`` clauses.
     """
 
     def __init__(self, message, estimate=None, error_bound=None):

@@ -30,7 +30,8 @@ same y; the closed form takes e^{-t} and 1 - e^{-t} once for each of
 t = |lambda| and t = |x| and forms f from their ratio, the variance from
 the ratio over the square and log(1 - e^{-t}) from whichever is exact
 (Maechler's ln 1/2 switch).  The public kernels check and index;
-the ensemble calls it at the ends of a piece, or per node of a quadrature.
+the ensemble calls it at the ends of a piece, or per node of its graded
+Gauss-Legendre rule.
 
 Integrals of the kernels over an activity interval need one more
 function, the antiderivative G of log Z (``_log_partition_integral``).

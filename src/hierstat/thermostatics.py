@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .distributions import Delta, ParametricFamily, resolve, support
 from .ensemble import _checked_moments, _n_and_u, _phi_mean, _phi_terms, moment_integrals
-from .errors import (AccuracyError, NoConvergence, SingularInversion, ValidationError,
-                     check_int, check_real, checked)
+from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
+                     check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
     EOS_COLUMNS,
     EosTable,
@@ -255,7 +255,7 @@ def _solve(dist, d, n_target, u_target, start=None):
     alpha, beta = start
     try:
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
-    except (ValidationError, AccuracyError, OverflowError) as exc:
+    except (ValidationError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
                             f"the starting point failed ({exc})",
                             alpha=alpha, beta=beta) from None
@@ -267,7 +267,7 @@ def _solve(dist, d, n_target, u_target, start=None):
         converged = abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL
         try:
             der = _derivatives(dist, d, GibbsParams(alpha, beta), m)
-        except (ValidationError, AccuracyError, OverflowError) as exc:
+        except (ValidationError, OverflowError) as exc:
             if not converged:
                 message += f" (the Jacobian failed at the last iterate: {exc})"
             break
@@ -290,7 +290,7 @@ def _solve(dist, d, n_target, u_target, start=None):
                 try:
                     res_new, m_new = _scaled_residual(dist, d, a_new, b_new, n_target,
                                                       u_target, scale_u)
-                except (ValidationError, AccuracyError, OverflowError):
+                except (ValidationError, OverflowError):
                     t *= 0.5
                     continue
                 norm_new = math.hypot(*res_new)

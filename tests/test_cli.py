@@ -667,14 +667,14 @@ def test_only_ensemble_integrates_over_phi():
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     import hierstat.thermostatics as thermostatics
-    integrand_names = {"_kernels", "_check_lambda", "integrate_adaptive", "PHI_STEP"}
+    integrand_names = {"_kernels", "_check_lambda", "graded_nodes", "PHI_STEP"}
     assert not integrand_names & set(vars(thermostatics))
 
 
 def test_scalar_commands_load_no_numpy(tmp_path):
     # gentile, eos and figures run on the math kernels alone, so they skip
     # numpy's import (about half of a call's start-up); simulate imports it
-    # inside its command, and thermo only for a quadrature fallback
+    # inside its command, and thermo never does
     src = Path(__file__).resolve().parent.parent / "src"
     outdir = str(tmp_path)
     calls = [["gentile", "-d", "5", "--output", f"{outdir}/g.csv"],
@@ -704,45 +704,43 @@ def _loaded_numpy(code):
 
 
 def test_thermostatics_import_loads_no_numpy():
-    # the inverse problem runs on Python floats, and ensemble imports numpy
-    # only for a piece that falls back to quadrature
+    # the inverse problem runs on Python floats, and ensemble's closed forms
+    # and graded rule are pure Python
     assert _loaded_numpy("import hierstat.thermostatics")[0] == "[]"
 
 
 def test_market_share_off_quadrature_loads_no_numpy():
     # the share is the n of a d = 1 moment pass: atoms and pieces at least
-    # W_MIN wide in activity (here at least 1 wide) take no K21 panel, so
-    # neither the quadrature nor numpy, which it imports, is loaded
-    code = ("import sys\n"
-            "from hierstat import Delta, GibbsParams, Histogram, TwoPoint, Uniform\n"
+    # W_MIN wide in activity (here at least 1 wide) take no quadrature node,
+    # and nothing on the way loads numpy
+    code = ("from hierstat import Delta, GibbsParams, Histogram, TwoPoint, Uniform\n"
             "from hierstat.ensemble import W_MIN, fermi_market_share\n"
             "dists = (Delta(2.0), TwoPoint(1.0, 3.0, 0.4), Uniform(0.5, 2.5),\n"
             "         Histogram((0.0, 1.0, 1e10), (0.5, 0.5)))\n"
             "for alpha in (-30.0, -1.0, 0.5, 2.0, 30.0):\n"
             "    for dist in dists:\n"
             "        assert 0.0 <= fermi_market_share(dist, GibbsParams(alpha, 1.0)) <= 1.0\n"
-            "print(W_MIN <= 1.0, 'hierstat.quadrature' in sys.modules)")
+            "print(W_MIN <= 1.0)")
     modules, out = _loaded_numpy(code)
-    assert (modules, out) == ("[]", "True False")
+    assert (modules, out) == ("[]", "True")
 
 
-@pytest.mark.parametrize("distribution, point, numpy_loaded", [
+@pytest.mark.parametrize("distribution, point", [
     # atoms only, solved from (n, u)
     ({"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0, "weight": 0.4},
-     {"n": 2.0, "u": -2.5}, False),
+     {"n": 2.0, "u": -2.5}),
     # one piece 2.0 wide in activity: closed-form moments
-    ({"type": "uniform", "lower": 0.5, "upper": 2.5}, {"alpha": -2.0, "beta": 1.0}, False),
-    # a first piece 0.1 wide in activity, below W_MIN: quadrature, numpy loaded lazily
+    ({"type": "uniform", "lower": 0.5, "upper": 2.5}, {"alpha": -2.0, "beta": 1.0}),
+    # a first piece 0.1 wide in activity, below W_MIN: the graded rule
     ({"type": "histogram", "edges": [0.5, 0.6, 2.5], "masses": [0.1, 0.9]},
-     {"alpha": -2.0, "beta": 1.0}, True),
+     {"alpha": -2.0, "beta": 1.0}),
 ])
-def test_thermo_loads_numpy_only_for_quadrature(tmp_path, distribution, point,
-                                                numpy_loaded):
+def test_thermo_loads_no_numpy(tmp_path, distribution, point):
     cfg = _thermo_cfg(tmp_path, {"distribution": distribution, "d": 9, "volume": 100,
                                  **point})
     args = ["thermo", "--json-config", cfg]
     modules, out = _loaded_numpy(
         f"import hierstat.cli; hierstat.cli.main.main(args={args!r}, standalone_mode=False)")
-    assert (modules != "[]") == numpy_loaded
+    assert modules == "[]"
     state = json.loads(out)
     assert state["residuals"]["euler_identity"] < 1e-8

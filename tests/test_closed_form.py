@@ -1,6 +1,8 @@
-"""Closed-form moments of uniform pieces against a 60-digit mpmath oracle.
+"""Closed-form and graded-rule moments of uniform pieces against a 60-digit
+mpmath oracle.
 
-Run as a script to print the width sweep that sets ``ensemble.W_MIN``:
+Run as a script to print, per band of activity width, the worst error of
+each path side by side, the table that sets ``ensemble.W_MIN``:
 
     PYTHONPATH=src python tests/test_closed_form.py
 """
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 import hierstat.ensemble as ensemble
-from hierstat import AccuracyError, GibbsParams, Uniform
-from hierstat.ensemble import moment_integrals
+from hierstat import GibbsParams, Uniform
+from hierstat.ensemble import _closed_piece, moment_integrals
 from hierstat.gentile import _LI2_SWITCH, _log_partition_integral
 
 NAMES = ("n", "m1", "omega", "A", "B", "C")
@@ -73,35 +75,75 @@ def _draws(seed, count, w_lo, w_hi):
     return out
 
 
-def _worst_errors(mpmath, draws):
+def _cancelling_draws(seed, count):
+    """Fixed draws (lo, hi, alpha, beta, d) at least W_MIN wide in activity
+    whose closed forms cancel by more than _MAX_CANCEL, so that they take the
+    graded rule: the f' peak of a d in [1e2, 1e12] within three 1/D of the
+    lower end; about two in five candidates qualify."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(50 * count):
+        d = int(round(10 ** rng.uniform(2, 12)))
+        w = 10 ** rng.uniform(math.log10(ensemble.W_MIN), 1)
+        beta = 10 ** rng.uniform(-6, math.log10(5))
+        lo = 0.0 if k % 2 == 0 else float(rng.uniform(0, 3)) * (w / beta)
+        alpha = float(rng.uniform(-3, 3)) / (d + 1) - beta * lo
+        if _closed_piece(lo, lo + w / beta, alpha, beta, d) is None:
+            out.append((lo, lo + w / beta, alpha, beta, d))
+            if len(out) == count:
+                break
+    return out
+
+
+def _worst_errors(mpmath, draws, w_mins=(None,)):
     """Worst relative error of each component of moment_integrals over the
-    draws; a draw the path cannot integrate counts as an infinite error."""
-    worst = [0.0] * 6
-    for lo, hi, alpha, beta, d in draws:
-        exact = _oracle_moments(mpmath, lo, hi, alpha, beta, d)
-        try:
-            got = moment_integrals(Uniform(lo, hi), d, GibbsParams(alpha, beta))
-        except AccuracyError:
-            worst = [math.inf] * 6
-            continue
-        for i, (name, x) in enumerate(zip(NAMES, exact)):
-            worst[i] = max(worst[i], float(abs((got[name] - x) / x)))
+    draws, one list per ``ensemble.W_MIN`` in ``w_mins`` (None keeps it)."""
+    kept = ensemble.W_MIN
+    worst = [[0.0] * 6 for _ in w_mins]
+    try:
+        for lo, hi, alpha, beta, d in draws:
+            exact = _oracle_moments(mpmath, lo, hi, alpha, beta, d)
+            for row, w_min in zip(worst, w_mins):
+                ensemble.W_MIN = kept if w_min is None else w_min
+                got = moment_integrals(Uniform(lo, hi), d, GibbsParams(alpha, beta))
+                for i, (name, x) in enumerate(zip(NAMES, exact)):
+                    row[i] = max(row[i], float(abs((got[name] - x) / x)))
+    finally:
+        ensemble.W_MIN = kept
     return worst
 
 
-def test_closed_form_accuracy_sweep(monkeypatch):
+def test_closed_form_accuracy_sweep():
     # the gate on W_MIN: over fixed draws with w from W_MIN to 10, every
-    # component of the closed form is within 1e-13 of the oracle and no
-    # worse than the quadrature the pieces took before, whose worst is an
-    # AccuracyError at d >= 1e6 (4 of the 120 draws)
+    # component of the closed form is within 1e-13 of the oracle, and of the
+    # graded rule, which the pieces would take with W_MIN lifted, within
+    # 1e-14 (measured: B 4.2e-15 and C 3.4e-14 closed, 2.0e-15 and 6.4e-15 graded)
     mpmath = pytest.importorskip("mpmath")
     draws = _draws(2022, 120, ensemble.W_MIN, 10.0)
-    closed = _worst_errors(mpmath, draws)
+    closed, graded = _worst_errors(mpmath, draws, (None, math.inf))
     assert max(closed) <= 1e-13, dict(zip(NAMES, closed))
-    monkeypatch.setattr(ensemble, "W_MIN", math.inf)
-    quadrature = _worst_errors(mpmath, draws)
-    for name, c, q in zip(NAMES, closed, quadrature):
-        assert c <= q, (name, c, q)
+    assert max(graded) <= 1e-14, dict(zip(NAMES, graded))
+
+
+@pytest.mark.parametrize("w_lo, w_hi", [(1e-4, 1e-2), (1e-2, 0.1), (0.1, ensemble.W_MIN)])
+def test_graded_rule_on_narrow_pieces(w_lo, w_hi):
+    # pieces narrower than W_MIN take the graded rule: d to 1e12 and beta
+    # down to 1e-6, every component within 4e-15 of the oracle (measured
+    # worst 1.2e-15)
+    mpmath = pytest.importorskip("mpmath")
+    [worst] = _worst_errors(mpmath, _draws(26, 200, w_lo, w_hi))
+    assert max(worst) <= 4e-15, dict(zip(NAMES, worst))
+
+
+def test_graded_rule_where_the_closed_forms_cancel():
+    # wide pieces whose B or C would cancel by more than _MAX_CANCEL take the
+    # graded rule too: every component within 1e-14 of the oracle (measured
+    # worst 3.2e-15, on A)
+    mpmath = pytest.importorskip("mpmath")
+    draws = _cancelling_draws(26, 100)
+    assert len(draws) == 100
+    [worst] = _worst_errors(mpmath, draws)
+    assert max(worst) <= 1e-14, dict(zip(NAMES, worst))
 
 
 @pytest.mark.parametrize("d, bound", [(9, 2e-15), (10**4, 2e-15), (10**6, 2e-15),
@@ -140,10 +182,11 @@ def test_log_partition_integral_against_polylog(d):
 if __name__ == "__main__":
     import mpmath
 
-    print("| w | " + " | ".join(NAMES) + " |")
-    print("|---" * 7 + "|")
-    ensemble.W_MIN = 0.0
-    for w_lo, w_hi in ((0.03, 0.1), (0.1, 0.2), (0.2, 0.25), (0.25, 0.3),
-                       (0.3, 0.4), (0.4, 0.6), (0.6, 1.0), (1.0, 3.0), (3.0, 10.0)):
-        worst = _worst_errors(mpmath, _draws(7, 300, w_lo, w_hi))
-        print(f"| {w_lo}-{w_hi} | " + " | ".join(f"{e:.1e}" for e in worst) + " |")
+    print("| w | " + " | ".join(f"closed {n}" for n in NAMES) + " | "
+          + " | ".join(f"graded {n}" for n in NAMES) + " |")
+    print("|---" * 13 + "|")
+    for w_lo, w_hi in ((1e-4, 1e-2), (1e-2, 0.03), (0.03, 0.1), (0.1, 0.2), (0.2, 0.25),
+                       (0.25, 0.3), (0.3, 0.4), (0.4, 0.6), (0.6, 1.0), (1.0, 3.0),
+                       (3.0, 10.0)):
+        rows = _worst_errors(mpmath, _draws(7, 300, w_lo, w_hi), (0.0, math.inf))
+        print(f"| {w_lo}-{w_hi} | " + " | ".join(f"{e:.1e}" for row in rows for e in row) + " |")

@@ -275,28 +275,23 @@ def test_moment_bundle_consistent():
 
 def test_moment_pass_makes_one_kernel_call_per_node(monkeypatch):
     # deterministic work counts: a piece 2 wide in activity takes the closed
-    # form, one fused (f, f', log Z) evaluation at each end and no panel; a
-    # piece narrower than W_MIN keeps one evaluation per K21 node
+    # form, one fused (f, f', log Z) evaluation at each end; a piece narrower
+    # than W_MIN with no grading point inside, lambda in [-1.5, -1.4] at
+    # d = 9, takes one panel of the graded rule, one evaluation per node
     import hierstat.ensemble as ensemble
-    import hierstat.quadrature as quadrature
-    calls, panels = [], []
-    real, panel = ensemble._kernels, quadrature.gauss_legendre_panel
+    calls = []
+    real = ensemble._kernels
 
     def counted(lam, d):
         calls.append(lam)
         return real(lam, d)
 
-    def counted_panel(*args):
-        panels.append(None)
-        return panel(*args)
-
     monkeypatch.setattr(ensemble, "_kernels", counted)
-    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted_panel)
     ensemble.moment_integrals(Uniform(0.5, 2.5), 9, GibbsParams(-2.0, 1.0))
-    assert (len(calls), len(panels)) == (2, 0)
+    assert len(calls) == 2
     calls.clear()
     ensemble.moment_integrals(Uniform(0.5, 0.6), 9, GibbsParams(-2.0, 1.0))
-    assert 0.1 < ensemble.W_MIN and len(panels) > 0 and len(calls) == 21 * len(panels)
+    assert 0.1 < ensemble.W_MIN and len(calls) == 12
 
 
 @pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),

@@ -1,135 +1,134 @@
-"""Adaptive panel quadrature against closed-form integrals."""
+"""The graded 12-point Gauss-Legendre rule in the activity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hierstat.ensemble as ensemble
-from hierstat import AccuracyError, GibbsParams, Uniform, ValidationError, quadrature
-from hierstat.ensemble import moment_integrals
-from hierstat.quadrature import integrate_adaptive
+from hierstat import GibbsParams, Uniform
+from hierstat.ensemble import _piece_by_quadrature, moment_integrals
+from hierstat.quadrature import _GL12, breakpoints, graded_nodes
+
+
+def _average(nodes, g):
+    """The rule's average of g(lambda, t, upper) over its piece."""
+    return sum(weight * g(lam, t, upper) for lam, upper, t, weight in nodes)
 
 
 def test_polynomial_is_exact():
-    est = integrate_adaptive(lambda x: 3 * x ** 2, 0.0, 2.0)
-    assert est == pytest.approx(8.0, rel=1e-14)
+    # each panel is exact through degree 23, so the graded rule averages a
+    # polynomial exactly in lambda, and in eps through the node fractions
+    lo, hi, d = -1.3, 2.7, 9
+    nodes = graded_nodes(lo, 0.0, hi, 0.0, d)
+    assert len(nodes) == 12 * (len(breakpoints(lo, hi, d)) + 1) == 108
+    for k in range(24):
+        exact = (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
+        got = _average(nodes, lambda lam, t, upper: lam ** k)
+        assert abs(got - exact) <= 64 * math.ulp(hi ** k), (k, got, exact)
+        # eps on [2, 5], counted from the nearer end as the ensemble does
+        eps = _average(nodes, lambda lam, t, upper: (5.0 - 3.0 * t if upper
+                                                     else 2.0 + 3.0 * t) ** k)
+        exact = (5.0 ** (k + 1) - 2.0 ** (k + 1)) / ((k + 1) * 3.0)
+        assert abs(eps - exact) <= 16 * math.ulp(exact), (k, eps, exact)
 
 
-def test_oscillatory_integrand():
-    est = integrate_adaptive(math.sin, 0.0, math.pi)
-    assert est == pytest.approx(2.0, rel=1e-12)
-    est = integrate_adaptive(lambda x: math.sin(40 * x), 0.0, 1.0)
-    assert est == pytest.approx((1 - math.cos(40.0)) / 40.0, rel=1e-10, abs=1e-12)
+def test_rule_integrates_monomials_to_its_degree():
+    # the 12-point rule is exact through x^23 to a few ulp; x^24 misses by far more
+    x = np.array([node for node, _ in _GL12])
+    w = np.array([weight for _, weight in _GL12])
+    for k in range(26):
+        got = 2.0 * float(w @ x ** k) if k % 2 == 0 else 0.0
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        ulps = abs(got - exact) / np.spacing(2.0 / (k + 1))
+        assert ulps <= 4 if k <= 23 or k % 2 else ulps > 1e4, (k, ulps)
+
+
+def test_rule_constants_match_leggauss():
+    # the literals are the correctly rounded 40-digit nodes and weights; the
+    # nodes are within 1 ulp of numpy's leggauss, whose own weights are off
+    # by up to 60 ulp (their sums of w x^k miss 2 / (k + 1) by up to 4.6e-16)
+    mpmath = pytest.importorskip("mpmath")
+    xs, ws = np.polynomial.legendre.leggauss(12)
+    assert [node for node, _ in _GL12] == sorted(x for x, _ in _GL12)[::-1]
+    with mpmath.workdps(40):
+        for (x, w), x_np, w_np in zip(_GL12, xs[::-1], ws[::-1]):
+            root = mpmath.findroot(lambda t: mpmath.legendre(12, t), mpmath.mpf(x))
+            # P_12'(x) = 12 P_11(x) / (1 - x^2) at a root of P_12
+            slope = 12 * mpmath.legendre(11, root) / (1 - root ** 2)
+            assert x == float(root) and w == float(2 / ((1 - root ** 2) * slope ** 2))
+            assert abs(x - x_np) <= math.ulp(x) and abs(w - w_np) <= 64 * math.ulp(w)
 
 
 def test_breakpoints_isolate_kink():
-    f = lambda x: abs(x - 0.3)
-    exact = 0.3 ** 2 / 2 + 0.7 ** 2 / 2
-    est = integrate_adaptive(f, 0.0, 1.0, breakpoints=(0.3,))
-    assert est == pytest.approx(exact, rel=1e-14)
+    # |lambda| has its kink at the breakpoint lambda = 0, so the rule is exact
+    nodes = graded_nodes(-0.3, 0.0, 0.7, 0.0, 4)
+    assert _average(nodes, lambda lam, t, upper: abs(lam)) == pytest.approx(0.29, rel=1e-15)
 
 
-def test_vector_integrand():
-    est = integrate_adaptive(lambda x: np.array([1.0, x, x * x]), 0.0, 1.0)
-    assert est == pytest.approx([1.0, 0.5, 1 / 3], rel=1e-13)
-    empty = integrate_adaptive(lambda x: (x, 2 * x), 1.0, 1.0)
-    assert isinstance(empty, np.ndarray) and empty.tolist() == [0.0, 0.0]
+def test_breakpoints_only_inside_the_piece():
+    # 0 and +-(2/D) 2^k, strictly inside the piece and ascending; the
+    # ratio-2 grading leaves no gap on either side of 0
+    rng = np.random.default_rng(26)
+    for _ in range(500):
+        d = int(10 ** rng.uniform(0, 12))
+        lo, hi = sorted(float(x) for x in rng.uniform(-1, 1, 2) * 10 ** rng.uniform(-14, 3, 2))
+        points = breakpoints(lo, hi, d)
+        assert all(lo < x < hi for x in points), (lo, hi, d, points)
+        assert points == sorted(points) and (0.0 in points) == (lo < 0.0 < hi)
+        base = 2.0 / (d + 1)
+        for x in points:
+            if x:
+                assert math.frexp(abs(x) / base)[0] == 0.5 and abs(x) >= base, (x, base)
+        expected = sum(lo < s * base * 2.0 ** k < hi for s in (-1, 1) for k in range(80))
+        assert len(points) == expected + (lo < 0.0 < hi)
 
 
-def test_nonconvergence_carries_estimate_and_bound():
-    # the panel holding a jump never meets the per-panel tolerance
-    f = lambda x: 0.0 if x < math.pi / 6 else 1.0
-    with pytest.raises(AccuracyError) as err:
-        integrate_adaptive(f, 0.0, 1.0)
-    assert err.value.estimate == pytest.approx(1 - math.pi / 6, abs=1e-2)
-    assert err.value.error_bound > 0.0
+def test_zero_width_piece():
+    # both ends of the activity round to one double: the nodes keep the
+    # rule's own fractions with lambda held there, and nothing divides by w
+    nodes = graded_nodes(1e300, 0.0, 1e300, 0.0, 9)
+    assert len(nodes) == 12 and all(lam == 1e300 for lam, *_ in nodes)
+    fractions = sorted(0.5 * (1 - x) for x, _ in _GL12 for _ in (0, 1))
+    assert sorted(t for _, _, t, _ in nodes) == fractions
+    assert sum(weight for *_, weight in nodes) == 1.0
+    # saturated level at lambda = 1e300 over eps in [0, 1]
+    n, m1, om, big_a, big_b, big_c = _piece_by_quadrature(0.0, 1.0, 1e300, 1.0, 9)
+    assert (n, big_a, big_b, big_c) == (9.0, 0.0, 0.0, 0.0)
+    assert m1 == pytest.approx(4.5, rel=1e-15) and om == pytest.approx(9e300, rel=1e-15)
 
 
-def test_panel_budget_stops_a_nonconverging_integral(monkeypatch):
-    # a six-component integrand that is NaN on every panel meets the
-    # tolerance nowhere; without the budget the bisection would run
-    # 2,097,151 panels to MAX_DEPTH before failing
-    panels = []
-    panel = quadrature.gauss_legendre_panel
-
-    def counted(*args):
-        panels.append(None)
-        return panel(*args)
-
-    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
-    with pytest.raises(AccuracyError) as err:
-        integrate_adaptive(lambda x: (math.nan,) * 6, 0.0, 1.0)
-    assert quadrature.MAX_PANELS - 1 <= len(panels) <= quadrature.MAX_PANELS
-    assert err.value.estimate.shape == (6,) and err.value.error_bound is not None
-
-
-def test_interval_validation():
-    with pytest.raises(ValidationError):
-        integrate_adaptive(math.sin, 1.0, 0.0)
-    assert integrate_adaptive(math.sin, 1.0, 1.0) == 0.0
-
-
-# --- the G10/K21 rule ----------------------------------------------------------
-
-def test_rule_integrates_monomials_to_its_degree():
-    # K21 is exact through x^31 and G10 through x^19, each to a few ulp;
-    # one degree higher both miss by far more
-    nodes = np.array(quadrature._NODES)
-    for weights, x, degree in ((quadrature._KRONROD_WEIGHTS, nodes, 31),
-                               (quadrature._GAUSS_WEIGHTS, nodes[1::2], 19)):
-        for k in range(degree + 2):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            ulps = abs(weights @ x ** k - exact) / np.spacing(2.0 / (k + 1))
-            if k <= degree:
-                assert ulps <= 8, (degree, k, ulps)
-            else:
-                assert ulps > 1e4, (degree, k, ulps)
-
-
-def test_rule_constants_equal_scipy():
-    quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
-    gk21 = getattr(quad_vec, "_quadrature_gk21", None)
-    if gk21 is None:
-        pytest.skip("scipy no longer has _quadrature_gk21")
-    abscissae, norm_args = [], []
-
-    def one_hot(x):
-        e = np.zeros(21)
-        e[len(abscissae)] = 1.0
-        abscissae.append(x)
-        return e
-
-    def norm(v):
-        # scipy converts each norm to a float, so record the vector instead
-        norm_args.append(v)
-        return 0.0
-
-    kronrod = gk21(-1.0, 1.0, one_hot, norm)[0]
-    gauss = kronrod - norm_args[0]  # the first norm taken is of K21 - G10
-    assert abscissae == list(quadrature._NODES)
-    assert kronrod.tolist() == quadrature._KRONROD_WEIGHTS.tolist()
-    assert gauss[1::2].tolist() == quadrature._GAUSS_WEIGHTS.tolist()
-    assert not gauss[::2].any()
+@pytest.mark.parametrize("d", [1, 9, 10**12])
+def test_huge_span_has_a_bounded_panel_count(d):
+    # a piece across nearly every double, the widest activity span a moment
+    # pass can form: one panel per doubling on each side of 0
+    nodes = graded_nodes(-8e307, 0.0, 8e307, 0.0, d)
+    panels = len(breakpoints(-8e307, 8e307, d)) + 1
+    assert len(nodes) == 12 * panels and panels <= 2 * (1024 + math.log2(d + 1))
+    assert sum(weight for *_, weight in nodes) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
-    # near the activity crossing at d = 1000 the error estimate must stop at
-    # the kernels' real error, not chase round-off; W_MIN is lifted so that
-    # the piece takes the quadrature, as a piece narrower than it does
+    # near the activity crossing at d = 1000 the grading puts panels where f'
+    # peaks; W_MIN is lifted so that the piece takes the graded rule, as a
+    # piece narrower than it does: 21 panels between lambda = -2.19 and 0.45
     mpmath = pytest.importorskip("mpmath")
-    panels = []
-    panel = quadrature.gauss_legendre_panel
+    calls = []
+    real = ensemble._kernels
 
-    def counted(*args):
-        panels.append(args)
-        return panel(*args)
+    def counted(lam, d):
+        calls.append(lam)
+        return real(lam, d)
 
-    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
+    monkeypatch.setattr(ensemble, "_kernels", counted)
     monkeypatch.setattr(ensemble, "W_MIN", math.inf)
     alpha, beta, d = -2.856, 1.323, 1000
     m = moment_integrals(Uniform(0.5, 2.5), d, GibbsParams(alpha, beta))
-    assert len(panels) <= 100
+    assert len(calls) == 12 * 21
 
     # f = d log Z / d lambda, so with lambda = alpha + beta eps over a width
     # of 2: n = [log Z] / (2 beta) and A = integral of f' = [f] / (2 beta)
@@ -140,5 +139,15 @@ def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
         mean = lambda lam: 1 / mpmath.expm1(-lam) - (d + 1) / mpmath.expm1(-lam * (d + 1))
         n = (log_z(lam_hi) - log_z(lam_lo)) / (2 * mpmath.mpf(beta))
         a = (mean(lam_hi) - mean(lam_lo)) / (2 * mpmath.mpf(beta))
-        assert abs(m["n"] - n) <= 1e-14 * n
-        assert abs(m["A"] - a) <= 1e-12 * a
+        assert abs(m["n"] - n) <= 2e-15 * n
+        assert abs(m["A"] - a) <= 2e-15 * a
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, hierstat.quadrature, hierstat.ensemble; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

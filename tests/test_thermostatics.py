@@ -14,7 +14,6 @@ import pytest
 import hierstat.ensemble as ensemble
 import hierstat.thermostatics as thermostatics
 from hierstat import (
-    AccuracyError,
     Delta,
     GibbsParams,
     HierstatError,
@@ -95,31 +94,19 @@ def test_derivatives_match_finite_differences_parametric():
 
 def test_phi_terms_one_kernel_call_per_node(monkeypatch):
     # the frozen integrand (f, eps f, log Z) takes all three from one fused
-    # kernel call: at each end of a piece in closed form, per quadrature
-    # node of a piece narrower than W_MIN
-    import hierstat.quadrature as quadrature
-    calls = {"kernels": 0, "panels": 0}
-
-    def counting(name, real):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(ensemble, "_kernels", counting("kernels", ensemble._kernels))
-    monkeypatch.setattr(quadrature, "gauss_legendre_panel",
-                        counting("panels", quadrature.gauss_legendre_panel))
+    # kernel call: at each end of a piece in closed form, per node of the
+    # graded rule for a piece narrower than W_MIN
+    calls = _count_kernels(monkeypatch)
     wide = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
                                                  2.5 + 0.05 * math.tanh(b - 1.0)))
     narrow = ParametricFamily(lambda a, b: Uniform(0.5 + 0.01 * math.tanh(a),
                                                    0.6 + 0.01 * math.tanh(b - 1.0)))
-    for fam, closed in ((wide, True), (narrow, False)):
-        calls.update(kernels=0, panels=0)
+    # four perturbed pieces: two ends each, or one 12-node panel each (lambda
+    # within [-1.51, -1.39] at d = 9, where no grading point falls)
+    for fam, expected in ((wide, 8), (narrow, 48)):
+        calls.clear()
         phi_a, phi_b = ensemble._phi_terms(fam, 9, GibbsParams(-2.0, 1.0))
-        if closed:  # four perturbed pieces, two ends each
-            assert (calls["kernels"], calls["panels"]) == (8, 0)
-        else:
-            assert calls["panels"] > 0 and calls["kernels"] == 21 * calls["panels"]
+        assert len(calls) == expected
         assert len(phi_a) == len(phi_b) == 3
         assert all(type(v) is float and v != 0.0 for v in phi_a + phi_b)
 
@@ -145,32 +132,36 @@ def test_derivatives_at_underflowed_occupancy_name_the_parameters():
     assert der.jacobian == 0.0 and der.domega_dalpha == 2.0
 
 
-def _count_panels(monkeypatch):
-    import hierstat.quadrature as quadrature
-    panels = []
-    real = quadrature.gauss_legendre_panel
+def _count_kernels(monkeypatch):
+    """The activities of every kernel call of the moment passes, as they run."""
+    calls = []
+    real = ensemble._kernels
 
-    def counted(*args):
-        panels.append(None)
-        return real(*args)
+    def counted(lam, d):
+        calls.append(lam)
+        return real(lam, d)
 
-    monkeypatch.setattr(quadrature, "gauss_legendre_panel", counted)
-    return panels
+    monkeypatch.setattr(ensemble, "_kernels", counted)
+    return calls
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call, dist, alpha, max_panels", [
-    (ensemble_moments, Uniform(0.0, 1e300), -1.0, 1),
-    (ensemble_moments, Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, 2),
+@pytest.mark.parametrize("call, dist, alpha, kernel_calls", [
+    (ensemble_moments, Uniform(0.0, 1e300), -1.0, 2 + 12 * 1004),
+    (ensemble_moments, Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, 2 * 12),
 ])
-def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, max_panels):
-    # an overflowing closed form or quadrature panel names the parameters
-    # and stops at once
-    panels = _count_panels(monkeypatch)
+def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, kernel_calls):
+    # extreme pieces name the parameters after a fixed amount of work.  On
+    # [0, 1e300] the closed forms' omega overflows and their B cancels, so
+    # the graded rule takes the piece in 1004 panels, one per doubling of
+    # lambda; at alpha = 1e300 both histogram bins are 0 wide in activity,
+    # one panel each.  Either way the level is full: n rounds to d or just
+    # above it, outside (0, d)
+    calls = _count_kernels(monkeypatch)
     with pytest.raises(ValidationError) as err:
         call(dist, 9, GibbsParams(alpha, 1.0))
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
-    assert len(panels) <= max_panels
+    assert len(calls) == kernel_calls
 
 
 @pytest.mark.filterwarnings("error")
@@ -179,11 +170,12 @@ def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, max_pane
     (Histogram((0.0, 1.0, 1e10), (0.5, 0.5)), 1e300, "[1.0, 10000000000.0]"),
 ])
 def test_share_overflow_names_the_cost_piece(dist, alpha, piece):
-    # the share integrates phi mirrored to -eps; its error names the piece
-    # as given, not the mirrored one
+    # the share integrates phi mirrored to -eps; at beta = 1e300 the activity
+    # alpha - beta eps of the named piece is not finite, and the error names
+    # that piece as given, not the mirrored one
     with pytest.raises(ValidationError) as err:
-        fermi_market_share(dist, GibbsParams(alpha, 1.0))
-    assert str(err.value) == (f"at alpha={alpha!r}, beta=1.0: the d = 1 moments "
+        fermi_market_share(dist, GibbsParams(alpha, 1e300))
+    assert str(err.value) == (f"at alpha={alpha!r}, beta=1e+300: the d = 1 moments "
                               f"over the cost piece {piece} overflow")
 
 
@@ -204,38 +196,38 @@ def test_moments_stay_finite_where_derivatives_overflow():
 @pytest.mark.filterwarnings("error")
 def test_extreme_inputs_raise_only_documented_errors(monkeypatch):
     # a fixed grid of extreme but valid inputs: each call returns finite
-    # values or raises ValidationError or AccuracyError, and evaluates at
-    # most MAX_PANELS panels; the number of raising inputs is pinned per call
-    from hierstat.quadrature import MAX_PANELS
-    panels = _count_panels(monkeypatch)
+    # values or raises ValidationError, and evaluates the kernels at most
+    # 13,000 times (the piece [0, 1e300] takes up to 1037 panels of 12 nodes,
+    # one per doubling of lambda); the number of raising inputs is pinned per call
+    calls = _count_kernels(monkeypatch)
     dists = (Uniform(0.0, 1e300), Histogram((0.0, 1.0, 1e10), (0.5, 0.5)),
              TwoPoint(1.0, 1e300, 0.5), Uniform(0.0, 1e-300),
              TwoPoint(1e-200, 1e200, 0.5), Delta(1e300))
-    calls = (ensemble_moments, thermo_derivatives,
+    funcs = (ensemble_moments, thermo_derivatives,
              lambda dist, d, params: thermo_state(dist, d, params, 10),
              lambda dist, d, params: fermi_market_share(dist, params))
-    raised, share_raised = [0] * len(calls), set()
+    raised = [0] * len(funcs)
     for dist, alpha, d, k in itertools.product(dists, (-1e300, -1.0, 0.5, 1e300),
-                                               (1, 9, 10**6), range(len(calls))):
-        panels.clear()
+                                               (1, 9, 10**6), range(len(funcs))):
+        calls.clear()
         try:
-            result = calls[k](dist, d, GibbsParams(alpha, 1.0))
-        except (ValidationError, AccuracyError) as exc:
+            result = funcs[k](dist, d, GibbsParams(alpha, 1.0))
+        except ValidationError as exc:
             raised[k] += 1
-            if k == 3:
-                assert isinstance(exc, ValidationError)
-                assert f"alpha={alpha!r}, beta=1.0" in str(exc)
-                share_raised.add((dist, alpha))
+            assert f"alpha={alpha!r}, beta=1.0" in str(exc)
         else:
             values = (result,) if isinstance(result, float) else dataclasses.astuple(result)
             assert all(map(math.isfinite, values)), (dist, alpha, d, result)
-        assert len(panels) <= MAX_PANELS, (dist, alpha, d)
-    # the share, the n of a d = 1 moment pass, refuses the points where omega,
-    # m1 or C of that pass overflow, as every other moment does there (the
-    # true shares at alpha = -1 and 0.5 on [0, 1e300] are 3.1e-301 and 9.7e-301)
-    assert share_raised == {(dists[0], -1.0), (dists[0], 0.5), (dists[0], 1e300),
-                            (dists[1], 1e300)}
-    assert raised == [41, 31, 41, 12]
+        assert len(calls) <= 13_000, (dist, alpha, d, k, len(calls))
+    # the share, the n of a d = 1 moment pass, checks only n, so it returns a
+    # value everywhere (on [0, 1e300], 3.1326e-301 at alpha = -1, 9.7408e-301
+    # at 0.5 and 1.0 at 1e300, each against a 60-digit oracle).  The graded
+    # rule gives finite moments on [0, 1e300] at alpha = -1 and 0.5 (n = d to
+    # a few ulp; at d = 9 it rounds above d and is refused) and finite
+    # derivatives for the histogram at alpha = 1e300, where the adaptive
+    # quadrature overflowed; on [0, 1e-300] at alpha = 1e300 and d = 9, n is
+    # now d exactly (8.999999999999998 before), outside (0, d)
+    assert raised == [38, 22, 38, 0]
 
 
 def test_delta_derivatives_are_rank_one():
@@ -348,7 +340,7 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
 
     def failing(*args, **kwargs):
         calls.append(args)
-        raise AccuracyError("quadrature did not converge to tolerance")
+        raise ValidationError("the moments are not finite")
 
     monkeypatch.setattr(thermostatics, "_derivatives", failing)
     dist = TwoPoint(1.0, 3.0, 0.4)
@@ -423,7 +415,7 @@ def test_inversion_singular_at_start_raises(monkeypatch):
 
 def test_inversion_start_moment_failure_is_no_convergence(monkeypatch):
     def failing(*args):
-        raise AccuracyError("quadrature did not converge to tolerance")
+        raise ValidationError("the moments are not finite")
 
     monkeypatch.setattr(thermostatics, "_scaled_residual", failing)
     with pytest.raises(NoConvergence) as err:
@@ -441,7 +433,7 @@ def test_inversion_halves_past_a_failing_trial(monkeypatch):
     def flaky(*args):
         calls.append(args[2:4])
         if len(calls) == 2:
-            raise AccuracyError("quadrature did not converge to tolerance")
+            raise ValidationError("the moments are not finite")
         return real(*args)
 
     monkeypatch.setattr(thermostatics, "_scaled_residual", flaky)
@@ -507,7 +499,7 @@ def test_inversion_keeps_converged_iterate_when_next_jacobian_fails(monkeypatch,
         if len(points) < converged_at:
             return real(dist, d, params, m)
         if failure == "raises":
-            raise AccuracyError("quadrature did not converge to tolerance")
+            raise ValidationError("the moments are not finite")
         return thermostatics.ThermoDerivatives(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(thermostatics, "_derivatives", patched)
@@ -658,15 +650,18 @@ def test_solver_results_bits_pinned():
     # each checked against a 45-digit oracle; see CHANGES.md), and when the
     # Newton step became a float LU solve and the Maxwell probes started at
     # the state (33 records moved: round trips, two error messages and both
-    # Maxwell reports, compared with the parent's in CHANGES.md); 7 of the 149 records are
-    # errors (ValidationError, SingularInversion, NoConvergence), pinned
-    # with their messages
+    # Maxwell reports, compared with the parent's in CHANGES.md), and when
+    # narrow pieces took the graded rule (1 record moved: record 144, whose
+    # NoConvergence at beta ~ 1e-6 reports residuals now within 2.7e-15 and
+    # 2.4e-15 of a 60-digit oracle at its own last iterate, 3.7e-15 and 5.9e-15
+    # before); 7 of the 149 records are errors (ValidationError,
+    # SingularInversion, NoConvergence), pinned with their messages
     records = _solver_records()
     assert len(records) == 149
     errors = ("ValidationError:", "SingularInversion:", "NoConvergence:")
     assert sum(r.startswith(errors) for r in records) == 7
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "bc9080a67f3a74461869983b36ade524d336c71ec9b0a24f445c3ee904f6838e"
+    assert digest == "23a1fe10e1c031e93ac4ba95cb6e7c523c3a03c0a36d8951e71ccc91ddf6967e"
 
 
 # --- thermodynamic state -----------------------------------------------------
