@@ -67,12 +67,12 @@ class EnsembleMoments:
 def _piece_by_quadrature(lo, hi, a, b, d):
     """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi] by the
     graded rule of :func:`~hierstat.quadrature.graded_nodes`, with each node's
-    eps taken from its fraction of the piece, counted from the nearer end."""
+    eps taken from its fraction of the piece, counted from the lower end."""
     (lam_lo, err_lo), (lam_hi, err_hi) = _activity(a, b, lo), _activity(a, b, hi)
     span = hi - lo
     n = m1 = om = big_a = big_b = big_c = 0.0
-    for lam, upper, t, weight in graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
-        eps = hi - t * span if upper else lo + t * span
+    for lam, t, weight in graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
+        eps = lo + t * span
         fv, fp, logz = _kernels(lam, d)
         n += weight * fv
         m1 += weight * (eps * fv)

@@ -88,18 +88,10 @@ def checked(check, value, name, *bounds, **options):
 class AccuracyError(HierstatError):
     """A numerical routine could not reach the requested tolerance.
 
-    ``estimate`` is the best value achieved, ``error_bound`` the
-    estimated error attached to it.  Nothing in the package raises it any
-    more: the moments come from closed forms and one fixed quadrature rule.
-    It stays exported for callers' ``except`` clauses.
+    Nothing in the package raises it any more: the moments come from closed
+    forms and one fixed quadrature rule.  It stays exported for callers'
+    ``except`` clauses.
     """
-
-    def __init__(self, message, estimate=None, error_bound=None):
-        super().__init__(
-            f"{message} (estimate={estimate!r}, error_bound={error_bound!r})"
-        )
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 class SingularInversion(HierstatError):

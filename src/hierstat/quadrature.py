@@ -8,8 +8,10 @@ from it.  The rule splits a piece of activity at lambda = 0 and at
 rho >= 3 + sqrt(8) ~ 5.8 (L. N. Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 19; the geometric grading of hp
 quadrature, C. Schwab, p- and hp-Finite Element Methods, 1998), and
-takes 12 Gauss-Legendre nodes per panel.  A piece that spans every double
-has at most about 2 (1024 + log2 D) panels.
+takes 12 Gauss-Legendre nodes per panel.  Every node is counted from the
+lower end of its panel, in lambda, and of its piece, in the fraction that
+gives its eps.  A piece that spans every double has at most about
+2 (1024 + log2 D) panels.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ _GL12 = ((0.98156063424671925069, 0.04717533638651182719),
          (0.58731795428661744730, 0.20316742672306592175),
          (0.36783149899818019375, 0.23349253653835480876),
          (0.12523340851146891547, 0.24914704581340278500))
-#: (1 - x, 1 + x, weight) per node pair: a node's offset from its nearer and
-#: its farther panel end, in half-widths
-_RULE = tuple((1.0 - x, 1.0 + x, w) for x, w in _GL12)
+#: (1 + x, weight) per node x = -+x_k of each pair: the node's offset from the
+#: lower panel end, in half-widths
+_RULE = tuple((1.0 + s * x, w) for x, w in _GL12 for s in (-1.0, 1.0))
 
 
 def _powers(a, b, base):
@@ -52,16 +54,16 @@ def breakpoints(lam_lo, lam_hi, d):
 
 
 def graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
-    """Nodes (lambda, upper, t, weight) of the graded rule over the activities
+    """Nodes (lambda, t, weight) of the graded rule over the activities
     [lam_lo + err_lo, lam_hi + err_hi] of a piece, err_lo and err_hi being
     rounding errors of lam_lo and lam_hi.
 
-    t is the node's offset from the nearer end of the piece as a fraction
-    of its width w, measured from the upper end when ``upper``; lambda is
-    anchored to the nearer end of the node's panel, and each panel's
-    weights are its half-width over w times the Gauss-Legendre weights, so
-    they sum to 1.  A piece with no breakpoint inside is one panel whose
-    fractions are the rule's own, so a width of 0 needs no division.
+    t is the node's offset from the lower end of the piece as a fraction of
+    its width w; lambda is anchored to the lower end of the node's panel,
+    and each panel's weights are its half-width over w times the
+    Gauss-Legendre weights, so they sum to 1.  A piece with no breakpoint
+    inside is one panel whose fractions are the rule's own, so a width of 0
+    needs no division.
     """
     ends = [(lam_lo, err_lo)] + [(x, 0.0) for x in breakpoints(lam_lo, lam_hi, d)]
     ends.append((lam_hi, err_hi))
@@ -70,14 +72,9 @@ def graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
     for (p0, e0), (p1, e1) in zip(ends, ends[1:]):
         h = 0.5 * ((p1 - p0) + (e1 - e0))
         if len(ends) == 2:
-            r, r0, r1 = 0.5, 0.0, 0.0
+            r, r0 = 0.5, 0.0
         else:
             r = h / w
             r0 = ((p0 - lam_lo) + (e0 - err_lo)) / w
-            r1 = ((lam_hi - p1) + (err_hi - e1)) / w
-        for near, far, weight in _RULE:
-            for lam, lo_t, hi_t in ((p0 + (e0 + h * near), r0 + r * near, r1 + r * far),
-                                    (p1 + (e1 - h * near), r0 + r * far, r1 + r * near)):
-                upper = hi_t < lo_t
-                nodes.append((lam, upper, hi_t if upper else lo_t, r * weight))
+        nodes.extend((p0 + (e0 + h * s), r0 + r * s, r * weight) for s, weight in _RULE)
     return nodes

@@ -65,12 +65,15 @@ __all__ = [
     "critical_temperature",
     "condensation_abscissa",
     "BETA_WINDOW",
+    "MAXWELL_STEP",
 ]
 
 #: admissible beta range for the inverse problem
 BETA_WINDOW = (1e-6, 1e3)
 #: both scaled residuals below this count as solved
 _NEWTON_TOL = 1e-12
+#: relative step of the central differences in :func:`maxwell_check`
+MAXWELL_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -371,13 +374,12 @@ def entropy_per_element(dist, d: int, n: float, u: float) -> float:
     return m["omega"] / m["n"] + params.beta * (-m["m1"] / m["n"]) - params.alpha
 
 
-def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
-                  step: float = 1e-3) -> MaxwellReport:
+def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellReport:
     """Cross-derivative consistency of the entropy potential.
 
     Checks d(1/T)/dN = -d(mu/T)/dE, d(1/T)/dV = d(p/T)/dE and
     d(p/T)/dN = -d(mu/T)/dV by central differences around the state,
-    at relative step ``step`` in (0, 1) and again at half step so the
+    at relative step ``MAXWELL_STEP`` and again at half step so the
     caller can verify second-order convergence.  E, N and V are each moved
     up and down at both steps, and each of these 12 probe points is solved
     once, by an inversion to scaled residuals of 1e-12 started at the
@@ -385,7 +387,6 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
     three of 1/T, mu/T and p/T.  Requires a fixed, non-point-mass phi,
     otherwise S is not a free function of (E, N) at fixed V.
     """
-    step = checked(check_real, step, "step", 0, 1, open_low=True, open_high=True)
     if isinstance(dist, ParametricFamily):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
     if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
@@ -414,13 +415,13 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int, *,
         pairs = ((dn_b, -de_a), (dv_b, de_o), (dn_o, -dv_a))
         return tuple(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs)
 
-    full = residuals(step)
-    half = residuals(0.5 * step)
+    full = residuals(MAXWELL_STEP)
+    half = residuals(0.5 * MAXWELL_STEP)
     orders = tuple(
         math.log2(f / h) if h > 0 and f > 0 else math.inf
         for f, h in zip(full, half))
     return MaxwellReport(residuals=full, residuals_half=half,
-                         orders=orders, step=step)
+                         orders=orders, step=MAXWELL_STEP)
 
 
 def critical_temperature(d: int, pressure: float) -> float:

@@ -11,13 +11,14 @@ import pytest
 
 import hierstat
 from hierstat import (
+    EnsembleCensus,
     GibbsParams,
     HierarchySpec,
     Histogram,
     OccupancyLevel,
+    ParametricFamily,
     Transaction,
     TransactionLedger,
-    TwoPoint,
     Uniform,
     ValidationError,
     activity_for_mean,
@@ -29,7 +30,6 @@ from hierstat import (
     gentile_census,
     gentile_mean,
     invert_to_params,
-    maxwell_check,
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
@@ -76,12 +76,13 @@ def test_package_exports_resolve_and_are_cached():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_numerics_take_no_tolerance_options(module):
-    # one quadrature rule and one Newton tolerance: nothing to tune
+    # one quadrature rule, one Newton tolerance and one Maxwell step: nothing
+    # to tune
     mod = importlib.import_module(f"hierstat.{module}")
     taking = [f"{name}({param})" for name in getattr(mod, "__all__", ())
               if inspect.isfunction(getattr(mod, name))
               for param in inspect.signature(getattr(mod, name)).parameters
-              if param in ("rel_tol", "max_depth", "derivatives")]
+              if param in ("rel_tol", "max_depth", "derivatives", "step")]
     assert taking == []
 
 
@@ -123,10 +124,15 @@ _MALFORMED = {
     "pumped-relax-steps-string": lambda: pumped_relaxation(
         _SPEC, 2, 1.0, 0.5, "x", "x", 0),
     "gentile-census-capacity-fraction": lambda: gentile_census([1.0], [1.0], 2.5, _PARAMS),
-    "maxwell-step-zero": lambda: maxwell_check(
-        TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=0.0),
-    "maxwell-step-one": lambda: maxwell_check(
-        TwoPoint(1.0, 3.0, 0.5), 5, GibbsParams(-2.0, 1.0), 100, step=1.0),
+    "gentile-census-mismatched-vectors": lambda: gentile_census([1.0, 2.0], [1.0], 2, _PARAMS),
+    "census-counts-vector": lambda: EnsembleCensus([1.0, 2.0], [1.0]),
+    "census-salary-per-row": lambda: EnsembleCensus([[1.0, 2.0]], [1.0, 2.0]),
+    "hierarchy-spec-empty": lambda: HierarchySpec(()),
+    "level-sign-string": lambda: OccupancyLevel(1, 1.0, "salary"),
+    "family-build-not-callable": lambda: ParametricFamily(5),
+    "histogram-one-edge": lambda: Histogram((0.0,), ()),
+    "histogram-mass-count": lambda: Histogram((0.0, 1.0, 2.0), (1.0,)),
+    "distribution-json-list": lambda: distribution_from_json([]),
     "histogram-mass-bool": lambda: Histogram((0, 1), (True,)),
     "histogram-edges-strings": lambda: Histogram(("0", "1"), (1.0,)),
     "histogram-json-edges-number": lambda: distribution_from_json(
@@ -134,6 +140,9 @@ _MALFORMED = {
     "eos-sweep-grid-strings": lambda: eos_sweep(3, ["0.1", "x"]),
     "eos-sweep-grid-numeric-strings": lambda: eos_sweep(3, ["0.1", "0.2"]),
     "eos-sweep-grid-bool": lambda: eos_sweep(3, [0.1, True]),
+    "eos-sweep-grid-not-iterable": lambda: eos_sweep(3, 5),
+    "transaction-source-empty": lambda: Transaction("", "b", 1),
+    "ledger-record-not-transaction": lambda: TransactionLedger().record("x"),
     "subset-balance-index-negative": lambda: subset_balance(_LEDGER, [-1]),
     "subset-balance-index-bool": lambda: subset_balance(_LEDGER, [True]),
     "subset-balance-index-past-end": lambda: subset_balance(_LEDGER, [5]),

@@ -624,6 +624,67 @@ def test_rejected_simulate_leaves_no_output_dir(runner, tmp_path, base, message)
     assert not out.exists()
 
 
+def _without(cfg, *keys):
+    return {k: v for k, v in cfg.items() if k not in keys}
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["thermo"], "{", "is not valid JSON"),
+    (["thermo"], "[1]", "must hold a JSON object"),
+    (["thermo"], _without(_THERMO_AB, "volume"), "config key 'volume' is required"),
+    (["simulate"], _without(_GRAND, "alpha"),
+     "config key 'alpha' is required for grand_canonical runs"),
+    (["gentile", "--points", "3"], None, "capacity (-d) is required"),
+    (["gentile", "-d", "1", "--lambda-min", "1", "--lambda-max", "0"], None,
+     "grid is empty: lambda-min 1.0 exceeds lambda-max 0.0"),
+    (["gentile", "-d", "3", "--alpha", "1", "--epsilon", "2"], None,
+     "--beta is required for the single-point form"),
+    (["gentile", "-d", "1001", "--points", "1", "--pmf"], None,
+     "--pmf is limited to capacity <= 1000"),
+    (["thermo"], {**_without(_THERMO_AB, "alpha"), "lambda": 1.0},
+     "(lambda, beta) parameterization is only defined for the delta distribution"),
+    (["thermo"], _without(_THERMO_AB, "alpha", "beta"),
+     "config must supply (alpha, beta), (n, u) or (lambda, beta)"),
+    (["simulate"], {**_CANONICAL, "levels": []},
+     "config key 'levels' must be a non-empty list"),
+    (["simulate"], {**_CANONICAL, "levels": [{"capacity": 1}]},
+     "level 1 must be an object with 'capacity' and 'salary'"),
+], ids=["config-invalid-json", "config-list", "thermo-no-volume",
+        "grand-canonical-no-alpha", "gentile-no-capacity", "gentile-reversed-grid",
+        "gentile-point-no-beta", "gentile-pmf-too-wide", "thermo-lambda-off-delta",
+        "thermo-no-parameter-pair", "simulate-no-levels", "simulate-level-no-salary"])
+def test_documented_errors_exit_2(runner, tmp_path, args, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        args = args + ["--json-config", str(cfg)]
+    if args[0] == "simulate":
+        args = args + ["--output-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("validation error: ") and message in result.output
+
+
+def test_simulate_seed_from_environment_must_be_an_integer(runner, tmp_path, monkeypatch):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(_without(_CANONICAL, "seed")))
+    monkeypatch.setenv("HIERSTAT_SEED", "x")
+    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "validation error: HIERSTAT_SEED must be an integer, got 'x'" in result.output
+
+
+def test_simulate_agents_default_to_half_the_positions(runner, tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({**_without(_CANONICAL, "agents"), "steps": 200}))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
+                                  "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "summary.json").read_text())["agents"] == 5 // 2
+
+
 def test_config_integral_float_accepted_as_integer(runner, tmp_path):
     outputs = []
     for d, volume in ((5, 100), (5.0, 100.0)):

@@ -104,6 +104,16 @@ def test_canonical_beta_zero_is_hypergeometric():
             assert abs(m - e) <= 3 * s
 
 
+def test_canonical_short_run_has_plain_stderr():
+    # fewer than four kept steps make no batches: the standard error is the
+    # plain standard deviation over the root of the step count
+    run = simulate_canonical(L3, 8, 1.0, 3, 0)
+    assert run.burn_in == 0 and run.occupancies.shape == (3, 3)
+    kept = run.occupancies.astype(float)
+    assert run.mean_occupancy.tolist() == kept.mean(axis=0).tolist()
+    assert run.stderr.tolist() == [float(np.std(col) / math.sqrt(3)) for col in kept.T]
+
+
 def test_canonical_conserves_agents():
     run = simulate_canonical(L3, 8, 1.0, 20_000, 4)
     assert np.all(run.occupancies.sum(axis=1) == 8)

@@ -16,8 +16,8 @@ from hierstat.quadrature import _GL12, breakpoints, graded_nodes
 
 
 def _average(nodes, g):
-    """The rule's average of g(lambda, t, upper) over its piece."""
-    return sum(weight * g(lam, t, upper) for lam, upper, t, weight in nodes)
+    """The rule's average of g(lambda, t) over its piece."""
+    return sum(weight * g(lam, t) for lam, t, weight in nodes)
 
 
 def test_polynomial_is_exact():
@@ -28,11 +28,10 @@ def test_polynomial_is_exact():
     assert len(nodes) == 12 * (len(breakpoints(lo, hi, d)) + 1) == 108
     for k in range(24):
         exact = (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
-        got = _average(nodes, lambda lam, t, upper: lam ** k)
+        got = _average(nodes, lambda lam, t: lam ** k)
         assert abs(got - exact) <= 64 * math.ulp(hi ** k), (k, got, exact)
-        # eps on [2, 5], counted from the nearer end as the ensemble does
-        eps = _average(nodes, lambda lam, t, upper: (5.0 - 3.0 * t if upper
-                                                     else 2.0 + 3.0 * t) ** k)
+        # eps on [2, 5], counted from the lower end as the ensemble does
+        eps = _average(nodes, lambda lam, t: (2.0 + 3.0 * t) ** k)
         exact = (5.0 ** (k + 1) - 2.0 ** (k + 1)) / ((k + 1) * 3.0)
         assert abs(eps - exact) <= 16 * math.ulp(exact), (k, eps, exact)
 
@@ -67,7 +66,7 @@ def test_rule_constants_match_leggauss():
 def test_breakpoints_isolate_kink():
     # |lambda| has its kink at the breakpoint lambda = 0, so the rule is exact
     nodes = graded_nodes(-0.3, 0.0, 0.7, 0.0, 4)
-    assert _average(nodes, lambda lam, t, upper: abs(lam)) == pytest.approx(0.29, rel=1e-15)
+    assert _average(nodes, lambda lam, t: abs(lam)) == pytest.approx(0.29, rel=1e-15)
 
 
 def test_breakpoints_only_inside_the_piece():
@@ -93,8 +92,8 @@ def test_zero_width_piece():
     # rule's own fractions with lambda held there, and nothing divides by w
     nodes = graded_nodes(1e300, 0.0, 1e300, 0.0, 9)
     assert len(nodes) == 12 and all(lam == 1e300 for lam, *_ in nodes)
-    fractions = sorted(0.5 * (1 - x) for x, _ in _GL12 for _ in (0, 1))
-    assert sorted(t for _, _, t, _ in nodes) == fractions
+    fractions = sorted(0.5 * (1 + s * x) for x, _ in _GL12 for s in (-1, 1))
+    assert sorted(t for _, t, _ in nodes) == fractions
     assert sum(weight for *_, weight in nodes) == 1.0
     # saturated level at lambda = 1e300 over eps in [0, 1]
     n, m1, om, big_a, big_b, big_c = _piece_by_quadrature(0.0, 1.0, 1e300, 1.0, 9)
