@@ -179,30 +179,48 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])] + [last]
     occ = np.cumsum(r).tolist()
     vac = (np.cumsum(caps) - occ).tolist()
-    accepted = 0
+    # a same-level pick moves nothing and is always taken (u < 1.0); a move
+    # between adjacent levels is the j loops below written out for one j
+    rejected = 0
     if agents and vacant:
-        for i in range(steps):
-            src = held[k_src[i]]
-            tgt = free[k_tgt[i]]
+        i = -1
+        for ks, kt, u in zip(k_src, k_tgt, u_acc):
+            i += 1
+            src = held[ks]
+            tgt = free[kt]
+            if src == tgt:
+                continue
             code = src * n_levels + tgt
-            if u_acc[i] < accept[code]:
-                accepted += 1
-                if src < tgt:
-                    for j in range(src, tgt):
-                        occ[j] -= 1
-                        held[occ[j]] = j + 1
-                    for j in range(tgt - 1, src - 1, -1):
-                        free[vac[j]] = j
-                        vac[j] += 1
-                    record[i] = code + 1
-                elif src > tgt:
-                    for j in range(src - 1, tgt - 1, -1):
-                        held[occ[j]] = j
-                        occ[j] += 1
-                    for j in range(tgt, src):
-                        vac[j] -= 1
-                        free[vac[j]] = j + 1
-                    record[i] = code + 1
+            if u >= accept[code]:
+                rejected += 1
+                continue
+            record[i] = code + 1
+            if src < tgt:
+                if tgt - src == 1:
+                    occ[src] -= 1
+                    held[occ[src]] = tgt
+                    free[vac[src]] = src
+                    vac[src] += 1
+                    continue
+                for j in range(src, tgt):
+                    occ[j] -= 1
+                    held[occ[j]] = j + 1
+                for j in range(tgt - 1, src - 1, -1):
+                    free[vac[j]] = j
+                    vac[j] += 1
+            elif src - tgt == 1:
+                held[occ[tgt]] = tgt
+                occ[tgt] += 1
+                vac[tgt] -= 1
+                free[vac[tgt]] = src
+            else:
+                for j in range(src - 1, tgt - 1, -1):
+                    held[occ[j]] = j
+                    occ[j] += 1
+                for j in range(tgt, src):
+                    vac[j] -= 1
+                    free[vac[j]] = j + 1
+    accepted = steps - rejected if agents and vacant else 0
 
     del k_src, k_tgt, u_acc  # up to ~100 bytes a step; free them before the rebuild
     # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
