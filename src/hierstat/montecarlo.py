@@ -8,9 +8,10 @@ Two kernels, one per counting convention:
   converges to the closed-form mean occupation;
 * the fixed-agent-count dynamics moves one agent from a uniformly
   random occupied position to a uniformly random vacant position with
-  acceptance min(1, e^{-beta dE}); salary-raising moves are therefore
-  always taken, salary-cutting ones survive with Boltzmann probability,
-  and the stationary law is exactly the position-count measure of
+  acceptance min(1, e^{-beta dE}) for either sign of beta: at beta > 0
+  salary-raising moves are always taken and salary-cutting ones survive
+  with Boltzmann probability, at beta < 0 the roles swap, and the
+  stationary law is exactly the position-count measure of
   :func:`hierstat.hierarchy.exact_canonical`.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
@@ -153,11 +154,12 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     k_tgt = (rng.random(steps) * vacant).astype(np.intp).tolist()
     u_acc = rng.random(steps).tolist()
 
-    # acceptance of src -> tgt at code src * n_levels + tgt: certain (u < 1.0)
-    # unless the move cuts the salary at beta > 0; the loop records code + 1
-    # per move (0: none) through a memoryview, cheaper than a numpy item
-    # store, and the histories are rebuilt from the codes afterwards
-    accept = [1.0 if s_src - s_tgt <= 0.0 or beta <= 0.0
+    # acceptance min(1, e^{-beta * cut}) of src -> tgt at code src * n_levels
+    # + tgt, certain (u < 1.0) where beta * cut <= 0, so exp never overflows;
+    # the loop records code + 1 per move (0: none) through a memoryview,
+    # cheaper than a numpy item store, and the histories are rebuilt from the
+    # codes afterwards
+    accept = [1.0 if beta * (s_src - s_tgt) <= 0.0
               else math.exp(-beta * (s_src - s_tgt))
               for s_src in sals for s_tgt in sals]
     codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))

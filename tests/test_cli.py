@@ -400,6 +400,18 @@ def test_simulate_negative_beta(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_simulate_negative_beta_matches_oracle(runner, tmp_path):
+    # at beta < 0 a salary raise is taken with probability e^{-beta dE} < 1;
+    # bound stated before the run: every |z| under 4
+    out = tmp_path / "run"
+    result = runner.invoke(main, [
+        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
+        "--output-dir", str(out), "--oracle", "--beta", "-1"])
+    assert result.exit_code == 0, result.output
+    z_scores = json.loads((out / "summary.json").read_text())["oracle"]["z_scores"]
+    assert len(z_scores) == 3 and all(abs(z) < 4.0 for z in z_scores), z_scores
+
+
 def test_simulate_oracle_overflowing_beta(runner, tmp_path):
     out = tmp_path / "run"
     result = runner.invoke(main, [

@@ -176,8 +176,11 @@ def _scan(counts, t):
     return len(counts) - 1
 
 
-def _linear_scan_chain(spec, beta, r, steps, rng):
-    """Reference step loop: a running-sum scan per pick, one row per step."""
+def _linear_scan_chain(spec, beta, r, steps, rng, picks=None):
+    """Reference step loop: a running-sum scan per pick, one row per step.
+
+    ``picks``, when given, receives (src, tgt, taken) for every step that
+    picks an agent and a vacancy."""
     caps = spec.capacities.tolist()
     sals = spec.salaries.tolist()
     agents = sum(r)
@@ -192,7 +195,10 @@ def _linear_scan_chain(spec, beta, r, steps, rng):
             src = _scan(r, u_src[i] * agents)
             tgt = _scan([c - k for c, k in zip(caps, r)], u_tgt[i] * vacant)
             cut = sals[src] - sals[tgt]
-            if u_acc[i] < (1.0 if cut <= 0.0 or beta <= 0.0 else math.exp(-beta * cut)):
+            taken = u_acc[i] < (1.0 if beta * cut <= 0.0 else math.exp(-beta * cut))
+            if picks is not None:
+                picks.append((src, tgt, taken))
+            if taken:
                 accepted += 1
                 r[src] -= 1
                 r[tgt] += 1
@@ -201,24 +207,47 @@ def _linear_scan_chain(spec, beta, r, steps, rng):
     return np.array(rows, dtype=np.int32), np.array(energies), accepted, r
 
 
+def _branch(src, tgt, taken):
+    """The branch of the step loop that a reference pick goes through."""
+    if src == tgt:
+        return "same level"
+    if not taken:
+        return "rejected"
+    return ("adjacent " if abs(tgt - src) == 1 else "multi-level ") \
+        + ("down" if src < tgt else "up")
+
+
+_BRANCHES = {"same level", "rejected", "adjacent down", "adjacent up",
+             "multi-level down", "multi-level up"}
+
+
 @pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "ONE", "BIG", "UNIT"])
 def test_step_loop_matches_linear_scan(name):
     # UNIT's moves cross only empty or full levels, whose boundaries share
     # ranks in the loop's rank lists
     spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "ONE": ONE, "BIG": BIG, "UNIT": UNIT}[name]
     total = spec.total_positions
-    for agents in sorted({0, 1, total // 2, total - 1, total}):
-        for beta in (1.0, 0.0, -0.5, 50.0):
-            for seed in (0, 1):
-                got, want = [], []
-                for out, loop in ((got, _run_position_chain), (want, _linear_scan_chain)):
-                    rng = np.random.default_rng(seed)
-                    r0 = _initial_occupancy(spec, agents, rng)
-                    out.extend(loop(spec, beta, r0, 1_500, rng))
-                got.insert(1, _energies(spec, got[0]))
-                assert np.array_equal(got[0], want[0]), (agents, beta, seed)
-                assert got[1].tobytes() == want[1].tobytes(), (agents, beta, seed)
-                assert got[2:] == want[2:], (agents, beta, seed)
+    cases = [(agents, beta, seed, 1_500)
+             for agents in sorted({0, 1, total // 2, total - 1, total})
+             for beta in (1.0, 0.0, -0.5, 50.0) for seed in (0, 1)]
+    if name == "DEEP":
+        cases.append((127, 0.65, 2, 20_000))  # the benchmark's 8-level chain
+    picks = []
+    for agents, beta, seed, steps in cases:
+        got, want = [], []
+        for out, loop in ((got, _run_position_chain), (want, _linear_scan_chain)):
+            rng = np.random.default_rng(seed)
+            r0 = _initial_occupancy(spec, agents, rng)
+            extra = {"picks": picks} if loop is _linear_scan_chain else {}
+            out.extend(loop(spec, beta, r0, steps, rng, **extra))
+        got.insert(1, _energies(spec, got[0]))
+        assert np.array_equal(got[0], want[0]), (agents, beta, seed)
+        assert got[1].tobytes() == want[1].tobytes(), (agents, beta, seed)
+        assert got[2:] == want[2:], (agents, beta, seed)
+    # every branch of the loop that the spec allows was taken: one level
+    # has only same-level picks, and capacity-1 levels none
+    expected = {"ONE": {"same level"}, "UNIT": _BRANCHES - {"same level"}}.get(name, _BRANCHES)
+    assert {_branch(*pick) for pick in picks} == expected
 
 
 class _FixedDraws:
@@ -243,10 +272,20 @@ def test_step_loop_ties_match_linear_scan():
             assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], (r0, u)
 
 
-def test_negative_beta_takes_every_move():
-    # beta < 0 favours salary cuts; the acceptance e^{-beta dE} must not overflow
+def test_negative_beta_matches_exact():
+    # beta < 0 favours salary cuts, and a raise is taken with probability
+    # e^{-beta dE} < 1; bound stated before the seeds were run: |z| <= 4
+    for beta in (-1.0, -0.4):
+        exact = exact_canonical(L3, 8, beta).mean_occupancy
+        for seed in (0, 1, 2):
+            run = simulate_canonical(L3, 8, beta, 60_000, seed)
+            z = (run.mean_occupancy - exact) / run.stderr
+            assert np.all(np.abs(z) <= 4.0), (beta, seed, z)
+            assert 0.0 < run.acceptance_rate < 1.0
+    # at beta = -1000 e^{-beta dE} must not overflow: every raise is refused
     run = simulate_canonical(L3, 8, -1000.0, 100, 0)
-    assert run.acceptance_rate == 1.0
+    assert 0.0 < run.acceptance_rate < 1.0
+    assert np.all(np.isfinite(run.energies))
     laser = pumped_relaxation(L3, 8, -1000.0, 0.5, 10, 10, 0)
     assert np.all(np.isfinite(laser.energies))
 
