@@ -183,7 +183,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     vac = (np.cumsum(caps) - occ).tolist()
     # a same-level pick moves nothing and is always taken (u < 1.0); a move
     # between adjacent levels is the j loops below written out for one j
-    rejected = 0
+    accepted = rejected = 0
     if agents and vacant:
         i = -1
         for ks, kt, u in zip(k_src, k_tgt, u_acc):
@@ -222,7 +222,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                 for j in range(tgt, src):
                     vac[j] -= 1
                     free[vac[j]] = j + 1
-    accepted = steps - rejected if agents and vacant else 0
+        accepted = steps - rejected
 
     del k_src, k_tgt, u_acc  # up to ~100 bytes a step; free them before the rebuild
     # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest

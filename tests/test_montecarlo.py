@@ -235,10 +235,10 @@ def test_step_loop_matches_linear_scan(name):
     picks = []
     for agents, beta, seed, steps in cases:
         got, want = [], []
-        for out, loop in ((got, _run_position_chain), (want, _linear_scan_chain)):
+        for out, loop, extra in ((got, _run_position_chain, {}),
+                                 (want, _linear_scan_chain, {"picks": picks})):
             rng = np.random.default_rng(seed)
             r0 = _initial_occupancy(spec, agents, rng)
-            extra = {"picks": picks} if loop is _linear_scan_chain else {}
             out.extend(loop(spec, beta, r0, steps, rng, **extra))
         got.insert(1, _energies(spec, got[0]))
         assert np.array_equal(got[0], want[0]), (agents, beta, seed)
