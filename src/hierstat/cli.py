@@ -292,10 +292,6 @@ def cmd_eos(cfg, capacity, lambda_min, lambda_max, points, output):
     _emit(output, _csv_text(EOS_COLUMNS, list(table.rows())))
 
 
-_DELTA_GUIDANCE = ("delta distribution: supply (alpha, beta) or (lambda, beta) "
-                   "instead")
-
-
 @main.command("thermo")
 @click.option("--json-config", type=str, required=True)
 @click.option("--out-csv", type=str, default=None,
@@ -331,12 +327,7 @@ def cmd_thermo(cfg, out_csv):
         beta = number("beta")
         params = GibbsParams(number("lambda") - beta * dist.point, beta)
     elif has_nu:
-        try:
-            params = invert_to_params(dist, d, number("n"), number("u"))
-        except SingularInversion as exc:
-            if not isinstance(dist, Delta):
-                raise
-            raise SingularInversion(f"{exc}; {_DELTA_GUIDANCE}") from None
+        params = invert_to_params(dist, d, number("n"), number("u"))
     else:
         raise ValidationError(
             "config must supply (alpha, beta), (n, u) or (lambda, beta)")

@@ -64,14 +64,14 @@ class EnsembleMoments:
     omega: float
 
 
-def _piece_by_quadrature(lo, hi, a, b, d):
-    """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi] by the
-    graded rule of :func:`~hierstat.quadrature.graded_nodes`, with each node's
-    eps taken from its fraction of the piece, counted from the lower end."""
-    (lam_lo, err_lo), (lam_hi, err_hi) = _activity(a, b, lo), _activity(a, b, hi)
+def _piece_by_quadrature(lo, hi, ends, d):
+    """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi], whose
+    ``ends`` are the (lambda, error) pairs of :func:`_activity`, by the graded
+    rule of :func:`~hierstat.quadrature.graded_nodes`, with each node's eps
+    taken from its fraction of the piece, counted from the lower end."""
     span = hi - lo
     n = m1 = om = big_a = big_b = big_c = 0.0
-    for lam, t, weight in graded_nodes(lam_lo, err_lo, lam_hi, err_hi, d):
+    for lam, t, weight in graded_nodes(*ends[0], *ends[1], d):
         eps = lo + t * span
         fv, fp, logz = _kernels(lam, d)
         n += weight * fv
@@ -110,9 +110,10 @@ def _end_values(lam, err, d):
     return f + fp * err, logz + f * err, g + logz * err
 
 
-def _closed_piece(lo, hi, a, b, d):
+def _closed_piece(lo, hi, ends, d):
     """(n, m1, omega, A, B, C) averaged over the interval piece [lo, hi] at
-    lambda = alpha + beta eps, from the kernels and G at its two ends; None
+    lambda = alpha + beta eps, whose ``ends`` are the (lambda, error) pairs
+    of :func:`_activity`, from the kernels and G at its two ends; None
     when its activity width w = lambda(hi) - lambda(lo) is below ``W_MIN``
     or when B or C cancels by more than ``_MAX_CANCEL``.
 
@@ -132,8 +133,7 @@ def _closed_piece(lo, hi, a, b, d):
     crossing zero there), which the sums of the magnitudes of their terms
     detect.
     """
-    lam_lo, err_lo = _activity(a, b, lo)
-    lam_hi, err_hi = _activity(a, b, hi)
+    (lam_lo, err_lo), (lam_hi, err_hi) = ends
     w = lam_hi - lam_lo
     if not w >= W_MIN:
         return None
@@ -182,7 +182,8 @@ def _moment_pass(pieces, a, b, d, k=6):
                 fv, fp, logz = _kernels(_check_lambda(a + b * lo), d)
                 avg = fv, lo * fv, logz, fp, lo * fp, lo * (lo * fp)
             else:
-                avg = _closed_piece(lo, hi, a, b, d) or _piece_by_quadrature(lo, hi, a, b, d)
+                ends = _activity(a, b, lo), _activity(a, b, hi)
+                avg = _closed_piece(lo, hi, ends, d) or _piece_by_quadrature(lo, hi, ends, d)
                 if not all(map(math.isfinite, avg[:k])):
                     raise ValidationError(f"the moments over [{lo!r}, {hi!r}] are not finite")
             piece = [mass * v for v in avg[:k]]

@@ -78,30 +78,17 @@ def _eos_rows(d: int):
     return table.lam, [v * d for v in table.n_over_d], table.p_over_T
 
 
-def _fig5():
-    header = ("d", "lambda", "n_over_V", "n_over_Vd", "p_over_T")
+def _eos_figure(header, row, y_label, title):
+    """Figures 5 and 6: ``row(d, lambda, n/V, omega)`` at each point of every
+    capacity's equation-of-state grid; each chart plots the last column of
+    its rows against the one before it, n/(Vd)."""
     rows = []
     series = []
     for d in EOS_D_VALUES:
-        grid, n, om = _eos_rows(d)
-        rows.extend((d, l, nv, nv / d, o) for l, nv, o in zip(grid, n, om))
-        series.append((f"d={d}", [nv / d for nv in n], om))
-    svg = line_chart(series, x_label="N/(Vd)", y_label="p/T",
-                     title="Thermal equation of state")
-    return header, rows, svg
-
-
-def _fig6():
-    header = ("d", "lambda", "n_over_Vd", "mu_shifted_over_T")
-    rows = []
-    series = []
-    for d in EOS_D_VALUES:
-        grid, n, _ = _eos_rows(d)
-        rows.extend((d, l, nv / d, l) for l, nv in zip(grid, n))
-        series.append((f"d={d}", [nv / d for nv in n], grid))
-    svg = line_chart(series, x_label="N/(Vd)",
-                     y_label="(epsilon0 + mu)/T",
-                     title="Financial potential vs filling")
+        block = [row(d, *point) for point in zip(*_eos_rows(d))]
+        rows.extend(block)
+        series.append((f"d={d}", *zip(*(r[-2:] for r in block))))
+    svg = line_chart(series, x_label="N/(Vd)", y_label=y_label, title=title)
     return header, rows, svg
 
 
@@ -129,7 +116,13 @@ def _fig7():
 _BUILDERS = {1: lambda: _share(EnergySign.COST, 5.0),
              2: lambda: _share(EnergySign.SALARY, -5.0),
              3: lambda: _overlay(False), 4: lambda: _overlay(True),
-             5: _fig5, 6: _fig6, 7: _fig7}
+             5: lambda: _eos_figure(("d", "lambda", "n_over_V", "n_over_Vd", "p_over_T"),
+                                    lambda d, l, nv, o: (d, l, nv, nv / d, o),
+                                    "p/T", "Thermal equation of state"),
+             6: lambda: _eos_figure(("d", "lambda", "n_over_Vd", "mu_shifted_over_T"),
+                                    lambda d, l, nv, o: (d, l, nv / d, l),
+                                    "(epsilon0 + mu)/T", "Financial potential vs filling"),
+             7: _fig7}
 
 
 def build_figure(fig_id: int):

@@ -475,8 +475,8 @@ def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:
 
     Point i is i * step + start, or (i / (num - 1)) * (stop - start) +
     start when the step underflows to 0, and the last point is ``stop``.
-    With ``zero``, lambda = 0 is added and the points are sorted, NaN
-    last, with duplicates dropped, keeping the first of -0.0 and 0.0, as
+    With ``zero``, lambda = 0 is added and the points are sorted with
+    duplicates dropped, keeping the first of -0.0 and 0.0, as
     ``numpy.unique`` of the concatenation does.
     """
     div = num - 1
@@ -487,7 +487,7 @@ def _grid(start: float, stop: float, num: int, zero: bool = False) -> list:
         points = [i / max(div, 1) * (stop - start) + start for i in range(num)]
     if div:
         points[-1] = stop
-    return sorted(set(points + [0.0]), key=lambda x: (x != x, x)) if zero else points
+    return sorted(set(points + [0.0])) if zero else points
 
 
 #: fixed header of the equation-of-state table

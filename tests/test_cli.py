@@ -253,8 +253,7 @@ def test_thermo_delta_with_density_energy_is_singular(runner, tmp_path):
     })
     result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 3
-    assert "delta distribution: supply (alpha, beta) or (lambda, beta) instead" \
-        in result.output
+    assert "parameterize the state by (alpha, beta) or (lambda, beta)" in result.output
 
 
 def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
-from hierstat.ensemble import _closed_piece, moment_integrals
+from hierstat.ensemble import _activity, _closed_piece, moment_integrals
 from hierstat.gentile import _LI2_SWITCH, _log_partition_integral
 
 NAMES = ("n", "m1", "omega", "A", "B", "C")
@@ -88,7 +88,8 @@ def _cancelling_draws(seed, count):
         beta = 10 ** rng.uniform(-6, math.log10(5))
         lo = 0.0 if k % 2 == 0 else float(rng.uniform(0, 3)) * (w / beta)
         alpha = float(rng.uniform(-3, 3)) / (d + 1) - beta * lo
-        if _closed_piece(lo, lo + w / beta, alpha, beta, d) is None:
+        ends = _activity(alpha, beta, lo), _activity(alpha, beta, lo + w / beta)
+        if _closed_piece(lo, lo + w / beta, ends, d) is None:
             out.append((lo, lo + w / beta, alpha, beta, d))
             if len(out) == count:
                 break

@@ -11,7 +11,7 @@ import pytest
 
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
-from hierstat.ensemble import _piece_by_quadrature, moment_integrals
+from hierstat.ensemble import _activity, _piece_by_quadrature, moment_integrals
 from hierstat.quadrature import _GL12, breakpoints, graded_nodes
 
 
@@ -96,7 +96,8 @@ def test_zero_width_piece():
     assert sorted(t for _, t, _ in nodes) == fractions
     assert sum(weight for *_, weight in nodes) == 1.0
     # saturated level at lambda = 1e300 over eps in [0, 1]
-    n, m1, om, big_a, big_b, big_c = _piece_by_quadrature(0.0, 1.0, 1e300, 1.0, 9)
+    ends = _activity(1e300, 1.0, 0.0), _activity(1e300, 1.0, 1.0)
+    n, m1, om, big_a, big_b, big_c = _piece_by_quadrature(0.0, 1.0, ends, 9)
     assert (n, big_a, big_b, big_c) == (9.0, 0.0, 0.0, 0.0)
     assert m1 == pytest.approx(4.5, rel=1e-15) and om == pytest.approx(9e300, rel=1e-15)
 
