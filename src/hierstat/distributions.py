@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
-from .errors import ValidationError, check_real, checked
+from .errors import ValidationError, _check_type, check_real, checked
+from .gentile import GibbsParams
 
 __all__ = [
     "Delta",
@@ -129,6 +130,7 @@ class ParametricFamily:
 
 def resolve(dist, params) -> SalaryDistribution:
     """Concrete distribution at the given Gibbs parameters."""
+    _check_type(params, GibbsParams, "params")
     if isinstance(dist, ParametricFamily):
         concrete = dist.build(params.alpha, params.beta)
         if isinstance(concrete, ParametricFamily):

@@ -280,13 +280,12 @@ def fermi_market_share(dist, params: GibbsParams) -> float:
     d = 1 moment pass over phi mirrored to eps' = -eps, piece by piece, so
     that an overflow names the piece of phi as given.
     """
-    a, b = params.alpha, params.beta
     share = None
     for lo, hi, mass in _pieces(resolve(dist, params)):
         try:
-            n, = _moment_pass([(-hi, -lo, mass)], a, b, 1, 1)
+            n, = _moment_pass([(-hi, -lo, mass)], params.alpha, params.beta, 1, 1)
         except ValidationError:
-            raise ValidationError(f"at alpha={a!r}, beta={b!r}: the d = 1 moments "
-                                  f"over the cost piece [{lo!r}, {hi!r}] overflow") from None
+            raise ValidationError(f"at alpha={params.alpha!r}, beta={params.beta!r}: the d = 1 "
+                                  f"moments over the cost piece [{lo!r}, {hi!r}] overflow") from None
         share = n if share is None else share + n
     return share

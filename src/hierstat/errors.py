@@ -75,6 +75,13 @@ def check_real(value, name, problems, low=-math.inf, high=math.inf, *,
     return None
 
 
+def _check_type(value, cls, name):
+    """``value`` if it is a ``cls``, else ValidationError naming ``name``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    return value
+
+
 def checked(check, value, name, *bounds, **options):
     """``check(value, name, problems, *bounds, **options)`` for a lone
     argument: its value, or ValidationError with the one violation."""

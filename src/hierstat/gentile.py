@@ -54,7 +54,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NoConvergence, ValidationError, check_int, check_real, checked
+from .errors import NoConvergence, ValidationError, _check_type, check_int, check_real, checked
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -154,6 +154,8 @@ class GibbsParams:
 def activity(level: OccupancyLevel, params: GibbsParams) -> float:
     """Activity exponent of a level under the given Gibbs parameters; a
     ValidationError naming alpha, beta and money_scale if it is not finite."""
+    _check_type(level, OccupancyLevel, "level")
+    _check_type(params, GibbsParams, "params")
     scale = -level.money_scale if level.sign is EnergySign.COST else level.money_scale
     lam = params.alpha + params.beta * scale
     if not math.isfinite(lam):

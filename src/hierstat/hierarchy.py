@@ -16,11 +16,12 @@ the -inf padding is inert, so no bit depends on the block size.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, _check_type, check_int, check_real
 from .gentile import GibbsParams, _check_capacity, occupancy_probabilities
 
 __all__ = [
@@ -62,9 +63,11 @@ class HierarchySpec:
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("a hierarchy needs at least one level")
-        levels = tuple(
-            lv if isinstance(lv, HierarchyLevel) else HierarchyLevel(*lv)
-            for lv in self.levels)
+        try:
+            levels = tuple(lv if isinstance(lv, HierarchyLevel) else HierarchyLevel(*lv)
+                           for lv in self.levels)
+        except TypeError:
+            raise ValidationError("levels must be (capacity, salary) pairs") from None
         object.__setattr__(self, "levels", levels)
         problems = []
         for i in range(len(levels) - 1):
@@ -217,6 +220,19 @@ def _exact_log_space(spec, agents, beta):
                                  log_weight_total=log_total)
 
 
+def _census_array(values, name):
+    """``values`` as a float array of finite numbers >= 0, else ValidationError naming
+    ``name``; anything but a numeric array is checked entry by entry (no bool or str)."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = np.asarray(values, dtype=object)
+        if not all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, values.flat))):
+            raise ValidationError(f"{name} must be a rectangular array of real numbers")
+    values = values.astype(float, copy=False)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValidationError(f"{name} must be finite and >= 0")
+    return values
+
+
 @dataclass(frozen=True)
 class EnsembleCensus:
     """Company counts by occupancy and salary class.
@@ -230,19 +246,12 @@ class EnsembleCensus:
     salaries: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        salaries = np.asarray(self.salaries, dtype=float)
-        problems = []
+        counts = _census_array(self.counts, "counts")
+        salaries = _census_array(self.salaries, "salaries")
         if counts.ndim != 2 or counts.shape[1] < 2:
-            problems.append("counts must be a 2-d matrix (classes x occupancies)")
-        elif salaries.ndim != 1 or salaries.size != counts.shape[0]:
-            problems.append("need one salary per class row")
-        if counts.size and (not np.all(np.isfinite(counts)) or np.any(counts < 0)):
-            problems.append("counts must be finite and >= 0")
-        if salaries.size and (not np.all(np.isfinite(salaries)) or np.any(salaries < 0)):
-            problems.append("salaries must be finite and >= 0")
-        if problems:
-            raise ValidationError(problems)
+            raise ValidationError("counts must be a 2-d matrix (classes x occupancies)")
+        if salaries.ndim != 1 or salaries.size != counts.shape[0]:
+            raise ValidationError("need one salary per class row")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "salaries", salaries)
 
@@ -286,7 +295,7 @@ def census_entropy(census: EnsembleCensus) -> float:
     approximation, with 0 ln 0 = 0.  Requires every class to hold at
     least one company.
     """
-    totals = census.class_totals
+    totals = _check_type(census, EnsembleCensus, "census").class_totals
     if np.any(totals < 1.0):
         raise ValidationError(
             "census entropy requires every salary class to hold at least one company")
@@ -298,8 +307,9 @@ def gentile_census(class_totals, salaries, capacity: int,
     """Entropy-maximizing census: class s filled as V_s p(r | lambda_s)
     with lambda_s = alpha + beta * salary_s shared across classes."""
     capacity = _check_capacity(capacity)
-    totals = np.asarray(class_totals, dtype=float)
-    sal = np.asarray(salaries, dtype=float)
+    _check_type(params, GibbsParams, "params")
+    totals = _census_array(class_totals, "class_totals")
+    sal = _census_array(salaries, "salaries")
     if totals.ndim != 1 or sal.shape != totals.shape:
         raise ValidationError("class_totals and salaries must be matching vectors")
     if np.any(totals <= 0):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ImbalancedEntry, ValidationError, check_int
+from .errors import ImbalancedEntry, ValidationError, _check_type, check_int
 
 __all__ = ["Transaction", "LedgerEntry", "TransactionLedger",
            "BalanceReport", "ledger_audit", "subset_balance"]
@@ -64,8 +64,12 @@ class TransactionLedger:
 
     def __init__(self, initial_balances=None):
         problems = []
+        try:
+            initial = dict(initial_balances or {})
+        except (TypeError, ValueError):
+            raise ValidationError("initial_balances must be a mapping of party to balance") from None
         self.initial_balances = {p: check_int(b, f"balance of {p!r}", problems)
-                                 for p, b in dict(initial_balances or {}).items()}
+                                 for p, b in initial.items()}
         if problems:
             raise ValidationError(problems)
         self._balances = dict(self.initial_balances)
@@ -113,7 +117,7 @@ def ledger_audit(ledger: TransactionLedger) -> BalanceReport:
     balances disagree with the replay, i.e. whose money does not
     conserve against the rest of the ledger.
     """
-    balances = dict(ledger.initial_balances)
+    balances = dict(_check_type(ledger, TransactionLedger, "ledger").initial_balances)
     sink = 0
     for idx, entry in enumerate(ledger.entries):
         tx = entry.transaction
@@ -155,6 +159,7 @@ def subset_balance(ledger: TransactionLedger, indices) -> tuple:
     The two always sum to zero: whatever the parties lose over any
     subset of transfers is exactly what the sink gained there.
     """
+    _check_type(ledger, TransactionLedger, "ledger")
     try:
         indices = list(indices)
     except TypeError:

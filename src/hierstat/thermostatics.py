@@ -360,12 +360,16 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     energy_total = u * elements
     entropy_total = elements * psi
     gibbs = energy_total - temperature * entropy_total + pressure * volume
-    return ThermoState(n=n, u=u, psi=psi, entropy_total=entropy_total,
-                       temperature=temperature, financial_potential=mu,
-                       pressure=pressure, gibbs_free_energy=gibbs,
-                       volume=volume, elements=elements,
-                       energy_total=energy_total, omega=om,
-                       alpha=alpha, beta=beta)
+    state = ThermoState(n=n, u=u, psi=psi, entropy_total=entropy_total,
+                        temperature=temperature, financial_potential=mu,
+                        pressure=pressure, gibbs_free_energy=gibbs,
+                        volume=volume, elements=elements,
+                        energy_total=energy_total, omega=om,
+                        alpha=alpha, beta=beta)
+    if not max(state.residuals().values()) <= 1e-8:
+        raise ValidationError(f"the state breaks its identities at alpha={alpha!r}, "
+                              f"beta={beta!r}: {state.residuals()}")
+    return state
 
 
 def entropy_per_element(dist, d: int, n: float, u: float) -> float:

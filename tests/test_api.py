@@ -1,5 +1,5 @@
 """Public names: every export resolves and every re-export is declared;
-malformed numeric arguments raise only ValidationError."""
+malformed arguments raise only ValidationError."""
 
 import importlib
 import inspect
@@ -21,20 +21,30 @@ from hierstat import (
     TransactionLedger,
     Uniform,
     ValidationError,
+    activity,
     activity_for_mean,
+    census_entropy,
     condensation_abscissa,
     critical_temperature,
     distribution_from_json,
+    ensemble_moments,
     eos_sweep,
     exact_canonical,
+    fermi_market_share,
     gentile_census,
     gentile_mean,
     invert_to_params,
+    ledger_audit,
+    maxwell_check,
+    omega,
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
     subset_balance,
+    thermo_derivatives,
+    thermo_state,
 )
+from hierstat.ensemble import moment_integrals
 from hierstat.errors import check_int, check_real
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hierstat.__path__))
@@ -148,13 +158,53 @@ _MALFORMED = {
     "subset-balance-index-past-end": lambda: subset_balance(_LEDGER, [5]),
     "subset-balance-index-string": lambda: subset_balance(_LEDGER, ["0"]),
     "subset-balance-index-float": lambda: subset_balance(_LEDGER, [0.0]),
+    # object arguments of the wrong type
+    "ensemble-moments-params-none": lambda: ensemble_moments(Uniform(0, 1), 3, None),
+    "omega-params-none": lambda: omega(Uniform(0, 1), 3, None),
+    "moment-integrals-params-none": lambda: moment_integrals(Uniform(0, 1), 3, None),
+    "thermo-derivatives-params-none": lambda: thermo_derivatives(Uniform(0, 1), 3, None),
+    "maxwell-check-params-none": lambda: maxwell_check(Uniform(0, 1), 3, None, 10),
+    "market-share-params-none": lambda: fermi_market_share(Uniform(0, 1), None),
+    "thermo-state-params-tuple": lambda: thermo_state(Uniform(0, 1), 3, (1.0, 2.0), 10),
+    "gentile-census-params-none": lambda: gentile_census([1.0], [1.0], 3, None),
+    "activity-level-none": lambda: activity(None, _PARAMS),
+    "grand-canonical-level-none": lambda: sample_grand_canonical(None, _PARAMS, 10_000, 0),
+    "grand-canonical-params-none": lambda: sample_grand_canonical(_LEVEL, None, 10_000, 0),
+    "census-entropy-list": lambda: census_entropy([[1, 2]]),
+    "ledger-audit-none": lambda: ledger_audit(None),
+    "subset-balance-ledger-none": lambda: subset_balance(None, [0]),
+    "hierarchy-spec-int": lambda: HierarchySpec(5),
+    "hierarchy-spec-level-int": lambda: HierarchySpec((5,)),
+    "hierarchy-spec-level-short": lambda: HierarchySpec(((1,),)),
+    "ledger-initial-balances-int": lambda: TransactionLedger(5),
+    # census inputs go through the shared rules: no ragged rows, bools or strings
+    "census-counts-ragged": lambda: EnsembleCensus([[1, 2], [3]], [1, 2]),
+    "census-counts-string": lambda: EnsembleCensus([["a", 2]], [1]),
+    "census-counts-bool": lambda: EnsembleCensus([[True, 2.0]], [1.0]),
+    "census-salary-bool": lambda: EnsembleCensus([[1.0, 2.0]], [True]),
+    "census-salary-numeric-string": lambda: EnsembleCensus([[1.0, 2.0]], ["3"]),
+    "gentile-census-total-bool": lambda: gentile_census([True], [1.0], 3, _PARAMS),
+}
+
+#: the argument each object-type and census case must name in its message
+_NAMED = {
+    **dict.fromkeys([key for key in _MALFORMED if "params" in key], "params"),
+    "activity-level-none": "level", "grand-canonical-level-none": "level",
+    "census-entropy-list": "census", "ledger-audit-none": "ledger",
+    "subset-balance-ledger-none": "ledger", "hierarchy-spec-int": "levels",
+    "hierarchy-spec-level-int": "levels", "hierarchy-spec-level-short": "levels",
+    "ledger-initial-balances-int": "initial_balances", "census-counts-ragged": "counts",
+    "census-counts-string": "counts", "census-counts-bool": "counts",
+    "census-salary-bool": "salaries", "census-salary-numeric-string": "salaries",
+    "gentile-census-total-bool": "class_totals",
 }
 
 
-@pytest.mark.parametrize("call", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_malformed_arguments_raise_validation_error(call):
-    with pytest.raises(ValidationError):
-        call()
+@pytest.mark.parametrize("key", list(_MALFORMED))
+def test_malformed_arguments_raise_validation_error(key):
+    with pytest.raises(ValidationError) as err:
+        _MALFORMED[key]()
+    assert _NAMED.get(key, "") in str(err.value)
 
 
 def test_checkers_types_ranges_and_messages():

@@ -294,6 +294,22 @@ def test_moment_pass_makes_one_kernel_call_per_node(monkeypatch):
     assert 0.1 < ensemble.W_MIN and len(calls) == 12
 
 
+def test_narrow_piece_converts_its_ends_to_activity_once(monkeypatch):
+    # the moment pass corrects the two ends of a piece once and hands them to
+    # both the closed form (which declines a piece below W_MIN) and the rule
+    import hierstat.ensemble as ensemble
+    calls = []
+    real = ensemble._activity
+
+    def counted(a, b, eps):
+        calls.append(eps)
+        return real(a, b, eps)
+
+    monkeypatch.setattr(ensemble, "_activity", counted)
+    ensemble.moment_integrals(Uniform(0.5, 0.6), 9, GibbsParams(-2, 1))
+    assert calls == [0.5, 0.6]
+
+
 @pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),
                                          (TwoPoint(1.0, 3.0, 0.5), -800.0)])
 def test_underflowed_occupancy_is_a_validation_error(dist, alpha):

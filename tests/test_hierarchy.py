@@ -313,6 +313,13 @@ def test_census_entropy_invariant_under_row_permutation(rng):
     assert permuted.elements != pytest.approx(census.elements, rel=1e-6)
 
 
+def test_census_capacity_and_energy():
+    census = gentile_census([60.0, 40.0], [1.5, 0.7], 4, GibbsParams(-1.0, 0.8))
+    assert census.capacity == census.counts.shape[1] - 1 == 4
+    assert census.energy == -(census.salaries @ census.element_counts)
+    assert census.energy < 0.0
+
+
 def test_gentile_census_moments():
     census = gentile_census([60.0, 40.0], [1.5, 0.7], 4, GibbsParams(-1.0, 0.8))
     assert census.class_totals == pytest.approx([60.0, 40.0], rel=1e-12)

@@ -97,6 +97,16 @@ def test_transaction_validation():
         TransactionLedger({"a": 1.5})
 
 
+def test_balances_are_a_copy():
+    ledger = _sample_ledger()
+    balances = ledger.balances
+    assert balances == {"a": 755, "b": 600, "c": 130}
+    balances["a"] = 0
+    del balances["b"]
+    assert ledger.balances == {"a": 755, "b": 600, "c": 130}
+    assert ledger_audit(ledger).total_final == 1485
+
+
 def test_unknown_parties_start_at_zero():
     ledger = TransactionLedger()
     ledger.record(Transaction("x", "y", 10, leakage=1))
