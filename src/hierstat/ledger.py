@@ -78,8 +78,7 @@ class TransactionLedger:
 
     def record(self, tx: Transaction) -> LedgerEntry:
         """Apply a transaction; unknown parties start at balance zero."""
-        if not isinstance(tx, Transaction):
-            raise ValidationError(f"expected a Transaction, got {tx!r}")
+        _check_type(tx, Transaction, "tx")
         self._balances.setdefault(tx.source, 0)
         self._balances.setdefault(tx.target, 0)
         self._balances[tx.source] -= tx.amount
