@@ -131,8 +131,13 @@ class ParametricFamily:
 def resolve(dist, params) -> SalaryDistribution:
     """Concrete distribution at the given Gibbs parameters."""
     _check_type(params, GibbsParams, "params")
+    return _resolve_at(dist, params.alpha, params.beta)
+
+
+def _resolve_at(dist, alpha, beta):
+    """:func:`resolve` at (alpha, beta) given as floats."""
     if isinstance(dist, ParametricFamily):
-        concrete = dist.build(params.alpha, params.beta)
+        concrete = dist.build(alpha, beta)
         if isinstance(concrete, ParametricFamily):
             raise ValidationError("a family must resolve to a concrete distribution")
         return concrete

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Delta, ParametricFamily, _pieces, resolve, support
+from .distributions import Delta, ParametricFamily, _pieces, _resolve_at, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
                       _log_partition_integral)
@@ -206,17 +206,24 @@ def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
     return dict(zip(("n", "m1", "omega", "A", "B", "C"), vals))
 
 
-def _phi_terms(dist, d, params):
-    """Finite-difference phi-dependence parts of the moment derivatives.
+def _moments(dist, d, a, b):
+    """:func:`moment_integrals` at the floats (alpha, beta) = (a, b) and a
+    checked capacity d, as the list [n, m1, omega, A, B, C]: the entry of
+    the inverse problem, which builds no parameter record."""
+    return _moment_pass(_pieces(_resolve_at(dist, a, b)), a, b, d)
+
+
+def _phi_terms(dist, d, a, b):
+    """Finite-difference phi-dependence parts of the moment derivatives at
+    (alpha, beta) = (a, b).
 
     For each parameter the perturbed distribution is integrated against
     the frozen base integrand (f, eps f, log Z at the base parameters),
-    the first three components of a moment pass.  Returns two lists of
+    the first three components of a moment pass.  Returns two sequences of
     three floats, zeros for a fixed phi.
     """
     if not isinstance(dist, ParametricFamily):
-        return [0.0] * 3, [0.0] * 3
-    a, b = params.alpha, params.beta
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
     def difference(plus, minus):
         ahead, behind = (_moment_pass(_pieces(p), a, b, d, 3) for p in (plus, minus))
@@ -243,24 +250,28 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
     return _checked_moments(dist, d, params)[0]
 
 
-def _n_and_u(m, d, params):
-    """(n, u = -m1 / n) of the :func:`moment_integrals` record ``m``; an n
-    outside (0, d), as on underflow, is a ValidationError naming alpha and beta."""
-    if not 0.0 < m["n"] < d:
-        raise ValidationError(f"occupancy density {m['n']} outside (0, {d}) at "
-                              f"alpha={params.alpha!r}, beta={params.beta!r}")
-    return m["n"], -m["m1"] / m["n"]
+def _n_and_u(m, d, a, b):
+    """(n, u = -m1 / n) of the :func:`_moments` list ``m`` at (alpha, beta) =
+    (a, b); an n outside (0, d), as on underflow, is a ValidationError
+    naming alpha and beta."""
+    n = m[0]
+    if not 0.0 < n < d:
+        raise ValidationError(f"occupancy density {n} outside (0, {d}) at "
+                              f"alpha={a!r}, beta={b!r}")
+    return n, -m[1] / n
 
 
 def _checked_moments(dist, d, params):
-    """:func:`ensemble_moments` and the :func:`moment_integrals` record it
-    came from.  A point mass keeps u = -epsilon0 exactly."""
+    """:func:`ensemble_moments` and the :func:`_moments` list it came from.
+    A point mass keeps u = -epsilon0 exactly."""
     base = resolve(dist, params)
-    m = moment_integrals(base, d, params)
-    n, u = _n_and_u(m, d, params)
-    mom = EnsembleMoments(n, -base.point if isinstance(base, Delta) else u, m["omega"])
-
     lo, hi = support(base)
+    d = _check_capacity(d)
+    a, b = params.alpha, params.beta
+    m = _moments(base, d, a, b)
+    n, u = _n_and_u(m, d, a, b)
+    mom = EnsembleMoments(n, -base.point if isinstance(base, Delta) else u, m[2])
+
     problems = []
     if mom.omega < 0.0:
         problems.append(f"omega {mom.omega} negative")

@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NoConvergence, ValidationError, _check_type, check_int, check_real, checked
@@ -165,13 +164,29 @@ def activity(level: OccupancyLevel, params: GibbsParams) -> float:
     return lam
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_ratios() -> tuple:
-    """B_2k / (2k)! for k = 1 .. _SERIES_TERMS, as exact fractions."""
-    bern = [Fraction(1)]
-    for m in range(1, 2 * _SERIES_TERMS + 1):
-        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
-    return tuple(bern[2 * k] / math.factorial(2 * k) for k in range(1, _SERIES_TERMS + 1))
+#: B_2k / (2k)! for k = 1 .. _SERIES_TERMS as exact (numerator, denominator)
+#: pairs in lowest terms; each float formed from them is one int / int
+#: division, which Python rounds correctly
+_BERNOULLI_RATIOS = (
+    (1, 12),
+    (-1, 720),
+    (1, 30240),
+    (-1, 1209600),
+    (1, 47900160),
+    (-691, 1307674368000),
+    (1, 74724249600),
+    (-3617, 10670622842880000),
+    (43867, 5109094217170944000),
+    (-174611, 802857662698291200000),
+    (77683, 14101100039391805440000),
+    (-236364091, 1693824136731743669452800000),
+    (657931, 186134520519971831808000000),
+    (-3392780147, 37893265687455865519472640000000),
+    (1723168255201, 759790291646040068357842010112000000),
+    (-7709321041217, 134196726836183700385281186201600000000),
+    (151628697551, 104199811425742637946218332815360000000),
+    (-26315271553053477373, 713925872841910517552409860896601407488000000000),
+)
 
 
 @lru_cache(maxsize=256)
@@ -186,14 +201,15 @@ def _series_coefficients(d: int) -> tuple:
 
     The f' polynomial is one degree lower, so its column starts with a 0.0
     that leaves its Horner sum unchanged.  Scaling by x keeps the
-    coefficients bounded for every capacity, so nothing overflows; they
-    are formed exactly and rounded once.
+    coefficients bounded for every capacity, so nothing overflows; each
+    is an exact ratio of integers, rounded once.
     """
-    q = Fraction(1, (d + 1) ** 2)
-    t = [b * (1 - q ** k) for k, b in enumerate(_bernoulli_ratios(), 1)]
-    mean = [float(c) for c in reversed(t)]
-    var = [0.0] + [float((2 * k - 1) * t[k - 1]) for k in range(len(t), 1, -1)]
-    logz = [float(t[k - 1] / (2 * k)) for k in range(len(t), 0, -1)]
+    q = (d + 1) ** 2
+    t = [(num * (q ** k - 1), den * q ** k)
+         for k, (num, den) in enumerate(_BERNOULLI_RATIOS, 1)]
+    mean = [num / den for num, den in reversed(t)]
+    var = [0.0] + [(2 * k - 1) * t[k - 1][0] / t[k - 1][1] for k in range(len(t), 1, -1)]
+    logz = [t[k - 1][0] / (2 * k * t[k - 1][1]) for k in range(len(t), 0, -1)]
     return tuple(zip(mean, var, logz))
 
 
@@ -238,11 +254,12 @@ _LI2_SWITCH = 1.0
 _ZETA2 = 1.6449340668482264
 
 
-@lru_cache(maxsize=None)
-def _li2_coefficients() -> tuple:
-    """B_2k / ((2k) (2k+1)!) for k = _SERIES_TERMS .. 1, highest power first."""
-    return tuple(float(c / ((2 * k) * (2 * k + 1)))
-                 for k, c in reversed(list(enumerate(_bernoulli_ratios(), 1))))
+#: B_2k / ((2k) (2k+1)!) for k = _SERIES_TERMS .. 1, highest power first
+_LI2_COEFFICIENTS = tuple(num / (den * (2 * k) * (2 * k + 1)) for k, (num, den)
+                          in reversed(list(enumerate(_BERNOULLI_RATIOS, 1))))
+
+#: 1/k^2 for k = 2 .. 39, the terms of the direct Li2 sum at t >= _LI2_SWITCH
+_INV_SQUARES = tuple(1.0 / (k * k) for k in range(2, 40))
 
 
 def _li2_exp(t: float) -> float:
@@ -260,14 +277,14 @@ def _li2_exp(t: float) -> float:
     if t >= _LI2_SWITCH:
         z = math.exp(-t)
         tail = 0.0
-        for k in range(int(37.0 / t) + 2, 1, -1):
-            tail = tail * z + 1.0 / (k * k)
+        for c in reversed(_INV_SQUARES[:int(37.0 / t) + 1]):
+            tail = tail * z + c
         return z + z * (z * tail)
     if t == 0.0:
         return _ZETA2
     y = t * t
     tail = 0.0
-    for c in _li2_coefficients():
+    for c in _LI2_COEFFICIENTS:
         tail = tail * y + c
     return _ZETA2 + (t * (math.log(t) - 1.0) + y * (t * tail - 0.25))
 

@@ -227,8 +227,12 @@ def _census_array(values, name):
         values = np.asarray(values, dtype=object)
         if not all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, values.flat))):
             raise ValidationError(f"{name} must be a rectangular array of real numbers")
-    values = values.astype(float, copy=False)
-    if not np.all(np.isfinite(values) & (values >= 0)):
+    try:
+        values = values.astype(float, copy=False)
+        valid = np.all(np.isfinite(values) & (values >= 0))
+    except OverflowError:  # an int beyond the double range
+        valid = False
+    if not valid:
         raise ValidationError(f"{name} must be finite and >= 0")
     return values
 

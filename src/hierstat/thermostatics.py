@@ -2,14 +2,19 @@
 
 The forward maps (alpha, beta) -> (n, u, omega), and every other
 integral over phi, come from :mod:`hierstat.ensemble`; this module only
-does algebra on its records.  It adds:
+does algebra on its results.  It adds:
 
 * the inverse problem (n, u) -> (alpha, beta), by damped Newton from a
   computed starting point (support width and the point-mass activity
   at the phi-mean salary), with one extra step after convergence.  Each
   accepted iterate is integrated once: its Jacobian reuses the moment
   pass that scored it in the line search.  It runs on Python floats (the
-  Newton step is a 2x2 LU solve), so this module loads no numpy;
+  Newton step is a 2x2 LU solve), so this module loads no numpy.  The
+  solver, its line search and the Maxwell probes carry (alpha, beta) as
+  two floats, the moments as the list of ``ensemble._moments`` and the
+  derivatives as a tuple; only the public entry points build
+  :class:`GibbsParams`, :class:`ThermoDerivatives` or the
+  :func:`~hierstat.ensemble.moment_integrals` dict;
 * analytic parameter derivatives of the moments, including the
   finite-difference phi terms (from the ensemble) when the distribution
   depends on the parameters;
@@ -37,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Delta, ParametricFamily, resolve, support
-from .ensemble import _checked_moments, _n_and_u, _phi_mean, _phi_terms, moment_integrals
+from .ensemble import _checked_moments, _moments, _n_and_u, _phi_mean, _phi_terms
 from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
                      check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
@@ -161,36 +166,40 @@ def thermo_derivatives(dist, d: int, params: GibbsParams) -> ThermoDerivatives:
     a value; an underflowed n or a non-finite derivative is a ValidationError.
     """
     d = _check_capacity(d)
-    m = moment_integrals(dist, d, params)
-    if not m["n"] > 0.0:
-        _n_and_u(m, d, params)  # raises; n = d still has derivatives
-    return _derivatives(dist, d, params, m)
+    base = resolve(dist, params)
+    alpha, beta = params.alpha, params.beta
+    m = _moments(base, d, alpha, beta)
+    if not m[0] > 0.0:
+        _n_and_u(m, d, alpha, beta)  # raises; n = d still has derivatives
+    return ThermoDerivatives(*_derivatives(dist, d, alpha, beta, m))
 
 
-def _derivatives(dist, d, params, m):
-    """:func:`thermo_derivatives` from the moment integrals ``m`` at ``params``."""
-    phi_a, phi_b = _phi_terms(dist, d, params)
-    n = m["n"]
-    u = -m["m1"] / n
-    dn_da = m["A"] + phi_a[0]
-    dn_db = m["B"] + phi_b[0]
-    dm1_da = m["B"] + phi_a[1]
-    dm1_db = m["C"] + phi_b[1]
+def _derivatives(dist, d, alpha, beta, m):
+    """The nine fields of :func:`thermo_derivatives`, in order, as a tuple of
+    floats, from the :func:`~hierstat.ensemble._moments` list ``m`` at
+    (alpha, beta)."""
+    phi_a, phi_b = _phi_terms(dist, d, alpha, beta)
+    n, m1, _, big_a, big_b, big_c = m
+    u = -m1 / n
+    dn_da = big_a + phi_a[0]
+    dn_db = big_b + phi_b[0]
+    dm1_da = big_b + phi_a[1]
+    dm1_db = big_c + phi_b[1]
     du_da = -(dm1_da + u * dn_da) / n
     du_db = -(dm1_db + u * dn_db) / n
     dom_da = n + phi_a[2]
     dom_db = -u * n + phi_b[2]
     values = (dn_da, dn_db, du_da, du_db, dom_da, dom_db, dn_da * du_db - dn_db * du_da)
     if not all(map(math.isfinite, values)):
-        raise ValidationError(f"derivative not finite at alpha={params.alpha!r}, "
-                              f"beta={params.beta!r}")
-    return ThermoDerivatives(*values, phi_a[2], phi_b[2])
+        raise ValidationError(f"derivative not finite at alpha={alpha!r}, beta={beta!r}")
+    return values + (phi_a[2], phi_b[2])
 
 
 def _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u):
-    params = GibbsParams(alpha, beta)
-    m = moment_integrals(dist, d, params)
-    n, u = _n_and_u(m, d, params)
+    """The residuals of (n, u) at (alpha, beta), scaled by ``n_target`` and
+    ``scale_u``, and the :func:`~hierstat.ensemble._moments` list they came from."""
+    m = _moments(dist, d, alpha, beta)
+    n, u = _n_and_u(m, d, alpha, beta)
     return ((n - n_target) / n_target, (u - u_target) / scale_u), m
 
 
@@ -228,12 +237,14 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     line search and moments or a Jacobian that fail at an iterate; it
     carries the residuals and (alpha, beta) of the last accepted iterate.
     """
-    return _solve(dist, d, n_target, u_target)[0]
+    alpha, beta, _ = _solve(dist, d, n_target, u_target)
+    return GibbsParams(alpha, beta)
 
 
 def _solve(dist, d, n_target, u_target, start=None):
-    """:func:`invert_to_params`, also returning the moment integrals at the
-    solution; Newton starts from ``start`` = (alpha, beta) when it is given."""
+    """:func:`invert_to_params` as the floats (alpha, beta) and the
+    :func:`~hierstat.ensemble._moments` list at the solution; Newton starts
+    from ``start`` = (alpha, beta) when it is given."""
     d = _check_capacity(d)
     probe = resolve(dist, GibbsParams(0.0, 1.0))
     if isinstance(probe, Delta):
@@ -257,6 +268,8 @@ def _solve(dist, d, n_target, u_target, start=None):
         start = activity_for_mean(d, n_target) - beta * _phi_mean(probe), beta
     alpha, beta = start
     try:
+        if not (math.isfinite(alpha) and 0.0 < beta < math.inf):
+            GibbsParams(alpha, beta)  # raises the record's error for a start off its domain
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (ValidationError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
@@ -269,15 +282,14 @@ def _solve(dist, d, n_target, u_target, start=None):
         # a converged iterate gets one more step, then is returned as it stands
         converged = abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL
         try:
-            der = _derivatives(dist, d, GibbsParams(alpha, beta), m)
+            der = _derivatives(dist, d, alpha, beta, m)
         except (ValidationError, OverflowError) as exc:
             if not converged:
                 message += f" (the Jacobian failed at the last iterate: {exc})"
             break
         try:
-            step = _lu_solve_2x2(der.dn_dalpha / n_target, der.dn_dbeta / n_target,
-                                 der.du_dalpha / scale_u, der.du_dbeta / scale_u,
-                                 -res[0], -res[1])
+            step = _lu_solve_2x2(der[0] / n_target, der[1] / n_target,
+                                 der[2] / scale_u, der[3] / scale_u, -res[0], -res[1])
         except ZeroDivisionError:
             if converged:
                 break
@@ -303,11 +315,11 @@ def _solve(dist, d, n_target, u_target, start=None):
                     break
             t *= 0.5
         if converged:
-            return GibbsParams(alpha, beta), m
+            return alpha, beta, m
         if not accepted:
             break
     if abs(res[0]) <= _NEWTON_TOL and abs(res[1]) <= _NEWTON_TOL:
-        return GibbsParams(alpha, beta), m
+        return alpha, beta, m
     if beta < 10 * lo_b or beta > 0.1 * hi_b:
         # a pinned beta usually means the (n, u) pair lies outside the
         # attainable set of this distribution (u cannot exceed minus the
@@ -335,16 +347,16 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     psi = om / n + beta * u - alpha
 
     if isinstance(dist, ParametricFamily):
-        der = _derivatives(dist, d, params, m)
-        if der.jacobian == 0.0:
+        dn_da, dn_db, du_da, du_db, _, _, jac, phi_om_da, phi_om_db = \
+            _derivatives(dist, d, alpha, beta, m)
+        if jac == 0.0:
             raise SingularInversion(
                 "zero moment Jacobian: the chain rule for the entropy "
                 "derivatives is undefined at this point")
-        bracket_a = der.phi_omega_dalpha / n
-        bracket_b = der.phi_omega_dbeta / n
-        dpsi_du = beta - (bracket_a * der.dn_dbeta - bracket_b * der.dn_dalpha) / der.jacobian
-        dpsi_dn = (-om / (n * n)
-                   + (bracket_a * der.du_dbeta - bracket_b * der.du_dalpha) / der.jacobian)
+        bracket_a = phi_om_da / n
+        bracket_b = phi_om_db / n
+        dpsi_du = beta - (bracket_a * dn_db - bracket_b * dn_da) / jac
+        dpsi_dn = -om / (n * n) + (bracket_a * du_db - bracket_b * du_da) / jac
     else:
         dpsi_du = beta
         dpsi_dn = -om / (n * n)
@@ -374,8 +386,8 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
 
 def entropy_per_element(dist, d: int, n: float, u: float) -> float:
     """psi(n, u) through the inverse problem (fixed or parametric phi)."""
-    params, m = _solve(dist, d, n, u)
-    return m["omega"] / m["n"] + params.beta * (-m["m1"] / m["n"]) - params.alpha
+    alpha, beta, m = _solve(dist, d, n, u)
+    return m[2] / m[0] + beta * (-m[1] / m[0]) - alpha
 
 
 def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellReport:
@@ -411,9 +423,9 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
             for shift in (h_var, -h_var):
                 energy, elements, vol = (x + shift if i == var else x
                                          for i, x in enumerate((e0, n0, v0)))
-                solved, m = _solve(dist, d, elements / vol, energy / elements,
-                                   (state.alpha, state.beta))
-                probes.append((solved.beta, solved.alpha, m["omega"]))
+                alpha, beta, m = _solve(dist, d, elements / vol, energy / elements,
+                                        (state.alpha, state.beta))
+                probes.append((beta, alpha, m[2]))
             grad.append([(fp - fm) / (2.0 * h_var) for fp, fm in zip(*probes)])
         (de_b, de_a, de_o), (dn_b, _, dn_o), (dv_b, dv_a, _) = grad
         pairs = ((dn_b, -de_a), (dv_b, de_o), (dn_o, -dv_a))

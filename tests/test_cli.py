@@ -287,15 +287,15 @@ def test_thermo_underflowed_occupancy_exits_2(runner, tmp_path, dist, alpha):
 def test_thermo_inversion_past_underflowed_trial_exits_0(runner, tmp_path, monkeypatch):
     # a line-search trial whose occupancy underflows to 0 is halved past,
     # not a ZeroDivisionError traceback
-    real = hierstat.thermostatics.moment_integrals
+    real = hierstat.thermostatics._moments
     calls = []
 
-    def underflow_second(dist, d, params):
-        calls.append(params)
-        m = real(dist, d, params)
-        return {**m, "n": 0.0} if len(calls) == 2 else m
+    def underflow_second(dist, d, alpha, beta):
+        calls.append((alpha, beta))
+        m = real(dist, d, alpha, beta)
+        return [0.0, *m[1:]] if len(calls) == 2 else m
 
-    monkeypatch.setattr(hierstat.thermostatics, "moment_integrals", underflow_second)
+    monkeypatch.setattr(hierstat.thermostatics, "_moments", underflow_second)
     cfg = _thermo_cfg(tmp_path, {
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
@@ -746,7 +746,9 @@ def test_only_ensemble_integrates_over_phi():
 def test_scalar_commands_load_no_numpy(tmp_path):
     # gentile, eos and figures run on the math kernels alone, so they skip
     # numpy's import (about half of a call's start-up); simulate imports it
-    # inside its command, and thermo never does
+    # inside its command, and thermo never does.  The series coefficients
+    # come from a literal table of exact integers, so neither fractions nor
+    # decimal (a few ms of every cold start) is loaded either
     src = Path(__file__).resolve().parent.parent / "src"
     outdir = str(tmp_path)
     calls = [["gentile", "-d", "5", "--output", f"{outdir}/g.csv"],
@@ -755,7 +757,8 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     code = ("import sys, hierstat, hierstat.cli\n"
             f"for args in {calls!r}:\n"
             "    hierstat.cli.main.main(args=args, standalone_mode=False)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'fractions', 'decimal')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

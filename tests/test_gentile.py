@@ -262,6 +262,37 @@ def test_kernel_bits_pinned():
     assert digest == "0180d55038edfb853824d038e63f38e6b4197d969122273b9cd2270ac8650f3c"
 
 
+def _bernoulli_ratios_by_recurrence():
+    """B_2k / (2k)! for k = 1 .. 18 as Fractions, from the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0 with B_0 = 1."""
+    from fractions import Fraction
+    bern = [Fraction(1)]
+    for m in range(1, 37):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    return [bern[2 * k] / math.factorial(2 * k) for k in range(1, 19)]
+
+
+def test_series_coefficients_match_exact_fractions():
+    # the literal table and the int / int roundings against Fractions built
+    # here: float(Fraction) rounds correctly, as int / int does
+    from fractions import Fraction
+    from hierstat.gentile import (_BERNOULLI_RATIOS, _LI2_COEFFICIENTS, _SERIES_TERMS,
+                                  _series_coefficients)
+    ratios = _bernoulli_ratios_by_recurrence()
+    assert [Fraction(*pair) for pair in _BERNOULLI_RATIOS] == ratios
+    assert all(math.gcd(*pair) == 1 for pair in _BERNOULLI_RATIOS)
+    assert len(ratios) == _SERIES_TERMS
+    assert _LI2_COEFFICIENTS == tuple(float(c / ((2 * k) * (2 * k + 1)))
+                                      for k, c in reversed(list(enumerate(ratios, 1))))
+    for d in (1, 2, 3, 9, 100, 12345, 10**6, 2**60 + 1, 10**15, 10**40):
+        q = Fraction(1, (d + 1) ** 2)
+        t = [b * (1 - q ** k) for k, b in enumerate(ratios, 1)]
+        mean = [float(c) for c in reversed(t)]
+        var = [0.0] + [float((2 * k - 1) * t[k - 1]) for k in range(18, 1, -1)]
+        logz = [float(t[k - 1] / (2 * k)) for k in range(18, 0, -1)]
+        assert _series_coefficients(d) == tuple(zip(mean, var, logz)), d
+
+
 def test_particle_hole_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(100):

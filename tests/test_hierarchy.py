@@ -320,6 +320,18 @@ def test_census_capacity_and_energy():
     assert census.energy < 0.0
 
 
+def test_census_int_beyond_double_range_is_a_validation_error():
+    # float(10**400) overflows; the count is not finite, so it gets the
+    # documented message instead of an OverflowError from the conversion
+    with pytest.raises(ValidationError, match="counts must be finite and >= 0"):
+        EnsembleCensus([[10**400, 2]], [1])
+
+
+def test_gentile_census_int_beyond_double_range_is_a_validation_error():
+    with pytest.raises(ValidationError, match="class_totals must be finite and >= 0"):
+        gentile_census([10**400], [1.0], 3, GibbsParams(0, 1))
+
+
 def test_gentile_census_moments():
     census = gentile_census([60.0, 40.0], [1.5, 0.7], 4, GibbsParams(-1.0, 0.8))
     assert census.class_totals == pytest.approx([60.0, 40.0], rel=1e-12)
