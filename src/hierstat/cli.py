@@ -3,44 +3,29 @@
 Subcommands: ``gentile`` (occupancy curves), ``figures`` (the seven
 standard charts as CSV + SVG), ``thermo`` (one thermostatic state),
 ``eos`` (equation-of-state sweep) and ``simulate`` (seeded chains from a
-JSON config).  Every command accepts ``--json-config FILE``: each
-option's name is a config key typed like the option, and a flag wins
-over the file.  Exit codes: 0 success, 2 validation, 3 numerical
-failure, 4 i/o.
+JSON config).  Each command declares its options once, in one table that
+its ``argparse`` parser is built from at import.  Every command accepts
+``--json-config FILE``: each option's name is a config key typed like
+the option, and a flag wins over the file.  Exit codes: 0 success, 2
+usage or validation, 3 numerical failure, 4 i/o.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
+from typing import NamedTuple
 
-import click
-
-from .errors import (
-    NoConvergence,
-    SingularInversion,
-    ValidationError,
-    check_int,
-    check_real,
-    checked,
-)
+from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
+                     check_real, checked)
 from .figures import build_figure
-from .gentile import (
-    EOS_COLUMNS,
-    EnergySign,
-    GibbsParams,
-    OccupancyLevel,
-    _grid,
-    activity,
-    eos_sweep,
-    gentile_mean,
-    occupancy_probabilities,
-)
+from .gentile import (EOS_COLUMNS, EnergySign, GibbsParams, OccupancyLevel, _grid, activity,
+                      eos_sweep, gentile_mean, occupancy_probabilities)
 
 # gentile, eos, figures and thermo run on the scalar kernels alone, and
 # simulate imports numpy inside its command
@@ -49,41 +34,108 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_SCENARIOS = ("canonical", "grand_canonical", "social_laser")
+
+class _Opt(NamedTuple):
+    """One row of a command's option table.  ``name``, with dashes for
+    underscores, is the flag and also the config key; ``kind`` is int,
+    float, str, or bool for a flag."""
+
+    name: str
+    kind: type = str
+    default: object = None
+    choices: tuple | None = None
+    short: str | None = None
+    help: str | None = None
 
 
-def _guard(fn):
-    """Merge ``--json-config`` into the options and map package errors onto
-    the documented exit codes.
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, ``--help`` alone, and every token ``float()`` reads is a
+    value (argparse's own rule takes ``-1e-3`` and ``-inf`` for options)."""
 
-    Each option left at its default takes the config value stored under the
-    option's name, checked against the option's type.  The command gets the
-    loaded config as its first argument, for its config-only keys.
-    """
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    @functools.wraps(fn)
-    def wrapper(json_config, **options):
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+_PARSER = _Parser(prog="hierstat", description="Occupancy statistics and "
+                  "thermostatics of hierarchical systems.")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(name, *table, config_required=False):
+    """Declare command ``name`` with the option ``table``.  Every parser
+    default is None, so :func:`_resolve` can tell an option left unset."""
+
+    def declare(fn):
+        parser = _COMMANDS.add_parser(name, help=fn.__doc__.splitlines()[0],
+                                      description=fn.__doc__)
+        for opt in table:
+            flags = ["--" + opt.name.replace("_", "-")] + ([opt.short] if opt.short else [])
+            kind = ({"action": "store_const", "const": True} if opt.kind is bool
+                    else {"type": opt.kind, "choices": opt.choices})
+            parser.add_argument(*flags, help=opt.help, **kind)
+        parser.add_argument("--json-config", required=config_required)
+        parser.set_defaults(run=_guard(fn, table))
+        return fn
+
+    return declare
+
+
+def main(argv=None):
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names.
+    Returns on success; raises SystemExit with the exit code on failure."""
+    flags = vars(_PARSER.parse_args(argv))
+    flags.pop("run")(**flags)
+
+
+# the older programmatic call, main.main(args=argv, standalone_mode=False)
+main.main = lambda args=None, **_: main(args)
+
+
+def _guard(fn, table):
+    """``fn`` run on the loaded config (for its config-only keys) and its
+    options as :func:`_resolve` gives them; package errors become exit codes."""
+
+    def run(json_config, **flags):
         try:
             cfg = _load_config(json_config)
-            ctx = click.get_current_context()
-            for param in ctx.command.params:
-                if (param.name in options and param.name in cfg
-                        and ctx.get_parameter_source(param.name)
-                        is click.core.ParameterSource.DEFAULT):
-                    options[param.name] = _option_value(param, cfg[param.name])
-            return fn(cfg, **options)
+            return fn(cfg, **{opt.name: _resolve(opt, flags[opt.name], cfg)
+                              for opt in table})
         except ValidationError as exc:
             for line in exc.violations:
-                click.echo(f"validation error: {line}", err=True)
+                print(f"validation error: {line}", file=sys.stderr)
             sys.exit(EXIT_VALIDATION)
         except (NoConvergence, SingularInversion) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            print(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(EXIT_NUMERICAL)
         except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
+            print(f"i/o error: {exc}", file=sys.stderr)
             sys.exit(EXIT_IO)
 
-    return wrapper
+    return run
+
+
+def _resolve(opt, flag, cfg):
+    """Option ``opt``'s value: its ``flag``, else its config value typed by
+    the table, else ``HIERSTAT_SEED`` for the seed, else its default."""
+    if flag is not None:
+        return flag
+    if opt.name in cfg:
+        return _typed(cfg, opt.name, opt.kind, opt.choices)
+    env = os.environ.get("HIERSTAT_SEED") if opt.name == "seed" else None
+    if env is None:
+        return opt.default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"HIERSTAT_SEED must be an integer, got {env!r}") from None
 
 
 def _load_config(path):
@@ -99,55 +151,29 @@ def _load_config(path):
     return obj
 
 
-def _number(value, key, kind):
-    """``value`` as a ``kind`` (int, float or bool), or a ValidationError
-    naming ``key``: config files may hold strings, bools or fractional
-    counts.  An integral float such as 5.0 is accepted as an int."""
-    problems = []
+def _typed(cfg, key, kind, choices=None):
+    """``cfg[key]`` as a ``kind`` (int, float, str or bool) and one of the
+    ``choices`` if given, or a ValidationError naming ``key``: config files
+    may hold strings, bools or fractional counts.  An integral float such
+    as 5.0 is accepted as an int."""
+    value = cfg[key]
+    if choices is not None and value not in choices:
+        raise ValidationError(f"{key} must be one of {choices}, got {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
     if kind is bool and not isinstance(value, bool):
-        problems.append(f"{key} must be true or false, got {value!r}")
-    elif kind is int:
-        integral = isinstance(value, float) and value.is_integer()
-        value = check_int(int(value) if integral else value, key, problems)
-    elif kind is float:
-        value = check_real(value, key, problems)
-    if problems:
-        raise ValidationError(problems)
-    return value
+        raise ValidationError(f"{key} must be true or false, got {value!r}")
+    if kind is str or kind is bool:
+        return value
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return checked(check_int if kind is int else check_real, value, key)
 
 
 def _require(cfg, keys, context=""):
     missing = [f"config key {k!r} is required{context}" for k in keys if k not in cfg]
     if missing:
         raise ValidationError(missing)
-
-
-def _option_value(param, value):
-    """The config ``value`` for option ``param``, typed like the option: a
-    flag takes a bool, an int or float option a number, a choice one of its
-    choices and any other option a string."""
-    kind = {"boolean": bool, "integer": int, "float": float}.get(param.type.name)
-    if kind is not None:
-        return _number(value, param.name, kind)
-    if isinstance(param.type, click.Choice):
-        if value not in param.type.choices:
-            raise ValidationError(f"{param.name} must be one of "
-                                  f"{tuple(param.type.choices)}, got {value!r}")
-    elif not isinstance(value, str):
-        raise ValidationError(f"{param.name} must be a string, got {value!r}")
-    return value
-
-
-def _resolve_seed(seed):
-    """``seed`` when a flag or the config gives one, else ``HIERSTAT_SEED``,
-    else 0."""
-    if seed is not None:
-        return seed
-    env = os.environ.get("HIERSTAT_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"HIERSTAT_SEED must be an integer, got {env!r}") from None
 
 
 def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
@@ -170,21 +196,16 @@ def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
     return problems
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _emit(path, text):
     if path in (None, "-"):
-        click.echo(text, nl=False)
+        print(text, end="", flush=True)
     else:
         Path(path).write_text(text, encoding="utf-8")
 
@@ -193,27 +214,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@click.group()
-def main():
-    """Occupancy statistics and thermostatics of hierarchical systems."""
-
-
-@main.command("gentile")
-@click.option("--capacity", "-d", type=int, default=None, help="Level capacity d.")
-@click.option("--lambda-min", type=float, default=-10.0)
-@click.option("--lambda-max", type=float, default=10.0)
-@click.option("--points", type=int, default=401, help="Grid size.")
-@click.option("--relative", is_flag=True, default=False,
-              help="Emit mean population divided by d.")
-@click.option("--pmf", is_flag=True, default=False,
-              help="Append the occupation probabilities p0..pd per row.")
-@click.option("--alpha", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--sign", type=click.Choice(["cost", "salary"]), default="salary")
-@click.option("--output", type=str, default="-", help="CSV path, '-' for stdout.")
-@click.option("--json-config", type=str, default=None)
-@_guard
+@_command(
+    "gentile",
+    _Opt("capacity", int, short="-d", help="Level capacity d."),
+    _Opt("lambda_min", float, -10.0),
+    _Opt("lambda_max", float, 10.0),
+    _Opt("points", int, 401, help="Grid size."),
+    _Opt("relative", bool, False, help="Emit mean population divided by d."),
+    _Opt("pmf", bool, False, help="Append the occupation probabilities p0..pd per row."),
+    _Opt("alpha", float),
+    _Opt("beta", float),
+    _Opt("epsilon", float),
+    _Opt("sign", str, "salary", ("cost", "salary")),
+    _Opt("output", str, "-", help="CSV path, '-' for stdout."),
+)
 def cmd_gentile(cfg, capacity, lambda_min, lambda_max, points, relative, pmf,
                 alpha, beta, epsilon, sign, output):
     """Mean population of one level over an activity grid.
@@ -240,10 +254,8 @@ def cmd_gentile(cfg, capacity, lambda_min, lambda_max, points, relative, pmf,
         grid = _grid(lambda_min, lambda_max, points)
 
     d = capacity
-    value_col = "f_g_over_d" if relative else "f_g"
-    header = ["lambda", value_col]
-    if pmf:
-        header += [f"p{r}" for r in range(d + 1)]
+    header = ["lambda", "f_g_over_d" if relative else "f_g"]
+    header += [f"p{r}" for r in range(d + 1)] if pmf else []
     rows = []
     for lam in grid:
         value = gentile_mean(lam, d)
@@ -254,11 +266,9 @@ def cmd_gentile(cfg, capacity, lambda_min, lambda_max, points, relative, pmf,
     _emit(output, _csv_text(header, rows))
 
 
-@main.command("figures")
-@click.option("--figure", type=int, default=None, help="Figure id, 1..7.")
-@click.option("--output-dir", type=str, default=".")
-@click.option("--json-config", type=str, default=None)
-@_guard
+@_command("figures",
+          _Opt("figure", int, help="Figure id, 1..7."),
+          _Opt("output_dir", str, "."))
 def cmd_figures(cfg, figure, output_dir):
     """Write figN.csv and figN.svg for one standard chart."""
     header, rows, svg = build_figure(figure)
@@ -266,17 +276,15 @@ def cmd_figures(cfg, figure, output_dir):
     out.mkdir(parents=True, exist_ok=True)
     (out / f"fig{figure}.csv").write_text(_csv_text(header, rows), encoding="utf-8")
     (out / f"fig{figure}.svg").write_text(svg, encoding="utf-8")
-    click.echo(f"wrote fig{figure}.csv and fig{figure}.svg to {out}")
+    print(f"wrote fig{figure}.csv and fig{figure}.svg to {out}")
 
 
-@main.command("eos")
-@click.option("--capacity", "-d", type=int, default=None)
-@click.option("--lambda-min", type=float, default=-10.0)
-@click.option("--lambda-max", type=float, default=10.0)
-@click.option("--points", type=int, default=401)
-@click.option("--output", type=str, default="-", help="CSV path, '-' for stdout.")
-@click.option("--json-config", type=str, default=None)
-@_guard
+@_command("eos",
+          _Opt("capacity", int, short="-d"),
+          _Opt("lambda_min", float, -10.0),
+          _Opt("lambda_max", float, 10.0),
+          _Opt("points", int, 401),
+          _Opt("output", str, "-", help="CSV path, '-' for stdout."))
 def cmd_eos(cfg, capacity, lambda_min, lambda_max, points, output):
     """Equation-of-state sweep for a common-salary level.
 
@@ -292,11 +300,9 @@ def cmd_eos(cfg, capacity, lambda_min, lambda_max, points, output):
     _emit(output, _csv_text(EOS_COLUMNS, list(table.rows())))
 
 
-@main.command("thermo")
-@click.option("--json-config", type=str, required=True)
-@click.option("--out-csv", type=str, default=None,
-              help="Also write the state as a one-row CSV.")
-@_guard
+@_command("thermo",
+          _Opt("out_csv", help="Also write the state as a one-row CSV."),
+          config_required=True)
 def cmd_thermo(cfg, out_csv):
     """Full thermostatic state from a JSON config.
 
@@ -308,33 +314,27 @@ def cmd_thermo(cfg, out_csv):
 
     _require(cfg, ("distribution", "d", "volume"))
     dist = distribution_from_json(cfg["distribution"])
-    d = _number(cfg["d"], "d", int)
-    volume = _number(cfg["volume"], "volume", int)
-
-    def number(key):
-        return _number(cfg[key], key, float)
-
-    has_ab = "alpha" in cfg and "beta" in cfg
-    has_nu = "n" in cfg and "u" in cfg
-    has_lb = "lambda" in cfg and "beta" in cfg
-    if has_ab:
-        params = GibbsParams(number("alpha"), number("beta"))
-    elif has_lb:
+    d = _typed(cfg, "d", int)
+    volume = _typed(cfg, "volume", int)
+    if "alpha" in cfg and "beta" in cfg:
+        params = GibbsParams(_typed(cfg, "alpha", float), _typed(cfg, "beta", float))
+    elif "lambda" in cfg and "beta" in cfg:
         if not isinstance(dist, Delta):
             raise ValidationError(
                 "(lambda, beta) parameterization is only defined for the "
                 "delta distribution")
-        beta = number("beta")
-        params = GibbsParams(number("lambda") - beta * dist.point, beta)
-    elif has_nu:
-        params = invert_to_params(dist, d, number("n"), number("u"))
+        beta = _typed(cfg, "beta", float)
+        params = GibbsParams(_typed(cfg, "lambda", float) - beta * dist.point, beta)
+    elif "n" in cfg and "u" in cfg:
+        params = invert_to_params(dist, d, _typed(cfg, "n", float),
+                                  _typed(cfg, "u", float))
     else:
         raise ValidationError(
             "config must supply (alpha, beta), (n, u) or (lambda, beta)")
 
     state = thermo_state(dist, d, params, volume)
     res = state.residuals()
-    click.echo(_json_text({**asdict(state), "residuals": res}), nl=False)
+    _emit(None, _json_text({**asdict(state), "residuals": res}))
     if out_csv is not None:
         # the CSV columns are the ThermoState fields in declaration order,
         # then the residuals in the order residuals() lists them
@@ -350,8 +350,7 @@ def _parse_levels(cfg):
     levels = cfg.get("levels")
     if not isinstance(levels, list) or not levels:
         raise ValidationError("config key 'levels' must be a non-empty list")
-    parsed = []
-    problems = []
+    parsed, problems = [], []
     for i, lv in enumerate(levels):
         if not isinstance(lv, dict) or "capacity" not in lv or "salary" not in lv:
             problems.append(f"level {i + 1} must be an object with "
@@ -368,19 +367,20 @@ def _z_scores(estimates, exact, stderrs):
     return [float((m - e) / max(s, 1e-300)) for m, e, s in zip(estimates, exact, stderrs)]
 
 
-@main.command("simulate")
-@click.option("--json-config", type=str, required=True)
-@click.option("--output-dir", type=str, default=".")
-@click.option("--oracle", is_flag=True, default=False,
-              help="Compare estimates against the exact reference when feasible.")
-@click.option("--scenario", type=click.Choice(_SCENARIOS), default="canonical")
-@click.option("--seed", type=int, default=None)
-@click.option("--steps", type=int, default=100_000)
-@click.option("--beta", type=float, default=1.0)
-@click.option("--agents", type=int, default=None)
-@click.option("--pump-fraction", type=float, default=0.5)
-@click.option("--record-every", type=int, default=1)
-@_guard
+@_command(
+    "simulate",
+    _Opt("output_dir", str, "."),
+    _Opt("oracle", bool, False,
+         help="Compare estimates against the exact reference when feasible."),
+    _Opt("scenario", str, "canonical", ("canonical", "grand_canonical", "social_laser")),
+    _Opt("seed", int, 0),
+    _Opt("steps", int, 100_000),
+    _Opt("beta", float, 1.0),
+    _Opt("agents", int),
+    _Opt("pump_fraction", float, 0.5),
+    _Opt("record_every", int, 1),
+    config_required=True,
+)
 def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
                  agents, pump_fraction, record_every):
     """Run a seeded chain and write trajectory.csv plus summary.json."""
@@ -388,16 +388,14 @@ def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
     from .montecarlo import (PHASE_NAMES, pumped_relaxation, sample_grand_canonical,
                              simulate_canonical)
 
-    seed = _resolve_seed(seed)
-    burn_in = _number(cfg.get("burn_in", 0.1), "burn_in", float)
+    burn_in = _typed(cfg, "burn_in", float) if "burn_in" in cfg else 0.1
     summary = {"scenario": scenario, "seed": seed, "steps": steps, "beta": beta,
                "oracle": None}
 
     if scenario == "grand_canonical":
         _require(cfg, ("capacity", "salary", "alpha"), " for grand_canonical runs")
-        level = OccupancyLevel(_number(cfg["capacity"], "capacity", int),
-                               _number(cfg["salary"], "salary", float))
-        params = GibbsParams(_number(cfg["alpha"], "alpha", float), beta)
+        level = OccupancyLevel(_typed(cfg, "capacity", int), _typed(cfg, "salary", float))
+        params = GibbsParams(_typed(cfg, "alpha", float), beta)
         record_every = checked(check_int, record_every, "record_every", 1)
         sample = sample_grand_canonical(level, params, steps, seed,
                                         burn_in_fraction=burn_in)
@@ -451,7 +449,7 @@ def cmd_simulate(cfg, output_dir, oracle, scenario, seed, steps, beta,
     out.mkdir(parents=True, exist_ok=True)
     _emit(out / "trajectory.csv", _csv_text(header, zip(*columns)))
     _emit(out / "summary.json", _json_text(summary))
-    click.echo(f"wrote trajectory.csv and summary.json to {out}")
+    print(f"wrote trajectory.csv and summary.json to {out}")
 
 
 if __name__ == "__main__":  # pragma: no cover

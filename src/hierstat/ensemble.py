@@ -252,12 +252,13 @@ def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
 
 def _n_and_u(m, d, a, b):
     """(n, u = -m1 / n) of the :func:`_moments` list ``m`` at (alpha, beta) =
-    (a, b); an n outside (0, d), as on underflow, is a ValidationError
-    naming alpha and beta."""
+    (a, b); an n outside (0, d) is a ValidationError naming alpha, beta and
+    why: the level saturated to double precision (n >= d) or underflowed."""
     n = m[0]
     if not 0.0 < n < d:
+        why = "saturated to double precision" if n >= d else "underflowed"
         raise ValidationError(f"occupancy density {n} outside (0, {d}) at "
-                              f"alpha={a!r}, beta={b!r}")
+                              f"alpha={a!r}, beta={b!r}: {why}")
     return n, -m[1] / n
 
 

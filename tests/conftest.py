@@ -1,8 +1,11 @@
 """Shared test helpers: brute-force oracles kept independent of the
-library code paths they check."""
+library code paths they check, and an in-process CLI runner."""
 
+import contextlib
+import io
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,3 +37,29 @@ def enumerate_position_measure(capacities, salaries, agents, beta):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+class CliRunner:
+    """Runs the CLI in-process: ``invoke(main, args)`` calls ``main(args)``
+    and gives its exit code and its stdout and stderr interleaved, in the
+    order they were written."""
+
+    def invoke(self, main, args):
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            try:
+                main(args)
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return CliResult(code, output.getvalue())
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()

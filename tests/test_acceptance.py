@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.linalg import null_space
+
+from conftest import CliRunner
 
 from hierstat import (
     Delta,

@@ -4,12 +4,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import hierstat.cli
 import hierstat.thermostatics
@@ -17,11 +17,6 @@ from hierstat import SingularInversion
 from hierstat.cli import main
 
 DATA = Path(__file__).parent / "data"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def _rows(csv_text):
@@ -562,8 +557,9 @@ def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, comman
     assert f"validation error: {key} must be" in result.output
 
 
-_OPTIONS = [(name, param.name) for name, command in main.commands.items()
-            for param in command.params if param.name != "json_config"]
+_OPTIONS = [(name, key) for name, parser in hierstat.cli._COMMANDS.choices.items()
+            for key in vars(parser.parse_args(["--json-config", "-"]))
+            if key not in ("json_config", "run")]
 
 
 @pytest.mark.parametrize("command, key", _OPTIONS,
@@ -706,6 +702,51 @@ def test_config_integral_float_accepted_as_integer(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# --- parsing ---------------------------------------------------------------------
+
+def test_negative_exponent_form_is_a_value(runner, tmp_path):
+    # a negative number in any syntax float() reads is an option's value,
+    # not an unknown option
+    result = runner.invoke(main, ["gentile", "-d", "3", "--alpha", "-2.5e-1",
+                                  "--beta", "1", "--epsilon", "2"])
+    assert result.exit_code == 0, result.output
+    _, rows = _rows(result.output)
+    assert float(rows[0][0]) == -0.25 + 2.0
+    out = tmp_path / "run"
+    result = runner.invoke(main, [
+        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
+        "--output-dir", str(out), "--beta", "-1e-3"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "summary.json").read_text())["beta"] == -1e-3
+
+
+def test_abbreviated_option_is_a_usage_error(runner):
+    result = runner.invoke(main, ["eos", "--poi", "3"])
+    assert result.exit_code == 2
+
+
+# each command's options as its --help names them
+_HELP_FLAGS = {
+    "gentile": ("--capacity", "-d", "--lambda-min", "--lambda-max", "--points",
+                "--relative", "--pmf", "--alpha", "--beta", "--epsilon", "--sign",
+                "--output", "--json-config"),
+    "figures": ("--figure", "--output-dir", "--json-config"),
+    "eos": ("--capacity", "-d", "--lambda-min", "--lambda-max", "--points", "--output",
+            "--json-config"),
+    "thermo": ("--json-config", "--out-csv"),
+    "simulate": ("--json-config", "--output-dir", "--oracle", "--scenario", "--seed",
+                 "--steps", "--beta", "--agents", "--pump-fraction", "--record-every"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_FLAGS))
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    for flag in _HELP_FLAGS[command]:
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", result.output), flag
+
+
 # --- import path -----------------------------------------------------------------
 
 def test_import_loads_no_scipy():
@@ -758,7 +799,7 @@ def test_scalar_commands_load_no_numpy(tmp_path):
             f"for args in {calls!r}:\n"
             "    hierstat.cli.main.main(args=args, standalone_mode=False)\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('numpy', 'fractions', 'decimal')))")
+            "             if m.split('.')[0] in ('numpy', 'fractions', 'decimal', 'click')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -317,6 +317,17 @@ def test_underflowed_occupancy_is_a_validation_error(dist, alpha):
     with pytest.raises(ValidationError) as err:
         ensemble_moments(dist, 9, GibbsParams(alpha, 1.0))
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
+    assert str(err.value).startswith("occupancy density 0.0 outside (0, 9) ")
+    assert str(err.value).endswith(": underflowed")
+
+
+def test_saturated_occupancy_is_refused_with_its_cause():
+    # the level is full to double precision, so n rounds to d or, through the
+    # graded rule's weights, just above it: outside (0, d), and said so
+    with pytest.raises(ValidationError, match=r"^occupancy density 9\.000000000000002 "
+                       r"outside \(0, 9\) at alpha=-1\.0, beta=1\.0: "
+                       r"saturated to double precision$"):
+        ensemble_moments(Uniform(0, 1e300), 9, GibbsParams(-1, 1))
 
 
 @pytest.mark.parametrize("alpha, beta", [(-7.4073663903078, 3.6491958186739293),

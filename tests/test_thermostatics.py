@@ -612,13 +612,17 @@ def test_inversion_exactly_singular_jacobian_raises(monkeypatch, rows):
     n_target, u_target = 2.0, -2.5
     (na, nb), (ua, ub) = rows
 
+    calls = []
+
     def singular(dist, d, alpha, beta, m):
+        calls.append((alpha, beta))
         return (na * n_target, nb * n_target, -ua * u_target, -ub * u_target,
                 0.0, 0.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(thermostatics, "_derivatives", singular)
     with pytest.raises(SingularInversion, match="is singular at alpha="):
         invert_to_params(TwoPoint(1.0, 3.0, 0.4), 9, n_target, u_target)
+    assert calls
 
 
 def _outcome(fn, *args):
