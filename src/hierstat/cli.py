@@ -48,12 +48,20 @@ class _Opt(NamedTuple):
     help: str | None = None
 
 
+class _Formatter(argparse.RawDescriptionHelpFormatter):
+    """Descriptions as written; the command names' indent counted in the help column."""
+
+    def add_argument(self, action):
+        super().add_argument(action)
+        self._action_max_length += 2 * (action.nargs == argparse.PARSER)
+
+
 class _Parser(argparse.ArgumentParser):
     """No abbreviated options, ``--help`` alone, and every token ``float()`` reads is a
     value (argparse's own rule takes ``-1e-3`` and ``-inf`` for options)."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        super().__init__(allow_abbrev=False, add_help=False, formatter_class=_Formatter, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
     def _parse_optional(self, arg_string):
@@ -74,8 +82,8 @@ def _command(name, *table, config_required=False):
     default is None, so :func:`_resolve` can tell an option left unset."""
 
     def declare(fn):
-        parser = _COMMANDS.add_parser(name, help=fn.__doc__.splitlines()[0],
-                                      description=fn.__doc__)
+        lines = [line.strip() for line in fn.__doc__.splitlines()]
+        parser = _COMMANDS.add_parser(name, help=lines[0], description="\n".join(lines))
         for opt in table:
             flags = ["--" + opt.name.replace("_", "-")] + ([opt.short] if opt.short else [])
             kind = ({"action": "store_const", "const": True} if opt.kind is bool

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Delta, ParametricFamily, _pieces, _resolve_at, resolve, support
+from .distributions import Delta, ParametricFamily, TwoPoint, _pieces, _resolve_at, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
                       _log_partition_integral)
@@ -239,10 +239,16 @@ def omega(dist, d: int, params: GibbsParams) -> float:
     return moment_integrals(dist, d, params)["omega"]
 
 
-def _phi_mean(dist) -> float:
-    """The phi-mean salary of a concrete distribution, exactly: the sum of
-    mass (lo + hi) / 2 over its pieces."""
-    return sum(mass * (0.5 * lo + 0.5 * hi) for lo, hi, mass in _pieces(dist))
+def _two_point_law(dist) -> tuple:
+    """Atoms (e1, e2) and the weight w of e1 matching a concrete phi: a TwoPoint's
+    own, otherwise phi's mean -/+ its standard deviation with w = 1/2."""
+    if isinstance(dist, TwoPoint):
+        return dist.epsilon1, dist.epsilon2, dist.weight
+    mids = [(mass, 0.5 * lo + 0.5 * hi, hi - lo) for lo, hi, mass in _pieces(dist)]
+    mean = sum(mass * mid for mass, mid, _ in mids)
+    sd = math.sqrt(sum(mass * ((mid - mean) ** 2 + width * width / 12.0)
+                       for mass, mid, width in mids))
+    return mean - sd, mean + sd, 0.5
 
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:

@@ -5,8 +5,8 @@ integral over phi, come from :mod:`hierstat.ensemble`; this module only
 does algebra on its results.  It adds:
 
 * the inverse problem (n, u) -> (alpha, beta), by damped Newton from a
-  computed starting point (support width and the point-mass activity
-  at the phi-mean salary), with one extra step after convergence.  Each
+  start computed from the targets (the line through the activities of two
+  atoms matched to phi), with one extra step after convergence.  Each
   accepted iterate is integrated once: its Jacobian reuses the moment
   pass that scored it in the line search.  It runs on Python floats (the
   Newton step is a 2x2 LU solve), so this module loads no numpy.  The
@@ -25,8 +25,8 @@ does algebra on its results.  It adds:
   to them exactly.  A state integrates its point once: the chain rule
   takes its Jacobian from the moment pass that gave n, u and omega;
 * second-derivative (Maxwell) residual reports from 12 probe solves,
-  one per perturbed (E, N, V) point, each started at the state's
-  (alpha, beta), and the condensation temperature.
+  one per perturbed (E, N, V) point, each started from its first-order
+  prediction at the state, and the condensation temperature.
   The equation-of-state sweep for a common salary level lives next to
   the kernels in :mod:`hierstat.gentile` and is re-exported here.
 
@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Delta, ParametricFamily, resolve, support
-from .ensemble import _checked_moments, _moments, _n_and_u, _phi_mean, _phi_terms
+from .distributions import Delta, ParametricFamily, TwoPoint, resolve, support
+from .ensemble import _checked_moments, _moments, _n_and_u, _phi_terms, _two_point_law
 from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
                      check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
@@ -52,6 +52,7 @@ from .gentile import (  # the EOS block is re-exported here unchanged
     activity_for_mean,
     eos_sweep,
     log_partition,
+    _activity_estimate,
     _check_capacity,
 )
 
@@ -218,13 +219,13 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     """Solve (n, u) = targets for (alpha, beta).
 
     Damped Newton (up to 80 steps, each halved up to 60 times) with the analytic
-    Jacobian; beta is kept inside ``BETA_WINDOW``.  The start is computed:
-    beta0 = 1/(hi - lo) over the support of phi (of ``dist.build(0, 1)``
-    for a family), and alpha0 makes a point mass at the phi-mean salary
-    (summed exactly from the pieces of phi) hold ``n_target`` elements.
-    Near a saturated atom a 1e-12 residual still allows ~1e-8 of error in
-    (alpha, beta), so once both residuals are within 1e-12 one more step
-    goes through the same line search; if it is rejected or its Jacobian
+    Jacobian; beta is kept inside ``BETA_WINDOW``.  The start is the line
+    lambda = alpha + beta eps through the estimated activities of two atoms
+    matched to phi (of ``dist.build(0, 1)`` for a family), which share
+    ``n_target`` so that their mean salary is -``u_target``.  Near a
+    saturated atom a 1e-12 residual still allows ~1e-8 of error in (alpha,
+    beta), so once both residuals are within 1e-12 one more step goes
+    through the same line search; if it is rejected or its Jacobian
     fails, the converged iterate is kept.  Point masses are refused
     outright: their u is constant, so the system is rank one.  Each
     accepted iterate (and the start) is integrated once: the moment pass
@@ -239,6 +240,23 @@ def invert_to_params(dist, d: int, n_target: float, u_target: float) -> GibbsPar
     """
     alpha, beta, _ = _solve(dist, d, n_target, u_target)
     return GibbsParams(alpha, beta)
+
+
+def _cold_start(probe, d, n_target, salary, width):
+    """(alpha0, beta0) of :func:`invert_to_params`.  A density's atoms (its mean -/+ its sd)
+    can both fall where the mean climbs from 0 to d within |lambda| ~ 1/d, so its line must
+    rise by 1/width; else beta0 = 1/width and alpha0 puts the phi-mean at n_target's activity."""
+    e1, e2, w = _two_point_law(probe)
+    beta = 1.0 / width
+    if e1 != e2:
+        q = (salary - e1) / (e2 - e1)
+        n1, n2 = (1.0 - q) * n_target / w, q * n_target / (1.0 - w)
+        if 0.0 < n1 < d and 0.0 < n2 < d:
+            lam1 = _activity_estimate(d, n1)
+            slope = (_activity_estimate(d, n2) - lam1) / (e2 - e1)
+            if (BETA_WINDOW[0] if isinstance(probe, TwoPoint) else beta) < slope < BETA_WINDOW[1]:
+                return lam1 - slope * e1, slope
+    return _activity_estimate(d, n_target) - beta * (w * e1 + (1.0 - w) * e2), beta
 
 
 def _solve(dist, d, n_target, u_target, start=None):
@@ -263,10 +281,7 @@ def _solve(dist, d, n_target, u_target, start=None):
         raise ValidationError(problems)
 
     scale_u = max(abs(u_target), 1e-12)
-    if start is None:
-        beta = 1.0 / (hi - lo)
-        start = activity_for_mean(d, n_target) - beta * _phi_mean(probe), beta
-    alpha, beta = start
+    alpha, beta = start or _cold_start(probe, d, n_target, -u_target, hi - lo)
     try:
         if not (math.isfinite(alpha) and 0.0 < beta < math.inf):
             GibbsParams(alpha, beta)  # raises the record's error for a start off its domain
@@ -338,6 +353,11 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     the chain rule with the moment Jacobian, which needs the Jacobian to
     be nonzero; the Jacobian reuses the moment integrals of n, u and omega.
     """
+    return _state(dist, d, params, volume)[0]
+
+
+def _state(dist, d, params, volume):
+    """:func:`thermo_state` and the :func:`~hierstat.ensemble._moments` list it came from."""
     d = _check_capacity(d)
     volume = checked(check_int, volume, "volume", 1)
 
@@ -381,7 +401,7 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
     if not max(state.residuals().values()) <= 1e-8:
         raise ValidationError(f"the state breaks its identities at alpha={alpha!r}, "
                               f"beta={beta!r}: {state.residuals()}")
-    return state
+    return state, m
 
 
 def entropy_per_element(dist, d: int, n: float, u: float) -> float:
@@ -398,8 +418,8 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
     at relative step ``MAXWELL_STEP`` and again at half step so the
     caller can verify second-order convergence.  E, N and V are each moved
     up and down at both steps, and each of these 12 probe points is solved
-    once, by an inversion to scaled residuals of 1e-12 started at the
-    state's (alpha, beta); one central difference per variable gives all
+    once, by an inversion to scaled residuals of 1e-12 started at (alpha,
+    beta) + J^-1 (dn, du) with the state's J; one central difference gives all
     three of 1/T, mu/T and p/T.  Requires a fixed, non-point-mass phi,
     otherwise S is not a free function of (E, N) at fixed V.
     """
@@ -411,8 +431,9 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
             "not a free function of (energy, elements) and the cross "
             "derivatives are undefined")
 
-    state = thermo_state(dist, d, params, volume)
+    state, m = _state(dist, d, params, volume)
     e0, n0, v0 = state.energy_total, state.elements, float(volume)
+    jac = _derivatives(dist, d, state.alpha, state.beta, m)[:4]
 
     def residuals(h: float):
         # grad[var][k]: central difference of (1/T, mu/T, p/T)[k] = (beta, alpha,
@@ -423,8 +444,12 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
             for shift in (h_var, -h_var):
                 energy, elements, vol = (x + shift if i == var else x
                                          for i, x in enumerate((e0, n0, v0)))
-                alpha, beta, m = _solve(dist, d, elements / vol, energy / elements,
-                                        (state.alpha, state.beta))
+                n, u = elements / vol, energy / elements
+                try:  # the first-order prediction; the state itself where J is singular
+                    da, db = _lu_solve_2x2(*jac, n - state.n, u - state.u)
+                except ZeroDivisionError:
+                    da = db = 0.0
+                alpha, beta, m = _solve(dist, d, n, u, (state.alpha + da, state.beta + db))
                 probes.append((beta, alpha, m[2]))
             grad.append([(fp - fm) / (2.0 * h_var) for fp, fm in zip(*probes)])
         (de_b, de_a, de_o), (dn_b, _, dn_o), (dv_b, dv_a, _) = grad

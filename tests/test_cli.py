@@ -747,6 +747,18 @@ def test_help_names_every_option(runner, command):
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", result.output), flag
 
 
+def test_help_keeps_flags_and_command_names_whole(runner, monkeypatch):
+    # a command's description keeps its docstring's lines, and each command
+    # name shares a line with its one-line help (at the usual 80 columns)
+    monkeypatch.setenv("COLUMNS", "80")
+    result = runner.invoke(main, ["gentile", "--help"])
+    assert result.exit_code == 0
+    assert "--lambda-min" in result.output
+    listing = runner.invoke(main, ["--help"]).output
+    for name in ("gentile", "figures", "eos", "thermo", "simulate"):
+        assert re.search(rf"^ +{name} +\S", listing, re.MULTILINE), name
+
+
 # --- import path -----------------------------------------------------------------
 
 def test_import_loads_no_scipy():

@@ -15,7 +15,7 @@ from hierstat import (
     distribution_to_json,
 )
 from hierstat.distributions import _pieces, resolve, support
-from hierstat.ensemble import _phi_mean
+from hierstat.ensemble import _two_point_law
 
 
 ALL_VARIANTS = [
@@ -48,13 +48,33 @@ def test_support_and_atoms():
     assert _pieces(Uniform(0.0, 1.0)) == ((0.0, 1.0, 1.0),)
 
 
+def _law_mean(dist):
+    e1, e2, w = _two_point_law(dist)
+    return w * e1 + (1.0 - w) * e2
+
+
 def test_first_moment_per_variant():
-    assert _phi_mean(Delta(2.0)) == 2.0
-    assert _phi_mean(TwoPoint(1.0, 3.0, 0.4)) == pytest.approx(0.4 * 1 + 0.6 * 3, rel=1e-14)
-    assert _phi_mean(Uniform(0.5, 2.5)) == pytest.approx(1.5, rel=1e-12)
+    assert _law_mean(Delta(2.0)) == 2.0
+    assert _law_mean(TwoPoint(1.0, 3.0, 0.4)) == pytest.approx(0.4 * 1 + 0.6 * 3, rel=1e-14)
+    assert _law_mean(Uniform(0.5, 2.5)) == pytest.approx(1.5, rel=1e-12)
     hist = Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3))
     expected = 0.2 * 0.5 + 0.5 * 1.5 + 0.3 * 3.0
-    assert _phi_mean(hist) == pytest.approx(expected, rel=1e-12)
+    assert _law_mean(hist) == pytest.approx(expected, rel=1e-12)
+
+
+def test_two_point_law_matches_the_second_moment():
+    # a TwoPoint is its own law; a density is matched by mean -/+ standard
+    # deviation, weight 1/2 each, so its mean and variance are kept
+    assert _two_point_law(TwoPoint(3.0, 1.0, 0.4)) == (3.0, 1.0, 0.4)
+    assert _two_point_law(Delta(2.0)) == (2.0, 2.0, 0.5)
+    hist = Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3))
+    second = 0.2 * (1.0 / 3) + 0.5 * (7.0 / 3) + 0.3 * (28.0 / 3)  # mass (lo^2 + lo hi + hi^2) / 3
+    for dist, mean, var in ((Uniform(0.5, 2.5), 1.5, 1.0 / 3),
+                            (hist, _law_mean(hist), second - _law_mean(hist) ** 2)):
+        e1, e2, w = _two_point_law(dist)
+        assert w == 0.5 and e1 < e2
+        assert 0.5 * (e1 + e2) == pytest.approx(mean, rel=1e-14)
+        assert (0.5 * (e2 - e1)) ** 2 == pytest.approx(var, rel=1e-13)
 
 
 def test_validation_failures():

@@ -380,6 +380,19 @@ def test_activity_for_mean_roundtrip():
         activity_for_mean(5, 5.0)
 
 
+def test_activity_estimate_within_its_bound():
+    # the inverse problem's start: a closed form exact at n = d/2 and two
+    # Newton steps, within 6.3e-3 / d of the root for every d >= 2 (worst
+    # measured 3.14e-3 at d = 2, n = 0.065), on a grid of fillings and the
+    # nearly empty and nearly full ends
+    from hierstat.gentile import _activity_estimate
+    for d in (2, 3, 5, 9, 20, 50, 200, 1000, 10**4, 10**6):
+        targets = [k / 400 * d for k in range(1, 400)]
+        targets += [1e-6 * d, 1e-3, d - 1e-3, d * (1 - 1e-6)]
+        for n in targets:
+            assert abs(_activity_estimate(d, n) - activity_for_mean(d, n)) <= 6.3e-3 / d, (d, n)
+
+
 def _brent_problems():
     """(kernel, d, target): the figure 5/6/7 targets plus a seeded grid."""
     from hierstat.figures import EOS_D_VALUES
