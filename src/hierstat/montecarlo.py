@@ -5,7 +5,9 @@ Two kernels, one per counting convention:
 * the grand-canonical sampler walks the occupation number of a single
   level with +-1 proposals and acceptance min(1, e^{lambda dr}), so its
   stationary law is the bare Gibbs weight e^{lambda r} and its mean
-  converges to the closed-form mean occupation;
+  converges to the closed-form mean occupation; whether a step is taken
+  does not depend on r short of the walls, so the walk is the clipped sum
+  r <- min(d, max(0, r + x_i)), run as a prefix scan of clip maps;
 * the fixed-agent-count dynamics moves one agent from a uniformly
   random occupied position to a uniformly random vacant position with
   acceptance min(1, e^{-beta dE}) for either sign of beta: at beta > 0
@@ -56,15 +58,56 @@ def _batch_stderr(x: np.ndarray) -> float:
 
 
 def _estimates(history: np.ndarray):
-    """Per-level means and batch standard errors of a one-row-per-step history."""
-    kept = history.astype(float)
-    return kept.mean(axis=0), np.array([_batch_stderr(col) for col in kept.T])
+    """Per-level means and batch standard errors of a one-row-per-step history:
+    from four rows on, integer sums over one transposed copy, exact below 2**53
+    and so the doubles a float copy's sums give, reduced as ``_batch_stderr`` does."""
+    n = len(history)
+    if n < 4:
+        kept = history.astype(float)
+        return kept.mean(axis=0), np.array([_batch_stderr(col) for col in kept.T])
+    cols = np.ascontiguousarray(history.T)
+    nb = min(32, n // 2)
+    m = n // nb
+    bm = cols[:, :nb * m].reshape(len(cols), nb, m).sum(axis=2, dtype=np.int64) / m
+    return cols.sum(axis=1, dtype=np.int64) / n, bm.std(axis=1, ddof=1) / math.sqrt(nb)
 
 
 def _energies(spec: HierarchySpec, occupancies: np.ndarray) -> np.ndarray:
     """Energy -sum_j salary_j * k_j of each occupancy row, added level by level
     from 0 as a per-row -sum(s * k) adds: the trajectory pins depend on that order."""
-    return -sum(s * k for s, k in zip(spec.salaries.tolist(), occupancies.T))
+    energy = np.zeros(len(occupancies))
+    for s, k in zip(spec.salaries.tolist(), occupancies.T):
+        energy += s * k
+    return np.negative(energy, out=energy)
+
+
+def _clipped_walk(x: np.ndarray, d: int, r: int) -> np.ndarray:
+    """The int64 states of r <- min(d, max(0, r + x_i)) over the steps x, from r.
+
+    A step is the map r -> min(h, max(l, r + a)) at (a, l, h) = (x_i, 0, d), and
+    g after f is (a_f + a_g, clip(l_f + a_g, l_g, h_g), clip(h_f + a_g, l_g, h_g)).
+    Blocks of 64 steps take a Hillis-Steele scan of these maps, r is carried
+    through the block ends, and each block's prefix maps take its start."""
+    steps = x.size
+    # a dtype that holds l + a and h + a, from -64 to d + 64
+    a = np.zeros((-(-steps // 64), 64), dtype=np.min_scalar_type(-d - 65))
+    a.ravel()[:steps] = x
+    lo = np.zeros_like(a)
+    hi = np.full_like(a, d)
+    for s in (1, 2, 4, 8, 16, 32):
+        a_g, lo_g, hi_g = a[:, s:], lo[:, s:], hi[:, s:]
+        lo_gf = np.minimum(np.maximum(lo[:, :-s] + a_g, lo_g), hi_g)
+        hi_gf = np.minimum(np.maximum(hi[:, :-s] + a_g, lo_g), hi_g)
+        a_g += a[:, :-s]
+        lo_g[...], hi_g[...] = lo_gf, hi_gf
+    starts = []
+    for a_b, lo_b, hi_b in zip(a[:, -1].tolist(), lo[:, -1].tolist(), hi[:, -1].tolist()):
+        starts.append(r)
+        r = min(hi_b, max(lo_b, r + a_b))
+    a += np.array(starts, dtype=a.dtype)[:, None]
+    np.maximum(a, lo, out=a)
+    np.minimum(a, hi, out=a)
+    return a.ravel()[:steps].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -86,8 +129,10 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     """Sample the occupation number of one level at its activity.
 
     Proposals move r by one; a proposal outside [0, d] leaves the chain
-    in place (symmetric proposal with rejection at the walls).  The
-    first ``burn_in_fraction`` of the chain is discarded.
+    in place (symmetric proposal with rejection at the walls).  The steps
+    x_i in {-1, 0, 1}, the moves that pass the acceptance test, are drawn
+    first, and the chain is their clipped walk r <- min(d, max(0, r + x_i)).
+    The first ``burn_in_fraction`` of the chain is discarded.
     """
     problems = []
     steps = check_int(steps, "steps", problems, 10_000)
@@ -100,22 +145,12 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     d = level.capacity
 
     rng = np.random.default_rng(seed)
-    ups = (rng.integers(0, 2, size=steps) == 1).tolist()
-    us = rng.random(steps).tolist()
-    accept_up = 1.0 if lam >= 0.0 else math.exp(lam)
-    accept_dn = 1.0 if lam <= 0.0 else math.exp(-lam)
-
-    r = d // 2
-    moves = bytearray(steps)  # 1 = up, 255 = down (-1 as int8)
-    for i in range(steps):
-        if ups[i]:
-            if r < d and us[i] < accept_up:
-                r += 1
-                moves[i] = 1
-        elif r > 0 and us[i] < accept_dn:
-            r -= 1
-            moves[i] = 255
-    out = np.cumsum(np.frombuffer(moves, dtype=np.int8), dtype=np.int64) + d // 2
+    up = rng.integers(0, 2, size=steps) == 1
+    u = rng.random(steps)
+    x = np.zeros(steps, dtype=np.int8)
+    x[up & (u < (1.0 if lam >= 0.0 else math.exp(lam)))] = 1
+    x[~up & (u < (1.0 if lam <= 0.0 else math.exp(-lam)))] = -1
+    out = _clipped_walk(x, d, d // 2)
 
     burn = int(steps * burn_in_fraction)
     kept = out[burn:]
@@ -175,14 +210,20 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     # at those boundaries change level.  An empty (full) level makes two
     # boundaries share a rank, so the writes run in the order that leaves
     # the scan's answer there: held with j ascending and free with j
-    # descending when src < tgt, the reverse when src > tgt.
+    # descending when src < tgt, the reverse when src > tgt.  spans[code]
+    # pairs the two orders, as (j, j + 1, k) when src < tgt and (j, k, k + 1)
+    # when src > tgt, held written at j and free at k.
+    spans = [tuple(zip(range(src, tgt), range(src + 1, tgt + 1), range(tgt - 1, src - 1, -1)))
+             if src < tgt else
+             tuple(zip(range(src - 1, tgt - 1, -1), range(tgt, src), range(tgt + 1, src + 1)))
+             for src in range(n_levels) for tgt in range(n_levels)]
     last = n_levels - 1
     held = [j for j in range(n_levels) for _ in range(r[j])] + [last]
     free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])] + [last]
     occ = np.cumsum(r).tolist()
     vac = (np.cumsum(caps) - occ).tolist()
     # a same-level pick moves nothing and is always taken (u < 1.0); a move
-    # between adjacent levels is the j loops below written out for one j
+    # between adjacent levels is the span loops below written out for one j
     accepted = rejected = 0
     if agents and vacant:
         i = -1
@@ -204,24 +245,22 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                     free[vac[src]] = src
                     vac[src] += 1
                     continue
-                for j in range(src, tgt):
+                for j, j1, k in spans[code]:
                     occ[j] -= 1
-                    held[occ[j]] = j + 1
-                for j in range(tgt - 1, src - 1, -1):
-                    free[vac[j]] = j
-                    vac[j] += 1
+                    held[occ[j]] = j1
+                    free[vac[k]] = k
+                    vac[k] += 1
             elif src - tgt == 1:
                 held[occ[tgt]] = tgt
                 occ[tgt] += 1
                 vac[tgt] -= 1
                 free[vac[tgt]] = src
             else:
-                for j in range(src - 1, tgt - 1, -1):
+                for j, k, k1 in spans[code]:
                     held[occ[j]] = j
                     occ[j] += 1
-                for j in range(tgt, src):
-                    vac[j] -= 1
-                    free[vac[j]] = j + 1
+                    vac[k] -= 1
+                    free[vac[k]] = k1
         accepted = steps - rejected
 
     del k_src, k_tgt, u_acc  # up to ~100 bytes a step; free them before the rebuild
@@ -283,7 +322,7 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
     burn = int(steps * burn_in_fraction)
     means, errs = _estimates(hist[burn:])
     idx = np.arange(0, steps, record_every)
-    occ = hist[idx]
+    occ = np.ascontiguousarray(hist[::record_every])
     return CanonicalRun(
         recorded_steps=idx, occupancies=occ, energies=_energies(spec, occ),
         mean_occupancy=means, stderr=errs,
@@ -357,7 +396,7 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
     idx_rx = np.arange(0, relax_steps, record_every)
     n_pump = len(pump_rows)
     pumped = np.array(pump_rows, dtype=np.int32).reshape(n_pump, len(caps))
-    occ = np.concatenate([hist_eq[idx_eq], pumped, hist_rx[idx_rx]])
+    occ = np.concatenate([hist_eq[::record_every], pumped, hist_rx[::record_every]])
     recorded = np.concatenate([idx_eq, np.full(n_pump, equilibration_steps),
                                equilibration_steps + idx_rx])
     phases = np.repeat(np.arange(len(PHASE_NAMES), dtype=np.int8),

@@ -17,7 +17,14 @@ from hierstat import (
     simulate_canonical,
 )
 from hierstat.gentile import gentile_mean
-from hierstat.montecarlo import _energies, _initial_occupancy, _run_position_chain
+from hierstat.montecarlo import (
+    _batch_stderr,
+    _clipped_walk,
+    _energies,
+    _estimates,
+    _initial_occupancy,
+    _run_position_chain,
+)
 
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
@@ -86,6 +93,48 @@ def test_sampler_error_scales_like_inverse_root_steps():
     assert 2.5 <= ratio <= 8.0
 
 
+
+# Recorded on the per-step loop that the clipped-walk scan replaced: d = 1,
+# 10 and 1000, an activity above zero (alpha 0.5 at salary 2), and a chain
+# of 100_003 steps, not a multiple of the scan's 64-step blocks.
+@pytest.mark.parametrize("d, alpha, steps, seed, digest", [
+    (1, -2.0, 20_000, 11, "4386b329288e6df7935765e7433892a619c850f17841348c63fffd09121c4269"),
+    (10, -3.0, 50_000, 4, "f2e0eb249ee5bb2437364a145b7e5d0430226669415d6b90ff758641a4038a68"),
+    (1000, -2.5, 60_000, 7, "aa00b1f17cac72387389a9fdc7140f7aa1808d185670a2b7c36e394a3bc419d7"),
+    (10, 0.5, 40_000, 2, "05f718f0fcfcb50eb453bebac4aea0a42dcfb63c19190efb8192e68f15a7fbf3"),
+    (7, -2.2, 100_003, 5, "0b0b8376e55696729eb4d06481206310b8333c5d8d08caa5d88c187e59b176a7"),
+])
+def test_sampler_bits_pinned(d, alpha, steps, seed, digest):
+    s = sample_grand_canonical(OccupancyLevel(d, 2.0), GibbsParams(alpha, 1.0), steps, seed)
+    assert s.samples.dtype == np.int64
+    got = hashlib.sha256(s.samples.tobytes() + s.probabilities.tobytes())
+    got.update(f"{s.mean!r} {s.stderr!r}".encode())
+    assert got.hexdigest() == digest
+
+
+def _clip_loop(x, d, r):
+    """Reference walk: r <- min(d, max(0, r + x_i)), one Python step at a time."""
+    out = []
+    for step in x.tolist():
+        r = min(d, max(0, r + step))
+        out.append(r)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 64, 10 ** 6])
+def test_clipped_walk_matches_step_loop(d):
+    rng = np.random.default_rng(d)
+    for steps in (1, 63, 64, 65, 1000):
+        for r in sorted({0, d // 2, d}):
+            # a drift to each wall, none, and a block-long push past each
+            # wall, where the scan's sums reach d + 64 and -64
+            for p in ((0.6, 0.2, 0.2), (0.2, 0.2, 0.6), (1 / 3, 1 / 3, 1 / 3),
+                      (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+                x = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=steps, p=p)
+                got = _clipped_walk(x, d, r)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _clip_loop(x, d, r)), (steps, r, p)
+
 # --- canonical dynamics ---------------------------------------------------------
 
 def test_canonical_matches_exact_reference():
@@ -113,6 +162,37 @@ def test_canonical_short_run_has_plain_stderr():
     assert run.mean_occupancy.tolist() == kept.mean(axis=0).tolist()
     assert run.stderr.tolist() == [float(np.std(col) / math.sqrt(3)) for col in kept.T]
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 20_001])
+def test_estimates_match_float_history(n):
+    # integer sums against the float copy, mean and per-column batch errors
+    rng = np.random.default_rng(n)
+    history = rng.integers(0, 5001, size=(n, 6)).astype(np.int32)
+    history[:, 0] = 3  # a constant level has zero error
+    kept = history.astype(float)
+    means, errs = _estimates(history)
+    assert means.tobytes() == kept.mean(axis=0).tobytes()
+    assert errs.tobytes() == np.array([_batch_stderr(col) for col in kept.T]).tobytes()
+
+
+# Recorded on the float-copy estimates, on the pinned DEEP and S17 chains
+# and the pinned pumped run below.
+@pytest.mark.parametrize("name, digest", [
+    ("DEEP", "b49f921eaafa744fde5288725ee74291cdb896be18d1494808adc49264ed7654"),
+    ("S17", "73a66e39880d1168680789a49f5348636db549d0f9fa0030a68bf79fa371466c"),
+    ("laser", "5e30539905481616a9d83fc6d5015d9583315fa0ebfcd46cbbf4860c44f924e7"),
+])
+def test_chain_estimates_bits_pinned(name, digest):
+    if name == "laser":
+        run = pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 3_000, 3_000, 4)
+        means, errs = run.relax_mean_occupancy, run.relax_stderr
+    else:
+        spec, agents, beta, steps, seed = {"DEEP": (DEEP, 100, 0.7, 20_000, 5),
+                                           "S17": (S17, 70, 0.6, 4_000, 3)}[name]
+        run = simulate_canonical(spec, agents, beta, steps, seed)
+        means, errs = run.mean_occupancy, run.stderr
+    assert hashlib.sha256(means.tobytes() + errs.tobytes()).hexdigest() == digest
 
 def test_canonical_conserves_agents():
     run = simulate_canonical(L3, 8, 1.0, 20_000, 4)

@@ -636,12 +636,17 @@ def test_inversion_round_trips_over_the_capacity_range(seed, capacities):
 
 
 def test_inversion_singular_at_later_iterate_raises(monkeypatch):
+    # a start away from the answer (-2, 1), so one Newton step leaves the
+    # first iterate unconverged however good the cold start is
+    monkeypatch.setattr(thermostatics, "_cold_start", lambda *args: (-2.5, 1.3))
     points = _zero_jacobian_after(monkeypatch, 1)
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
     with pytest.raises(SingularInversion) as err:
         invert_to_params(dist, 5, mom.n, mom.u)
     assert len(points) == 2  # no restart from a later iterate
+    res, _ = thermostatics._scaled_residual(dist, 5, *points[1], mom.n, mom.u, abs(mom.u))
+    assert max(map(abs, res)) > 1e-12
     assert f"alpha={points[1][0]!r}" in str(err.value)
     assert "np.float64" not in str(err.value)
 
