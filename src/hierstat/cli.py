@@ -21,8 +21,8 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
-                     check_real, checked)
+from .errors import (_DOUBLE_MAX, NoConvergence, SingularInversion, ValidationError,
+                     check_int, check_real, checked)
 from .figures import build_figure
 from .gentile import (EOS_COLUMNS, EnergySign, GibbsParams, OccupancyLevel, _grid, activity,
                       eos_sweep, gentile_mean, occupancy_probabilities)
@@ -191,7 +191,7 @@ def _sweep_problems(capacity, lambda_min, lambda_max, points, sweep=True):
     if capacity is None:
         problems.append("capacity (-d) is required")
     else:
-        check_int(capacity, "capacity", problems, 1)
+        check_int(capacity, "capacity", problems, 1, _DOUBLE_MAX)
     if sweep:
         if points < 1:
             problems.append(f"grid is empty: points must be >= 1, got {points}")

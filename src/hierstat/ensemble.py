@@ -38,11 +38,12 @@ __all__ = [
 
 #: central-difference step for the phi(alpha, beta) dependence terms
 PHI_STEP = 1e-6
-#: narrowest activity width beta (hi - lo) of an interval piece whose
-#: moments come from closed forms.  Their error grows as the width shrinks
-#: (C by about 1/width^3), so narrower pieces take the graded rule; the sweep
-#: in tests/test_closed_form.py holds every component of the closed forms
-#: within 1e-13 above it, and of the graded rule within 4e-15 below it
+#: narrowest activity width beta (hi - lo) of a piece whose moments come from
+#: closed forms (2 kernel and 2 G evaluations) and not the graded rule (13-48
+#: kernel calls), a speed choice: the closed forms lose digits as the width
+#: shrinks (C by about 1/width^3).  In the 0.3-0.4 band of the table that
+#: tests/test_closed_form.py prints, C is within 5.4e-14 for the closed forms
+#: and 1.1e-15 for the graded rule; every closed component is within 1e-13 above it
 W_MIN = 0.3
 #: largest ratio of the summed magnitudes of the terms of B or C to their
 #: value that the closed forms accept, so that they stay within about 2e-13

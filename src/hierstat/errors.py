@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 __all__ = ["HierstatError", "ValidationError", "AccuracyError",
            "SingularInversion", "NoConvergence", "ImbalancedEntry",
            "check_int", "check_real", "checked"]
+
+#: upper bound of the integer sizes (capacity, volume) that enter float formulas
+_DOUBLE_MAX = sys.float_info.max
 
 
 class HierstatError(Exception):

@@ -9,7 +9,8 @@
 7 filling vs temperature in condensation units
 
 Each builder returns (header, rows, svg) with the activity grids pinned
-so the tables regenerate byte for byte.
+so the tables regenerate byte for byte.  Figures 5-7 share one builder and
+differ only in the ends of their activity grids and the row of each point.
 """
 
 from __future__ import annotations
@@ -70,59 +71,49 @@ def _overlay(relative: bool):
     return header, rows, svg
 
 
-def _eos_rows(d: int):
-    """(lambda, n, omega) over a grid spanning fillings 1e-3/d .. 0.99."""
-    lam_lo = activity_for_mean(d, 1e-3)
-    lam_hi = activity_for_mean(d, 0.99 * d)
-    table = eos_sweep(d, _grid(lam_lo, lam_hi, 301, zero=True))
-    return table.lam, [v * d for v in table.n_over_d], table.p_over_T
-
-
-def _eos_figure(header, row, y_label, title):
-    """Figures 5 and 6: ``row(d, lambda, n/V, omega)`` at each point of every
-    capacity's equation-of-state grid; each chart plots the last column of
-    its rows against the one before it, n/(Vd)."""
-    rows = []
-    series = []
-    for d in EOS_D_VALUES:
-        block = [row(d, *point) for point in zip(*_eos_rows(d))]
-        rows.extend(block)
-        series.append((f"d={d}", *zip(*(r[-2:] for r in block))))
-    svg = line_chart(series, x_label="N/(Vd)", y_label=y_label, title=title)
-    return header, rows, svg
-
-
 def _solve_omega(d: int, target: float) -> float:
     """Activity at which log Z equals ``target`` (log Z is increasing)."""
     return _increasing_root(lambda l: log_partition(l, d), target)
 
 
-def _fig7():
-    header = ("d", "lambda", "x", "n_over_d")
+def _filling_ends(d: int):
+    """Figures 5 and 6 run from filling 1e-3/d to 0.99."""
+    return activity_for_mean(d, 1e-3), activity_for_mean(d, 0.99 * d)
+
+
+def _condensation_ends(d: int):
+    """Figure 7 runs from x = 2 to x = 0.4."""
+    return _solve_omega(d, math.log1p(d) / 2.0), _solve_omega(d, math.log1p(d) / 0.4)
+
+
+def _eos_figure(ends, row, header, x_label, y_label, title):
+    """Figures 5-7: ``row(d, lambda, n/d, omega, x)`` at each point of every
+    capacity's equation-of-state grid, 301 activities from ``ends(d)`` and
+    lambda = 0; each chart plots the last column of its rows against the one before."""
     rows = []
     series = []
     for d in EOS_D_VALUES:
-        log_dp1 = math.log1p(d)
-        lam_lo = _solve_omega(d, log_dp1 / 2.0)   # x = 2
-        lam_hi = _solve_omega(d, log_dp1 / 0.4)   # x = 0.4
-        table = eos_sweep(d, _grid(lam_lo, lam_hi, 301, zero=True))
-        rows.extend((d, *row) for row in zip(table.lam, table.x, table.n_over_d))
-        series.append((f"d={d}", table.x, table.n_over_d))
-    svg = line_chart(series, x_label="(T/p) ln(d+1)", y_label="N/(Vd)",
-                     title="Condensation of a common-salary level")
+        table = eos_sweep(d, _grid(*ends(d), 301, zero=True))
+        block = [row(d, *p) for p in zip(table.lam, table.n_over_d, table.p_over_T, table.x)]
+        rows.extend(block)
+        series.append((f"d={d}", *zip(*(r[-2:] for r in block))))
+    svg = line_chart(series, x_label=x_label, y_label=y_label, title=title)
     return header, rows, svg
 
 
 _BUILDERS = {1: lambda: _share(EnergySign.COST, 5.0),
              2: lambda: _share(EnergySign.SALARY, -5.0),
              3: lambda: _overlay(False), 4: lambda: _overlay(True),
-             5: lambda: _eos_figure(("d", "lambda", "n_over_V", "n_over_Vd", "p_over_T"),
-                                    lambda d, l, nv, o: (d, l, nv, nv / d, o),
-                                    "p/T", "Thermal equation of state"),
-             6: lambda: _eos_figure(("d", "lambda", "n_over_Vd", "mu_shifted_over_T"),
-                                    lambda d, l, nv, o: (d, l, nv / d, l),
+             5: lambda: _eos_figure(_filling_ends,
+                                    lambda d, l, v, o, x: (d, l, v * d, v * d / d, o),
+                                    ("d", "lambda", "n_over_V", "n_over_Vd", "p_over_T"),
+                                    "N/(Vd)", "p/T", "Thermal equation of state"),
+             6: lambda: _eos_figure(_filling_ends, lambda d, l, v, o, x: (d, l, v * d / d, l),
+                                    ("d", "lambda", "n_over_Vd", "mu_shifted_over_T"), "N/(Vd)",
                                     "(epsilon0 + mu)/T", "Financial potential vs filling"),
-             7: _fig7}
+             7: lambda: _eos_figure(_condensation_ends, lambda d, l, v, o, x: (d, l, x, v),
+                                    ("d", "lambda", "x", "n_over_d"), "(T/p) ln(d+1)",
+                                    "N/(Vd)", "Condensation of a common-salary level")}
 
 
 def build_figure(fig_id: int):

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import NoConvergence, ValidationError, _check_type, check_int, check_real, checked
+from .errors import (_DOUBLE_MAX, NoConvergence, ValidationError, _check_type, check_int,
+                     check_real, checked)
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -98,9 +99,9 @@ class EnergySign(Enum):
 
 
 def _check_capacity(d) -> int:
-    if type(d) is int and d >= 1:  # the common case, checked cheaply
+    if type(d) is int and 1 <= d <= _DOUBLE_MAX:  # the common case, checked cheaply
         return d
-    return checked(check_int, d, "capacity", 1)
+    return checked(check_int, d, "capacity", 1, _DOUBLE_MAX)
 
 
 def _check_lambda(lam) -> float:
@@ -123,7 +124,7 @@ class OccupancyLevel:
 
     def __post_init__(self):
         problems = []
-        capacity = check_int(self.capacity, "capacity", problems, 1)
+        capacity = check_int(self.capacity, "capacity", problems, 1, _DOUBLE_MAX)
         scale = check_real(self.money_scale, "money_scale", problems, 0)
         if not isinstance(self.sign, EnergySign):
             problems.append(f"sign must be an EnergySign, got {self.sign!r}")

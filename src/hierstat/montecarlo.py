@@ -19,7 +19,8 @@ Two kernels, one per counting convention:
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
 documented and portable generator); every result carries its seed, and
 the proposal streams are pre-drawn so identical seeds give bit-identical
-outputs regardless of the path taken.
+outputs regardless of the path taken.  Every sampler reduces its kept
+states to means and standard errors through one function, ``_estimates``.
 """
 
 from __future__ import annotations
@@ -46,25 +47,15 @@ __all__ = [
 PHASE_NAMES = ("equilibrate", "pump", "relax")
 
 
-def _batch_stderr(x: np.ndarray) -> float:
-    """Standard error of the mean by 32 batch means (autocorrelation safe)."""
-    n = x.size
-    if n < 4:
-        return float(np.std(x) / math.sqrt(max(n, 1)))
-    nb = min(32, n // 2)
-    m = n // nb
-    bm = x[:nb * m].reshape(nb, m).mean(axis=1)
-    return float(bm.std(ddof=1) / math.sqrt(nb))
-
-
 def _estimates(history: np.ndarray):
-    """Per-level means and batch standard errors of a one-row-per-step history:
-    from four rows on, integer sums over one transposed copy, exact below 2**53
-    and so the doubles a float copy's sums give, reduced as ``_batch_stderr`` does."""
+    """Per-column means and standard errors of a one-row-per-step history, one
+    column per level.  From four rows on the errors are of 32 batch means
+    (autocorrelation safe), from integer sums over one transposed copy, exact
+    below 2**53 and so the doubles a float copy's sums give; below four rows
+    they are the plain standard deviation over the root of the row count."""
     n = len(history)
     if n < 4:
-        kept = history.astype(float)
-        return kept.mean(axis=0), np.array([_batch_stderr(col) for col in kept.T])
+        return history.mean(axis=0), history.std(axis=0) / math.sqrt(n)
     cols = np.ascontiguousarray(history.T)
     nb = min(32, n // 2)
     m = n // nb
@@ -132,7 +123,9 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     in place (symmetric proposal with rejection at the walls).  The steps
     x_i in {-1, 0, 1}, the moves that pass the acceptance test, are drawn
     first, and the chain is their clipped walk r <- min(d, max(0, r + x_i)).
-    The first ``burn_in_fraction`` of the chain is discarded.
+    The first ``burn_in_fraction`` of the chain is discarded; the mean and
+    its standard error are ``_estimates`` of the kept int64 states as a
+    one-column history.
     """
     problems = []
     steps = check_int(steps, "steps", problems, 10_000)
@@ -154,12 +147,10 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
 
     burn = int(steps * burn_in_fraction)
     kept = out[burn:]
-    counts = np.bincount(kept, minlength=d + 1)
-    pmf = counts / kept.size
+    (mean,), (stderr,) = _estimates(kept[:, None])
     return GrandCanonicalSample(
-        samples=kept, probabilities=pmf, mean=float(kept.mean()),
-        stderr=_batch_stderr(kept.astype(float)), steps=steps,
-        burn_in=burn, seed=seed)
+        samples=kept, probabilities=np.bincount(kept, minlength=d + 1) / kept.size,
+        mean=float(mean), stderr=float(stderr), steps=steps, burn_in=burn, seed=seed)
 
 
 def _initial_occupancy(spec: HierarchySpec, agents: int,

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 from .distributions import Delta, ParametricFamily, TwoPoint, resolve, support
 from .ensemble import _checked_moments, _moments, _n_and_u, _phi_terms, _two_point_law
-from .errors import (NoConvergence, SingularInversion, ValidationError, check_int,
-                     check_real, checked)
+from .errors import (_DOUBLE_MAX, NoConvergence, SingularInversion, ValidationError,
+                     check_int, check_real, checked)
 from .gentile import (  # the EOS block is re-exported here unchanged
     EOS_COLUMNS,
     EosTable,
@@ -359,7 +359,7 @@ def thermo_state(dist, d: int, params: GibbsParams, volume: int) -> ThermoState:
 def _state(dist, d, params, volume):
     """:func:`thermo_state` and the :func:`~hierstat.ensemble._moments` list it came from."""
     d = _check_capacity(d)
-    volume = checked(check_int, volume, "volume", 1)
+    volume = checked(check_int, volume, "volume", 1, _DOUBLE_MAX)
 
     mom, m = _checked_moments(dist, d, params)
     n, u, om = mom.n, mom.u, mom.omega
@@ -469,7 +469,7 @@ def critical_temperature(d: int, pressure: float) -> float:
     """Temperature at which a common-salary level reaches half filling:
     pressure / ln(d+1)."""
     problems = []
-    d = check_int(d, "capacity", problems, 1)
+    d = check_int(d, "capacity", problems, 1, _DOUBLE_MAX)
     pressure = check_real(pressure, "pressure", problems, 0, open_low=True)
     if problems:
         raise ValidationError(problems)
@@ -479,7 +479,7 @@ def critical_temperature(d: int, pressure: float) -> float:
 def condensation_abscissa(d: int, fill: float) -> float:
     """x = ln(d+1)/omega at the activity where n/d equals ``fill``."""
     problems = []
-    d = check_int(d, "capacity", problems, 1)
+    d = check_int(d, "capacity", problems, 1, _DOUBLE_MAX)
     fill = check_real(fill, "fill", problems, 0, 1, open_low=True, open_high=True)
     if problems:
         raise ValidationError(problems)

@@ -184,6 +184,17 @@ _MALFORMED = {
     "census-salary-bool": lambda: EnsembleCensus([[1.0, 2.0]], [True]),
     "census-salary-numeric-string": lambda: EnsembleCensus([[1.0, 2.0]], ["3"]),
     "gentile-census-total-bool": lambda: gentile_census([True], [1.0], 3, _PARAMS),
+    # an integer beyond the double range cannot enter a float formula
+    "gentile-mean-capacity-huge": lambda: gentile_mean(0.5, 10 ** 400),
+    "eos-sweep-capacity-huge": lambda: eos_sweep(10 ** 400, [0.1]),
+    "activity-for-mean-capacity-huge": lambda: activity_for_mean(10 ** 400, 1.0),
+    "ensemble-moments-capacity-huge": lambda: ensemble_moments(Uniform(0, 1), 10 ** 400, _PARAMS),
+    "invert-capacity-huge": lambda: invert_to_params(Uniform(0, 1), 10 ** 400, 1.0, -0.5),
+    "thermo-state-volume-huge": lambda: thermo_state(Uniform(0, 1), 3, _PARAMS, 10 ** 400),
+    "critical-temperature-capacity-huge": lambda: critical_temperature(10 ** 400, 1.0),
+    "condensation-abscissa-capacity-huge": lambda: condensation_abscissa(10 ** 400, 0.5),
+    "grand-canonical-capacity-huge": lambda: sample_grand_canonical(
+        OccupancyLevel(10 ** 400, 2.0), _PARAMS, 10_000, 0),
 }
 
 #: the argument each object-type and census case must name in its message
@@ -197,6 +208,7 @@ _NAMED = {
     "census-counts-string": "counts", "census-counts-bool": "counts",
     "census-salary-bool": "salaries", "census-salary-numeric-string": "salaries",
     "gentile-census-total-bool": "class_totals",
+    **{key: key.split("-")[-2] for key in _MALFORMED if key.endswith("-huge")},
 }
 
 

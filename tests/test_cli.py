@@ -672,6 +672,22 @@ def test_documented_errors_exit_2(runner, tmp_path, args, config, message):
     assert result.output.startswith("validation error: ") and message in result.output
 
 
+@pytest.mark.parametrize("args, key", [
+    (["gentile", "-d", str(10 ** 400), "--points", "3"], None),
+    (["eos", "-d", str(10 ** 400), "--points", "3"], None),
+    (["thermo"], "volume"),
+    (["thermo"], "d"),
+], ids=["gentile", "eos", "thermo-volume", "thermo-d"])
+def test_integer_beyond_double_range_exits_2(runner, tmp_path, args, key):
+    # a 401-digit capacity or volume is refused by name, not a traceback
+    if key is not None:
+        args = args + ["--json-config", _thermo_cfg(tmp_path, {**_THERMO_AB, key: 10 ** 400})]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    name = "volume" if key == "volume" else "capacity"
+    assert result.output.startswith(f"validation error: {name} must be an integer in [1, ")
+
+
 def test_simulate_seed_from_environment_must_be_an_integer(runner, tmp_path, monkeypatch):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps(_without(_CANONICAL, "seed")))

@@ -18,7 +18,6 @@ from hierstat import (
 )
 from hierstat.gentile import gentile_mean
 from hierstat.montecarlo import (
-    _batch_stderr,
     _clipped_walk,
     _energies,
     _estimates,
@@ -110,6 +109,30 @@ def test_sampler_bits_pinned(d, alpha, steps, seed, digest):
     got = hashlib.sha256(s.samples.tobytes() + s.probabilities.tobytes())
     got.update(f"{s.mean!r} {s.stderr!r}".encode())
     assert got.hexdigest() == digest
+
+
+def _batch_stderr(x):
+    """Reference: standard error of the mean of a float series by 32 batch means,
+    or the plain standard deviation over the root of the count below four."""
+    n = x.size
+    if n < 4:
+        return float(np.std(x) / math.sqrt(max(n, 1)))
+    nb = min(32, n // 2)
+    m = n // nb
+    bm = x[:nb * m].reshape(nb, m).mean(axis=1)
+    return float(bm.std(ddof=1) / math.sqrt(nb))
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3, 4, 5])
+def test_sampler_few_kept_samples_match_float_reference(kept):
+    # burn-in fractions that keep one to five of 10_000 steps reach both
+    # branches of the reduction: plain errors below four, batch means from four
+    s = sample_grand_canonical(OccupancyLevel(6, 2.0), GibbsParams(-1.7, 1.0), 10_000, kept,
+                               burn_in_fraction=(10_000 - kept) / 10_000)
+    assert s.samples.size == kept
+    ref = s.samples.astype(float)
+    assert repr(s.mean) == repr(float(ref.mean()))
+    assert repr(s.stderr) == repr(_batch_stderr(ref))
 
 
 def _clip_loop(x, d, r):
