@@ -152,7 +152,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to read
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"config {path} must hold a JSON object")

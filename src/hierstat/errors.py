@@ -12,6 +12,9 @@ __all__ = ["HierstatError", "ValidationError", "AccuracyError",
 
 #: upper bound of the integer sizes (capacity, volume) that enter float formulas
 _DOUBLE_MAX = sys.float_info.max
+#: ints longer than this are named by their size in messages: Python refuses
+#: to print an int beyond its digit limit, which is never below 640 digits
+_SHOWN_BITS = 2000
 
 
 class HierstatError(Exception):
@@ -42,6 +45,14 @@ def _range(low, high, open_low=False, open_high=False) -> str:
     return f" in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, but an int too long to print (see
+    ``_SHOWN_BITS``) as its approximate digit count, found from its bit length."""
+    if isinstance(value, int) and value.bit_length() > _SHOWN_BITS:
+        return f"an integer of about {int(value.bit_length() * math.log10(2)) + 1} digits"
+    return repr(value)
+
+
 def check_int(value, name, problems, low=None, high=None):
     """``value`` as an ``int`` in [low, high] (None: unbounded), or None
     after appending one violation to ``problems``.  A bool is not an
@@ -50,7 +61,7 @@ def check_int(value, name, problems, low=None, high=None):
         value = int(value)
         if (low is None or value >= low) and (high is None or value <= high):
             return value
-    problems.append(f"{name} must be an integer{_range(low, high)}, got {value!r}")
+    problems.append(f"{name} must be an integer{_range(low, high)}, got {_shown(value)}")
     return None
 
 
@@ -75,14 +86,14 @@ def check_real(value, name, problems, low=-math.inf, high=math.inf, *,
             and (x < high if open_high else x <= high):
         return x
     problems.append(f"{name} must be a finite number"
-                    f"{_range(low, high, open_low, open_high)}, got {value!r}")
+                    f"{_range(low, high, open_low, open_high)}, got {_shown(value)}")
     return None
 
 
 def _check_type(value, cls, name):
     """``value`` if it is a ``cls``, else ValidationError naming ``name``."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be of type {cls.__name__}, got {value!r}")
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {_shown(value)}")
     return value
 
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import (_DOUBLE_MAX, NoConvergence, ValidationError, _check_type, check_int,
-                     check_real, checked)
+from .errors import (_DOUBLE_MAX, NoConvergence, ValidationError, _check_type, _shown,
+                     check_int, check_real, checked)
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -108,7 +108,7 @@ def _check_lambda(lam) -> float:
     try:
         lam = float(lam)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"activity exponent must be a number, got {lam!r}") from None
+        raise ValidationError(f"activity exponent must be a number, got {_shown(lam)}") from None
     if not math.isfinite(lam):
         raise ValidationError(f"activity exponent must be finite, got {lam}")
     return lam

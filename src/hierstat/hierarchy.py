@@ -12,16 +12,26 @@ coefficients that can still add up to the requested agent count; the
 cost is roughly sum_i d_i times the width of those windows.  Rows are
 folded in blocks, one logaddexp reduction each, in term-by-term order;
 the -inf padding is inert, so no bit depends on the block size.
+
+The log binomials come from a table of log k! that returns the bits of
+``scipy.special.gammaln(k + 1.0)``, a port of Cephes ``lgam`` (S. Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), and the
+marginals are normalised by a port of scipy's real ``logsumexp``
+(Blanchard, Higham and Higham, *IMA J. Numer. Anal.* 41(4), 2021); so
+numpy is the only library this module loads, and scipy stays a test
+oracle.  A spec holds at most 2**63 - 1 positions in all, since its
+capacities enter int64 arrays.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_type, check_int, check_real
+from .errors import ValidationError, _check_type, _shown, check_int, check_real
 from .gentile import GibbsParams, _check_capacity, occupancy_probabilities
 
 __all__ = [
@@ -35,6 +45,12 @@ __all__ = [
 ]
 
 _FOLD_BLOCK = 1 << 16  # elements per logaddexp reduction in _log_convolve
+_MAX_POSITIONS = int(np.iinfo(np.int64).max)  # a spec's capacities enter int64 arrays
+
+# Cephes lgam's Stirling-series coefficients, and log sqrt(2 pi)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LS2PI = 0.91893853320467274178
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,10 @@ class HierarchySpec:
                 problems.append(
                     f"salary ordering epsilon_{i + 1} > epsilon_{i + 2} violated "
                     f"({levels[i].salary} <= {levels[i + 1].salary})")
+        total = sum(lv.capacity for lv in levels)
+        if total > _MAX_POSITIONS:
+            problems.append(f"total capacity must be <= {_MAX_POSITIONS} (the int64 maximum), "
+                            f"got {_shown(total)}")
         if problems:
             raise ValidationError(problems)
 
@@ -138,12 +158,56 @@ def _log_convolve(a, b, lo: int, hi: int):
     return a_deg + b_deg, lo, block[0].copy()
 
 
-def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:
-    from scipy.special import gammaln  # imported here: scipy costs ~0.5 s to load
+def _lgam_stirling(x: np.ndarray) -> np.ndarray:
+    """Cephes ``lgam`` at floats x >= 13, in its order of operations: the
+    Stirling series, with its correction term up to x = 1e8.  The logarithm
+    is ``math.log``'s, because numpy's SIMD ``log`` can differ by an ulp."""
+    logx = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    q = (x - 0.5) * logx - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(x, _LGAM_A[0])
+    for c in _LGAM_A[1:]:  # Horner's rule, as Cephes' polevl
+        series = series * p + c
+    large = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+        + 0.0833333333333333333333
+    return np.where(x > 1.0e8, q, q + np.where(x < 1000.0, series, large) / x)
 
+
+# log k! for k = 0..size - 1; read-only, grown by doubling.  Up to k = 11,
+# lgam takes the log of the exact product k (k - 1) ... 2
+_LOG_FACTORIALS = np.array([math.log(float(math.factorial(k))) for k in range(12)])
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """A read-only table of log k! for k = 0..top at least, bit for bit
+    ``scipy.special.gammaln(k + 1.0)``."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if top >= table.size:
+        x = np.arange(table.size, max(top + 1, 2 * table.size)) + 1.0
+        table = np.concatenate((table, _lgam_stirling(x)))
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-d array whose maximum is finite, as the real
+    path of scipy's ``logsumexp`` computes it: the entries equal to the
+    maximum are counted, not exponentiated."""
+    top = np.max(a, keepdims=True)
+    at_top = a == top
+    m = np.sum(at_top, keepdims=True, dtype=float)
+    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + top)[0]
+
+
+def _level_log_poly(capacity: int, salary: float, beta: float) -> np.ndarray:
+    lf = _log_factorials(capacity)
     r = np.arange(capacity + 1, dtype=float)
-    return (gammaln(capacity + 1.0) - gammaln(r + 1.0)
-            - gammaln(capacity - r + 1.0) + beta * salary * r)
+    return lf[capacity] - lf[:capacity + 1] - lf[capacity::-1] + beta * salary * r
 
 
 def _check_agents(spec, agents, problems):
@@ -181,8 +245,6 @@ def exact_canonical(spec: HierarchySpec, agents: int, beta: float) -> CanonicalE
 
 def _exact_log_space(spec, agents, beta):
     """:func:`exact_canonical` on checked arguments."""
-    from scipy.special import logsumexp  # imported here, as in _level_log_poly
-
     polys = [_level_log_poly(lv.capacity, lv.salary, beta) for lv in spec.levels]
     n_levels = len(polys)
     factors = [(p.size - 1, 0, p) for p in polys]
@@ -210,7 +272,7 @@ def _exact_log_space(spec, agents, beta):
         valid = (k >= 0) & (k < rest.size)
         logw = np.full(p.size, -np.inf)
         logw[valid] = p[valid] + rest[k[valid]]
-        logw -= logsumexp(logw)
+        logw -= _logsumexp(logw)  # finite: some level count is feasible
         marg = np.exp(logw)
         marg /= marg.sum()
         marginals.append(marg)

@@ -1,0 +1,184 @@
+"""One sha256 per group of outputs over fixed grids, to compare two commits.
+
+Run it on both commits and diff the lines: a group whose hash moved names
+the outputs whose bits moved.
+
+    PYTHONPATH=src python tests/bits_sweep.py
+
+The groups are ``exact_canonical`` (means, marginals, total log weight and
+the refusal texts on about 60 specs), the ``canonical``, ``grand`` and
+``pumped`` samplers, and ``cli`` (the bytes each command writes).  It is a
+tool, not a test: nothing here is collected or pinned.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from hierstat import (GibbsParams, HierarchySpec, OccupancyLevel, ValidationError,
+                      exact_canonical, pumped_relaxation, sample_grand_canonical,
+                      simulate_canonical)
+from hierstat.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class _Digest:
+    """sha256 over a stream of values: arrays by dtype, shape and bytes,
+    anything else by its repr."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def add(self, *values):
+        for v in values:
+            if isinstance(v, np.ndarray):
+                self.sha.update(f"{v.dtype}{v.shape}".encode())
+                self.sha.update(np.ascontiguousarray(v).tobytes())
+            elif isinstance(v, bytes):
+                self.sha.update(v)
+            else:
+                self.sha.update(repr(v).encode())
+
+    def hexdigest(self):
+        return self.sha.hexdigest()
+
+
+def _specs():
+    """Fixed hierarchies: the golden three levels, then seeded ones with
+    one to six levels and capacities from 1 to 40 000."""
+    specs = [HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))]
+    rng = np.random.default_rng(2026)
+    while len(specs) < 60:
+        n = int(rng.integers(1, 7))
+        top = 40_000 if len(specs) % 10 == 0 else 300
+        caps = np.unique(rng.integers(1, top, n))
+        sal = np.sort(rng.uniform(0.1, 8.0, caps.size))[::-1]
+        if caps.size == n and np.all(np.diff(sal) < 0):
+            specs.append(HierarchySpec(tuple(zip(caps.tolist(), sal.tolist()))))
+    return specs
+
+
+def exact_group():
+    digest = _Digest()
+    for spec in _specs():
+        total = spec.total_positions
+        # mid fillings only where the windows stay narrow enough to be quick
+        fills = (0, 1, 2, total - 1, total) if total > 5000 else \
+            (0, 1, total // 3, total // 2, total - 1, total)
+        for agents in fills + (total + 1,):
+            for beta in (-2.0, 0.0, 0.5, 1.0, 3.0, 1e308):
+                try:
+                    ex = exact_canonical(spec, agents, beta)
+                except ValidationError as exc:
+                    digest.add(str(exc))
+                    continue
+                digest.add(ex.mean_occupancy, *ex.marginals, ex.log_weight_total)
+    return digest.hexdigest()
+
+
+_CHAIN_SPECS = (((1, 3.0), (3, 2.0), (10, 1.0)),
+                ((1, 8.0), (2, 7.0), (4, 6.0), (8, 5.0), (16, 4.0), (32, 3.0)),
+                ((2, 1.5), (50, 1.0)))
+
+
+def canonical_group():
+    digest = _Digest()
+    for levels in _CHAIN_SPECS:
+        spec = HierarchySpec(levels)
+        for agents in (1, spec.total_positions // 2, spec.total_positions - 1):
+            for beta in (-1.0, 0.0, 1.0, 2.5):
+                for seed in (0, 1):
+                    run = simulate_canonical(spec, agents, beta, 4000, seed,
+                                             burn_in_fraction=0.25, record_every=7)
+                    digest.add(run.recorded_steps, run.occupancies, run.energies,
+                               run.mean_occupancy, run.stderr, run.acceptance_rate,
+                               run.burn_in)
+    return digest.hexdigest()
+
+
+def grand_group():
+    digest = _Digest()
+    for d in (1, 2, 6, 64, 1000, 10**5):
+        for alpha in (-4.0, -1.0, 0.0, 0.5):
+            for seed in (0, 1, 2):
+                for steps, burn in ((10_000, 0.1), (10_000, 0.9996), (20_003, 0.5)):
+                    s = sample_grand_canonical(OccupancyLevel(d, 2.0), GibbsParams(alpha, 1.0),
+                                               steps, seed, burn_in_fraction=burn)
+                    digest.add(s.samples, s.probabilities, s.mean, s.stderr, s.burn_in)
+    return digest.hexdigest()
+
+
+def pumped_group():
+    digest = _Digest()
+    for levels in _CHAIN_SPECS:
+        spec = HierarchySpec(levels)
+        for fraction in (0.0, 0.5, 1.0):
+            for beta in (0.5, 2.0):
+                run = pumped_relaxation(spec, spec.total_positions // 2, beta, fraction,
+                                        1500, 3000, 9, record_every=11)
+                digest.add(run.recorded_steps, run.occupancies, run.energies, run.phases,
+                           run.pumped_moves, run.relax_mean_occupancy, run.relax_stderr)
+    return digest.hexdigest()
+
+
+def _cli_runs(tmp):
+    """(argv, files written) of each command on fixed inputs."""
+    def config(name, obj):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    laser = {"scenario": "social_laser", "levels": [{"capacity": 1, "salary": 3.0},
+             {"capacity": 3, "salary": 2.0}, {"capacity": 10, "salary": 1.0}],
+             "agents": 8, "beta": 1.0, "steps": 20000, "seed": 5, "pump_fraction": 0.5}
+    grand = {"scenario": "grand_canonical", "capacity": 10, "salary": 2.0, "alpha": -3.0,
+             "steps": 200000, "seed": 3}
+    two_point = {"distribution": {"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0,
+                                  "weight": 0.4}, "d": 5, "volume": 100, "n": 2.5, "u": -2.4}
+    uniform = {"distribution": {"type": "uniform", "lower": 0.5, "upper": 2.5}, "d": 9,
+               "volume": 100, "n": 2.5, "u": -2.0}
+    runs = [(["gentile", "-d", "5", "--points", "41"], ()),
+            (["gentile", "-d", "3", "--points", "9", "--pmf", "--relative"], ()),
+            (["gentile", "-d", "4", "--alpha", "0.3", "--beta", "1.2", "--epsilon", "2"], ()),
+            (["eos", "-d", "50", "--points", "61"], ()),
+            (["thermo", "--json-config", config("two_point", two_point)], ()),
+            (["thermo", "--json-config", config("uniform", uniform)], ())]
+    for fig in range(1, 8):
+        runs.append((["figures", "--figure", str(fig), "--output-dir", str(tmp)],
+                     (f"fig{fig}.csv", f"fig{fig}.svg")))
+    for name, cfg in (("golden", str(DATA / "golden_simulate_config.json")),
+                      ("laser", config("laser", laser)), ("grand", config("grand", grand))):
+        runs.append((["simulate", "--json-config", cfg, "--output-dir", str(tmp / name),
+                      "--oracle"], (f"{name}/trajectory.csv", f"{name}/summary.json")))
+    return runs
+
+
+def cli_group():
+    digest = _Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for argv, files in _cli_runs(tmp):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(argv)
+            digest.add(*argv[:2], out.getvalue() if not files else "")
+            digest.add(*((tmp / f).read_bytes() for f in files))
+    return digest.hexdigest()
+
+
+GROUPS = {"exact_canonical": exact_group, "canonical": canonical_group,
+          "grand": grand_group, "pumped": pumped_group, "cli": cli_group}
+
+
+if __name__ == "__main__":
+    import time
+
+    for name, group in GROUPS.items():
+        start = time.perf_counter()
+        print(f"{name:16s} {group()}  ({time.perf_counter() - start:.1f} s)")

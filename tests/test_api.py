@@ -195,6 +195,15 @@ _MALFORMED = {
     "condensation-abscissa-capacity-huge": lambda: condensation_abscissa(10 ** 400, 0.5),
     "grand-canonical-capacity-huge": lambda: sample_grand_canonical(
         OccupancyLevel(10 ** 400, 2.0), _PARAMS, 10_000, 0),
+    # an int beyond Python's 4300-digit print limit is named by its size
+    "gentile-mean-capacity-5001-digits": lambda: gentile_mean(0.5, 10 ** 5000),
+    "gentile-mean-activity-5001-digits": lambda: gentile_mean(10 ** 5000, 5),
+    "gibbs-alpha-5001-digits": lambda: GibbsParams(10 ** 5000, 1.0),
+    "census-entropy-5001-digits": lambda: census_entropy(10 ** 5000),
+    # a hierarchy's capacities enter int64 arrays
+    "hierarchy-spec-capacity-huge": lambda: HierarchySpec(((1, 2.0), (10 ** 400, 1.0))),
+    "hierarchy-spec-positions-beyond-int64": lambda: HierarchySpec(
+        ((2 ** 62, 2.0), (2 ** 62 + 1, 1.0))),
 }
 
 #: the argument each object-type and census case must name in its message
@@ -209,6 +218,9 @@ _NAMED = {
     "census-salary-bool": "salaries", "census-salary-numeric-string": "salaries",
     "gentile-census-total-bool": "class_totals",
     **{key: key.split("-")[-2] for key in _MALFORMED if key.endswith("-huge")},
+    **{key: key.split("-")[-3] for key in _MALFORMED if key.endswith("-5001-digits")},
+    "census-entropy-5001-digits": "census",
+    "hierarchy-spec-positions-beyond-int64": "total capacity",
 }
 
 
@@ -233,6 +245,7 @@ def test_checkers_types_ranges_and_messages():
     assert check_real(10 ** 400, "x", problems) is None
     assert check_real(1.0, "x", problems, 0, 1, open_high=True) is None
     assert check_real(np.array([0.5]), "x", problems) is None
+    assert check_int(10 ** 5000, "k", problems, 1, 10) is None
     # one violation per failed check, naming the argument and its range
     assert problems == [
         "k must be an integer, got True",
@@ -243,4 +256,5 @@ def test_checkers_types_ranges_and_messages():
         f"x must be a finite number, got {10 ** 400!r}",
         "x must be a finite number in [0, 1), got 1.0",
         "x must be a finite number, got array([0.5])",
+        "k must be an integer in [1, 10], got an integer of about 5001 digits",
     ]

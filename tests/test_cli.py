@@ -656,10 +656,16 @@ def _without(cfg, *keys):
      "config key 'levels' must be a non-empty list"),
     (["simulate"], {**_CANONICAL, "levels": [{"capacity": 1}]},
      "level 1 must be an object with 'capacity' and 'salary'"),
+    (["gentile", "--points", "3"], '{"capacity": 1%s}' % ("0" * 5000),
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+    (["simulate"], {**_CANONICAL, "levels": [{"capacity": 1, "salary": 2.0},
+                                             {"capacity": 10 ** 400, "salary": 1.0}]},
+     "total capacity must be <= 9223372036854775807 (the int64 maximum), got 1000"),
 ], ids=["config-invalid-json", "config-list", "thermo-no-volume",
         "grand-canonical-no-alpha", "gentile-no-capacity", "gentile-reversed-grid",
         "gentile-point-no-beta", "gentile-pmf-too-wide", "thermo-lambda-off-delta",
-        "thermo-no-parameter-pair", "simulate-no-levels", "simulate-level-no-salary"])
+        "thermo-no-parameter-pair", "simulate-no-levels", "simulate-level-no-salary",
+        "config-int-5001-digits", "simulate-positions-beyond-int64"])
 def test_documented_errors_exit_2(runner, tmp_path, args, config, message):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -778,7 +784,7 @@ def test_help_keeps_flags_and_command_names_whole(runner, monkeypatch):
 # --- import path -----------------------------------------------------------------
 
 def test_import_loads_no_scipy():
-    # scipy costs ~0.6 s to import; only exact_canonical loads it, lazily.
+    # scipy costs ~0.4 s to import and is only a test oracle.
     # numpy.polynomial (~10 ms) is not needed at all: the quadrature rule's
     # nodes and weights are literals.  The package's exports are lazy, so
     # every submodule is imported here explicitly
@@ -794,6 +800,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_exact_reference_loads_no_scipy(tmp_path):
+    # the exact reference and simulate --oracle on the golden config run on
+    # in-house log-factorials and logsumexp
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from hierstat import HierarchySpec, exact_canonical; "
+            "from hierstat.cli import main; "
+            "exact_canonical(HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0))), 8, 1.0); "
+            "main(['simulate', '--json-config', sys.argv[1], '--output-dir', sys.argv[2], "
+            "'--oracle']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code, str(DATA / "golden_simulate_config.json"),
+                          str(tmp_path)], env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "summary.json").read_bytes() == \
+        (DATA / "golden_simulate_summary.json").read_bytes()
 
 
 def test_only_ensemble_integrates_over_phi():

@@ -236,7 +236,7 @@ def test_blocked_fold_matches_row_by_row_bits(monkeypatch, block):
 def test_blocked_fold_memory_stays_small():
     # unblocked, the middle product would be a 2001 x 5001 matrix (80 MB)
     spec = HierarchySpec(((2000, 3.0), (3000, 2.0), (5000, 1.0)))
-    exact_canonical(L3, 5, 0.8)  # the scipy imports stay outside the trace
+    exact_canonical(L3, 5, 0.8)  # first-call set-up stays outside the trace
     tracemalloc.start()
     try:
         ex = exact_canonical(spec, 5000, 0.8)
@@ -245,6 +245,46 @@ def test_blocked_fold_memory_stays_small():
         tracemalloc.stop()
     assert float(ex.mean_occupancy.sum()) == pytest.approx(5000.0, rel=1e-12)
     assert peak < 4e6
+
+
+def test_log_factorials_bit_identical_to_scipy():
+    # scipy's gammaln is Cephes lgam; the table ports the integer branches
+    from scipy.special import gammaln
+
+    k = np.arange(200_001)
+    table = hierarchy._log_factorials(k[-1])
+    assert not table.flags.writeable
+    assert table[:k.size].tobytes() == gammaln(k + 1.0).tobytes()
+    assert hierarchy._log_factorials(10) is table  # served from the grown table
+    # the Stirling branch on both sides of x = 1000 and x = 1e8, up to 1e9
+    rng = np.random.default_rng(36)
+    x = np.floor(np.exp(rng.uniform(math.log(13), math.log(1e9), 200_000)))
+    x = np.concatenate((x, [13.0, 999.0, 1000.0, 1001.0, 1e8, 1e8 + 1, 1e9]))
+    assert hierarchy._lgam_stirling(x).tobytes() == gammaln(x).tobytes()
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(7)
+    for _ in range(2100):
+        a = rng.normal(0.0, 10 ** rng.uniform(-3, 3), int(rng.integers(1, 60)))
+        a[rng.random(a.size) < 0.3] = -np.inf
+        a[rng.integers(0, a.size, int(rng.integers(0, 4)))] = np.max(a)  # ties at the top
+        a[0] = a[0] if np.isfinite(np.max(a)) else 0.5  # a finite maximum
+        got = hierarchy._logsumexp(a)
+        assert got.tobytes() == np.float64(logsumexp(a)).tobytes(), a
+
+
+def test_spec_positions_bounded_by_int64():
+    top = 2 ** 63 - 1
+    spec = HierarchySpec(((2 ** 62 - 1, 2.0), (2 ** 62, 1.0)))
+    assert spec.total_positions == top
+    with pytest.raises(ValidationError,
+                       match=rf"total capacity must be <= {top} \(.*\), got {top + 2}"):
+        HierarchySpec(((2 ** 62, 2.0), (2 ** 62 + 1, 1.0)))
+    with pytest.raises(ValidationError, match="got an integer of about 2001 digits"):
+        HierarchySpec(((1, 2.0), (10 ** 2000, 1.0)))
 
 
 # --- census entropy -------------------------------------------------------------
