@@ -18,16 +18,13 @@ _EXPORTS = {
                       "TwoPoint", "Uniform", "distribution_from_json",
                       "distribution_to_json"),
     "ensemble": ("EnsembleMoments", "ensemble_moments", "fermi_market_share", "omega"),
-    "errors": ("AccuracyError", "HierstatError", "ImbalancedEntry", "NoConvergence",
-               "SingularInversion", "ValidationError"),
+    "errors": ("HierstatError", "NoConvergence", "SingularInversion", "ValidationError"),
     "gentile": ("EnergySign", "GibbsParams", "OccupancyLevel", "activity",
                 "activity_for_mean", "bose_einstein", "fermi_dirac", "gentile_mean",
                 "gentile_mean_direct", "gentile_mean_dlambda", "log_partition",
                 "occupancy_probabilities", "partition", "EosTable", "eos_sweep"),
     "hierarchy": ("CanonicalExpectations", "EnsembleCensus", "HierarchyLevel",
                   "HierarchySpec", "census_entropy", "exact_canonical", "gentile_census"),
-    "ledger": ("BalanceReport", "LedgerEntry", "Transaction", "TransactionLedger",
-               "ledger_audit", "subset_balance"),
     "montecarlo": ("CanonicalRun", "GrandCanonicalSample", "LaserRun", "pumped_relaxation",
                    "sample_grand_canonical", "simulate_canonical"),
     "thermostatics": ("MaxwellReport", "ThermoDerivatives", "ThermoState",

@@ -6,8 +6,7 @@ import math
 import numbers
 import sys
 
-__all__ = ["HierstatError", "ValidationError", "AccuracyError",
-           "SingularInversion", "NoConvergence", "ImbalancedEntry",
+__all__ = ["HierstatError", "ValidationError", "SingularInversion", "NoConvergence",
            "check_int", "check_real", "checked"]
 
 #: upper bound of the integer sizes (capacity, volume) that enter float formulas
@@ -107,15 +106,6 @@ def checked(check, value, name, *bounds, **options):
     return value
 
 
-class AccuracyError(HierstatError):
-    """A numerical routine could not reach the requested tolerance.
-
-    Nothing in the package raises it any more: the moments come from closed
-    forms and one fixed quadrature rule.  It stays exported for callers'
-    ``except`` clauses.
-    """
-
-
 class SingularInversion(HierstatError):
     """The (density, energy) pair does not determine the Gibbs parameters.
 
@@ -138,11 +128,3 @@ class NoConvergence(HierstatError):
         self.residual_u = residual_u
         self.alpha = alpha
         self.beta = beta
-
-
-class ImbalancedEntry(HierstatError):
-    """A ledger entry breaks exact money conservation; ``index`` locates it."""
-
-    def __init__(self, index, message):
-        super().__init__(f"entry {index}: {message}")
-        self.index = index

@@ -364,6 +364,9 @@ def _state(dist, d, params, volume):
     mom, m = _checked_moments(dist, d, params)
     n, u, om = mom.n, mom.u, mom.omega
     alpha, beta = params.alpha, params.beta
+    if n * n == 0.0:  # dpsi/dn and the pressure divide and multiply by n^2
+        raise ValidationError(f"occupancy density {n} at alpha={alpha!r}, beta={beta!r}: "
+                              "its square underflowed")
     psi = om / n + beta * u - alpha
 
     if isinstance(dist, ParametricFamily):

@@ -7,11 +7,14 @@ the outputs whose bits moved.
 
 The groups are ``exact_canonical`` (means, marginals, total log weight and
 the refusal texts on about 60 specs), the ``canonical``, ``grand`` and
-``pumped`` samplers, and ``cli`` (the bytes each command writes).  It is a
-tool, not a test: nothing here is collected or pinned.
+``pumped`` samplers, ``cli`` (the bytes each command writes), ``kernels``
+(the fused (f, f', log Z) of ``gentile._kernels``) and ``thermo`` (the
+fields of ``thermo_state`` and the residuals of ``maxwell_check``, or the
+refusal).  It is a tool, not a test: nothing here is collected or pinned.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,10 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hierstat import (GibbsParams, HierarchySpec, OccupancyLevel, ValidationError,
-                      exact_canonical, pumped_relaxation, sample_grand_canonical,
-                      simulate_canonical)
+from hierstat import (Delta, GibbsParams, HierarchySpec, HierstatError, Histogram,
+                      OccupancyLevel, TwoPoint, Uniform, ValidationError, exact_canonical,
+                      maxwell_check, pumped_relaxation, sample_grand_canonical,
+                      simulate_canonical, thermo_state)
 from hierstat.cli import main
+from hierstat.gentile import _kernels
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -172,8 +177,42 @@ def cli_group():
     return digest.hexdigest()
 
 
+def kernels_group():
+    # d up to 1e150: above it f' overflows to inf or nan, and mending that
+    # moves those bits
+    digest = _Digest()
+    magnitudes = np.concatenate(([0.0, 1e-300, 1e-12], np.logspace(-6, np.log10(700.0), 60)))
+    lams = np.concatenate((-magnitudes[::-1], magnitudes[1:])).tolist()
+    for d in (1, 2, 3, 5, 10, 99, 1000, 10**6, 10**9, 10**15, 10**50, 10**100, 10**150):
+        for lam in lams + [s * 2.0 / (d + 1.0) * (1.0 + e) for s in (-1.0, 1.0)
+                           for e in (-1e-15, 0.0, 1e-15)]:  # the series switch
+            digest.add(_kernels(lam, d))
+    return digest.hexdigest()
+
+
+_THERMO_DISTS = (Delta(1.0), Uniform(0.5, 2.5), TwoPoint(1.0, 3.0, 0.4),
+                 Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3)))
+
+
+def thermo_group():
+    digest = _Digest()
+    for dist in _THERMO_DISTS:
+        for d in (1, 3, 9, 50, 10**6):
+            for alpha, beta in ((-3.0, 0.5), (-1.0, 1.0), (0.0, 1.5), (0.5, 2.0),
+                                (-10.0, 0.3), (2.0, 1.0), (-800.0, 1.0)):
+                for call in (thermo_state, maxwell_check):
+                    try:
+                        out = call(dist, d, GibbsParams(alpha, beta), 100)
+                    except HierstatError as exc:
+                        digest.add(type(exc).__name__, str(exc))
+                        continue
+                    digest.add(*dataclasses.astuple(out))
+    return digest.hexdigest()
+
+
 GROUPS = {"exact_canonical": exact_group, "canonical": canonical_group,
-          "grand": grand_group, "pumped": pumped_group, "cli": cli_group}
+          "grand": grand_group, "pumped": pumped_group, "cli": cli_group,
+          "kernels": kernels_group, "thermo": thermo_group}
 
 
 if __name__ == "__main__":

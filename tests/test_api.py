@@ -17,8 +17,6 @@ from hierstat import (
     Histogram,
     OccupancyLevel,
     ParametricFamily,
-    Transaction,
-    TransactionLedger,
     Uniform,
     ValidationError,
     activity,
@@ -34,13 +32,11 @@ from hierstat import (
     gentile_census,
     gentile_mean,
     invert_to_params,
-    ledger_audit,
     maxwell_check,
     omega,
     pumped_relaxation,
     sample_grand_canonical,
     simulate_canonical,
-    subset_balance,
     thermo_derivatives,
     thermo_state,
 )
@@ -101,9 +97,6 @@ def test_numerics_take_no_tolerance_options(module):
 _SPEC = HierarchySpec(((1, 2.0), (4, 1.0)))
 _LEVEL = OccupancyLevel(3, 1.0)
 _PARAMS = GibbsParams(0.0, 1.0)
-_LEDGER = TransactionLedger({"a": 100})
-_LEDGER.record(Transaction("a", "b", 40))
-_LEDGER.record(Transaction("b", "a", 10, leakage=1))
 
 # each call must fail argument checking with ValidationError, not escape
 # as a TypeError, a plain ValueError or a silently wrong result
@@ -151,13 +144,6 @@ _MALFORMED = {
     "eos-sweep-grid-numeric-strings": lambda: eos_sweep(3, ["0.1", "0.2"]),
     "eos-sweep-grid-bool": lambda: eos_sweep(3, [0.1, True]),
     "eos-sweep-grid-not-iterable": lambda: eos_sweep(3, 5),
-    "transaction-source-empty": lambda: Transaction("", "b", 1),
-    "ledger-record-not-transaction": lambda: TransactionLedger().record("x"),
-    "subset-balance-index-negative": lambda: subset_balance(_LEDGER, [-1]),
-    "subset-balance-index-bool": lambda: subset_balance(_LEDGER, [True]),
-    "subset-balance-index-past-end": lambda: subset_balance(_LEDGER, [5]),
-    "subset-balance-index-string": lambda: subset_balance(_LEDGER, ["0"]),
-    "subset-balance-index-float": lambda: subset_balance(_LEDGER, [0.0]),
     # object arguments of the wrong type
     "ensemble-moments-params-none": lambda: ensemble_moments(Uniform(0, 1), 3, None),
     "omega-params-none": lambda: omega(Uniform(0, 1), 3, None),
@@ -171,12 +157,9 @@ _MALFORMED = {
     "grand-canonical-level-none": lambda: sample_grand_canonical(None, _PARAMS, 10_000, 0),
     "grand-canonical-params-none": lambda: sample_grand_canonical(_LEVEL, None, 10_000, 0),
     "census-entropy-list": lambda: census_entropy([[1, 2]]),
-    "ledger-audit-none": lambda: ledger_audit(None),
-    "subset-balance-ledger-none": lambda: subset_balance(None, [0]),
     "hierarchy-spec-int": lambda: HierarchySpec(5),
     "hierarchy-spec-level-int": lambda: HierarchySpec((5,)),
     "hierarchy-spec-level-short": lambda: HierarchySpec(((1,),)),
-    "ledger-initial-balances-int": lambda: TransactionLedger(5),
     # census inputs go through the shared rules: no ragged rows, bools or strings
     "census-counts-ragged": lambda: EnsembleCensus([[1, 2], [3]], [1, 2]),
     "census-counts-string": lambda: EnsembleCensus([["a", 2]], [1]),
@@ -210,10 +193,9 @@ _MALFORMED = {
 _NAMED = {
     **dict.fromkeys([key for key in _MALFORMED if "params" in key], "params"),
     "activity-level-none": "level", "grand-canonical-level-none": "level",
-    "census-entropy-list": "census", "ledger-audit-none": "ledger",
-    "subset-balance-ledger-none": "ledger", "hierarchy-spec-int": "levels",
+    "census-entropy-list": "census", "hierarchy-spec-int": "levels",
     "hierarchy-spec-level-int": "levels", "hierarchy-spec-level-short": "levels",
-    "ledger-initial-balances-int": "initial_balances", "census-counts-ragged": "counts",
+    "census-counts-ragged": "counts",
     "census-counts-string": "counts", "census-counts-bool": "counts",
     "census-salary-bool": "salaries", "census-salary-numeric-string": "salaries",
     "gentile-census-total-bool": "class_totals",

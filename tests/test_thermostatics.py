@@ -787,6 +787,18 @@ def test_state_closed_forms_fixed_phi():
     assert res["entropy_decomposition"] < 1e-12
 
 
+@pytest.mark.parametrize("dist", [Delta(1.0), Uniform(0.5, 2.5), TwoPoint(1, 3, 0.4),
+                                  Histogram((0.5, 1.5, 2.5), (0.3, 0.7))],
+                         ids=["delta", "uniform", "two-point", "histogram"])
+def test_state_with_underflowed_n_squared_names_the_parameters(dist):
+    # n ~ 2.7e-261 is accepted by ensemble_moments but n * n underflows to
+    # 0.0: a ValidationError, not a ZeroDivisionError from dpsi/dn = -omega / n^2
+    calls = [thermo_state] if isinstance(dist, Delta) else [thermo_state, maxwell_check]
+    for call in calls:
+        with pytest.raises(ValidationError, match="alpha=-600.0, beta=0.001: its square"):
+            call(dist, 5, GibbsParams(-600.0, 0.001), 10)
+
+
 def test_state_extensivity():
     dist = Uniform(0.5, 2.5)
     params = GibbsParams(-1.0, 0.8)
