@@ -18,15 +18,17 @@ Two kernels, one per counting convention:
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
 documented and portable generator); every result carries its seed, and
-the proposal streams are pre-drawn so identical seeds give bit-identical
-outputs regardless of the path taken.  Every sampler reduces its kept
-states to means and standard errors through one function, ``_estimates``.
+the proposal streams are pre-drawn whole and walked a block of steps at a
+time, so identical seeds give bit-identical outputs regardless of the path
+taken or the block size.  Every sampler reduces its kept states to means
+and standard errors through one function, ``_estimates``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,30 +47,35 @@ __all__ = [
 ]
 
 PHASE_NAMES = ("equilibrate", "pump", "relax")
+_BLOCK = 2 ** 14  # steps of streams the chain loop lists at a time; rows of _energies
 
 
 def _estimates(history: np.ndarray):
     """Per-column means and standard errors of a one-row-per-step history, one
     column per level.  From four rows on the errors are of 32 batch means
-    (autocorrelation safe), from integer sums over one transposed copy, exact
-    below 2**53 and so the doubles a float copy's sums give; below four rows
-    they are the plain standard deviation over the root of the row count."""
+    (autocorrelation safe), from int64 sums over each batch's transposed copy,
+    exact below 2**53 and so the doubles a float copy's sums give; below four
+    rows they are the plain standard deviation over the root of the row count."""
     n = len(history)
     if n < 4:
         return history.mean(axis=0), history.std(axis=0) / math.sqrt(n)
-    cols = np.ascontiguousarray(history.T)
     nb = min(32, n // 2)
     m = n // nb
-    bm = cols[:, :nb * m].reshape(len(cols), nb, m).sum(axis=2, dtype=np.int64) / m
-    return cols.sum(axis=1, dtype=np.int64) / n, bm.std(axis=1, ddof=1) / math.sqrt(nb)
+    # (levels, batches), C-contiguous: std sums a contiguous axis pairwise, a strided one not
+    sums = np.stack([np.ascontiguousarray(history[b * m:(b + 1) * m].T).sum(axis=1, dtype=np.int64)
+                     for b in range(nb)], axis=1)
+    total = sums.sum(axis=1) + history[nb * m:].sum(axis=0, dtype=np.int64)
+    return total / n, (sums / m).std(axis=1, ddof=1) / math.sqrt(nb)
 
 
 def _energies(spec: HierarchySpec, occupancies: np.ndarray) -> np.ndarray:
     """Energy -sum_j salary_j * k_j of each occupancy row, added level by level
-    from 0 as a per-row -sum(s * k) adds: the trajectory pins depend on that order."""
+    from 0 as a per-row -sum(s * k) adds: the trajectory pins depend on that
+    order.  A block of rows at a time, so each float temporary is one block."""
     energy = np.zeros(len(occupancies))
-    for s, k in zip(spec.salaries.tolist(), occupancies.T):
-        energy += s * k
+    for a in range(0, len(occupancies), _BLOCK):
+        for s, k in zip(spec.salaries.tolist(), occupancies[a:a + _BLOCK].T):
+            energy[a:a + _BLOCK] += s * k
     return np.negative(energy, out=energy)
 
 
@@ -175,10 +182,12 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     vacant = sum(caps) - agents
 
     # agents and vacant stay fixed: one numpy product per stream, same bits as
-    # u * agents; its floor is the rank of the picked agent (vacancy)
-    k_src = (rng.random(steps) * agents).astype(np.intp).tolist()
-    k_tgt = (rng.random(steps) * vacant).astype(np.intp).tolist()
-    u_acc = rng.random(steps).tolist()
+    # u * agents; its floor is the rank of the picked agent (vacancy), in the
+    # smallest type that holds agents (vacant), where a product can round up
+    # to; the loop lists the streams one block of steps at a time
+    k_src = (rng.random(steps) * agents).astype(np.min_scalar_type(agents))
+    k_tgt = (rng.random(steps) * vacant).astype(np.min_scalar_type(vacant))
+    u_acc = rng.random(steps)
 
     # acceptance min(1, e^{-beta * cut}) of src -> tgt at code src * n_levels
     # + tgt, certain (u < 1.0) where beta * cut <= 0, so exp never overflows;
@@ -190,8 +199,6 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
               for s_src in sals for s_tgt in sals]
     codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
     record = memoryview(codes)
-    hist = np.zeros((steps, n_levels), dtype=np.int32)
-    hist[:1] = r
     # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
     # the level of the rank-k agent / vacancy in level order, the first j
     # with k < occ[j] (k < vac[j]), where a running-sum scan stops; each
@@ -218,7 +225,9 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     accepted = rejected = 0
     if agents and vacant:
         i = -1
-        for ks, kt, u in zip(k_src, k_tgt, u_acc):
+        for ks, kt, u in chain.from_iterable(
+                zip(k_src[a:a + _BLOCK].tolist(), k_tgt[a:a + _BLOCK].tolist(),
+                    u_acc[a:a + _BLOCK].tolist()) for a in range(0, steps, _BLOCK)):
             i += 1
             src = held[ks]
             tgt = free[kt]
@@ -254,8 +263,10 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                     free[vac[k]] = k1
         accepted = steps - rejected
 
-    del k_src, k_tgt, u_acc  # up to ~100 bytes a step; free them before the rebuild
+    del k_src, k_tgt, u_acc  # about 10 bytes a step; free them before the history
     # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
+    hist = np.zeros((steps, n_levels), dtype=np.int32)
+    hist[:1] = r
     moved = np.flatnonzero(codes)
     src, tgt = np.divmod(codes[moved] - 1, n_levels)
     hist[moved, src] -= 1

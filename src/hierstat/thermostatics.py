@@ -131,7 +131,10 @@ class ThermoState:
                     + self.volume * self.omega)
         scale_s = max(abs(self.entropy_total), abs(s_decomp), 1e-300)
         gibbs = self.elements * self.financial_potential
-        scale_g = max(abs(self.gibbs_free_energy), abs(gibbs), 1e-300)
+        # over the terms of G = E - TS + pV too: at alpha = 0, mu = 0 and G cancels
+        scale_g = max(abs(self.gibbs_free_energy), abs(gibbs), abs(self.energy_total),
+                      abs(self.temperature * self.entropy_total),
+                      abs(self.pressure * self.volume), 1e-300)
         euler_lhs = (self.energy_total
                      - self.temperature * self.entropy_total
                      - self.financial_potential * self.elements)

@@ -7,10 +7,12 @@ the outputs whose bits moved.
 
 The groups are ``exact_canonical`` (means, marginals, total log weight and
 the refusal texts on about 60 specs), the ``canonical``, ``grand`` and
-``pumped`` samplers, ``cli`` (the bytes each command writes), ``kernels``
-(the fused (f, f', log Z) of ``gentile._kernels``) and ``thermo`` (the
-fields of ``thermo_state`` and the residuals of ``maxwell_check``, or the
-refusal).  It is a tool, not a test: nothing here is collected or pinned.
+``pumped`` samplers, ``long_chains`` (full histories over several blocks of
+the chain loop's streams), ``cli`` (the bytes each command writes),
+``kernels`` (the fused (f, f', log Z) of ``gentile._kernels``), ``moments``
+(the moment integrals per phi kind and activity width band) and ``thermo``
+(the fields of ``thermo_state`` and the residuals of ``maxwell_check``, or
+the refusal).  It is a tool, not a test: nothing here is collected or pinned.
 """
 
 import contextlib
@@ -24,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from hierstat import (Delta, GibbsParams, HierarchySpec, HierstatError, Histogram,
-                      OccupancyLevel, TwoPoint, Uniform, ValidationError, exact_canonical,
-                      maxwell_check, pumped_relaxation, sample_grand_canonical,
-                      simulate_canonical, thermo_state)
+                      OccupancyLevel, ParametricFamily, TwoPoint, Uniform, ValidationError,
+                      exact_canonical, maxwell_check, pumped_relaxation,
+                      sample_grand_canonical, simulate_canonical, thermo_state)
 from hierstat.cli import main
+from hierstat.ensemble import moment_integrals
 from hierstat.gentile import _kernels
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -132,6 +135,27 @@ def pumped_group():
     return digest.hexdigest()
 
 
+_LONG_SPECS = ((((1, 3.0), (3, 2.0), (10, 1.0)), 8, 1.0),
+               (tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)), 127, 0.65),
+               # 17 levels: move codes need uint16
+               (tuple((1 + k, 17.0 - k) for k in range(17)), 70, 0.6))
+
+
+def long_chains_group():
+    # 50 003 steps span several 2**14-step blocks of the loop's streams
+    digest = _Digest()
+    for levels, agents, beta in _LONG_SPECS:
+        spec = HierarchySpec(levels)
+        for seed in (0, 1):
+            run = simulate_canonical(spec, agents, beta, 50_003, seed, record_every=1)
+            digest.add(run.recorded_steps, run.occupancies, run.energies,
+                       run.mean_occupancy, run.stderr, run.acceptance_rate, run.burn_in)
+        run = pumped_relaxation(spec, agents, beta, 0.5, 20_000, 20_000, 3)
+        digest.add(run.recorded_steps, run.occupancies, run.energies, run.phases,
+                   run.pumped_moves, run.relax_mean_occupancy, run.relax_stderr)
+    return digest.hexdigest()
+
+
 def _cli_runs(tmp):
     """(argv, files written) of each command on fixed inputs."""
     def config(name, obj):
@@ -190,6 +214,36 @@ def kernels_group():
     return digest.hexdigest()
 
 
+def _drifting(alpha, beta):
+    return TwoPoint(1.0, 3.0, 0.4 + 0.25 * np.tanh(0.5 * alpha + 0.25 * (beta - 1.0)))
+
+
+_MOMENT_DISTS = (Delta(1.0), Uniform(0.5, 2.5), TwoPoint(1.0, 3.0, 0.4),
+                 Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3)),
+                 Histogram((0.0, 0.01, 1.0, 1.02, 3.0), (0.1, 0.4, 0.2, 0.3)),
+                 ParametricFamily(_drifting))
+#: activity widths beta * 1 of a unit salary span, across the closed forms'
+#: W_MIN = 0.3 and down to where a piece is a near point
+_WIDTHS = (1e-9, 1e-3, 0.05, 0.2, 0.3 * (1.0 - 2.0 ** -52), 0.3, 0.35, 1.0, 5.0, 40.0)
+
+
+def moments_group():
+    # the activity at the support's middle runs from deep negative to past 0,
+    # where f' peaks and the closed forms can cancel at large d
+    digest = _Digest()
+    for dist in _MOMENT_DISTS:
+        for beta in _WIDTHS:
+            for mid in (-20.0, -2.0, -0.1, 0.0, 0.1, 2.0):
+                for d in (1, 9, 1000, 10**6, 10**12):
+                    try:
+                        m = moment_integrals(dist, d, GibbsParams(mid - 1.5 * beta, beta))
+                    except HierstatError as exc:
+                        digest.add(type(exc).__name__, str(exc))
+                        continue
+                    digest.add(*m.items())
+    return digest.hexdigest()
+
+
 _THERMO_DISTS = (Delta(1.0), Uniform(0.5, 2.5), TwoPoint(1.0, 3.0, 0.4),
                  Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3)))
 
@@ -211,8 +265,9 @@ def thermo_group():
 
 
 GROUPS = {"exact_canonical": exact_group, "canonical": canonical_group,
-          "grand": grand_group, "pumped": pumped_group, "cli": cli_group,
-          "kernels": kernels_group, "thermo": thermo_group}
+          "grand": grand_group, "pumped": pumped_group, "long_chains": long_chains_group,
+          "cli": cli_group, "kernels": kernels_group, "moments": moments_group,
+          "thermo": thermo_group}
 
 
 if __name__ == "__main__":

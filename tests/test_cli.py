@@ -241,6 +241,19 @@ def test_thermo_fixed_phi_temperature_is_inverse_beta(runner, tmp_path):
     assert state["residuals"]["gibbs_identity"] < 1e-8
 
 
+def test_thermo_at_zero_alpha_exits_0(runner, tmp_path):
+    # mu = 0 and G = 0: the state is accepted, not refused as breaking its identities
+    cfg = _thermo_cfg(tmp_path, {
+        "distribution": {"type": "two_point", "epsilon1": 1.0,
+                         "epsilon2": 3.0, "weight": 0.4},
+        "d": 1, "volume": 100, "alpha": 0.0, "beta": 1.5,
+    })
+    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    assert result.exit_code == 0, result.output
+    state = json.loads(result.output)
+    assert max(state["residuals"].values()) < 1e-8
+
+
 def test_thermo_delta_with_density_energy_is_singular(runner, tmp_path):
     cfg = _thermo_cfg(tmp_path, {
         "distribution": {"type": "delta", "epsilon0": 2.0},

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hierstat.montecarlo as montecarlo
 from hierstat import (
     GibbsParams,
     HierarchySpec,
@@ -463,3 +465,40 @@ def test_pump_fraction_validated():
         pumped_relaxation(LASER_SPEC, 9, 2.0, 1.5, 1_000, 1_000, 0)
     with pytest.raises(ValidationError):
         pumped_relaxation(LASER_SPEC, 9, 2.0, -0.1, 1_000, 1_000, 0)
+
+
+# --- memory ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, agents, beta", [(L3, 8, 1.0), (DEEP, 127, 0.65)],
+                         ids=["golden", "DEEP"])
+def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
+    # the chain holds no per-step temporary beyond the arrays it returns:
+    # streams of about 10 bytes a step, listed a block at a time, and no
+    # copy of the history in the reductions
+    simulate_canonical(spec, agents, beta, 1_000, 0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run = simulate_canonical(spec, agents, beta, 120_000, 3, record_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = run.occupancies.nbytes + run.energies.nbytes + run.recorded_steps.nbytes
+    assert peak <= 1.25 * returned, peak / returned
+
+
+def _chain_bytes():
+    """Every output array of a 20 003-step chain and a pumped run, as bytes."""
+    run = simulate_canonical(DEEP, 100, 0.7, 20_003, 5, burn_in_fraction=0.3)
+    laser = pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 5_001, 7_003, 4)
+    arrays = (run.recorded_steps, run.occupancies, run.energies, run.mean_occupancy,
+              run.stderr, laser.recorded_steps, laser.occupancies, laser.energies,
+              laser.phases, laser.relax_mean_occupancy, laser.relax_stderr)
+    return b"".join(a.tobytes() for a in arrays) + run.acceptance_rate.hex().encode()
+
+
+def test_outputs_do_not_depend_on_the_block(monkeypatch):
+    want = _chain_bytes()
+    for block in (1, 7, montecarlo._BLOCK):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        assert _chain_bytes() == want, block

@@ -799,6 +799,20 @@ def test_state_with_underflowed_n_squared_names_the_parameters(dist):
             call(dist, 5, GibbsParams(-600.0, 0.001), 10)
 
 
+@pytest.mark.parametrize("dist, d", [
+    (Delta(1.0), 50), (Delta(1.0), 10**6), (Uniform(0.5, 2.5), 9), (TwoPoint(1.0, 3.0, 0.4), 1),
+    (Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3)), 9)],
+    ids=["delta", "delta-1e6", "uniform", "two-point", "histogram"])
+def test_state_at_zero_alpha_keeps_its_identities(dist, d):
+    # mu = alpha T = 0 makes G = N mu = 0, and E - TS + pV cancels to a
+    # rounding residue: the Gibbs residual is measured against the terms of G
+    state = thermo_state(dist, d, GibbsParams(0.0, 1.5), 100)
+    assert abs(state.financial_potential) < 1e-12
+    assert abs(state.gibbs_free_energy) <= 1e-12 * abs(state.energy_total)
+    assert state.residuals()["gibbs_identity"] < 1e-15
+    assert max(state.residuals().values()) < 1e-8
+
+
 def test_state_extensivity():
     dist = Uniform(0.5, 2.5)
     params = GibbsParams(-1.0, 0.8)
