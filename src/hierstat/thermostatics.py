@@ -131,10 +131,6 @@ class ThermoState:
                     + self.volume * self.omega)
         scale_s = max(abs(self.entropy_total), abs(s_decomp), 1e-300)
         gibbs = self.elements * self.financial_potential
-        # over the terms of G = E - TS + pV too: at alpha = 0, mu = 0 and G cancels
-        scale_g = max(abs(self.gibbs_free_energy), abs(gibbs), abs(self.energy_total),
-                      abs(self.temperature * self.entropy_total),
-                      abs(self.pressure * self.volume), 1e-300)
         euler_lhs = (self.energy_total
                      - self.temperature * self.entropy_total
                      - self.financial_potential * self.elements)
@@ -143,6 +139,9 @@ class ThermoState:
                       abs(self.temperature * self.entropy_total),
                       abs(self.financial_potential * self.elements),
                       abs(euler_rhs), 1e-300)
+        # G - N mu is the Euler residual reordered, so over its terms too: at
+        # alpha = 0, mu = 0 and G cancels to a rounding residue
+        scale_g = max(scale_e, abs(self.gibbs_free_energy))
         return {
             "entropy_decomposition": abs(self.entropy_total - s_decomp) / scale_s,
             "gibbs_identity": abs(self.gibbs_free_energy - gibbs) / scale_g,

@@ -11,8 +11,9 @@ the refusal texts on about 60 specs), the ``canonical``, ``grand`` and
 the chain loop's streams), ``cli`` (the bytes each command writes),
 ``kernels`` (the fused (f, f', log Z) of ``gentile._kernels``), ``moments``
 (the moment integrals per phi kind and activity width band) and ``thermo``
-(the fields of ``thermo_state`` and the residuals of ``maxwell_check``, or
-the refusal).  It is a tool, not a test: nothing here is collected or pinned.
+(the fields and identity residuals of ``thermo_state`` and the residuals
+of ``maxwell_check``, or the refusal).  It is a tool, not a test: nothing
+here is collected or pinned.
 """
 
 import contextlib
@@ -261,6 +262,8 @@ def thermo_group():
                         digest.add(type(exc).__name__, str(exc))
                         continue
                     digest.add(*dataclasses.astuple(out))
+                    if call is thermo_state:
+                        digest.add(out.residuals())
     return digest.hexdigest()
 
 
