@@ -116,14 +116,15 @@ class SingularInversion(HierstatError):
 
 
 class NoConvergence(HierstatError):
-    """Iterative solver exhausted its budget; residuals are attached."""
+    """Iterative solver exhausted its budget; the residuals and (alpha, beta)
+    it has are attached, and named in the message (a failed start has none)."""
 
     def __init__(self, message, residual_n=None, residual_u=None,
                  alpha=None, beta=None):
-        super().__init__(
-            f"{message} (residual_n={residual_n!r}, residual_u={residual_u!r},"
-            f" alpha={alpha!r}, beta={beta!r})"
-        )
+        fields = ", ".join(f"{name}={value!r}" for name, value in (
+            ("residual_n", residual_n), ("residual_u", residual_u),
+            ("alpha", alpha), ("beta", beta)) if value is not None)
+        super().__init__(f"{message} ({fields})" if fields else message)
         self.residual_n = residual_n
         self.residual_u = residual_u
         self.alpha = alpha

@@ -10,7 +10,7 @@ does algebra on its results.  It adds:
   accepted iterate is integrated once: its Jacobian reuses the moment
   pass that scored it in the line search.  It runs on Python floats (the
   Newton step is a 2x2 LU solve), so this module loads no numpy.  The
-  solver, its line search and the Maxwell probes carry (alpha, beta) as
+  solver, its line search and the Maxwell check carry (alpha, beta) as
   two floats, the moments as the list of ``ensemble._moments`` and the
   derivatives as a tuple; only the public entry points build
   :class:`GibbsParams`, :class:`ThermoDerivatives` or the
@@ -24,9 +24,9 @@ does algebra on its results.  It adds:
   mu = alpha T, p = T omega apply and the general chain-rule path reduces
   to them exactly.  A state integrates its point once: the chain rule
   takes its Jacobian from the moment pass that gave n, u and omega;
-* second-derivative (Maxwell) residual reports from 12 probe solves,
-  one per perturbed (E, N, V) point, each started from its first-order
-  prediction at the state, and the condensation temperature.
+* second-derivative (Maxwell) residual reports from central differences
+  of the forward map in alpha and beta (no inversion), which test that n,
+  m1 and omega derive from one potential, and the condensation temperature.
   The equation-of-state sweep for a common salary level lives next to
   the kernels in :mod:`hierstat.gentile` and is re-exported here.
 
@@ -78,7 +78,7 @@ __all__ = [
 BETA_WINDOW = (1e-6, 1e3)
 #: both scaled residuals below this count as solved
 _NEWTON_TOL = 1e-12
-#: relative step of the central differences in :func:`maxwell_check`
+#: step h of the central differences in :func:`maxwell_check`: alpha +- h, beta (1 +- h)
 MAXWELL_STEP = 1e-3
 
 
@@ -152,7 +152,7 @@ class ThermoState:
 @dataclass(frozen=True)
 class MaxwellReport:
     """Finite-difference residuals of the three cross-derivative relations
-    of the entropy potential, at the probe step and at half step."""
+    of the entropy potential, at ``MAXWELL_STEP`` and at half step."""
 
     residuals: tuple
     residuals_half: tuple
@@ -261,10 +261,9 @@ def _cold_start(probe, d, n_target, salary, width):
     return _activity_estimate(d, n_target) - beta * (w * e1 + (1.0 - w) * e2), beta
 
 
-def _solve(dist, d, n_target, u_target, start=None):
+def _solve(dist, d, n_target, u_target):
     """:func:`invert_to_params` as the floats (alpha, beta) and the
-    :func:`~hierstat.ensemble._moments` list at the solution; Newton starts
-    from ``start`` = (alpha, beta) when it is given."""
+    :func:`~hierstat.ensemble._moments` list at the solution."""
     d = _check_capacity(d)
     probe = resolve(dist, GibbsParams(0.0, 1.0))
     if isinstance(probe, Delta):
@@ -283,7 +282,7 @@ def _solve(dist, d, n_target, u_target, start=None):
         raise ValidationError(problems)
 
     scale_u = max(abs(u_target), 1e-12)
-    alpha, beta = start or _cold_start(probe, d, n_target, -u_target, hi - lo)
+    alpha, beta = _cold_start(probe, d, n_target, -u_target, hi - lo)
     try:
         if not (math.isfinite(alpha) and 0.0 < beta < math.inf):
             GibbsParams(alpha, beta)  # raises the record's error for a start off its domain
@@ -419,53 +418,52 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
     """Cross-derivative consistency of the entropy potential.
 
     Checks d(1/T)/dN = -d(mu/T)/dE, d(1/T)/dV = d(p/T)/dE and
-    d(p/T)/dN = -d(mu/T)/dV by central differences around the state,
-    at relative step ``MAXWELL_STEP`` and again at half step so the
-    caller can verify second-order convergence.  E, N and V are each moved
-    up and down at both steps, and each of these 12 probe points is solved
-    once, by an inversion to scaled residuals of 1e-12 started at (alpha,
-    beta) + J^-1 (dn, du) with the state's J; one central difference gives all
-    three of 1/T, mu/T and p/T.  Requires a fixed, non-point-mass phi,
-    otherwise S is not a free function of (E, N) at fixed V.
+    d(p/T)/dN = -d(mu/T)/dV, with (1/T, mu/T, p/T) = (beta, alpha, omega),
+    on the forward map: central differences at alpha +- h and beta (1 +- h)
+    give K = d(n u, n)/d(alpha, beta), and one 2x2 solve with K per variable
+    of (E, N, V) = V (n u, n, 1) gives d(alpha, beta)/d(E, N, V): a test that
+    n, m1 and omega derive from one potential, not of the inverse problem.
+    h is ``MAXWELL_STEP`` and half of it, so the caller can verify second-order
+    convergence.  Requires a fixed, non-point-mass phi, otherwise S is not a
+    free function of (E, N) at fixed V.
     """
     if isinstance(dist, ParametricFamily):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
     if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
-        raise ValidationError(
-            "point-mass distribution: u is pinned to -epsilon0, so entropy is "
-            "not a free function of (energy, elements) and the cross "
-            "derivatives are undefined")
+        raise ValidationError("point-mass distribution: u is pinned to -epsilon0, so entropy "
+                              "is not a free function of (energy, elements) and the cross "
+                              "derivatives are undefined")
 
     state, m = _state(dist, d, params, volume)
-    e0, n0, v0 = state.energy_total, state.elements, float(volume)
-    jac = _derivatives(dist, d, state.alpha, state.beta, m)[:4]
+    alpha, beta, v = state.alpha, state.beta, float(volume)
 
     def residuals(h: float):
-        # grad[var][k]: central difference of (1/T, mu/T, p/T)[k] = (beta, alpha,
-        # omega) at n = N/V, u = E/N, in var = E, N, V; six probe solves per step
+        # the alpha and beta columns of (n u, n, omega) = (-m1, n, omega)
+        cols = []
+        for da, db in ((h, 0.0), (0.0, h * beta)):
+            plus = _moments(dist, d, alpha + da, beta + db)
+            minus = _moments(dist, d, alpha - da, beta - db)
+            width = 2.0 * (da + db)
+            cols.append(((minus[1] - plus[1]) / width, (plus[0] - minus[0]) / width,
+                         (plus[2] - minus[2]) / width))
+        (nu_a, n_a, om_a), (nu_b, n_b, om_b) = cols
+        # grad[var] = d(beta, alpha, omega)/d(var) for var = E, N, V, from
+        # V K d(alpha, beta) = (dE, dN) - (n u, n) dV
         grad = []
-        for var, h_var in enumerate((h * abs(e0), h * n0, h * v0)):
-            probes = []
-            for shift in (h_var, -h_var):
-                energy, elements, vol = (x + shift if i == var else x
-                                         for i, x in enumerate((e0, n0, v0)))
-                n, u = elements / vol, energy / elements
-                try:  # the first-order prediction; the state itself where J is singular
-                    da, db = _lu_solve_2x2(*jac, n - state.n, u - state.u)
-                except ZeroDivisionError:
-                    da = db = 0.0
-                alpha, beta, m = _solve(dist, d, n, u, (state.alpha + da, state.beta + db))
-                probes.append((beta, alpha, m[2]))
-            grad.append([(fp - fm) / (2.0 * h_var) for fp, fm in zip(*probes)])
+        for rhs in ((1.0 / v, 0.0), (0.0, 1.0 / v), (m[1] / v, -m[0] / v)):
+            try:
+                da, db = _lu_solve_2x2(nu_a, nu_b, n_a, n_b, *rhs)
+            except ZeroDivisionError:
+                raise SingularInversion("Jacobian of (n u, n) with respect to (alpha, beta) "
+                                        f"is singular at alpha={alpha!r}, beta={beta!r}") from None
+            grad.append((db, da, om_a * da + om_b * db))
         (de_b, de_a, de_o), (dn_b, _, dn_o), (dv_b, dv_a, _) = grad
         pairs = ((dn_b, -de_a), (dv_b, de_o), (dn_o, -dv_a))
         return tuple(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs)
 
-    full = residuals(MAXWELL_STEP)
-    half = residuals(0.5 * MAXWELL_STEP)
-    orders = tuple(
-        math.log2(f / h) if h > 0 and f > 0 else math.inf
-        for f, h in zip(full, half))
+    full, half = residuals(MAXWELL_STEP), residuals(0.5 * MAXWELL_STEP)
+    orders = tuple(math.log2(f / h) if h > 0 and f > 0 else math.inf
+                   for f, h in zip(full, half))
     return MaxwellReport(residuals=full, residuals_half=half,
                          orders=orders, step=MAXWELL_STEP)
 

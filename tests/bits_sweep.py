@@ -12,8 +12,10 @@ the chain loop's streams), ``cli`` (the bytes each command writes),
 ``kernels`` (the fused (f, f', log Z) of ``gentile._kernels``), ``moments``
 (the moment integrals per phi kind and activity width band) and ``thermo``
 (the fields and identity residuals of ``thermo_state`` and the residuals
-of ``maxwell_check``, or the refusal).  It is a tool, not a test: nothing
-here is collected or pinned.
+of ``maxwell_check``, or the refusal) and ``solver`` (the forward moments
+and ``invert_to_params`` on the draws of the two round-trip boxes of
+``tests/test_thermostatics.py``, or the refusal).  It is a tool, not a
+test: nothing here is collected or pinned.
 """
 
 import contextlib
@@ -28,8 +30,9 @@ import numpy as np
 
 from hierstat import (Delta, GibbsParams, HierarchySpec, HierstatError, Histogram,
                       OccupancyLevel, ParametricFamily, TwoPoint, Uniform, ValidationError,
-                      exact_canonical, maxwell_check, pumped_relaxation,
-                      sample_grand_canonical, simulate_canonical, thermo_state)
+                      ensemble_moments, exact_canonical, invert_to_params, maxwell_check,
+                      pumped_relaxation, sample_grand_canonical, simulate_canonical,
+                      thermo_state)
 from hierstat.cli import main
 from hierstat.ensemble import moment_integrals
 from hierstat.gentile import _kernels
@@ -267,10 +270,33 @@ def thermo_group():
     return digest.hexdigest()
 
 
+#: the two round-trip boxes of tests/test_thermostatics.py: seed and capacities
+_BOXES = ((5, (2, 5, 20, 50, 200, 500, 1000)), (6, (10**4, 10**5, 10**6)))
+
+
+def solver_group():
+    # the inverse problem on the draws of the committed round-trip boxes
+    digest = _Digest()
+    for seed, capacities in _BOXES:
+        rng = np.random.default_rng(seed)
+        for k in range(240):
+            dist = Uniform(0.5, 2.5) if k % 2 == 0 else \
+                TwoPoint(1.0, 3.0, float(rng.uniform(0.1, 0.9)))
+            d = int(rng.choice(capacities))
+            params = GibbsParams(float(rng.uniform(-8, 2)), float(rng.uniform(0.1, 5)))
+            try:
+                mom = ensemble_moments(dist, d, params)
+                digest.add(*dataclasses.astuple(mom))
+                digest.add(*dataclasses.astuple(invert_to_params(dist, d, mom.n, mom.u)))
+            except HierstatError as exc:
+                digest.add(type(exc).__name__, str(exc))
+    return digest.hexdigest()
+
+
 GROUPS = {"exact_canonical": exact_group, "canonical": canonical_group,
           "grand": grand_group, "pumped": pumped_group, "long_chains": long_chains_group,
           "cli": cli_group, "kernels": kernels_group, "moments": moments_group,
-          "thermo": thermo_group}
+          "thermo": thermo_group, "solver": solver_group}
 
 
 if __name__ == "__main__":
