@@ -239,7 +239,10 @@ def _kernels(lam: float, d: int) -> tuple:
     ea, ma = math.exp(-a), -math.expm1(-a)
     et, mt = math.exp(-t), -math.expm1(-t)
     f = ea / ma - dd * (et / mt)
-    fp = ea / (ma * ma) - dd * dd * (et / (mt * mt))
+    # where et underflows, dd * dd can overflow at d above ~1.3e154 and meet
+    # the 0.0 as inf * 0.0; the term is 0.0 there
+    rt = et / (mt * mt)
+    fp = ea / (ma * ma) - (dd * dd * rt if rt else 0.0)
     log_t = math.log1p(-et) if -t < _LN_HALF else math.log(mt)
     log_a = math.log1p(-ea) if -a < _LN_HALF else math.log(ma)
     if lam > 0.0:

@@ -18,10 +18,11 @@ Two kernels, one per counting convention:
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
 documented and portable generator); every result carries its seed, and
-the proposal streams are pre-drawn whole and walked a block of steps at a
-time, so identical seeds give bit-identical outputs regardless of the path
-taken or the block size.  Every sampler reduces its kept states to means
-and standard errors through one function, ``_estimates``.
+the proposal streams are pre-drawn whole, held as integer ranks of about
+3 bytes a step, and walked a block of steps at a time, so identical seeds
+give bit-identical outputs regardless of the path taken or the block size.
+Every sampler reduces its kept states to means and standard errors through
+one function, ``_estimates``.
 """
 
 from __future__ import annotations
@@ -184,19 +185,37 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     # agents and vacant stay fixed: one numpy product per stream, same bits as
     # u * agents; its floor is the rank of the picked agent (vacancy), in the
     # smallest type that holds agents (vacant), where a product can round up
-    # to; the loop lists the streams one block of steps at a time
-    k_src = (rng.random(steps) * agents).astype(np.min_scalar_type(agents))
-    k_tgt = (rng.random(steps) * vacant).astype(np.min_scalar_type(vacant))
-    u_acc = rng.random(steps)
+    # to.  Each stream is scaled in place and freed before the next draw: the
+    # expression rng.random(steps) * agents leaves about 0.5 MB more resident
+    # after its first call.
+    x = rng.random(steps)
+    x *= agents
+    k_src = x.astype(np.min_scalar_type(agents))
+    del x
+    x = rng.random(steps)
+    x *= vacant
+    k_tgt = x.astype(np.min_scalar_type(vacant))
+    del x
 
     # acceptance min(1, e^{-beta * cut}) of src -> tgt at code src * n_levels
-    # + tgt, certain (u < 1.0) where beta * cut <= 0, so exp never overflows;
-    # the loop records code + 1 per move (0: none) through a memoryview,
-    # cheaper than a numpy item store, and the histories are rebuilt from the
-    # codes afterwards
+    # + tgt, certain (u < 1.0) where beta * cut <= 0, so exp never overflows.
+    # The loop compares integer ranks: q, the number of distinct acceptance
+    # values <= u, reaches need[code], the number <= accept[code], exactly
+    # when u >= accept[code]; numpy makes the same float comparisons once, a
+    # block at a time, into the smallest type that holds the count of values.
     accept = [1.0 if beta * (s_src - s_tgt) <= 0.0
               else math.exp(-beta * (s_src - s_tgt))
               for s_src in sals for s_tgt in sals]
+    levels = sorted(set(accept))  # np.unique would import numpy.ma, about 0.5 MB
+    need = np.searchsorted(levels, accept, side="right").tolist()
+    u = rng.random(steps)
+    q_acc = np.empty(steps, dtype=np.min_scalar_type(len(levels)))
+    for a in range(0, steps, _BLOCK):
+        q_acc[a:a + _BLOCK] = np.searchsorted(levels, u[a:a + _BLOCK], side="right")
+    del u
+    # the loop records code + 1 per move (0: none) through a memoryview,
+    # cheaper than a numpy item store, and the histories are rebuilt from the
+    # codes afterwards
     codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
     record = memoryview(codes)
     # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
@@ -220,21 +239,22 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])] + [last]
     occ = np.cumsum(r).tolist()
     vac = (np.cumsum(caps) - occ).tolist()
-    # a same-level pick moves nothing and is always taken (u < 1.0); a move
-    # between adjacent levels is the span loops below written out for one j
+    # a same-level pick moves nothing and is always taken (u < 1.0, so q
+    # stays below the need of 1.0); a move between adjacent levels is the
+    # span loops below written out for one j
     accepted = rejected = 0
     if agents and vacant:
         i = -1
-        for ks, kt, u in chain.from_iterable(
+        for ks, kt, q in chain.from_iterable(
                 zip(k_src[a:a + _BLOCK].tolist(), k_tgt[a:a + _BLOCK].tolist(),
-                    u_acc[a:a + _BLOCK].tolist()) for a in range(0, steps, _BLOCK)):
+                    q_acc[a:a + _BLOCK].tolist()) for a in range(0, steps, _BLOCK)):
             i += 1
             src = held[ks]
             tgt = free[kt]
             if src == tgt:
                 continue
             code = src * n_levels + tgt
-            if u >= accept[code]:
+            if q >= need[code]:
                 rejected += 1
                 continue
             record[i] = code + 1
@@ -263,14 +283,15 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                     free[vac[k]] = k1
         accepted = steps - rejected
 
-    del k_src, k_tgt, u_acc  # about 10 bytes a step; free them before the history
-    # row 0 starts from r, each move adds -1/+1, one cumulative sum does the rest
-    hist = np.zeros((steps, n_levels), dtype=np.int32)
-    hist[:1] = r
-    moved = np.flatnonzero(codes)
-    src, tgt = np.divmod(codes[moved] - 1, n_levels)
-    hist[moved, src] -= 1
-    hist[moved, tgt] += 1
+    del k_src, k_tgt, q_acc  # about 3 bytes a step; free them before the history
+    # row code + 1 of the move table is the move's change, -1 at src and +1
+    # at tgt (row 0: none); row 0 of the history adds r, and one cumulative
+    # sum does the rest
+    eye = np.eye(n_levels, dtype=np.int32)
+    delta = np.concatenate((np.zeros_like(eye[:1]), (eye - eye[:, None]).reshape(-1, n_levels)))
+    hist = delta[codes]
+    if steps:
+        hist[0] += r
     np.cumsum(hist, axis=0, out=hist)
     return hist, accepted, np.diff(occ, prepend=0).tolist()
 

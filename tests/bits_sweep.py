@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -142,7 +143,10 @@ def pumped_group():
 _LONG_SPECS = ((((1, 3.0), (3, 2.0), (10, 1.0)), 8, 1.0),
                (tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)), 127, 0.65),
                # 17 levels: move codes need uint16
-               (tuple((1 + k, 17.0 - k) for k in range(17)), 70, 0.6))
+               (tuple((1 + k, 17.0 - k) for k in range(17)), 70, 0.6),
+               # irregular salary gaps: 277 distinct acceptance values, so
+               # acceptance ranks need uint16
+               (tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)), 150, 1.0))
 
 
 def long_chains_group():
@@ -206,8 +210,8 @@ def cli_group():
 
 
 def kernels_group():
-    # d up to 1e150: above it f' overflows to inf or nan, and mending that
-    # moves those bits
+    # d up to 1e150: above it f', of order d^2 near the series switch,
+    # overflows to inf or nan, and mending that moves those bits
     digest = _Digest()
     magnitudes = np.concatenate(([0.0, 1e-300, 1e-12], np.logspace(-6, np.log10(700.0), 60)))
     lams = np.concatenate((-magnitudes[::-1], magnitudes[1:])).tolist()

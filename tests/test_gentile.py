@@ -235,6 +235,19 @@ def test_kernels_against_mpmath_oracle(d):
     assert not too_far, f"d={d}: {too_far}"
 
 
+def test_variance_where_the_capacity_squared_overflows():
+    # above d ~ 1.3e154, (d + 1)^2 overflows where e^{-|lambda| (d + 1)}
+    # underflows; the second term of f' is 0.0 there, not inf * 0.0 = nan
+    mpmath = pytest.importorskip("mpmath")
+    for d in (10**155, 10**200, 10**300):
+        with mpmath.workdps(50):
+            q, qd = mpmath.exp(-5), mpmath.exp(-5 * mpmath.mpf(d + 1))
+            exact = q / (1 - q) ** 2 - mpmath.mpf(d + 1) ** 2 * qd / (1 - qd) ** 2
+        for lam in (-5.0, 5.0):
+            got = gentile_mean_dlambda(lam, d)
+            assert float(abs((mpmath.mpf(got) - exact) / exact)) <= 4 * 2.0 ** -52, (d, lam, got)
+
+
 def _switch_pair(d):
     """The largest lambda > 0 with lambda (d+1) below the series cutoff, and
     the next double up, on the closed-form side."""

@@ -142,6 +142,31 @@ def test_dp_marginal_approaches_closed_form_with_growing_reservoir():
         assert 0.010 <= scaled <= 0.013, (reservoir, scaled)
 
 
+def test_dp_scaled_hierarchy_approaches_fermi_dirac_per_position():
+    # positions are distinct slots, so as the spec ((4, 3), (10, 2), (30, 1))
+    # and its 12 agents scale by m, each level's exact mean approaches
+    # c_k FD(alpha* + beta s_k), alpha* from the FD total (-2.466487 at
+    # beta = 1).  Bounds stated before the run: the largest relative gap
+    # times the 12m agents in [0.18, 0.20] (measured 0.1876, 0.1867, 0.1865)
+    # and shrinking by a factor in [3.8, 4.2] per x4 in m (measured 4.02, 4.00)
+    sals = (3.0, 2.0, 1.0)
+
+    def fermi(lam):
+        return 1.0 / (1.0 + math.exp(-lam))
+
+    gaps = []
+    for m in (4, 16, 64):
+        caps = (4 * m, 10 * m, 30 * m)
+        ex = exact_canonical(HierarchySpec(tuple(zip(caps, sals))), 12 * m, 1.0)
+        alpha = brentq(lambda a: sum(c * fermi(a + s) for c, s in zip(caps, sals)) - 12 * m,
+                       -50.0, 50.0, xtol=1e-13)
+        predicted = [c * fermi(alpha + s) for c, s in zip(caps, sals)]
+        gaps.append(max(abs(e - p) / p for e, p in zip(ex.mean_occupancy.tolist(), predicted)))
+        assert 0.18 <= gaps[-1] * 12 * m <= 0.20, (m, gaps[-1] * 12 * m)
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 3.8 <= wide / narrow <= 4.2, gaps
+
+
 # Recorded before the convolution kept only feasible windows; a change in
 # the logaddexp fold order (or in which factor it runs over) moves these.
 # At 100 and 250 agents some windows are shorter on the higher-degree factor.

@@ -30,6 +30,9 @@ from hierstat.montecarlo import (
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
 S17 = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
+# irregular salary gaps: 277 distinct acceptance values at beta = 1, so the
+# acceptance ranks need a type wider than uint8
+S24 = HierarchySpec(tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)))
 BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
 ONE = HierarchySpec(((7, 2.0),))
 
@@ -326,11 +329,12 @@ _BRANCHES = {"same level", "rejected", "adjacent down", "adjacent up",
              "multi-level down", "multi-level up"}
 
 
-@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "ONE", "BIG", "UNIT"])
+@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "S24", "ONE", "BIG", "UNIT"])
 def test_step_loop_matches_linear_scan(name):
     # UNIT's moves cross only empty or full levels, whose boundaries share
     # ranks in the loop's rank lists
-    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "ONE": ONE, "BIG": BIG, "UNIT": UNIT}[name]
+    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "S24": S24, "ONE": ONE, "BIG": BIG,
+            "UNIT": UNIT}[name]
     total = spec.total_positions
     cases = [(agents, beta, seed, 1_500)
              for agents in sorted({0, 1, total // 2, total - 1, total})
@@ -473,8 +477,8 @@ def test_pump_fraction_validated():
                          ids=["golden", "DEEP"])
 def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
     # the chain holds no per-step temporary beyond the arrays it returns:
-    # streams of about 10 bytes a step, listed a block at a time, and no
-    # copy of the history in the reductions
+    # one float stream at a time, rank streams of about 3 bytes a step,
+    # listed a block at a time, and no copy of the history in the reductions
     simulate_canonical(spec, agents, beta, 1_000, 0)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -487,13 +491,37 @@ def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
     assert peak <= 1.25 * returned, peak / returned
 
 
+@pytest.mark.parametrize("spec, agents, beta", [(L3, 8, 1.0), (DEEP, 127, 0.65)],
+                         ids=["golden", "DEEP"])
+def test_chain_peak_memory_is_about_its_history(spec, agents, beta):
+    # bound stated before the run: 1.2 x the history's bytes (the floats of
+    # the acceptance test made once into integer ranks, one float stream
+    # alive at a time, the history taken from a move table)
+    rng = np.random.default_rng(0)
+    _run_position_chain(spec, beta, _initial_occupancy(spec, agents, rng), 1_000, rng)
+    rng = np.random.default_rng(3)
+    r0 = _initial_occupancy(spec, agents, rng)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        hist = _run_position_chain(spec, beta, r0, 120_000, rng)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * hist.nbytes, peak / hist.nbytes
+
+
 def _chain_bytes():
-    """Every output array of a 20 003-step chain and a pumped run, as bytes."""
+    """Every output array of a 20 003-step chain and two pumped runs, one of
+    them with no equilibration steps, as bytes."""
     run = simulate_canonical(DEEP, 100, 0.7, 20_003, 5, burn_in_fraction=0.3)
-    laser = pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 5_001, 7_003, 4)
+    lasers = (pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 5_001, 7_003, 4),
+              pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 0, 7_003, 4))
     arrays = (run.recorded_steps, run.occupancies, run.energies, run.mean_occupancy,
-              run.stderr, laser.recorded_steps, laser.occupancies, laser.energies,
-              laser.phases, laser.relax_mean_occupancy, laser.relax_stderr)
+              run.stderr) + tuple(
+        a for laser in lasers
+        for a in (laser.recorded_steps, laser.occupancies, laser.energies,
+                  laser.phases, laser.relax_mean_occupancy, laser.relax_stderr))
     return b"".join(a.tobytes() for a in arrays) + run.acceptance_rate.hex().encode()
 
 
