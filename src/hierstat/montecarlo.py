@@ -18,9 +18,10 @@ Two kernels, one per counting convention:
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
 documented and portable generator); every result carries its seed, and
-the proposal streams are pre-drawn whole, held as integer ranks of about
-3 bytes a step, and walked a block of steps at a time, so identical seeds
-give bit-identical outputs regardless of the path taken or the block size.
+the proposal streams are pre-drawn whole, made a block of steps at a time
+into integer ranks of about 3 bytes a step, and walked through memoryviews,
+so identical seeds give bit-identical outputs regardless of the path taken
+or the block size.
 Every sampler reduces its kept states to means and standard errors through
 one function, ``_estimates``.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 PHASE_NAMES = ("equilibrate", "pump", "relax")
-_BLOCK = 2 ** 14  # steps of streams the chain loop lists at a time; rows of _energies
+_BLOCK = 2 ** 14  # steps of the chain's numpy passes at a time; rows of _energies
 
 
 def _estimates(history: np.ndarray):
@@ -148,9 +148,13 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     rng = np.random.default_rng(seed)
     up = rng.integers(0, 2, size=steps) == 1
     u = rng.random(steps)
-    x = np.zeros(steps, dtype=np.int8)
-    x[up & (u < (1.0 if lam >= 0.0 else math.exp(lam)))] = 1
-    x[~up & (u < (1.0 if lam <= 0.0 else math.exp(-lam)))] = -1
+    # x = [taken up] - [taken down], the bools' bytes read as int8 0 / 1,
+    # by an int8 negate and add: _clipped_walk adds in int8 too, where an
+    # int8 subtract would map 64 KB more of numpy's code and raise the
+    # process's peak RSS
+    x = (up & (u < (1.0 if lam >= 0.0 else math.exp(lam)))).view(np.int8)
+    down = (~up & (u < (1.0 if lam <= 0.0 else math.exp(-lam)))).view(np.int8)
+    x += np.negative(down, out=down)
     out = _clipped_walk(x, d, d // 2)
 
     burn = int(steps * burn_in_fraction)
@@ -187,7 +191,10 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     # smallest type that holds agents (vacant), where a product can round up
     # to.  Each stream is scaled in place and freed before the next draw: the
     # expression rng.random(steps) * agents leaves about 0.5 MB more resident
-    # after its first call.
+    # after its first call.  The move codes the loop records outlive the
+    # streams, so they are allocated first: the streams' blocks then free
+    # next to each other, into room the history can take.
+    codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
     x = rng.random(steps)
     x *= agents
     k_src = x.astype(np.min_scalar_type(agents))
@@ -202,7 +209,11 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     # The loop compares integer ranks: q, the number of distinct acceptance
     # values <= u, reaches need[code], the number <= accept[code], exactly
     # when u >= accept[code]; numpy makes the same float comparisons once, a
-    # block at a time, into the smallest type that holds the count of values.
+    # block at a time.  The top value is 1.0 (a same-level pick), which no
+    # u < 1.0 reaches, so q is the number of passes u >= v it meets over the
+    # values below it, counted in at least int16 (an int8 or uint8 add maps
+    # 64 KB more of numpy's code into a `hierstat simulate` process) and
+    # stored in the smallest type that holds the count of values.
     accept = [1.0 if beta * (s_src - s_tgt) <= 0.0
               else math.exp(-beta * (s_src - s_tgt))
               for s_src in sals for s_tgt in sals]
@@ -210,13 +221,17 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     need = np.searchsorted(levels, accept, side="right").tolist()
     u = rng.random(steps)
     q_acc = np.empty(steps, dtype=np.min_scalar_type(len(levels)))
+    count_type = np.promote_types(np.int16, q_acc.dtype)
     for a in range(0, steps, _BLOCK):
-        q_acc[a:a + _BLOCK] = np.searchsorted(levels, u[a:a + _BLOCK], side="right")
+        counts = np.zeros(min(_BLOCK, steps - a), dtype=count_type)
+        for v in levels[:-1]:
+            counts += u[a:a + _BLOCK] >= v
+        q_acc[a:a + _BLOCK] = counts
+        del counts
     del u
     # the loop records code + 1 per move (0: none) through a memoryview,
     # cheaper than a numpy item store, and the histories are rebuilt from the
     # codes afterwards
-    codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
     record = memoryview(codes)
     # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
     # the level of the rank-k agent / vacancy in level order, the first j
@@ -241,13 +256,12 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     vac = (np.cumsum(caps) - occ).tolist()
     # a same-level pick moves nothing and is always taken (u < 1.0, so q
     # stays below the need of 1.0); a move between adjacent levels is the
-    # span loops below written out for one j
+    # span loops below written out for one j.  The streams are walked
+    # through memoryviews, which yield Python ints without listing them
     accepted = rejected = 0
     if agents and vacant:
         i = -1
-        for ks, kt, q in chain.from_iterable(
-                zip(k_src[a:a + _BLOCK].tolist(), k_tgt[a:a + _BLOCK].tolist(),
-                    q_acc[a:a + _BLOCK].tolist()) for a in range(0, steps, _BLOCK)):
+        for ks, kt, q in zip(memoryview(k_src), memoryview(k_tgt), memoryview(q_acc)):
             i += 1
             src = held[ks]
             tgt = free[kt]
@@ -344,10 +358,13 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
     hist, accepted, _ = _run_position_chain(spec, beta, r0, steps, rng)
     burn = int(steps * burn_in_fraction)
     means, errs = _estimates(hist[burn:])
-    idx = np.arange(0, steps, record_every)
+    # when record_every > 1 the full history is dropped before _energies;
+    # recorded_steps is built last
     occ = np.ascontiguousarray(hist[::record_every])
+    del hist
+    energies = _energies(spec, occ)
     return CanonicalRun(
-        recorded_steps=idx, occupancies=occ, energies=_energies(spec, occ),
+        recorded_steps=np.arange(0, steps, record_every), occupancies=occ, energies=energies,
         mean_occupancy=means, stderr=errs,
         acceptance_rate=accepted / steps, steps=steps, burn_in=burn,
         seed=seed, beta=beta, agents=agents)

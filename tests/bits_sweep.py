@@ -146,7 +146,9 @@ _LONG_SPECS = ((((1, 3.0), (3, 2.0), (10, 1.0)), 8, 1.0),
                (tuple((1 + k, 17.0 - k) for k in range(17)), 70, 0.6),
                # irregular salary gaps: 277 distinct acceptance values, so
                # acceptance ranks need uint16
-               (tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)), 150, 1.0))
+               (tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)), 150, 1.0),
+               # 3000 agents and 3110 vacancies: the pick ranks need uint16
+               (((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)), 3000, 1.0))
 
 
 def long_chains_group():

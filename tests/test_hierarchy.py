@@ -167,6 +167,59 @@ def test_dp_scaled_hierarchy_approaches_fermi_dirac_per_position():
         assert 3.8 <= wide / narrow <= 4.2, gaps
 
 
+def _log_convolve(log_a, log_b, size):
+    """Log coefficients, up to degree size - 1, of the product of two
+    polynomials given by their log coefficients (-inf for a zero)."""
+    terms = np.full((len(log_b), size), -np.inf)
+    for r, lb in enumerate(log_b.tolist()):
+        n = min(len(log_a), size - r)
+        if n > 0:
+            terms[r, r:r + n] = log_a[:n] + lb
+    return np.logaddexp.reduce(terms, axis=0)
+
+
+def test_identical_positions_approach_gentile_per_company():
+    # the paper's construction: V companies of d = 5 identical positions,
+    # weight e^{beta eps r} for r agents (no multiplicity), eight salaries
+    # repeated V / 8 times and N = 2V agents.  The exact mean of a company
+    # is sum_r r w(r) Z'_{N - r} / Z_N, Z' the others' coefficients, from a
+    # log-space convolution; it approaches gentile_mean(alpha* + beta eps, 5),
+    # alpha* from the Gentile total.  Bounds stated before the run: the
+    # largest relative gap times V in [0.85, 0.95] (measured 0.903, 0.894,
+    # 0.895) and shrinking by a factor in [3.8, 4.2] per x4 in V (measured
+    # 4.04, 3.995)
+    sals = (1.0, 1.3, 1.7, 2.0, 2.4, 2.9, 3.3, 4.0)
+    d, beta = 5, 1.0
+    gaps = []
+    for v in (32, 128, 512):
+        agents = 2 * v
+        size = agents + 1
+        weights = [beta * s * np.arange(d + 1.0) for s in sals]
+        # every company but one of each salary, then each salary's others
+        rest = np.zeros(1)
+        for w in weights:
+            for _ in range(v // 8 - 1):
+                rest = _log_convolve(rest, w, size)
+        others = []
+        for k in range(len(sals)):
+            z = rest
+            for j, w in enumerate(weights):
+                if j != k:
+                    z = _log_convolve(z, w, size)
+            others.append(z)
+        log_z = _log_convolve(others[0], weights[0], size)[agents]
+        exact = [float(np.sum(np.arange(d + 1.0)
+                              * np.exp(w + z[agents - d:][::-1] - log_z)))
+                 for w, z in zip(weights, others)]
+        alpha = brentq(lambda a: v / 8 * sum(gentile_mean(a + beta * s, d) for s in sals)
+                       - agents, -50.0, 50.0, xtol=1e-13)
+        predicted = [gentile_mean(alpha + beta * s, d) for s in sals]
+        gaps.append(max(abs(e - p) / p for e, p in zip(exact, predicted)))
+        assert 0.85 <= gaps[-1] * v <= 0.95, (v, gaps[-1] * v)
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 3.8 <= wide / narrow <= 4.2, gaps
+
+
 # Recorded before the convolution kept only feasible windows; a change in
 # the logaddexp fold order (or in which factor it runs over) moves these.
 # At 100 and 250 agents some windows are shorter on the higher-degree factor.

@@ -31,8 +31,10 @@ L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
 S17 = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
 # irregular salary gaps: 277 distinct acceptance values at beta = 1, so the
-# acceptance ranks need a type wider than uint8
+# acceptance ranks need a type wider than uint8; S23's 254 fill uint8, most
+# draws ranking above 127
 S24 = HierarchySpec(tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)))
+S23 = HierarchySpec(tuple((1 + k, 23.0 - k + 0.3 * math.sqrt(k)) for k in range(23)))
 BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
 ONE = HierarchySpec(((7, 2.0),))
 
@@ -329,11 +331,11 @@ _BRANCHES = {"same level", "rejected", "adjacent down", "adjacent up",
              "multi-level down", "multi-level up"}
 
 
-@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "S24", "ONE", "BIG", "UNIT"])
+@pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "S23", "S24", "ONE", "BIG", "UNIT"])
 def test_step_loop_matches_linear_scan(name):
     # UNIT's moves cross only empty or full levels, whose boundaries share
     # ranks in the loop's rank lists
-    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "S24": S24, "ONE": ONE, "BIG": BIG,
+    spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "S23": S23, "S24": S24, "ONE": ONE, "BIG": BIG,
             "UNIT": UNIT}[name]
     total = spec.total_positions
     cases = [(agents, beta, seed, 1_500)
@@ -371,14 +373,21 @@ class _FixedDraws:
 
 def test_step_loop_ties_match_linear_scan():
     # exact products land on running counts, an empty first level included;
-    # u = 1.0 reaches the total, where the scan falls back to the last level
-    for r0 in ([0, 2, 6], [0, 2, 4]):
+    # u = 1.0 reaches the total, where the scan falls back to the last level.
+    # Acceptance draws sit at 0.0, at the two values below 1.0 at beta = 1,
+    # e^-1 and e^-2, and one ulp under each; from [1, 3, 0] every move is a
+    # cut, of 2 from the top level and of 1 from the middle one
+    cuts = (math.exp(-1.0), math.exp(-2.0))
+    accepts = (0.0,) + cuts + tuple(math.nextafter(v, 0.0) for v in cuts)
+    for r0 in ([0, 2, 6], [0, 2, 4], [1, 3, 0]):
         for u in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
-            got, want = (list(loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [0.0])))
-                         for loop in (_run_position_chain, _linear_scan_chain))
-            got.insert(1, _energies(L3, got[0]))
-            assert np.array_equal(got[0], want[0]), (r0, u)
-            assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], (r0, u)
+            for u_acc in accepts:
+                got, want = (list(loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [u_acc])))
+                             for loop in (_run_position_chain, _linear_scan_chain))
+                got.insert(1, _energies(L3, got[0]))
+                assert np.array_equal(got[0], want[0]), (r0, u, u_acc)
+                assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], \
+                    (r0, u, u_acc)
 
 
 def test_negative_beta_matches_exact():
@@ -478,7 +487,7 @@ def test_pump_fraction_validated():
 def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
     # the chain holds no per-step temporary beyond the arrays it returns:
     # one float stream at a time, rank streams of about 3 bytes a step,
-    # listed a block at a time, and no copy of the history in the reductions
+    # walked through memoryviews, and no copy of the history in the reductions
     simulate_canonical(spec, agents, beta, 1_000, 0)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -496,7 +505,8 @@ def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
 def test_chain_peak_memory_is_about_its_history(spec, agents, beta):
     # bound stated before the run: 1.2 x the history's bytes (the floats of
     # the acceptance test made once into integer ranks, one float stream
-    # alive at a time, the history taken from a move table)
+    # alive at a time, the streams walked through memoryviews, the history
+    # taken from a move table)
     rng = np.random.default_rng(0)
     _run_position_chain(spec, beta, _initial_occupancy(spec, agents, rng), 1_000, rng)
     rng = np.random.default_rng(3)
