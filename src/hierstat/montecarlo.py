@@ -19,9 +19,13 @@ Two kernels, one per counting convention:
 All randomness flows through ``numpy.random.default_rng`` (PCG64, a
 documented and portable generator); every result carries its seed, and
 the proposal streams are pre-drawn whole, made a block of steps at a time
-into integer ranks of about 3 bytes a step, and walked through memoryviews,
-so identical seeds give bit-identical outputs regardless of the path taken
-or the block size.
+into integer ranks of about 3 bytes a step, and walked through memoryviews.
+The fixed-agent-count chain walks them on its level counts, which are
+themselves a Markov chain: where that chain's transition table is small
+against the step count, one list lookup a step on the table, elsewhere a
+step loop on lists of the picked ranks' levels.  Identical seeds give
+bit-identical outputs regardless of the walk, the path taken or the block
+size.
 Every sampler reduces its kept states to means and standard errors through
 one function, ``_estimates``.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -174,24 +179,22 @@ def _initial_occupancy(spec: HierarchySpec, agents: int,
     return np.bincount(level_of, minlength=len(caps)).tolist()
 
 
-def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
-                        steps: int, rng: np.random.Generator):
-    """Position-swap Metropolis for ``steps`` moves from state ``r``.
+def _ranked_draws(spec: HierarchySpec, beta: float, agents: int, vacant: int,
+                  steps: int, rng: np.random.Generator):
+    """The chain's three proposal streams, made into integer ranks.
 
-    Returns (int32 occupancy history, one row per step; accepted count; final r).
+    Returns (codes, zeroed, one per step; k_src; k_tgt; q_acc; need): the
+    ranks of the picked agent, the picked vacancy and the acceptance draw,
+    and need[code], the least acceptance rank that refuses move ``code``.
     """
-    caps = spec.capacities.tolist()
     sals = spec.salaries.tolist()
-    n_levels = len(caps)
-    agents = sum(r)
-    vacant = sum(caps) - agents
-
+    n_levels = len(sals)
     # agents and vacant stay fixed: one numpy product per stream, same bits as
     # u * agents; its floor is the rank of the picked agent (vacancy), in the
     # smallest type that holds agents (vacant), where a product can round up
     # to.  Each stream is scaled in place and freed before the next draw: the
     # expression rng.random(steps) * agents leaves about 0.5 MB more resident
-    # after its first call.  The move codes the loop records outlive the
+    # after its first call.  The move codes the walk records outlive the
     # streams, so they are allocated first: the streams' blocks then free
     # next to each other, into room the history can take.
     codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
@@ -206,7 +209,7 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
 
     # acceptance min(1, e^{-beta * cut}) of src -> tgt at code src * n_levels
     # + tgt, certain (u < 1.0) where beta * cut <= 0, so exp never overflows.
-    # The loop compares integer ranks: q, the number of distinct acceptance
+    # The walks compare integer ranks: q, the number of distinct acceptance
     # values <= u, reaches need[code], the number <= accept[code], exactly
     # when u >= accept[code]; numpy makes the same float comparisons once, a
     # block at a time.  The top value is 1.0 (a same-level pick), which no
@@ -229,9 +232,17 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
         q_acc[a:a + _BLOCK] = counts
         del counts
     del u
-    # the loop records code + 1 per move (0: none) through a memoryview,
-    # cheaper than a numpy item store, and the histories are rebuilt from the
-    # codes afterwards
+    return codes, k_src, k_tgt, q_acc, need
+
+
+def _walk_loop(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
+    """The chain's moves, one step at a time, on lists of the picked ranks' levels.
+
+    Stores code + 1 of each taken move in ``codes`` (0: none) and returns
+    (refused moves, final r).  Needs at least one agent and one vacancy.
+    """
+    n_levels = len(caps)
+    # the loop records through a memoryview, cheaper than a numpy item store
     record = memoryview(codes)
     # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
     # the level of the rank-k agent / vacancy in level order, the first j
@@ -258,56 +269,174 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
     # stays below the need of 1.0); a move between adjacent levels is the
     # span loops below written out for one j.  The streams are walked
     # through memoryviews, which yield Python ints without listing them
-    accepted = rejected = 0
-    if agents and vacant:
-        i = -1
-        for ks, kt, q in zip(memoryview(k_src), memoryview(k_tgt), memoryview(q_acc)):
-            i += 1
-            src = held[ks]
-            tgt = free[kt]
-            if src == tgt:
+    rejected = 0
+    i = -1
+    for ks, kt, q in zip(memoryview(k_src), memoryview(k_tgt), memoryview(q_acc)):
+        i += 1
+        src = held[ks]
+        tgt = free[kt]
+        if src == tgt:
+            continue
+        code = src * n_levels + tgt
+        if q >= need[code]:
+            rejected += 1
+            continue
+        record[i] = code + 1
+        if src < tgt:
+            if tgt - src == 1:
+                occ[src] -= 1
+                held[occ[src]] = tgt
+                free[vac[src]] = src
+                vac[src] += 1
                 continue
-            code = src * n_levels + tgt
-            if q >= need[code]:
-                rejected += 1
-                continue
-            record[i] = code + 1
-            if src < tgt:
-                if tgt - src == 1:
-                    occ[src] -= 1
-                    held[occ[src]] = tgt
-                    free[vac[src]] = src
-                    vac[src] += 1
-                    continue
-                for j, j1, k in spans[code]:
-                    occ[j] -= 1
-                    held[occ[j]] = j1
-                    free[vac[k]] = k
-                    vac[k] += 1
-            elif src - tgt == 1:
-                held[occ[tgt]] = tgt
-                occ[tgt] += 1
-                vac[tgt] -= 1
-                free[vac[tgt]] = src
-            else:
-                for j, k, k1 in spans[code]:
-                    held[occ[j]] = j
-                    occ[j] += 1
-                    vac[k] -= 1
-                    free[vac[k]] = k1
-        accepted = steps - rejected
+            for j, j1, k in spans[code]:
+                occ[j] -= 1
+                held[occ[j]] = j1
+                free[vac[k]] = k
+                vac[k] += 1
+        elif src - tgt == 1:
+            held[occ[tgt]] = tgt
+            occ[tgt] += 1
+            vac[tgt] -= 1
+            free[vac[tgt]] = src
+        else:
+            for j, k, k1 in spans[code]:
+                held[occ[j]] = j
+                occ[j] += 1
+                vac[k] -= 1
+                free[vac[k]] = k1
+    return rejected, np.diff(occ, prepend=0).tolist()
 
-    del k_src, k_tgt, q_acc  # about 3 bytes a step; free them before the history
-    # row code + 1 of the move table is the move's change, -1 at src and +1
-    # at tgt (row 0: none); row 0 of the history adds r, and one cumulative
-    # sum does the rest
+
+def _lumped_states(caps: list, agents: int) -> int:
+    """The number of level-count vectors with ``agents`` agents, 0 <= r_j <= caps[j]."""
+    ways = [1] + [0] * agents  # vectors over the levels so far, by agents placed
+    for c in caps:
+        run = list(accumulate(ways))
+        ways = [run[k] - run[k - c - 1] if k > c else run[k] for k in range(agents + 1)]
+    return ways[agents]
+
+
+def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
+    """The chain's moves as a walk on the lumped chain's transition table.
+
+    The level counts alone are a Markov chain (Kemeny and Snell, *Finite
+    Markov Chains*, 1960, ch. 6), and a step's next counts depend only on the
+    counts, the two pick ranks and the acceptance rank.  So a list holds, at
+    entry s + x with x = (k_src * vacant + k_tgt) * Q + q, the offset s' of
+    the next counts, and one lookup a step walks it; two gathers on the
+    entries walked then fill ``codes`` and count the refusals.  Takes and
+    returns what ``_walk_loop`` does, for streams with no rank equal to its
+    total; an entry's picks are the levels of its ranks in level order, as
+    in the loop's rank lists.
+    """
+    n_levels = len(caps)
+    agents = sum(r)
+    vacant = sum(caps) - agents
+    n_q = max(need)  # the need of 1.0, the top acceptance value
+    stride = agents * vacant * n_q
+    # every level-count vector, a level at a time, in lexicographic order;
+    # a prefix stays only if the levels after it can hold the agents it leaves
+    states = [()]
+    room = sum(caps)
+    for c in caps:
+        room -= c
+        states = [st + (k,) for st in states
+                  for k in range(max(0, agents - sum(st) - room), min(c, agents - sum(st)) + 1)]
+    counts = np.array(states)
+    level = np.tile(np.arange(n_levels), len(states))
+    held = np.repeat(level, counts.ravel()).reshape(len(states), agents, 1)
+    free = np.repeat(level, (np.array(caps) - counts).ravel()).reshape(len(states), 1, vacant)
+    code = held * n_levels + free
+    # dest[i, code]: the state that move `code` leads to from state i, found
+    # by a search of the big-endian rows, whose byte order is the states'
+    # order; no pick makes a move from an empty or into a full level, so
+    # what such a move finds is never read
+    eye = np.eye(n_levels, dtype=np.int64)
+    move = (eye - eye[:, None]).reshape(-1, n_levels)  # row code: -1 at src, +1 at tgt
+    row = np.dtype((np.void, 8 * n_levels))
+    dest = np.searchsorted(counts.astype(">i8").view(row).ravel(),
+                           (counts[:, None] + move).astype(">i8").view(row)[..., 0])
+    taken = np.arange(n_q) < np.array(need)[code][..., None]
+    # a taken move goes to its destination, a refused one stays
+    to = np.take_along_axis(dest, code.reshape(len(states), -1), 1).reshape(code.shape)
+    nxt = np.where(taken, to[..., None], np.arange(len(states))[:, None, None, None])
+    nxt = (nxt * stride).ravel().tolist()
+    # a same-level pick records its code too: its move-table row is zero
+    record = np.where(taken, code[..., None] + 1, 0).astype(codes.dtype).ravel()
+    refused = ~taken.ravel()
+    del counts, level, held, free, code, dest, taken, to
+
+    # x's type holds vacant, Q and every x, and is at least 16 bits: a uint8
+    # multiply or add maps 64 KB more of numpy's code into a `hierstat
+    # simulate` process
+    x_type = np.promote_types(np.uint16, np.min_scalar_type(stride))
+    entry_type = np.min_scalar_type(len(nxt))
+    s = states.index(tuple(r)) * stride
+    rejected = 0
+    for a in range(0, len(codes), _BLOCK):
+        x = k_src[a:a + _BLOCK].astype(x_type)
+        x *= vacant
+        x += k_tgt[a:a + _BLOCK]
+        x *= n_q
+        x += q_acc[a:a + _BLOCK]
+        path = np.empty(len(x) + 1, dtype=entry_type)  # the offsets before and after each step
+        path[0] = s
+        path[1:] = [s := nxt[s + step] for step in memoryview(x)]
+        entry = path[:-1]
+        entry += x
+        codes[a:a + _BLOCK] = record[entry]
+        rejected += int(np.count_nonzero(refused[entry]))
+    return rejected, list(states[s // stride])
+
+
+def _history(codes: np.ndarray, r: list) -> np.ndarray:
+    """The int32 occupancy history, one row per step, of the moves ``codes``
+    from ``r``: row code + 1 of the move table is the move's change, -1 at src
+    and +1 at tgt (row 0: none); row 0 of the history adds r, and one
+    cumulative sum does the rest."""
+    n_levels = len(r)
     eye = np.eye(n_levels, dtype=np.int32)
     delta = np.concatenate((np.zeros_like(eye[:1]), (eye - eye[:, None]).reshape(-1, n_levels)))
     hist = delta[codes]
-    if steps:
+    if len(hist):
         hist[0] += r
     np.cumsum(hist, axis=0, out=hist)
-    return hist, accepted, np.diff(occ, prepend=0).tolist()
+    return hist
+
+
+def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
+                        steps: int, rng: np.random.Generator):
+    """Position-swap Metropolis for ``steps`` moves from state ``r``.
+
+    Returns (int32 occupancy history, one row per step; accepted count; final r).
+    """
+    caps = spec.capacities.tolist()
+    agents = sum(r)
+    vacant = sum(caps) - agents
+    codes, k_src, k_tgt, q_acc, need = _ranked_draws(spec, beta, agents, vacant, steps, rng)
+    accepted, r_end = 0, list(r)
+    if agents and vacant:
+        # The table walk takes about 50-60 ns a step on the golden spec
+        # against the loop's 120-150, and its table about 30 ns an entry to
+        # build past a fixed 0.1-0.2 ms (shared 2-core VM).  A bigger
+        # table's lookups are slower too, so over the specs (1, 3, c) at
+        # 120,000 steps the walks break even between steps // 4 and
+        # steps // 2 entries; steps // 8 stays a factor of two or more below
+        # that.  The size is counted before anything is built.  A rank equal
+        # to its total comes only from a fed draw of exactly 1.0 (fl(u * n)
+        # < n for u <= 1 - 2**-53); the loop's fallback then picks the last
+        # level, which may hold no agent (vacancy) to move, a step the table
+        # does not hold, so such streams take the loop.
+        limit = steps // 8
+        stride = agents * vacant * max(need)
+        table = (stride <= limit and stride * _lumped_states(caps, agents) <= limit
+                 and k_src.max() < agents and k_tgt.max() < vacant)
+        walk = _walk_table if table else _walk_loop
+        rejected, r_end = walk(caps, r, k_src, k_tgt, q_acc, need, codes)
+        accepted = steps - rejected
+    del k_src, k_tgt, q_acc  # about 3 bytes a step; free them before the history
+    return _history(codes, r), accepted, r_end
 
 
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):

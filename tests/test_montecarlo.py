@@ -23,8 +23,13 @@ from hierstat.montecarlo import (
     _clipped_walk,
     _energies,
     _estimates,
+    _history,
     _initial_occupancy,
+    _lumped_states,
+    _ranked_draws,
     _run_position_chain,
+    _walk_loop,
+    _walk_table,
 )
 
 L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
@@ -331,10 +336,37 @@ _BRANCHES = {"same level", "rejected", "adjacent down", "adjacent up",
              "multi-level down", "multi-level up"}
 
 
+def _walk_chain(walk):
+    """``_run_position_chain`` with its walk fixed: the same draws and
+    history around ``walk``, for a state with an agent and a vacancy."""
+    def chain(spec, beta, r, steps, rng):
+        caps = spec.capacities.tolist()
+        agents = sum(r)
+        codes, k_src, k_tgt, q_acc, need = _ranked_draws(spec, beta, agents, sum(caps) - agents,
+                                                         steps, rng)
+        rejected, r_end = walk(caps, r, k_src, k_tgt, q_acc, need, codes)
+        return _history(codes, r), steps - rejected, r_end
+    return chain
+
+
+def _table_entries(spec, agents, beta):
+    """Entries of the lumped chain's transition table: level-count vectors x
+    agent ranks x vacancy ranks x acceptance ranks."""
+    caps = spec.capacities.tolist()
+    vacant = sum(caps) - agents
+    need = _ranked_draws(spec, beta, agents, vacant, 0, np.random.default_rng(0))[-1]
+    return _lumped_states(caps, agents) * agents * vacant * max(need)
+
+
 @pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "S23", "S24", "ONE", "BIG", "UNIT"])
 def test_step_loop_matches_linear_scan(name):
     # UNIT's moves cross only empty or full levels, whose boundaries share
-    # ranks in the loop's rank lists
+    # ranks in the loop's rank lists.  Each case runs the chain as it picks
+    # its walk, and each walk on its own: the loop on every case with an
+    # agent and a vacancy, the table on those whose table has at most 2**17
+    # entries.  That is every spec at 1 and total - 1 agents, except S23 and
+    # S24 (254 and 277 acceptance values) away from beta = 0, and half full
+    # only L3, ONE and, at beta = 0, UNIT
     spec = {"L3": L3, "DEEP": DEEP, "S17": S17, "S23": S23, "S24": S24, "ONE": ONE, "BIG": BIG,
             "UNIT": UNIT}[name]
     total = spec.total_positions
@@ -344,21 +376,54 @@ def test_step_loop_matches_linear_scan(name):
     if name == "DEEP":
         cases.append((127, 0.65, 2, 20_000))  # the benchmark's 8-level chain
     picks = []
+    tables = 0
     for agents, beta, seed, steps in cases:
-        got, want = [], []
-        for out, loop, extra in ((got, _run_position_chain, {}),
-                                 (want, _linear_scan_chain, {"picks": picks})):
+        rng = np.random.default_rng(seed)
+        want = list(_linear_scan_chain(spec, beta, _initial_occupancy(spec, agents, rng), steps,
+                                       rng, picks))
+        chains = [_run_position_chain]
+        if 0 < agents < total:
+            chains.append(_walk_chain(_walk_loop))
+            if _table_entries(spec, agents, beta) <= 2 ** 17:
+                chains.append(_walk_chain(_walk_table))
+                tables += 1
+        for chain in chains:
             rng = np.random.default_rng(seed)
-            r0 = _initial_occupancy(spec, agents, rng)
-            out.extend(loop(spec, beta, r0, steps, rng, **extra))
-        got.insert(1, _energies(spec, got[0]))
-        assert np.array_equal(got[0], want[0]), (agents, beta, seed)
-        assert got[1].tobytes() == want[1].tobytes(), (agents, beta, seed)
-        assert got[2:] == want[2:], (agents, beta, seed)
+            got = list(chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng))
+            got.insert(1, _energies(spec, got[0]))
+            assert np.array_equal(got[0], want[0]), (chain, agents, beta, seed)
+            assert got[1].tobytes() == want[1].tobytes(), (chain, agents, beta, seed)
+            assert got[2:] == want[2:], (chain, agents, beta, seed)
+    assert tables == {"S23": 4, "S24": 4, "L3": 24, "ONE": 24, "UNIT": 18}.get(name, 16)
     # every branch of the loop that the spec allows was taken: one level
     # has only same-level picks, and capacity-1 levels none
     expected = {"ONE": {"same level"}, "UNIT": _BRANCHES - {"same level"}}.get(name, _BRANCHES)
     assert {_branch(*pick) for pick in picks} == expected
+
+
+def _spy_walks(monkeypatch):
+    """The names of the walks ``_run_position_chain`` calls, in order."""
+    walked = []
+    for name in ("_walk_loop", "_walk_table"):
+        def spy(*args, _walk=getattr(montecarlo, name), _name=name):
+            walked.append(_name)
+            return _walk(*args)
+        monkeypatch.setattr(montecarlo, name, spy)
+    return walked
+
+
+def test_walk_is_chosen_by_the_table_size(monkeypatch):
+    # the golden spec's table: 8 level-count vectors x 8 agent ranks x 6
+    # vacancy ranks x 3 acceptance ranks, walked from 8 entries a step on;
+    # DEEP's at the benchmark's 127 agents would have 1.3e12
+    assert _lumped_states([1, 3, 10], 8) == 8
+    assert _table_entries(L3, 8, 1.0) == 1_152
+    walked = _spy_walks(monkeypatch)
+    for spec, agents, beta, steps in ((L3, 8, 1.0, 8 * 1_152 - 1), (L3, 8, 1.0, 8 * 1_152),
+                                      (DEEP, 127, 0.65, 120_000)):
+        rng = np.random.default_rng(7)
+        _run_position_chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng)
+    assert walked == ["_walk_loop", "_walk_table", "_walk_loop"]
 
 
 class _FixedDraws:
@@ -371,7 +436,7 @@ class _FixedDraws:
         return np.array(self.streams.pop(0), dtype=float)
 
 
-def test_step_loop_ties_match_linear_scan():
+def test_step_loop_ties_match_linear_scan(monkeypatch):
     # exact products land on running counts, an empty first level included;
     # u = 1.0 reaches the total, where the scan falls back to the last level.
     # Acceptance draws sit at 0.0, at the two values below 1.0 at beta = 1,
@@ -388,6 +453,20 @@ def test_step_loop_ties_match_linear_scan():
                 assert np.array_equal(got[0], want[0]), (r0, u, u_acc)
                 assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], \
                     (r0, u, u_acc)
+    # a chain long enough for the table whose pick streams hold ranks equal
+    # to their totals, alone and at one step together: it takes the loop.
+    # With 8 agents the last level always has an agent and a vacancy, so
+    # the fallback picks a move the scan makes too
+    walked = _spy_walks(monkeypatch)
+    draws = np.random.default_rng(5).random((3, 8 * 1_152))
+    draws[0, 100] = draws[1, 200] = 1.0
+    draws[:2, 300] = 1.0
+    got, want = (list(loop(L3, 1.0, [0, 2, 6], draws.shape[1], _FixedDraws(*draws)))
+                 for loop in (_run_position_chain, _linear_scan_chain))
+    got.insert(1, _energies(L3, got[0]))
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
+    assert walked == ["_walk_loop"]
 
 
 def test_negative_beta_matches_exact():
@@ -487,7 +566,9 @@ def test_pump_fraction_validated():
 def test_canonical_peak_memory_is_about_its_outputs(spec, agents, beta):
     # the chain holds no per-step temporary beyond the arrays it returns:
     # one float stream at a time, rank streams of about 3 bytes a step,
-    # walked through memoryviews, and no copy of the history in the reductions
+    # walked through memoryviews, and no copy of the history in the
+    # reductions.  The golden case walks the lumped-state table (1152
+    # entries), DEEP the step loop
     simulate_canonical(spec, agents, beta, 1_000, 0)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -506,7 +587,8 @@ def test_chain_peak_memory_is_about_its_history(spec, agents, beta):
     # bound stated before the run: 1.2 x the history's bytes (the floats of
     # the acceptance test made once into integer ranks, one float stream
     # alive at a time, the streams walked through memoryviews, the history
-    # taken from a move table)
+    # taken from a move table).  The golden case walks the lumped-state
+    # table, a block of steps at a time, DEEP the step loop
     rng = np.random.default_rng(0)
     _run_position_chain(spec, beta, _initial_occupancy(spec, agents, rng), 1_000, rng)
     rng = np.random.default_rng(3)
@@ -522,8 +604,10 @@ def test_chain_peak_memory_is_about_its_history(spec, agents, beta):
 
 
 def _chain_bytes():
-    """Every output array of a 20 003-step chain and two pumped runs, one of
-    them with no equilibration steps, as bytes."""
+    """Every output array of a 20 003-step chain, a 9217-step chain on the
+    lumped-state table and two pumped runs, one of them with no
+    equilibration steps, as bytes."""
+    table = simulate_canonical(L3, 8, 1.0, 9_217, 6)
     run = simulate_canonical(DEEP, 100, 0.7, 20_003, 5, burn_in_fraction=0.3)
     lasers = (pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 5_001, 7_003, 4),
               pumped_relaxation(LASER_SPEC, 9, 2.0, 0.5, 0, 7_003, 4))
@@ -532,7 +616,9 @@ def _chain_bytes():
         a for laser in lasers
         for a in (laser.recorded_steps, laser.occupancies, laser.energies,
                   laser.phases, laser.relax_mean_occupancy, laser.relax_stderr))
-    return b"".join(a.tobytes() for a in arrays) + run.acceptance_rate.hex().encode()
+    arrays += (table.occupancies, table.energies, table.mean_occupancy, table.stderr)
+    return b"".join(a.tobytes() for a in arrays) + run.acceptance_rate.hex().encode() \
+        + table.acceptance_rate.hex().encode()
 
 
 def test_outputs_do_not_depend_on_the_block(monkeypatch):

@@ -1043,8 +1043,12 @@ def test_maxwell_near_saturation_meets_criterion_8(dist, d, alpha, beta):
 def test_maxwell_on_the_thermo_sweep_grid():
     # the grid of the thermo group of tests/bits_sweep.py without the point
     # mass: every accepted state answers, and all but 10 meet criterion 8's
-    # bounds (measured; 8 misses at d = 1e6, where rounding beats truncation,
-    # and 2 orders of 1.76-1.77 at (-10, 0.3))
+    # bounds (measured).  8 misses are at d = 1e6: 6 miss only on the order,
+    # with residuals at the rounding floor, and 2 are truncation, the
+    # Histogram((0, 1, 2, 4), (0.2, 0.5, 0.3)) at (alpha, beta) = (0, 1.5)
+    # and (-1, 1), where a piece end sits at lambda = 0 and f climbs by
+    # almost d across an activity width of 1/(d + 1), far inside the step.
+    # The other 2 are orders of 1.76-1.77 at (-10, 0.3)
     accepted = meets = 0
     for dist in (Uniform(0.5, 2.5), TwoPoint(1.0, 3.0, 0.4),
                  Histogram((0.0, 1.0, 2.0, 4.0), (0.2, 0.5, 0.3))):
