@@ -29,9 +29,15 @@ series branch runs one Horner loop over rows of three coefficients in the
 same y; the closed form takes e^{-t} and 1 - e^{-t} once for each of
 t = |lambda| and t = |x| and forms f from their ratio, the variance from
 the ratio over the square and log(1 - e^{-t}) from whichever is exact
-(Maechler's ln 1/2 switch).  The public kernels check and index;
-the ensemble calls it at the ends of a piece, or per node of its graded
-Gauss-Legendre rule.
+(Maechler's ln 1/2 switch).  Above d + 1 = 2^500, near where (d + 1)^2
+overflows and where (1 - e^-|lambda|)^2 can underflow, both branches factor
+d + 1 out: the series forms f and f' as multiples of d + 1 and (d + 1)^2,
+and the closed form takes f' = (g(a) - g(t)) / a^2 with g(z) = z^2 e^-z /
+(1 - e^-z)^2, which falls from g(0) = 1 to g(t) <= g(2) ~ 0.72 there.  So
+the kernels stay within a few ulp up to the largest double capacity, with
+f' = +inf where it is above the largest double.  The public kernels check
+and index; the ensemble calls it at the ends of a piece, or per node of its
+graded Gauss-Legendre rule.
 
 Integrals of the kernels over an activity interval need one more
 function, the antiderivative G of log Z (``_log_partition_integral``).
@@ -221,6 +227,10 @@ def _inv_expm1(x: float) -> float:
 
 _LN_HALF = math.log(0.5)
 
+#: above this d + 1 the kernels factor it out, as (d + 1)^2 overflows and
+#: (1 - e^-|lambda|)^2 can underflow; below it, the plain forms keep their bits
+_HUGE = 2.0 ** 500
+
 
 def _kernels(lam: float, d: int) -> tuple:
     """(f, f', log Z) at a checked finite lambda and capacity d, from the
@@ -232,17 +242,23 @@ def _kernels(lam: float, d: int) -> tuple:
         mean = var = logz = 0.0
         for cm, cv, cl in _series_coefficients(d):
             mean, var, logz = mean * y + cm, var * y + cv, logz * y + cl
-        return (0.5 * d + dd * x * mean,
-                d * (d + 2.0) / 12.0 + dd * dd * y * var,
-                math.log1p(d) + 0.5 * lam * d + y * logz)
+        logz = math.log1p(d) + 0.5 * lam * d + y * logz
+        if dd > _HUGE:  # d (d + 2) = dd^2 - 1, and 1 is below an ulp of dd^2
+            return dd * (0.5 + x * mean), dd * (dd * (1.0 / 12.0 + y * var)), logz
+        return 0.5 * d + dd * x * mean, d * (d + 2.0) / 12.0 + dd * dd * y * var, logz
     a, t = abs(lam), abs(x)
     ea, ma = math.exp(-a), -math.expm1(-a)
     et, mt = math.exp(-t), -math.expm1(-t)
     f = ea / ma - dd * (et / mt)
-    # where et underflows, dd * dd can overflow at d above ~1.3e154 and meet
-    # the 0.0 as inf * 0.0; the term is 0.0 there
-    rt = et / (mt * mt)
-    fp = ea / (ma * ma) - (dd * dd * rt if rt else 0.0)
+    if dd > _HUGE:
+        # f' = (g(a) - g(t)) / a^2 with g(z) = z^2 e^-z / (1 - e^-z)^2, which
+        # falls from g(0) = 1 to g(t) <= g(2) ~ 0.72; +inf where f' overflows.
+        # Where lambda (d + 1) overflows, t = inf meets et = 0.0 as inf * 0.0;
+        # the term is 0.0 there
+        ga, gt = a / ma, t / mt
+        fp = (ga * (ga * ea) - (gt * (gt * et) if et else 0.0)) / a / a
+    else:
+        fp = ea / (ma * ma) - dd * dd * (et / (mt * mt))
     log_t = math.log1p(-et) if -t < _LN_HALF else math.log(mt)
     log_a = math.log1p(-ea) if -a < _LN_HALF else math.log(ma)
     if lam > 0.0:

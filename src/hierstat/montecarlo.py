@@ -23,9 +23,10 @@ into integer ranks of about 3 bytes a step, and walked through memoryviews.
 The fixed-agent-count chain walks them on its level counts, which are
 themselves a Markov chain: where that chain's transition table is small
 against the step count, one list lookup a step on the table, elsewhere a
-step loop on lists of the picked ranks' levels.  Identical seeds give
-bit-identical outputs regardless of the walk, the path taken or the block
-size.
+step loop on lists of the picked ranks' levels.  Both walks take ranks
+below their totals, record the move codes the history (end state
+included) is rebuilt from and return the refusal count; identical seeds
+give bit-identical outputs whatever the walk, the path or the block size.
 Every sampler reduces its kept states to means and standard errors through
 one function, ``_estimates``.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -186,17 +186,20 @@ def _ranked_draws(spec: HierarchySpec, beta: float, agents: int, vacant: int,
     Returns (codes, zeroed, one per step; k_src; k_tgt; q_acc; need): the
     ranks of the picked agent, the picked vacancy and the acceptance draw,
     and need[code], the least acceptance rank that refuses move ``code``.
+    A pick rank is the floor of u * n for a draw u of ``rng.random`` and the
+    total n; u <= 1 - 2**-53, and fl(u * n) < n for every such u and integer
+    n >= 1, so every rank is below its total.
     """
     sals = spec.salaries.tolist()
     n_levels = len(sals)
     # agents and vacant stay fixed: one numpy product per stream, same bits as
     # u * agents; its floor is the rank of the picked agent (vacancy), in the
-    # smallest type that holds agents (vacant), where a product can round up
-    # to.  Each stream is scaled in place and freed before the next draw: the
-    # expression rng.random(steps) * agents leaves about 0.5 MB more resident
-    # after its first call.  The move codes the walk records outlive the
-    # streams, so they are allocated first: the streams' blocks then free
-    # next to each other, into room the history can take.
+    # smallest type that holds agents (vacant).  Each stream is scaled in
+    # place and freed before the next draw: the expression rng.random(steps)
+    # * agents leaves about 0.5 MB more resident after its first call.  The
+    # move codes the walk records outlive the streams, so they are allocated
+    # first: the streams' blocks then free next to each other, into room the
+    # history can take.
     codes = np.zeros(steps, dtype=np.min_scalar_type(n_levels ** 2))
     x = rng.random(steps)
     x *= agents
@@ -239,20 +242,18 @@ def _walk_loop(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
     """The chain's moves, one step at a time, on lists of the picked ranks' levels.
 
     Stores code + 1 of each taken move in ``codes`` (0: none) and returns
-    (refused moves, final r).  Needs at least one agent and one vacancy.
+    the number of refused moves.  Needs at least one agent and one vacancy.
     """
     n_levels = len(caps)
     # the loop records through a memoryview, cheaper than a numpy item store
     record = memoryview(codes)
     # occ[j] / vac[j]: agents / vacancies in levels 0..j.  held[k] / free[k]:
     # the level of the rank-k agent / vacancy in level order, the first j
-    # with k < occ[j] (k < vac[j]), where a running-sum scan stops; each
-    # list ends with the last level at rank agents / vacant, the scan's
-    # fallback for a product that rounds up to the total.  A move src -> tgt
-    # shifts occ and vac by one at each j between them, and only the ranks
-    # at those boundaries change level.  An empty (full) level makes two
-    # boundaries share a rank, so the writes run in the order that leaves
-    # the scan's answer there: held with j ascending and free with j
+    # with k < occ[j] (k < vac[j]), where a running-sum scan stops.  A move
+    # src -> tgt shifts occ and vac by one at each j between them, and only
+    # the ranks at those boundaries change level.  An empty (full) level
+    # makes two boundaries share a rank, so the writes run in the order that
+    # leaves the scan's answer there: held with j ascending and free with j
     # descending when src < tgt, the reverse when src > tgt.  spans[code]
     # pairs the two orders, as (j, j + 1, k) when src < tgt and (j, k, k + 1)
     # when src > tgt, held written at j and free at k.
@@ -260,9 +261,8 @@ def _walk_loop(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
              if src < tgt else
              tuple(zip(range(src - 1, tgt - 1, -1), range(tgt, src), range(tgt + 1, src + 1)))
              for src in range(n_levels) for tgt in range(n_levels)]
-    last = n_levels - 1
-    held = [j for j in range(n_levels) for _ in range(r[j])] + [last]
-    free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])] + [last]
+    held = [j for j in range(n_levels) for _ in range(r[j])]
+    free = [j for j in range(n_levels) for _ in range(caps[j] - r[j])]
     occ = np.cumsum(r).tolist()
     vac = (np.cumsum(caps) - occ).tolist()
     # a same-level pick moves nothing and is always taken (u < 1.0, so q
@@ -305,44 +305,42 @@ def _walk_loop(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
                 occ[j] += 1
                 vac[k] -= 1
                 free[vac[k]] = k1
-    return rejected, np.diff(occ, prepend=0).tolist()
+    return rejected
 
 
-def _lumped_states(caps: list, agents: int) -> int:
-    """The number of level-count vectors with ``agents`` agents, 0 <= r_j <= caps[j]."""
-    ways = [1] + [0] * agents  # vectors over the levels so far, by agents placed
-    for c in caps:
-        run = list(accumulate(ways))
-        ways = [run[k] - run[k - c - 1] if k > c else run[k] for k in range(agents + 1)]
-    return ways[agents]
-
-
-def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
-    """The chain's moves as a walk on the lumped chain's transition table.
-
-    The level counts alone are a Markov chain (Kemeny and Snell, *Finite
-    Markov Chains*, 1960, ch. 6), and a step's next counts depend only on the
-    counts, the two pick ranks and the acceptance rank.  So a list holds, at
-    entry s + x with x = (k_src * vacant + k_tgt) * Q + q, the offset s' of
-    the next counts, and one lookup a step walks it; two gathers on the
-    entries walked then fill ``codes`` and count the refusals.  Takes and
-    returns what ``_walk_loop`` does, for streams with no rank equal to its
-    total; an entry's picks are the levels of its ranks in level order, as
-    in the loop's rank lists.
-    """
-    n_levels = len(caps)
-    agents = sum(r)
-    vacant = sum(caps) - agents
-    n_q = max(need)  # the need of 1.0, the top acceptance value
-    stride = agents * vacant * n_q
-    # every level-count vector, a level at a time, in lexicographic order;
-    # a prefix stays only if the levels after it can hold the agents it leaves
+def _lumped_states(caps: list, agents: int, most: int):
+    """Every level-count vector with ``agents`` agents, 0 <= r_j <= caps[j], in
+    lexicographic order, or None once a level has more than ``most`` prefixes.
+    A prefix stays only if the levels after it can hold the agents it leaves,
+    so no level has more prefixes than there are vectors."""
     states = [()]
     room = sum(caps)
     for c in caps:
         room -= c
         states = [st + (k,) for st in states
                   for k in range(max(0, agents - sum(st) - room), min(c, agents - sum(st)) + 1)]
+        if len(states) > most:
+            return None
+    return states
+
+
+def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes, states: list):
+    """The chain's moves as a walk on the lumped chain's transition table.
+
+    The level counts alone are a Markov chain (Kemeny and Snell, *Finite
+    Markov Chains*, 1960, ch. 6), and a step's next counts depend only on the
+    counts, the two pick ranks and the acceptance rank.  So a list holds, at
+    entry s + x with x = (k_src * vacant + k_tgt) * Q + q, the offset s' of
+    the next counts, and one lookup a step walks it; a gather on the entries
+    walked then fills ``codes``.  Takes and returns what ``_walk_loop`` does,
+    and ``states``, the ``_lumped_states`` of its counts; an entry's picks are
+    the levels of its ranks in level order, as in the loop's rank lists.
+    """
+    n_levels = len(caps)
+    agents = sum(r)
+    vacant = sum(caps) - agents
+    n_q = max(need)  # the need of 1.0, the top acceptance value
+    stride = agents * vacant * n_q
     counts = np.array(states)
     level = np.tile(np.arange(n_levels), len(states))
     held = np.repeat(level, counts.ravel()).reshape(len(states), agents, 1)
@@ -362,9 +360,9 @@ def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
     to = np.take_along_axis(dest, code.reshape(len(states), -1), 1).reshape(code.shape)
     nxt = np.where(taken, to[..., None], np.arange(len(states))[:, None, None, None])
     nxt = (nxt * stride).ravel().tolist()
-    # a same-level pick records its code too: its move-table row is zero
+    # a same-level pick records its code too, as its move-table row is zero,
+    # so a 0 in ``codes`` marks exactly a refusal
     record = np.where(taken, code[..., None] + 1, 0).astype(codes.dtype).ravel()
-    refused = ~taken.ravel()
     del counts, level, held, free, code, dest, taken, to
 
     # x's type holds vacant, Q and every x, and is at least 16 bits: a uint8
@@ -373,7 +371,6 @@ def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
     x_type = np.promote_types(np.uint16, np.min_scalar_type(stride))
     entry_type = np.min_scalar_type(len(nxt))
     s = states.index(tuple(r)) * stride
-    rejected = 0
     for a in range(0, len(codes), _BLOCK):
         x = k_src[a:a + _BLOCK].astype(x_type)
         x *= vacant
@@ -386,8 +383,7 @@ def _walk_table(caps: list, r: list, k_src, k_tgt, q_acc, need: list, codes):
         entry = path[:-1]
         entry += x
         codes[a:a + _BLOCK] = record[entry]
-        rejected += int(np.count_nonzero(refused[entry]))
-    return rejected, list(states[s // stride])
+    return len(codes) - int(np.count_nonzero(codes))
 
 
 def _history(codes: np.ndarray, r: list) -> np.ndarray:
@@ -409,13 +405,13 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
                         steps: int, rng: np.random.Generator):
     """Position-swap Metropolis for ``steps`` moves from state ``r``.
 
-    Returns (int32 occupancy history, one row per step; accepted count; final r).
+    Returns (int32 occupancy history, one row per step; accepted count).
     """
     caps = spec.capacities.tolist()
     agents = sum(r)
     vacant = sum(caps) - agents
     codes, k_src, k_tgt, q_acc, need = _ranked_draws(spec, beta, agents, vacant, steps, rng)
-    accepted, r_end = 0, list(r)
+    rejected = steps  # no move without an agent and a vacancy
     if agents and vacant:
         # The table walk takes about 50-60 ns a step on the golden spec
         # against the loop's 120-150, and its table about 30 ns an entry to
@@ -423,20 +419,14 @@ def _run_position_chain(spec: HierarchySpec, beta: float, r: list,
         # table's lookups are slower too, so over the specs (1, 3, c) at
         # 120,000 steps the walks break even between steps // 4 and
         # steps // 2 entries; steps // 8 stays a factor of two or more below
-        # that.  The size is counted before anything is built.  A rank equal
-        # to its total comes only from a fed draw of exactly 1.0 (fl(u * n)
-        # < n for u <= 1 - 2**-53); the loop's fallback then picks the last
-        # level, which may hold no agent (vacancy) to move, a step the table
-        # does not hold, so such streams take the loop.
+        # that.  The states are enumerated only while they fit that bound.
         limit = steps // 8
         stride = agents * vacant * max(need)
-        table = (stride <= limit and stride * _lumped_states(caps, agents) <= limit
-                 and k_src.max() < agents and k_tgt.max() < vacant)
-        walk = _walk_table if table else _walk_loop
-        rejected, r_end = walk(caps, r, k_src, k_tgt, q_acc, need, codes)
-        accepted = steps - rejected
+        states = stride <= limit and _lumped_states(caps, agents, limit // stride)
+        rejected = (_walk_table(caps, r, k_src, k_tgt, q_acc, need, codes, states) if states
+                    else _walk_loop(caps, r, k_src, k_tgt, q_acc, need, codes))
     del k_src, k_tgt, q_acc  # about 3 bytes a step; free them before the history
-    return _history(codes, r), accepted, r_end
+    return _history(codes, r), steps - rejected
 
 
 def _check_chain_args(spec, agents, beta, seed, record_every, problems):
@@ -484,7 +474,7 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
         raise ValidationError(problems)
     rng = np.random.default_rng(seed)
     r0 = _initial_occupancy(spec, agents, rng)
-    hist, accepted, _ = _run_position_chain(spec, beta, r0, steps, rng)
+    hist, accepted = _run_position_chain(spec, beta, r0, steps, rng)
     burn = int(steps * burn_in_fraction)
     means, errs = _estimates(hist[burn:])
     # when record_every > 1 the full history is dropped before _energies;
@@ -546,7 +536,8 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
     caps = spec.capacities.tolist()
 
     r = _initial_occupancy(spec, agents, rng)
-    hist_eq, _, r = _run_position_chain(spec, beta, r, equilibration_steps, rng)
+    hist_eq = _run_position_chain(spec, beta, r, equilibration_steps, rng)[0]
+    r = hist_eq[-1].tolist() if equilibration_steps else r
 
     # population inversion: drain top-salary levels into bottom vacancies
     pump_rows = []
@@ -559,7 +550,7 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
         r[tgt] += 1
         pump_rows.append(list(r))
 
-    hist_rx, _, _ = _run_position_chain(spec, beta, r, relax_steps, rng)
+    hist_rx = _run_position_chain(spec, beta, r, relax_steps, rng)[0]
 
     idx_eq = np.arange(0, equilibration_steps, record_every)
     idx_rx = np.arange(0, relax_steps, record_every)

@@ -9,8 +9,10 @@ The groups are ``exact_canonical`` (means, marginals, total log weight and
 the refusal texts on about 60 specs), the ``canonical``, ``grand`` and
 ``pumped`` samplers, ``long_chains`` (full histories over several blocks of
 the chain loop's streams), ``cli`` (the bytes each command writes),
-``kernels`` (the fused (f, f', log Z) of ``gentile._kernels``), ``moments``
-(the moment integrals per phi kind and activity width band) and ``thermo``
+``kernels`` (the fused (f, f', log Z) of ``gentile._kernels``),
+``huge_kernels`` (the same at capacities from 1e154 to the largest double,
+or the name of what a call raised), ``moments`` (the moment integrals per
+phi kind and activity width band) and ``thermo``
 (the fields and identity residuals of ``thermo_state`` and the residuals
 of ``maxwell_check``, or the refusal) and ``solver`` (the forward moments
 and ``invert_to_params`` on the draws of the two round-trip boxes of
@@ -24,6 +26,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -215,8 +218,7 @@ def cli_group():
 
 
 def kernels_group():
-    # d up to 1e150: above it f', of order d^2 near the series switch,
-    # overflows to inf or nan, and mending that moves those bits
+    # d up to 1e150; huge_kernels takes the capacities above
     digest = _Digest()
     magnitudes = np.concatenate(([0.0, 1e-300, 1e-12], np.logspace(-6, np.log10(700.0), 60)))
     lams = np.concatenate((-magnitudes[::-1], magnitudes[1:])).tolist()
@@ -224,6 +226,24 @@ def kernels_group():
         for lam in lams + [s * 2.0 / (d + 1.0) * (1.0 + e) for s in (-1.0, 1.0)
                            for e in (-1e-15, 0.0, 1e-15)]:  # the series switch
             digest.add(_kernels(lam, d))
+    return digest.hexdigest()
+
+
+def huge_kernels_group():
+    # where (d + 1)^2 overflows, on both branches and both signs, and where
+    # lambda (d + 1) overflows too; a call that raises adds the exception's
+    # name, so a commit whose kernels raise there still hashes
+    digest = _Digest()
+    for d in (10**154, 10**155, 10**163, 10**200, 10**300, int(sys.float_info.max)):
+        xs = [1e-6, 0.5, 1.99, 2.01, 5.0, 40.0, 700.0, 1e5]
+        bigs = [b for b in (4.0 * (sys.float_info.max / (d + 1.0)), 1e9, 1e109)
+                if math.isinf(b * (d + 1.0))]
+        for lam_abs in [x / (d + 1.0) for x in xs] + bigs:
+            for lam in (-lam_abs, lam_abs):
+                try:
+                    digest.add(_kernels(lam, d))
+                except ArithmeticError as exc:
+                    digest.add(type(exc).__name__)
     return digest.hexdigest()
 
 
@@ -304,8 +324,8 @@ def solver_group():
 
 GROUPS = {"exact_canonical": exact_group, "canonical": canonical_group,
           "grand": grand_group, "pumped": pumped_group, "long_chains": long_chains_group,
-          "cli": cli_group, "kernels": kernels_group, "moments": moments_group,
-          "thermo": thermo_group, "solver": solver_group}
+          "cli": cli_group, "kernels": kernels_group, "huge_kernels": huge_kernels_group,
+          "moments": moments_group, "thermo": thermo_group, "solver": solver_group}
 
 
 if __name__ == "__main__":

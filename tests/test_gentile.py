@@ -1,6 +1,7 @@
 """Single-level statistics: worked values, limits and closed-form identities."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,10 +11,13 @@ from hierstat import (
     EnergySign,
     GibbsParams,
     OccupancyLevel,
+    TwoPoint,
     ValidationError,
     activity,
     activity_for_mean,
     bose_einstein,
+    ensemble_moments,
+    eos_sweep,
     fermi_dirac,
     gentile_mean,
     gentile_mean_direct,
@@ -22,6 +26,7 @@ from hierstat import (
     occupancy_probabilities,
     partition,
 )
+from hierstat.gentile import _kernels
 
 
 # --- activity --------------------------------------------------------------
@@ -246,6 +251,104 @@ def test_variance_where_the_capacity_squared_overflows():
         for lam in (-5.0, 5.0):
             got = gentile_mean_dlambda(lam, d)
             assert float(abs((mpmath.mpf(got) - exact) / exact)) <= 4 * 2.0 ** -52, (d, lam, got)
+
+
+def _oracle_closed(mpmath, lam, d):
+    """log Z, mean and variance at activity lambda from the closed forms in
+    80 digits, for capacities too large to sum."""
+    with mpmath.workdps(80):
+        a, dd = abs(mpmath.mpf(lam)), mpmath.mpf(d) + 1
+        if lam == 0:
+            return mpmath.log(dd), dd / 2 - mpmath.mpf(0.5), (dd ** 2 - 1) / 12
+        logz = mpmath.log(-mpmath.expm1(-a * dd)) - mpmath.log(-mpmath.expm1(-a))
+        mean = 1 / mpmath.expm1(a) - dd / mpmath.expm1(a * dd)
+        var = (mpmath.exp(a) / mpmath.expm1(a) ** 2
+               - dd ** 2 * mpmath.exp(a * dd) / mpmath.expm1(a * dd) ** 2)
+        if lam > 0:
+            return logz + a * d, d - mean, var
+        return logz, mean, var
+
+
+def _relative_ulp(mpmath, got, exact):
+    return float(abs((mpmath.mpf(got) - exact) / exact)) / 2.0 ** -52
+
+
+def _rounded_or_within(mpmath, got, exact, ulps):
+    """got equals the double nearest exact where that is 0.0 or inf, and is
+    within ulps of exact otherwise."""
+    rounded = float(exact)
+    if rounded == 0.0 or math.isinf(rounded):
+        return got == rounded
+    return _relative_ulp(mpmath, got, exact) <= ulps
+
+
+@pytest.mark.parametrize("d", [10**154, 10**155, 10**163, 10**200, 10**300,
+                               int(sys.float_info.max)],
+                         ids=["1e154", "1e155", "1e163", "1e200", "1e300", "max"])
+def test_kernels_above_two_to_the_500(d):
+    # above d + 1 = 2**500 the kernels factor d + 1 out: without it the
+    # series f' overflows to -inf (from d = 1e154), the closed f' meets
+    # inf - inf or inf * 0 (from 1e155), (1 - e^-|lambda|)^2 underflows to a
+    # division by zero (from ~1e163) and the series f overflows at the
+    # largest double.  Bounds stated before the run: f and log Z within 4
+    # ulp, f' within the module's ten, and f' = +inf exactly where the exact
+    # value is above the largest double
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1e-6, 0.5, 1.99, 2.01, 5.0, 40.0, 700.0, 1e5):
+        for lam in (-x / (d + 1.0), x / (d + 1.0)):
+            logz, mean, var = _oracle_closed(mpmath, lam, d)
+            f, fp, log_z = _kernels(lam, d)
+            assert _relative_ulp(mpmath, f, mean) <= 4, (x, lam, f)
+            assert _relative_ulp(mpmath, log_z, logz) <= 4, (x, lam, log_z)
+            if var > sys.float_info.max:
+                assert fp == math.inf, (x, lam, fp)
+            else:
+                assert _relative_ulp(mpmath, fp, var) <= 10, (x, lam, fp)
+    # where lambda (d + 1) itself overflows, t = inf meets e^-t = 0.0 and
+    # must not give inf * 0.0 = nan: each value is the double nearest the
+    # closed form where that is 0.0 or inf, and within the bounds above
+    # otherwise, and the public f' is the kernels' one
+    for big in (4.0 * (sys.float_info.max / (d + 1.0)), 1e9, 1e109):
+        if not math.isinf(big * (d + 1.0)):
+            continue
+        for lam in (-big, big):
+            logz, mean, var = _oracle_closed(mpmath, lam, d)
+            f, fp, log_z = _kernels(lam, d)
+            assert _rounded_or_within(mpmath, f, mean, 4), (lam, f)
+            assert _rounded_or_within(mpmath, fp, var, 10), (lam, fp)
+            assert _rounded_or_within(mpmath, log_z, logz, 4), (lam, log_z)
+            assert gentile_mean_dlambda(lam, d) == fp, lam
+
+
+def _public_at_1e200(mpmath, call):
+    """(value, 80-digit closed form) pairs of one public call at capacity 1e200."""
+    d = 10**200
+    if call == "gentile_mean":
+        return [(gentile_mean(-1e-170, d), _oracle_closed(mpmath, -1e-170, d)[1])]
+    if call == "log_partition":
+        return [(log_partition(-1e-170, d), _oracle_closed(mpmath, -1e-170, d)[0])]
+    if call == "eos_sweep":
+        table = eos_sweep(d, [-1e-199, -1e-198])
+        exact = [_oracle_closed(mpmath, lam, d) for lam in table.lam]
+        return list(zip(table.n_over_d + table.p_over_T,
+                        [e[1] / d for e in exact] + [e[0] for e in exact]))
+    # half the companies at activity alpha + beta * 1, half at alpha + beta * 3
+    params = GibbsParams(-3e-200, 1e-200)
+    mom = ensemble_moments(TwoPoint(1.0, 3.0, 0.5), d, params)
+    (z1, n1, _), (z3, n3, _) = (_oracle_closed(mpmath, params.alpha + params.beta * eps, d)
+                                for eps in (1.0, 3.0))
+    n = (n1 + n3) / 2
+    return [(mom.n, n), (mom.u, -(n1 + 3 * n3) / 2 / n), (mom.omega, (z1 + z3) / 2)]
+
+
+@pytest.mark.parametrize("call", ["gentile_mean", "log_partition", "eos_sweep",
+                                  "ensemble_moments"])
+def test_public_kernels_at_capacity_1e200(call):
+    # calls that divided by an underflowed (1 - e^-|lambda|)^2; bound stated
+    # before the run: each value within 1e-13 of its 80-digit closed form
+    mpmath = pytest.importorskip("mpmath")
+    for got, exact in _public_at_1e200(mpmath, call):
+        assert float(abs((mpmath.mpf(got) - exact) / exact)) <= 1e-13, (got, exact)
 
 
 def _switch_pair(d):

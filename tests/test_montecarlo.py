@@ -338,24 +338,39 @@ _BRANCHES = {"same level", "rejected", "adjacent down", "adjacent up",
 
 def _walk_chain(walk):
     """``_run_position_chain`` with its walk fixed: the same draws and
-    history around ``walk``, for a state with an agent and a vacancy."""
+    history around ``walk``, for a state with an agent and a vacancy; the
+    table walk gets every lumped state."""
     def chain(spec, beta, r, steps, rng):
         caps = spec.capacities.tolist()
         agents = sum(r)
         codes, k_src, k_tgt, q_acc, need = _ranked_draws(spec, beta, agents, sum(caps) - agents,
                                                          steps, rng)
-        rejected, r_end = walk(caps, r, k_src, k_tgt, q_acc, need, codes)
-        return _history(codes, r), steps - rejected, r_end
+        args = (caps, r, k_src, k_tgt, q_acc, need, codes)
+        if walk is _walk_table:
+            args += (_lumped_states(caps, agents, math.inf),)
+        rejected = walk(*args)
+        return _history(codes, r), steps - rejected
     return chain
+
+
+def _assert_same_run(spec, got, want, *context):
+    """A chain's (history, accepted) against ``_linear_scan_chain``'s (rows,
+    energies, accepted, end state); the end state is the history's last row."""
+    hist, accepted = got
+    assert np.array_equal(hist, want[0]), context
+    assert _energies(spec, hist).tobytes() == want[1].tobytes(), context
+    assert accepted == want[2] and hist[-1].tolist() == want[3], context
 
 
 def _table_entries(spec, agents, beta):
     """Entries of the lumped chain's transition table: level-count vectors x
-    agent ranks x vacancy ranks x acceptance ranks."""
+    agent ranks x vacancy ranks x acceptance ranks; None above 2**17."""
     caps = spec.capacities.tolist()
     vacant = sum(caps) - agents
     need = _ranked_draws(spec, beta, agents, vacant, 0, np.random.default_rng(0))[-1]
-    return _lumped_states(caps, agents) * agents * vacant * max(need)
+    stride = agents * vacant * max(need)
+    states = _lumped_states(caps, agents, 2 ** 17 // stride)
+    return None if states is None else len(states) * stride
 
 
 @pytest.mark.parametrize("name", ["L3", "DEEP", "S17", "S23", "S24", "ONE", "BIG", "UNIT"])
@@ -379,21 +394,18 @@ def test_step_loop_matches_linear_scan(name):
     tables = 0
     for agents, beta, seed, steps in cases:
         rng = np.random.default_rng(seed)
-        want = list(_linear_scan_chain(spec, beta, _initial_occupancy(spec, agents, rng), steps,
-                                       rng, picks))
+        want = _linear_scan_chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng,
+                                  picks)
         chains = [_run_position_chain]
         if 0 < agents < total:
             chains.append(_walk_chain(_walk_loop))
-            if _table_entries(spec, agents, beta) <= 2 ** 17:
+            if _table_entries(spec, agents, beta) is not None:
                 chains.append(_walk_chain(_walk_table))
                 tables += 1
         for chain in chains:
             rng = np.random.default_rng(seed)
-            got = list(chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng))
-            got.insert(1, _energies(spec, got[0]))
-            assert np.array_equal(got[0], want[0]), (chain, agents, beta, seed)
-            assert got[1].tobytes() == want[1].tobytes(), (chain, agents, beta, seed)
-            assert got[2:] == want[2:], (chain, agents, beta, seed)
+            got = chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng)
+            _assert_same_run(spec, got, want, chain, agents, beta, seed)
     assert tables == {"S23": 4, "S24": 4, "L3": 24, "ONE": 24, "UNIT": 18}.get(name, 16)
     # every branch of the loop that the spec allows was taken: one level
     # has only same-level picks, and capacity-1 levels none
@@ -415,8 +427,10 @@ def _spy_walks(monkeypatch):
 def test_walk_is_chosen_by_the_table_size(monkeypatch):
     # the golden spec's table: 8 level-count vectors x 8 agent ranks x 6
     # vacancy ranks x 3 acceptance ranks, walked from 8 entries a step on;
-    # DEEP's at the benchmark's 127 agents would have 1.3e12
-    assert _lumped_states([1, 3, 10], 8) == 8
+    # DEEP's at the benchmark's 127 agents would have 1.3e12.  The states
+    # are enumerated only while they fit the bound
+    assert len(_lumped_states([1, 3, 10], 8, 8)) == 8
+    assert _lumped_states([1, 3, 10], 8, 7) is None
     assert _table_entries(L3, 8, 1.0) == 1_152
     walked = _spy_walks(monkeypatch)
     for spec, agents, beta, steps in ((L3, 8, 1.0, 8 * 1_152 - 1), (L3, 8, 1.0, 8 * 1_152),
@@ -438,35 +452,39 @@ class _FixedDraws:
 
 def test_step_loop_ties_match_linear_scan(monkeypatch):
     # exact products land on running counts, an empty first level included;
-    # u = 1.0 reaches the total, where the scan falls back to the last level.
+    # the largest draw, 1 - 2**-53, picks the last rank below the total.
     # Acceptance draws sit at 0.0, at the two values below 1.0 at beta = 1,
     # e^-1 and e^-2, and one ulp under each; from [1, 3, 0] every move is a
     # cut, of 2 from the top level and of 1 from the middle one
+    top = np.nextafter(1.0, 0.0)
     cuts = (math.exp(-1.0), math.exp(-2.0))
     accepts = (0.0,) + cuts + tuple(math.nextafter(v, 0.0) for v in cuts)
     for r0 in ([0, 2, 6], [0, 2, 4], [1, 3, 0]):
-        for u in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0):
+        for u in (0.0, 0.125, 0.25, 0.5, 0.75, top):
             for u_acc in accepts:
-                got, want = (list(loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [u_acc])))
+                got, want = (loop(L3, 1.0, r0, 1, _FixedDraws([u], [u], [u_acc]))
                              for loop in (_run_position_chain, _linear_scan_chain))
-                got.insert(1, _energies(L3, got[0]))
-                assert np.array_equal(got[0], want[0]), (r0, u, u_acc)
-                assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:], \
-                    (r0, u, u_acc)
-    # a chain long enough for the table whose pick streams hold ranks equal
-    # to their totals, alone and at one step together: it takes the loop.
-    # With 8 agents the last level always has an agent and a vacancy, so
-    # the fallback picks a move the scan makes too
+                _assert_same_run(L3, got, want, r0, u, u_acc)
+    # a chain long enough for the table whose pick streams hold the largest
+    # draw, alone and at one step together: it takes the table
     walked = _spy_walks(monkeypatch)
     draws = np.random.default_rng(5).random((3, 8 * 1_152))
-    draws[0, 100] = draws[1, 200] = 1.0
-    draws[:2, 300] = 1.0
-    got, want = (list(loop(L3, 1.0, [0, 2, 6], draws.shape[1], _FixedDraws(*draws)))
+    draws[0, 100] = draws[1, 200] = top
+    draws[:2, 300] = top
+    got, want = (loop(L3, 1.0, [0, 2, 6], draws.shape[1], _FixedDraws(*draws))
                  for loop in (_run_position_chain, _linear_scan_chain))
-    got.insert(1, _energies(L3, got[0]))
-    assert np.array_equal(got[0], want[0])
-    assert got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
-    assert walked == ["_walk_loop"]
+    _assert_same_run(L3, got, want)
+    assert walked == ["_walk_table"]
+
+
+def test_largest_draw_ranks_below_its_total():
+    # every pick rank is below its total, which both walks rely on: the
+    # largest draw of rng.random, 1 - 2**-53, gives rank n - 1, up to n =
+    # 2**53, past which no chain could list its ranks
+    top = np.nextafter(1.0, 0.0)
+    for n in (1, 2, 3, 127, 128, 255, 256, 65_535, 65_536, 2 ** 31 - 1, 2 ** 53 - 1, 2 ** 53):
+        _, k_src, k_tgt, _, _ = _ranked_draws(L3, 1.0, n, n, 1, _FixedDraws([top], [top], [top]))
+        assert int(k_src[0]) == int(k_tgt[0]) == n - 1, n
 
 
 def test_negative_beta_matches_exact():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hierstat.ensemble as ensemble
+import hierstat.hierarchy as hierarchy
 import hierstat.thermostatics as thermostatics
 from hierstat import (
     Delta,
@@ -30,11 +31,13 @@ from hierstat import (
     entropy_per_element,
     eos_sweep,
     fermi_market_share,
+    gentile_mean_dlambda,
     invert_to_params,
     maxwell_check,
     thermo_derivatives,
     thermo_state,
 )
+from hierstat.gentile import _increasing_root
 from hierstat.thermostatics import EOS_COLUMNS
 
 
@@ -922,6 +925,67 @@ def test_entropy_per_element_consistent_with_state():
     state = thermo_state(dist, 5, params, 100)
     psi = entropy_per_element(dist, 5, state.n, state.u)
     assert psi == pytest.approx(state.psi, rel=1e-9)
+
+
+def _log_power(factor, m, hi):
+    """``factor`` to the power m >= 1 by squaring, as a ``hierarchy._log_convolve``
+    factor with the coefficients of x^0 .. x^hi."""
+    result = None
+    while m:
+        if m & 1:
+            result = factor if result is None else hierarchy._log_convolve(
+                result, factor, 0, min(hi, result[0] + factor[0]))
+        m >>= 1
+        if m:
+            factor = hierarchy._log_convolve(factor, factor, 0, min(hi, 2 * factor[0]))
+    return result
+
+
+def _log_counts(beta, volume, hi):
+    """log Z_N for N = 0 .. hi: the weight e^{beta sum eps k} summed over the
+    ways to place N agents in 0.4 V companies at salary 1 and 0.6 V at salary
+    3, each of d = 5 identical positions."""
+    parts = [_log_power((5, 0, beta * eps * np.arange(6.0)), m, hi)
+             for eps, m in ((1.0, 2 * volume // 5), (3.0, 3 * volume // 5))]
+    return hierarchy._log_convolve(*parts, 0, hi)[2]
+
+
+def test_thermostatics_approach_the_exact_count():
+    # The paper's T, mu, p and S against an exact count: log Z_N of V
+    # companies with N = 2V agents gives alpha = -d log Z_N / dN (central
+    # difference at N +- 1), u = -(d log Z_N / d beta) / N (at beta +- 1e-5),
+    # S = log Z_N - beta d log Z_N / d beta and omega = (log Z_N + alpha* N) / V,
+    # compared with thermo_state at the alpha* where n = 2.  omega and S / V
+    # differ by the count's saddle-point term -ln(2 pi A V) / (2V), A = dn/dalpha
+    # (C. G. Darwin and R. H. Fowler, Phil. Mag. 44, 450, 1922), which is
+    # added back.  Bands stated before the run, on V x gap: alpha in [-0.23,
+    # -0.20], u in [-0.07, -0.055], |omega| <= 0.01, S in [-0.14, -0.12]; per
+    # x4 in V the alpha, u and S gaps shrink by a factor in [3.7, 4.3], and
+    # omega's, whose V x gap shrinks by about 4, by one in [12, 20]
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    d, beta, h = 5, 1.0, 1e-5
+    alpha = _increasing_root(lambda a: ensemble_moments(dist, d, GibbsParams(a, beta)).n, 2.0)
+    a_width = 0.4 * gentile_mean_dlambda(alpha + beta, d) \
+        + 0.6 * gentile_mean_dlambda(alpha + 3.0 * beta, d)
+    bands = {"alpha": (-0.23, -0.20), "u": (-0.07, -0.055), "omega": (-0.01, 0.01),
+             "S": (-0.14, -0.12)}
+    ratios = {"alpha": (3.7, 4.3), "u": (3.7, 4.3), "omega": (12.0, 20.0), "S": (3.7, 4.3)}
+    gaps = []
+    for v in (40, 160, 640):
+        n = 2 * v
+        log_z = _log_counts(beta, v, n + 1)
+        dlz = (_log_counts(beta + h, v, n)[n] - _log_counts(beta - h, v, n)[n]) / (2 * h)
+        state = thermo_state(dist, d, GibbsParams(alpha, beta), v)
+        saddle = 0.5 * math.log(2 * math.pi * a_width * v) / v
+        gaps.append({"alpha": -(log_z[n + 1] - log_z[n - 1]) / 2 - alpha,
+                     "u": -dlz / n - state.u,
+                     "omega": (log_z[n] + alpha * n) / v + saddle - state.omega,
+                     "S": (log_z[n] - beta * dlz) / v + saddle - state.entropy_total / v})
+        for name, (low, high) in bands.items():
+            assert low <= v * gaps[-1][name] <= high, (v, name, v * gaps[-1][name])
+    for wide, narrow in zip(gaps, gaps[1:]):
+        for name, (low, high) in ratios.items():
+            assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
 
 
 # --- maxwell relations -------------------------------------------------------
