@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
-from .errors import ValidationError, _check_type, check_real, checked
+from .errors import ValidationError, _check_type, _freeze, check_real, checked
 from .gentile import GibbsParams
 
 __all__ = [
@@ -38,7 +38,7 @@ class Delta:
     point: float
 
     def __post_init__(self):
-        object.__setattr__(self, "point", checked(check_real, self.point, "point", 0))
+        _freeze(self, point=checked(check_real, self.point, "point", 0))
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ class TwoPoint:
         if None not in (e1, e2) and e1 == e2:
             problems.append("epsilon1 and epsilon2 must differ (use Delta otherwise)")
         w = check_real(self.weight, "weight", problems, 0, 1, open_low=True, open_high=True)
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "epsilon1", e1)
-        object.__setattr__(self, "epsilon2", e2)
-        object.__setattr__(self, "weight", w)
+        _freeze(self, problems, epsilon1=e1, epsilon2=e2, weight=w)
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,7 @@ class Uniform:
         upper = check_real(self.upper, "upper", problems, 0)
         if None not in (lower, upper) and not lower < upper:
             problems.append(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _freeze(self, problems, lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,7 @@ class Histogram:
             problems.append("edges must be strictly ascending")
         if masses and None not in masses and abs(sum(masses) - 1.0) > 1e-12:
             problems.append(f"masses must sum to 1 within 1e-12, got {sum(masses)!r}")
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "masses", masses)
+        _freeze(self, problems, edges=edges, masses=masses)
 
 
 SalaryDistribution = Union[Delta, TwoPoint, Uniform, Histogram]

@@ -106,6 +106,15 @@ def checked(check, value, name, *bounds, **options):
     return value
 
 
+def _freeze(record, problems=(), **values):
+    """Store the checked ``values`` on the frozen dataclass ``record``, or
+    raise every violation in ``problems`` as one ValidationError."""
+    if problems:
+        raise ValidationError(problems)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
 class SingularInversion(HierstatError):
     """The (density, energy) pair does not determine the Gibbs parameters.
 

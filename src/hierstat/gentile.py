@@ -59,8 +59,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import (_DOUBLE_MAX, NoConvergence, ValidationError, _check_type, _shown,
-                     check_int, check_real, checked)
+from .errors import (_DOUBLE_MAX, NoConvergence, ValidationError, _check_type, _freeze,
+                     _shown, check_int, check_real, checked)
 
 __all__ = [
     "SERIES_CUTOFF",
@@ -134,10 +134,7 @@ class OccupancyLevel:
         scale = check_real(self.money_scale, "money_scale", problems, 0)
         if not isinstance(self.sign, EnergySign):
             problems.append(f"sign must be an EnergySign, got {self.sign!r}")
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "money_scale", scale)
+        _freeze(self, problems, capacity=capacity, money_scale=scale)
 
 
 @dataclass(frozen=True)
@@ -151,10 +148,7 @@ class GibbsParams:
         problems = []
         alpha = check_real(self.alpha, "alpha", problems)
         beta = check_real(self.beta, "beta", problems, 0, open_low=True)
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        _freeze(self, problems, alpha=alpha, beta=beta)
 
 
 def activity(level: OccupancyLevel, params: GibbsParams) -> float:

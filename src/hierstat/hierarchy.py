@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_type, _shown, check_int, check_real
+from .errors import ValidationError, _check_type, _freeze, _shown, check_int, check_real
 from .gentile import GibbsParams, _check_capacity, occupancy_probabilities
 
 __all__ = [
@@ -64,10 +64,7 @@ class HierarchyLevel:
         problems = []
         capacity = check_int(self.capacity, "capacity", problems, 1)
         salary = check_real(self.salary, "salary", problems, 0)
-        if problems:
-            raise ValidationError(problems)
-        object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "salary", salary)
+        _freeze(self, problems, capacity=capacity, salary=salary)
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class HierarchySpec:
                            for lv in self.levels)
         except TypeError:
             raise ValidationError("levels must be (capacity, salary) pairs") from None
-        object.__setattr__(self, "levels", levels)
         problems = []
         for i in range(len(levels) - 1):
             if not levels[i].capacity < levels[i + 1].capacity:
@@ -99,8 +95,7 @@ class HierarchySpec:
         if total > _MAX_POSITIONS:
             problems.append(f"total capacity must be <= {_MAX_POSITIONS} (the int64 maximum), "
                             f"got {_shown(total)}")
-        if problems:
-            raise ValidationError(problems)
+        _freeze(self, problems, levels=levels)
 
     @property
     def capacities(self) -> np.ndarray:
@@ -318,8 +313,7 @@ class EnsembleCensus:
             raise ValidationError("counts must be a 2-d matrix (classes x occupancies)")
         if salaries.ndim != 1 or salaries.size != counts.shape[0]:
             raise ValidationError("need one salary per class row")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "salaries", salaries)
+        _freeze(self, counts=counts, salaries=salaries)
 
     @property
     def capacity(self) -> int:

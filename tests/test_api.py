@@ -11,12 +11,15 @@ import pytest
 
 import hierstat
 from hierstat import (
+    Delta,
     EnsembleCensus,
     GibbsParams,
+    HierarchyLevel,
     HierarchySpec,
     Histogram,
     OccupancyLevel,
     ParametricFamily,
+    TwoPoint,
     Uniform,
     ValidationError,
     activity,
@@ -178,6 +181,11 @@ _MALFORMED = {
     "condensation-abscissa-capacity-huge": lambda: condensation_abscissa(10 ** 400, 0.5),
     "grand-canonical-capacity-huge": lambda: sample_grand_canonical(
         OccupancyLevel(10 ** 400, 2.0), _PARAMS, 10_000, 0),
+    # a level the sampler cannot hold: its law vector has d + 1 doubles
+    "grand-canonical-2**64-capacity-huge": lambda: sample_grand_canonical(
+        OccupancyLevel(2 ** 64, 2.0), GibbsParams(-3.0, 1.0), 10_000, 0),
+    "grand-canonical-above-bound-capacity-huge": lambda: sample_grand_canonical(
+        OccupancyLevel(10 ** 7 + 1, 2.0), GibbsParams(-3.0, 1.0), 10_000, 0),
     # an int beyond Python's 4300-digit print limit is named by its size
     "gentile-mean-capacity-5001-digits": lambda: gentile_mean(0.5, 10 ** 5000),
     "gentile-mean-activity-5001-digits": lambda: gentile_mean(10 ** 5000, 5),
@@ -211,6 +219,62 @@ def test_malformed_arguments_raise_validation_error(key):
     with pytest.raises(ValidationError) as err:
         _MALFORMED[key]()
     assert _NAMED.get(key, "") in str(err.value)
+
+
+# a record reports every check it fails, in the order it checks them;
+# Delta and EnsembleCensus stop at their first failed check
+@pytest.mark.parametrize("make, violations", [
+    (lambda: GibbsParams("x", 0), [
+        "alpha must be a finite number, got 'x'",
+        "beta must be a finite number > 0, got 0"]),
+    (lambda: OccupancyLevel(0, -1.0, "salary"), [
+        "capacity must be an integer in [1, 1.7976931348623157e+308], got 0",
+        "money_scale must be a finite number >= 0, got -1.0",
+        "sign must be an EnergySign, got 'salary'"]),
+    (lambda: Delta(-1.0), ["point must be a finite number >= 0, got -1.0"]),
+    (lambda: TwoPoint(-1.0, -1.0, 1.5), [
+        "epsilon1 must be a finite number >= 0, got -1.0",
+        "epsilon2 must be a finite number >= 0, got -1.0",
+        "weight must be a finite number in (0, 1), got 1.5"]),
+    (lambda: TwoPoint(2.0, 2.0, 0.0), [
+        "epsilon1 and epsilon2 must differ (use Delta otherwise)",
+        "weight must be a finite number in (0, 1), got 0.0"]),
+    (lambda: Uniform(2.0, 1.0), ["need lower < upper, got [2.0, 1.0]"]),
+    (lambda: Uniform(-1.0, None), [
+        "lower must be a finite number >= 0, got -1.0",
+        "upper must be a finite number >= 0, got None"]),
+    (lambda: Histogram((0.0, 0.0), (0.5,)), [
+        "edges must be strictly ascending",
+        "masses must sum to 1 within 1e-12, got 0.5"]),
+    (lambda: Histogram((1.0, -1.0, 0.5), (0.7, True, 0.2)), [
+        "edges[1] must be a finite number >= 0, got -1.0",
+        "masses[1] must be a finite number >= 0, got True",
+        "need exactly 2 masses for 3 edges, got 3"]),
+    (lambda: Histogram((0.0,), (0.5,)), [
+        "need at least two bin edges",
+        "need exactly 0 masses for 1 edges, got 1",
+        "masses must sum to 1 within 1e-12, got 0.5"]),
+    (lambda: HierarchyLevel(0, -1.0), [
+        "capacity must be an integer >= 1, got 0",
+        "salary must be a finite number >= 0, got -1.0"]),
+    (lambda: HierarchySpec(((2, 1.0), (1, 2.0))), [
+        "capacity ordering d_1 < d_2 violated (2 >= 1)",
+        "salary ordering epsilon_1 > epsilon_2 violated (1.0 <= 2.0)"]),
+    (lambda: HierarchySpec(((2, 1.0), (1, 2.0), (2 ** 63, 0.5))), [
+        "capacity ordering d_1 < d_2 violated (2 >= 1)",
+        "salary ordering epsilon_1 > epsilon_2 violated (1.0 <= 2.0)",
+        "total capacity must be <= 9223372036854775807 (the int64 maximum), "
+        "got 9223372036854775811"]),
+    (lambda: EnsembleCensus([1.0, True], [True]),
+     ["counts must be a rectangular array of real numbers"]),
+    (lambda: EnsembleCensus([1.0, 2.0], [1.0, 2.0]),
+     ["counts must be a 2-d matrix (classes x occupancies)"]),
+    (lambda: EnsembleCensus([[1.0, 2.0]], [[1.0], [2.0]]), ["need one salary per class row"]),
+])
+def test_records_list_every_violation_in_order(make, violations):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.violations == violations
 
 
 def test_checkers_types_ranges_and_messages():

@@ -25,6 +25,7 @@ from hierstat import (
     TwoPoint,
     Uniform,
     ValidationError,
+    activity_for_mean,
     condensation_abscissa,
     critical_temperature,
     ensemble_moments,
@@ -33,6 +34,7 @@ from hierstat import (
     fermi_market_share,
     gentile_mean_dlambda,
     invert_to_params,
+    log_partition,
     maxwell_check,
     thermo_derivatives,
     thermo_state,
@@ -986,6 +988,63 @@ def test_thermostatics_approach_the_exact_count():
     for wide, narrow in zip(gaps, gaps[1:]):
         for name, (low, high) in ratios.items():
             assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
+
+
+def _log_splits(n, volume, d):
+    """ln C_N, C_N the ways to split N into ``volume`` parts of at most d, by
+    inclusion-exclusion over the parts that would exceed d, in exact integers."""
+    return math.log(sum((-1) ** j * math.comb(volume, j)
+                        * math.comb(n - j * (d + 1) + volume - 1, volume - 1)
+                        for j in range(min(volume, n // (d + 1)) + 1)))
+
+
+def test_point_mass_thermostatics_from_the_exact_count():
+    # V companies of d = 50 positions at one salary eps0: Z_N = e^{beta eps0 N} C_N.
+    # The count's activity is lambda_N = -(ln C_{N+1} - ln C_{N-1}) / 2 and its
+    # p/T is omega_N = (ln C_N + lambda* N) / V plus the saddle-point term
+    # ln(2 pi A V) / (2V), A = f'(lambda*), at the lambda* where the mean is N/V;
+    # x = ln(d + 1) / omega_N is criterion 5's abscissa.  C_N is symmetric in
+    # N -> Vd - N, so half filling gives lambda_N = 0 exactly and fill 0.9 the
+    # negative of fill 0.1's.  Bands stated before the run, on V x gap: lambda
+    # in +-[0.17, 0.19] at fills 0.1 and 0.9, omega in [-0.005, 0] at every
+    # fill, x in [0, 0.005] at fill 0.1 and [0, 2e-4] at 0.9; per x4 in V the
+    # lambda gap shrinks by a factor in [3.7, 4.3], the omega and x gaps by
+    # one in [12, 20].  Without the saddle-point term V x (x gap) at fill 0.1
+    # grows with V from above 5, like ln V.
+    d, sizes = 50, (40, 160, 640)
+    lam_count = {}
+    for fill, lam_band, x_band in ((0.1, (0.17, 0.19), (0.0, 0.005)),
+                                   (0.5, None, None),
+                                   (0.9, (-0.19, -0.17), (0.0, 2e-4))):
+        lam = activity_for_mean(d, fill * d)
+        a_width = gentile_mean_dlambda(lam, d)
+        x_exact = condensation_abscissa(d, fill)
+        gaps, bare = [], []
+        for v in sizes:
+            n = round(fill * d * v)
+            below, at, above = (_log_splits(m, v, d) for m in (n - 1, n, n + 1))
+            lam_count[fill, v] = -(above - below) / 2
+            bare.append((at + lam * n) / v)
+            om = bare[-1] + 0.5 * math.log(2 * math.pi * a_width * v) / v
+            gaps.append({"lambda": lam_count[fill, v] - lam,
+                         "omega": om - log_partition(lam, d),
+                         "x": math.log(d + 1) / om - x_exact})
+            assert -0.005 <= v * gaps[-1]["omega"] <= 0.0, (fill, v, gaps[-1])
+            if lam_band is not None:
+                assert lam_band[0] <= v * gaps[-1]["lambda"] <= lam_band[1], (fill, v, gaps[-1])
+                assert x_band[0] <= v * gaps[-1]["x"] <= x_band[1], (fill, v, gaps[-1])
+        names = ("omega",) if lam_band is None else ("lambda", "omega", "x")
+        for wide, narrow in zip(gaps, gaps[1:]):
+            for name in names:
+                low, high = (3.7, 4.3) if name == "lambda" else (12.0, 20.0)
+                assert low <= wide[name] / narrow[name] <= high, (fill, name, wide, narrow)
+        if fill == 0.1:
+            x_bare = [v * (math.log(d + 1) / om - x_exact) for v, om in zip(sizes, bare)]
+            assert 5.0 < x_bare[0] < x_bare[1] < x_bare[2], x_bare
+    assert abs(activity_for_mean(d, 0.5 * d)) < 1e-12
+    for v in sizes:
+        assert lam_count[0.5, v] == 0.0
+        assert lam_count[0.9, v] == -lam_count[0.1, v]
 
 
 # --- maxwell relations -------------------------------------------------------
