@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Delta, ParametricFamily, TwoPoint, _pieces, _resolve_at, resolve, support
+from .distributions import Delta, TwoPoint, _pieces, _resolve_at, resolve, support
 from .errors import ValidationError
 from .gentile import (GibbsParams, _check_capacity, _check_lambda, _kernels,
                       _log_partition_integral)
@@ -176,22 +176,31 @@ def _moment_pass(pieces, a, b, d, k=6):
     activity, the graded rule for the others.  An interval piece whose first
     ``k`` averages are not finite, or any piece whose lambda overflows, is a
     ValidationError naming alpha and beta."""
-    total = None
+    # -0.0 is the exact additive identity: the first piece sets the totals' bits
+    n = m1 = om = big_a = big_b = big_c = -0.0
     try:
         for lo, hi, mass in pieces:
             if lo == hi:
-                fv, fp, logz = _kernels(_check_lambda(a + b * lo), d)
+                lam = a + b * lo
+                if not math.isfinite(lam):
+                    _check_lambda(lam)  # raises, with its message
+                fv, fp, logz = _kernels(lam, d)
                 avg = fv, lo * fv, logz, fp, lo * fp, lo * (lo * fp)
             else:
                 ends = _activity(a, b, lo), _activity(a, b, hi)
                 avg = _closed_piece(lo, hi, ends, d) or _piece_by_quadrature(lo, hi, ends, d)
                 if not all(map(math.isfinite, avg[:k])):
                     raise ValidationError(f"the moments over [{lo!r}, {hi!r}] are not finite")
-            piece = [mass * v for v in avg[:k]]
-            total = piece if total is None else [t + p for t, p in zip(total, piece)]
+            p_n, p_m1, p_om, p_a, p_b, p_c = avg
+            n += mass * p_n
+            m1 += mass * p_m1
+            om += mass * p_om
+            big_a += mass * p_a
+            big_b += mass * p_b
+            big_c += mass * p_c
     except ValidationError as exc:
         raise ValidationError(f"at alpha={a!r}, beta={b!r}: {exc}") from None
-    return total
+    return [n, m1, om, big_a, big_b, big_c][:k]
 
 
 def moment_integrals(dist, d: int, params: GibbsParams) -> dict:
@@ -221,11 +230,8 @@ def _phi_terms(dist, d, a, b):
     For each parameter the perturbed distribution is integrated against
     the frozen base integrand (f, eps f, log Z at the base parameters),
     the first three components of a moment pass.  Returns two sequences of
-    three floats, zeros for a fixed phi.
+    three floats; a fixed phi has none, and callers take zeros without a call.
     """
-    if not isinstance(dist, ParametricFamily):
-        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
-
     def difference(plus, minus):
         ahead, behind = (_moment_pass(_pieces(p), a, b, d, 3) for p in (plus, minus))
         return [(x - y) / (2 * h) for x, y in zip(ahead, behind)]
@@ -254,7 +260,7 @@ def _two_point_law(dist) -> tuple:
 
 def ensemble_moments(dist, d: int, params: GibbsParams) -> EnsembleMoments:
     """All three moments in one integration pass, with range checks."""
-    return _checked_moments(dist, d, params)[0]
+    return EnsembleMoments(*_checked_moments(dist, d, params)[0])
 
 
 def _n_and_u(m, d, a, b):
@@ -270,25 +276,26 @@ def _n_and_u(m, d, a, b):
 
 
 def _checked_moments(dist, d, params):
-    """:func:`ensemble_moments` and the :func:`_moments` list it came from.
-    A point mass keeps u = -epsilon0 exactly."""
+    """The fields (n, u, omega) of :func:`ensemble_moments` as floats, and the
+    :func:`_moments` list they came from.  A point mass keeps u = -epsilon0
+    exactly."""
     base = resolve(dist, params)
     lo, hi = support(base)
     d = _check_capacity(d)
     a, b = params.alpha, params.beta
     m = _moments(base, d, a, b)
     n, u = _n_and_u(m, d, a, b)
-    mom = EnsembleMoments(n, -base.point if isinstance(base, Delta) else u, m[2])
+    u = -base.point if isinstance(base, Delta) else u
 
     problems = []
-    if mom.omega < 0.0:
-        problems.append(f"omega {mom.omega} negative")
+    if m[2] < 0.0:
+        problems.append(f"omega {m[2]} negative")
     slack = 1e-9 * max(1.0, hi)
-    if not (-hi - slack <= mom.u <= -lo + slack):
-        problems.append(f"energy per element {mom.u} outside [{-hi}, {-lo}]")
+    if not (-hi - slack <= u <= -lo + slack):
+        problems.append(f"energy per element {u} outside [{-hi}, {-lo}]")
     if problems:  # pragma: no cover - guards numerical breakage only
         raise ValidationError(problems)
-    return mom, m
+    return (n, u, m[2]), m
 
 
 def fermi_market_share(dist, params: GibbsParams) -> float:

@@ -10,11 +10,12 @@ does algebra on its results.  It adds:
   accepted iterate is integrated once: its Jacobian reuses the moment
   pass that scored it in the line search.  It runs on Python floats (the
   Newton step is a 2x2 LU solve), so this module loads no numpy.  The
-  solver, its line search and the Maxwell check carry (alpha, beta) as
-  two floats, the moments as the list of ``ensemble._moments`` and the
-  derivatives as a tuple; only the public entry points build
-  :class:`GibbsParams`, :class:`ThermoDerivatives` or the
-  :func:`~hierstat.ensemble.moment_integrals` dict;
+  solver, its line search, the state and the Maxwell check carry (alpha,
+  beta) as two floats, the moments as the list of ``ensemble._moments``
+  and the derivatives as a tuple: :class:`GibbsParams`,
+  :class:`~hierstat.ensemble.EnsembleMoments`, :class:`ThermoDerivatives`
+  and the :func:`~hierstat.ensemble.moment_integrals` dict are built here
+  and in the ensemble only as the return values of public entry points;
 * analytic parameter derivatives of the moments, including the
   finite-difference phi terms (from the ensemble) when the distribution
   depends on the parameters;
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Delta, ParametricFamily, TwoPoint, resolve, support
+from .distributions import Delta, ParametricFamily, TwoPoint, _resolve_at, resolve, support
 from .ensemble import _checked_moments, _moments, _n_and_u, _phi_terms, _two_point_law
 from .errors import (_DOUBLE_MAX, NoConvergence, SingularInversion, ValidationError,
                      check_int, check_real, checked)
@@ -80,6 +81,8 @@ BETA_WINDOW = (1e-6, 1e3)
 _NEWTON_TOL = 1e-12
 #: step h of the central differences in :func:`maxwell_check`: alpha +- h, beta (1 +- h)
 MAXWELL_STEP = 1e-3
+#: the phi terms of :func:`~hierstat.ensemble._phi_terms` for a fixed phi
+_NO_PHI_TERMS = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,8 @@ def _derivatives(dist, d, alpha, beta, m):
     """The nine fields of :func:`thermo_derivatives`, in order, as a tuple of
     floats, from the :func:`~hierstat.ensemble._moments` list ``m`` at
     (alpha, beta)."""
-    phi_a, phi_b = _phi_terms(dist, d, alpha, beta)
+    phi_a, phi_b = (_phi_terms(dist, d, alpha, beta) if isinstance(dist, ParametricFamily)
+                    else _NO_PHI_TERMS)
     n, m1, _, big_a, big_b, big_c = m
     u = -m1 / n
     dn_da = big_a + phi_a[0]
@@ -265,7 +269,7 @@ def _solve(dist, d, n_target, u_target):
     """:func:`invert_to_params` as the floats (alpha, beta) and the
     :func:`~hierstat.ensemble._moments` list at the solution."""
     d = _check_capacity(d)
-    probe = resolve(dist, GibbsParams(0.0, 1.0))
+    probe = _resolve_at(dist, 0.0, 1.0)
     if isinstance(probe, Delta):
         raise SingularInversion(
             "point-mass distribution: u is constant, the map (alpha, beta) -> (n, u) "
@@ -285,7 +289,11 @@ def _solve(dist, d, n_target, u_target):
     alpha, beta = _cold_start(probe, d, n_target, -u_target, hi - lo)
     try:
         if not (math.isfinite(alpha) and 0.0 < beta < math.inf):
-            GibbsParams(alpha, beta)  # raises the record's error for a start off its domain
+            # a start off the parameter domain, refused with GibbsParams' own message;
+            # problems is empty here, the targets having passed
+            check_real(alpha, "alpha", problems)
+            check_real(beta, "beta", problems, 0, open_low=True)
+            raise ValidationError(problems)
         res, m = _scaled_residual(dist, d, alpha, beta, n_target, u_target, scale_u)
     except (ValidationError, OverflowError) as exc:
         raise NoConvergence(f"inverse problem did not converge: the moments at "
@@ -362,8 +370,7 @@ def _state(dist, d, params, volume):
     d = _check_capacity(d)
     volume = checked(check_int, volume, "volume", 1, _DOUBLE_MAX)
 
-    mom, m = _checked_moments(dist, d, params)
-    n, u, om = mom.n, mom.u, mom.omega
+    (n, u, om), m = _checked_moments(dist, d, params)
     alpha, beta = params.alpha, params.beta
     if n * n == 0.0:  # dpsi/dn and the pressure divide and multiply by n^2
         raise ValidationError(f"occupancy density {n} at alpha={alpha!r}, beta={beta!r}: "
@@ -429,7 +436,7 @@ def maxwell_check(dist, d: int, params: GibbsParams, volume: int) -> MaxwellRepo
     """
     if isinstance(dist, ParametricFamily):
         raise ValidationError("maxwell_check requires a parameter-independent phi")
-    if isinstance(resolve(dist, GibbsParams(0.0, 1.0)), Delta):
+    if isinstance(dist, Delta):
         raise ValidationError("point-mass distribution: u is pinned to -epsilon0, so entropy "
                               "is not a free function of (energy, elements) and the cross "
                               "derivatives are undefined")

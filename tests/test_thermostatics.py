@@ -1,5 +1,6 @@
 """Inverse problem, entropy derivatives and the thermodynamic map."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -929,6 +930,54 @@ def test_entropy_per_element_consistent_with_state():
     assert psi == pytest.approx(state.psi, rel=1e-9)
 
 
+@pytest.mark.parametrize("dist, d, passes", [
+    (TwoPoint(1.0, 3.0, 0.4), 5, {"invert": 4, "state": 1, "maxwell": 9, "entropy": 4}),
+    (Uniform(0.5, 2.5), 9, {"invert": 6, "state": 1, "maxwell": 9, "entropy": 6}),
+])
+def test_internals_build_no_records(monkeypatch, dist, d, passes):
+    # a record is built only as a public call's return value: the solver, the
+    # state and the Maxwell check run on floats, and a fixed phi takes no phi
+    # terms.  The moment passes per call are pinned as they were measured
+    # before this rule held, so that it cannot hide extra passes
+    params = GibbsParams(-2.0, 1.0)
+    mom = ensemble_moments(dist, d, params)
+    counts = collections.Counter()
+
+    def counting(label, real):
+        def counted(*args, **kwargs):
+            counts[label] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for cls in (GibbsParams, ensemble.EnsembleMoments):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    for module in (ensemble, thermostatics):
+        monkeypatch.setattr(module, "_phi_terms", counting("_phi_terms", ensemble._phi_terms))
+    monkeypatch.setattr(ensemble, "_moment_pass", counting("passes", ensemble._moment_pass))
+    calls = {"invert": lambda: invert_to_params(dist, d, mom.n, mom.u),
+             "state": lambda: thermo_state(dist, d, params, 100),
+             "maxwell": lambda: maxwell_check(dist, d, params, 100),
+             "entropy": lambda: entropy_per_element(dist, d, mom.n, mom.u)}
+    for name, call in calls.items():
+        counts.clear()
+        call()
+        built = {"GibbsParams": 1} if name == "invert" else {}
+        assert counts == {"passes": passes[name], **built}, (name, counts)
+
+
+def test_atom_overflow_message():
+    # an atom's lambda is checked inline; its overflow keeps the message of
+    # the kernels' own check, and the share names the cost piece as given
+    dist, params = TwoPoint(1.0, 1e300, 0.5), GibbsParams(-1.0, 1e300)
+    with pytest.raises(ValidationError) as err:
+        ensemble.moment_integrals(dist, 9, params)
+    assert str(err.value) == "at alpha=-1.0, beta=1e+300: activity exponent must be finite, got inf"
+    with pytest.raises(ValidationError) as err:
+        fermi_market_share(dist, params)
+    assert str(err.value) == ("at alpha=-1.0, beta=1e+300: the d = 1 moments over the cost "
+                              "piece [1e+300, 1e+300] overflow")
+
+
 def _log_power(factor, m, hi):
     """``factor`` to the power m >= 1 by squaring, as a ``hierarchy._log_convolve``
     factor with the coefficients of x^0 .. x^hi."""
@@ -988,6 +1037,54 @@ def test_thermostatics_approach_the_exact_count():
     for wide, narrow in zip(gaps, gaps[1:]):
         for name, (low, high) in ratios.items():
             assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
+
+
+def test_exact_count_near_the_frozen_edge():
+    # The comparison above at beta = 4, where the state sits at rho = 2.3e-4
+    # of its strip u in (-3, -2.2) from the frozen edge u = -3: the level at
+    # salary 1 holds f = 4.5e-4 agents per company.  The 1/V constants do not
+    # grow there.  alpha's moves from -0.216 to -0.342, the first Edgeworth
+    # term K3 / (2 A^2) of the ensemble (A and K3 the phi-averages of f' and
+    # f''), now nearly the salary-3 level's alone; u's and S's shrink with rho,
+    # from -0.064 to -1.2e-4 and from -0.128 to -9.8e-4; omega's gap stays
+    # O(1/V^2) after the saddle-point term, and S carries that same term.
+    # Bands set after a run to V = 2560 that showed the limits (alpha's V x
+    # gap -0.3372, -0.3409, -0.3418 at V = 40, 160, 640, then -0.3420 at 2560;
+    # u's -1.192e-4, -1.221e-4, -1.229e-4; S minus omega's -9.54e-4,
+    # -9.77e-4, -9.83e-4): on V x gap, alpha in [-0.345, -0.335], u in
+    # [-1.3e-4, -1.1e-4], |omega| <= 0.01 and S - omega in [-1.0e-3,
+    # -0.9e-3]; per x4 in V the alpha and u gaps shrink by a factor in
+    # [3.7, 4.3] and omega's by one in [12, 20]; at V = 640 alpha's is within
+    # 1e-3 of K3 / (2 A^2) = -0.34212 (-0.21643 at beta = 1)
+    dist = TwoPoint(1.0, 3.0, 0.4)
+    d, beta, h = 5, 4.0, 1e-5
+    alpha = _increasing_root(lambda a: ensemble_moments(dist, d, GibbsParams(a, beta)).n, 2.0)
+    lams = ((0.4, alpha + beta), (0.6, alpha + 3.0 * beta))
+    a_width = sum(w * gentile_mean_dlambda(lam, d) for w, lam in lams)
+    k3 = sum(w * (gentile_mean_dlambda(lam + 1e-4, d) - gentile_mean_dlambda(lam - 1e-4, d))
+             for w, lam in lams) / 2e-4
+    bands = {"alpha": (-0.345, -0.335), "u": (-1.3e-4, -1.1e-4), "omega": (-0.01, 0.01),
+             "S - omega": (-1.0e-3, -0.9e-3)}
+    ratios = {"alpha": (3.7, 4.3), "u": (3.7, 4.3), "omega": (12.0, 20.0)}
+    gaps = []
+    for v in (40, 160, 640):
+        n = 2 * v
+        log_z = _log_counts(beta, v, n + 1)
+        dlz = (_log_counts(beta + h, v, n)[n] - _log_counts(beta - h, v, n)[n]) / (2 * h)
+        state = thermo_state(dist, d, GibbsParams(alpha, beta), v)
+        assert 0.0 < (state.u + 3.0) / 0.8 < 1e-3
+        saddle = 0.5 * math.log(2 * math.pi * a_width * v) / v
+        omega = (log_z[n] + alpha * n) / v + saddle - state.omega
+        gaps.append({"alpha": -(log_z[n + 1] - log_z[n - 1]) / 2 - alpha,
+                     "u": -dlz / n - state.u, "omega": omega,
+                     "S - omega": (log_z[n] - beta * dlz) / v + saddle
+                     - state.entropy_total / v - omega})
+        for name, (low, high) in bands.items():
+            assert low <= v * gaps[-1][name] <= high, (v, name, v * gaps[-1][name])
+    for wide, narrow in zip(gaps, gaps[1:]):
+        for name, (low, high) in ratios.items():
+            assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
+    assert abs(640 * gaps[-1]["alpha"] - k3 / (2 * a_width * a_width)) <= 1e-3
 
 
 def _log_splits(n, volume, d):
