@@ -253,7 +253,7 @@ def _two_point_law(dist) -> tuple:
         return dist.epsilon1, dist.epsilon2, dist.weight
     mids = [(mass, 0.5 * lo + 0.5 * hi, hi - lo) for lo, hi, mass in _pieces(dist)]
     mean = sum(mass * mid for mass, mid, _ in mids)
-    sd = math.sqrt(sum(mass * ((mid - mean) ** 2 + width * width / 12.0)
+    sd = math.sqrt(sum(mass * ((mid - mean) * (mid - mean) + width * width / 12.0)
                        for mass, mid, width in mids))
     return mean - sd, mean + sd, 0.5
 

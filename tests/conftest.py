@@ -1,5 +1,6 @@
 """Shared test helpers: brute-force oracles kept independent of the
-library code paths they check, and an in-process CLI runner."""
+library code paths they check, a spy that counts or fakes the calls of a
+private function, and an in-process CLI runner."""
 
 import contextlib
 import io
@@ -32,6 +33,25 @@ def enumerate_position_measure(capacities, salaries, agents, beta):
         den += w
         num += w * np.array(occ)
     return num / den
+
+
+def spy(monkeypatch, name, *modules, answer=None):
+    """Wrap ``getattr(modules[0], name)`` once and set the wrapper on ``name``
+    in every listed module; a class works as a module, so ``"__init__"``
+    counts the records built.  Returns the list of each call's positional
+    arguments, appended as the call begins.  A call returns ``answer(*args)``
+    when ``answer`` is given, which may read that list to fake the k-th call,
+    and the real function's result otherwise."""
+    calls = []
+    call = answer or getattr(modules[0], name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return call(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spied)
+    return calls
 
 
 @pytest.fixture

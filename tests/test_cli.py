@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import spy
+
 import hierstat.cli
 import hierstat.thermostatics
 from hierstat import SingularInversion
@@ -305,14 +307,8 @@ def test_thermo_inversion_past_underflowed_trial_exits_0(runner, tmp_path, monke
     # a line-search trial whose occupancy underflows to 0 is halved past,
     # not a ZeroDivisionError traceback
     real = hierstat.thermostatics._moments
-    calls = []
-
-    def underflow_second(dist, d, alpha, beta):
-        calls.append((alpha, beta))
-        m = real(dist, d, alpha, beta)
-        return [0.0, *m[1:]] if len(calls) == 2 else m
-
-    monkeypatch.setattr(hierstat.thermostatics, "_moments", underflow_second)
+    calls = spy(monkeypatch, "_moments", hierstat.thermostatics,
+                answer=lambda *args: [0.0, *real(*args)[1:]] if len(calls) == 2 else real(*args))
     cfg = _thermo_cfg(tmp_path, {
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import midpoint_integral
+from conftest import midpoint_integral, spy
 
 from hierstat import (
     Delta,
@@ -281,14 +281,7 @@ def test_moment_pass_makes_one_kernel_call_per_node(monkeypatch):
     # than W_MIN with no grading point inside, lambda in [-1.5, -1.4] at
     # d = 9, takes one panel of the graded rule, one evaluation per node
     import hierstat.ensemble as ensemble
-    calls = []
-    real = ensemble._kernels
-
-    def counted(lam, d):
-        calls.append(lam)
-        return real(lam, d)
-
-    monkeypatch.setattr(ensemble, "_kernels", counted)
+    calls = spy(monkeypatch, "_kernels", ensemble)
     ensemble.moment_integrals(Uniform(0.5, 2.5), 9, GibbsParams(-2.0, 1.0))
     assert len(calls) == 2
     calls.clear()
@@ -300,16 +293,9 @@ def test_narrow_piece_converts_its_ends_to_activity_once(monkeypatch):
     # the moment pass corrects the two ends of a piece once and hands them to
     # both the closed form (which declines a piece below W_MIN) and the rule
     import hierstat.ensemble as ensemble
-    calls = []
-    real = ensemble._activity
-
-    def counted(a, b, eps):
-        calls.append(eps)
-        return real(a, b, eps)
-
-    monkeypatch.setattr(ensemble, "_activity", counted)
+    calls = spy(monkeypatch, "_activity", ensemble)
     ensemble.moment_integrals(Uniform(0.5, 0.6), 9, GibbsParams(-2, 1))
-    assert calls == [0.5, 0.6]
+    assert [eps for _, _, eps in calls] == [0.5, 0.6]
 
 
 @pytest.mark.parametrize("dist, alpha", [(Uniform(0.5, 2.5), -760.0),

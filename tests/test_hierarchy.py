@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from conftest import enumerate_position_measure
+from conftest import enumerate_position_measure, spy
 
 from hierstat import hierarchy
 from hierstat import (
@@ -296,18 +296,11 @@ def _random_exact_cases(n):
 @pytest.mark.parametrize("block", [hierarchy._FOLD_BLOCK, 97, 1])
 def test_blocked_fold_matches_row_by_row_bits(monkeypatch, block):
     monkeypatch.setattr(hierarchy, "_FOLD_BLOCK", block)
-    blocked = hierarchy._log_convolve
-    narrow = []
-
-    def watched(a, b, lo, hi):
-        narrow.append(hi - lo + 1 < min(a[2].size, b[2].size))
-        return blocked(a, b, lo, hi)
-
     cases = list(_random_exact_cases(240))
     assert sum(len(spec) == 1 for spec, _, _ in cases) >= 20
-    monkeypatch.setattr(hierarchy, "_log_convolve", watched)
+    folds = spy(monkeypatch, "_log_convolve", hierarchy)
     got = [exact_canonical(*case) for case in cases]
-    assert any(narrow)
+    assert any(hi - lo + 1 < min(a[2].size, b[2].size) for a, b, lo, hi in folds)
     monkeypatch.setattr(hierarchy, "_log_convolve", _row_by_row_log_convolve)
     for case, ex in zip(cases, got):
         ref = exact_canonical(*case)

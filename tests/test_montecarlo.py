@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import spy
+
 import hierstat.montecarlo as montecarlo
 from hierstat import (
     GibbsParams,
@@ -413,17 +415,6 @@ def test_step_loop_matches_linear_scan(name):
     assert {_branch(*pick) for pick in picks} == expected
 
 
-def _spy_walks(monkeypatch):
-    """The names of the walks ``_run_position_chain`` calls, in order."""
-    walked = []
-    for name in ("_walk_loop", "_walk_table"):
-        def spy(*args, _walk=getattr(montecarlo, name), _name=name):
-            walked.append(_name)
-            return _walk(*args)
-        monkeypatch.setattr(montecarlo, name, spy)
-    return walked
-
-
 def test_walk_is_chosen_by_the_table_size(monkeypatch):
     # the golden spec's table: 8 level-count vectors x 8 agent ranks x 6
     # vacancy ranks x 3 acceptance ranks, walked from 8 entries a step on;
@@ -432,12 +423,57 @@ def test_walk_is_chosen_by_the_table_size(monkeypatch):
     assert len(_lumped_states([1, 3, 10], 8, 8)) == 8
     assert _lumped_states([1, 3, 10], 8, 7) is None
     assert _table_entries(L3, 8, 1.0) == 1_152
-    walked = _spy_walks(monkeypatch)
+    loops = spy(monkeypatch, "_walk_loop", montecarlo)
+    tables = spy(monkeypatch, "_walk_table", montecarlo)
+    walked = []  # the calls of each walk so far, after each chain
     for spec, agents, beta, steps in ((L3, 8, 1.0, 8 * 1_152 - 1), (L3, 8, 1.0, 8 * 1_152),
                                       (DEEP, 127, 0.65, 120_000)):
         rng = np.random.default_rng(7)
         _run_position_chain(spec, beta, _initial_occupancy(spec, agents, rng), steps, rng)
-    assert walked == ["_walk_loop", "_walk_table", "_walk_loop"]
+        walked.append((len(loops), len(tables)))
+    assert walked == [(1, 0), (1, 1), (2, 1)]
+
+
+def test_lumped_chain_is_exact_on_the_golden_spec():
+    # the level counts r of the position-swap chain are a Markov chain
+    # (Kemeny and Snell, Finite Markov Chains, 1960, ch. 6): an agent picked
+    # in level i moves to a vacancy picked in level j with probability
+    # r_i (c_j - r_j) / (A V) min(1, e^{-beta (s_i - s_j)}), A agents and V
+    # vacancies, and stays otherwise.  Its law pi(r) ~ prod_k C(c_k, r_k)
+    # e^{beta s_k r_k} is stationary and in detailed balance.  Bounds, set
+    # before the run: each row sums to 1 within 1e-15, |pi P - pi| and
+    # |pi_r P(r, r') - pi_r' P(r', r)| are within 1e-15, and pi's level means
+    # equal exact_canonical's within 1e-14 (read: 2.2e-16, 5.6e-17, 6.9e-18
+    # and 8.9e-16)
+    caps, salaries, agents, beta = L3.capacities.tolist(), L3.salaries.tolist(), 8, 1.0
+    pairs = agents * (sum(caps) - agents)
+    states = _lumped_states(caps, agents, math.inf)
+    index = {r: k for k, r in enumerate(states)}
+    p = np.zeros((len(states), len(states)))
+    for k, r in enumerate(states):
+        for i in range(len(caps)):
+            for j in range(len(caps)):
+                pick = r[i] * (caps[j] - r[j]) / pairs
+                accept = min(1.0, math.exp(-beta * (salaries[i] - salaries[j])))
+                if i != j and pick:
+                    to = list(r)
+                    to[i] -= 1
+                    to[j] += 1
+                    p[k, index[tuple(to)]] += pick * accept
+                    p[k, k] += pick * (1.0 - accept)
+                else:
+                    p[k, k] += pick
+    pi = np.array([math.prod(math.comb(c, n) * math.exp(beta * s * n)
+                             for c, s, n in zip(caps, salaries, r)) for r in states])
+    pi /= pi.sum()
+    assert len(states) == 8
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(pi @ p - pi).max() <= 1e-15
+    flow = pi[:, None] * p
+    assert np.abs(flow - flow.T).max() <= 1e-15
+    means = pi @ np.array(states, dtype=float)
+    exact = exact_canonical(L3, agents, beta).mean_occupancy
+    assert np.abs(means - exact).max() <= 1e-14
 
 
 class _FixedDraws:
@@ -467,14 +503,15 @@ def test_step_loop_ties_match_linear_scan(monkeypatch):
                 _assert_same_run(L3, got, want, r0, u, u_acc)
     # a chain long enough for the table whose pick streams hold the largest
     # draw, alone and at one step together: it takes the table
-    walked = _spy_walks(monkeypatch)
+    loops = spy(monkeypatch, "_walk_loop", montecarlo)
+    tables = spy(monkeypatch, "_walk_table", montecarlo)
     draws = np.random.default_rng(5).random((3, 8 * 1_152))
     draws[0, 100] = draws[1, 200] = top
     draws[:2, 300] = top
     got, want = (loop(L3, 1.0, [0, 2, 6], draws.shape[1], _FixedDraws(*draws))
                  for loop in (_run_position_chain, _linear_scan_chain))
     _assert_same_run(L3, got, want)
-    assert walked == ["_walk_table"]
+    assert (len(loops), len(tables)) == (0, 1)
 
 
 def test_largest_draw_ranks_below_its_total():

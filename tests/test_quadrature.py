@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import spy
+
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
 from hierstat.ensemble import _activity, _piece_by_quadrature, moment_integrals
@@ -117,14 +119,7 @@ def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
     # peaks; W_MIN is lifted so that the piece takes the graded rule, as a
     # piece narrower than it does: 21 panels between lambda = -2.19 and 0.45
     mpmath = pytest.importorskip("mpmath")
-    calls = []
-    real = ensemble._kernels
-
-    def counted(lam, d):
-        calls.append(lam)
-        return real(lam, d)
-
-    monkeypatch.setattr(ensemble, "_kernels", counted)
+    calls = spy(monkeypatch, "_kernels", ensemble)
     monkeypatch.setattr(ensemble, "W_MIN", math.inf)
     alpha, beta, d = -2.856, 1.323, 1000
     m = moment_integrals(Uniform(0.5, 2.5), d, GibbsParams(alpha, beta))

@@ -1,6 +1,5 @@
 """Inverse problem, entropy derivatives and the thermodynamic map."""
 
-import collections
 import dataclasses
 import hashlib
 import itertools
@@ -11,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from conftest import spy
 
 import hierstat.ensemble as ensemble
 import hierstat.hierarchy as hierarchy
@@ -102,7 +103,7 @@ def test_phi_terms_one_kernel_call_per_node(monkeypatch):
     # the frozen integrand (f, eps f, log Z) takes all three from one fused
     # kernel call: at each end of a piece in closed form, per node of the
     # graded rule for a piece narrower than W_MIN
-    calls = _count_kernels(monkeypatch)
+    calls = spy(monkeypatch, "_kernels", ensemble)
     wide = ParametricFamily(lambda a, b: Uniform(0.5 + 0.05 * math.tanh(a),
                                                  2.5 + 0.05 * math.tanh(b - 1.0)))
     narrow = ParametricFamily(lambda a, b: Uniform(0.5 + 0.01 * math.tanh(a),
@@ -138,19 +139,6 @@ def test_derivatives_at_underflowed_occupancy_name_the_parameters():
     assert der.jacobian == 0.0 and der.domega_dalpha == 2.0
 
 
-def _count_kernels(monkeypatch):
-    """The activities of every kernel call of the moment passes, as they run."""
-    calls = []
-    real = ensemble._kernels
-
-    def counted(lam, d):
-        calls.append(lam)
-        return real(lam, d)
-
-    monkeypatch.setattr(ensemble, "_kernels", counted)
-    return calls
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, dist, alpha, kernel_calls", [
     (ensemble_moments, Uniform(0.0, 1e300), -1.0, 2 + 12 * 1004),
@@ -163,7 +151,7 @@ def test_overflow_is_a_validation_error(monkeypatch, call, dist, alpha, kernel_c
     # lambda; at alpha = 1e300 both histogram bins are 0 wide in activity,
     # one panel each.  Either way the level is full: n rounds to d or just
     # above it, outside (0, d)
-    calls = _count_kernels(monkeypatch)
+    calls = spy(monkeypatch, "_kernels", ensemble)
     with pytest.raises(ValidationError) as err:
         call(dist, 9, GibbsParams(alpha, 1.0))
     assert f"alpha={alpha!r}, beta=1.0" in str(err.value)
@@ -205,7 +193,7 @@ def test_extreme_inputs_raise_only_documented_errors(monkeypatch):
     # values or raises ValidationError, and evaluates the kernels at most
     # 13,000 times (the piece [0, 1e300] takes up to 1037 panels of 12 nodes,
     # one per doubling of lambda); the number of raising inputs is pinned per call
-    calls = _count_kernels(monkeypatch)
+    calls = spy(monkeypatch, "_kernels", ensemble)
     dists = (Uniform(0.0, 1e300), Histogram((0.0, 1.0, 1e10), (0.5, 0.5)),
              TwoPoint(1.0, 1e300, 0.5), Uniform(0.0, 1e-300),
              TwoPoint(1e-200, 1e200, 0.5), Delta(1e300))
@@ -361,31 +349,21 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
 
 
 @pytest.mark.parametrize("p, d, alpha, beta", [
-    (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
-    (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
-])
-def test_inversion_restarts_after_singular_scan_start(p, d, alpha, beta):
     # benchmark seed 11's two draws: a grid scan's best point for them was
     # alpha = -29.76, beta = 26.61, where the upper atom is saturated and the
     # two Jacobian columns are exactly proportional; the computed start must
     # recover both without any restart
-    dist = TwoPoint(1.0, 3.0, p)
-    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
-    rec = invert_to_params(dist, d, mom.n, mom.u)
-    assert abs(rec.alpha - alpha) < 1e-8
-    assert abs(rec.beta - beta) < 1e-8
-
-
-@pytest.mark.parametrize("p, d, alpha, beta", [
+    (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
+    (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
+    # benchmark draws with the upper atom 95-100 % full: iterates that push
+    # it to saturation make the Jacobian columns proportional, and a 1e-12
+    # residual near saturation can still leave ~1e-8 of error in (alpha, beta)
     (0.5256548739362952, 8, 0.38351513137205373, 2.4745583222389516),
     (0.32034590869340157, 2, -3.462271241113557, 1.9669361812390944),
     (0.5785135458976106, 9, -3.304685425800258, 1.5993127205161375),
     (0.5583304524044435, 10, -3.1066570752886564, 1.5129974711727128),
 ])
 def test_inversion_roundtrip_hard_two_point_draws(p, d, alpha, beta):
-    # benchmark draws with the upper atom 95-100 % full: iterates that push
-    # it to saturation make the Jacobian columns proportional, and a 1e-12
-    # residual near saturation can still leave ~1e-8 of error in (alpha, beta)
     dist = TwoPoint(1.0, 3.0, p)
     mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
     rec = invert_to_params(dist, d, mom.n, mom.u)
@@ -394,18 +372,17 @@ def test_inversion_roundtrip_hard_two_point_draws(p, d, alpha, beta):
 
 
 def _zero_jacobian_after(monkeypatch, real_calls):
-    """Make every Jacobian after the first ``real_calls`` exactly zero."""
+    """Make every Jacobian after the first ``real_calls`` exactly zero; the
+    calls of ``_derivatives(dist, d, alpha, beta, m)``, as they run."""
     real = thermostatics._derivatives
-    points = []
 
-    def patched(dist, d, alpha, beta, m):
-        der = real(dist, d, alpha, beta, m)
-        points.append((alpha, beta))
+    def zeroed(*args):
+        der = real(*args)
         if len(points) <= real_calls:
             return der
         return 0.0, 0.0, 0.0, 0.0, der[4], der[5], 0.0, 0.0, 0.0
 
-    monkeypatch.setattr(thermostatics, "_derivatives", patched)
+    points = spy(monkeypatch, "_derivatives", thermostatics, answer=zeroed)
     return points
 
 
@@ -416,7 +393,7 @@ def test_inversion_singular_at_start_raises(monkeypatch):
     with pytest.raises(SingularInversion) as err:
         invert_to_params(dist, 5, mom.n, mom.u)
     assert len(points) == 1  # one computed start, no restart
-    assert f"alpha={points[0][0]!r}" in str(err.value)
+    assert f"alpha={points[0][2]!r}" in str(err.value)
     assert "np.float64" not in str(err.value)
 
 
@@ -444,39 +421,46 @@ def test_inversion_start_off_the_parameter_domain_is_no_convergence():
     assert str(err.value).endswith(f"(alpha={err.value.alpha!r}, beta=inf)")
 
 
+@pytest.mark.parametrize("call", [invert_to_params, entropy_per_element])
+def test_wide_histogram_start_is_no_convergence(call):
+    # the two-point start's spread squares a bin midpoint 5e299 away from the
+    # mean: inf, not an OverflowError.  The start is then off the parameter
+    # domain and refused with the parameter record's own message
+    with pytest.raises(NoConvergence, match=r"the moments at the starting point failed "
+                                            r"\(alpha must be a finite number, got nan\)"):
+        call(Histogram((0.0, 1.0, 1e300), (0.5, 0.5)), 1, 0.5, -1.0)
+
+
 def test_inversion_halves_past_a_failing_trial(monkeypatch):
     # the first line-search trial's moments fail: the step is halved, and
     # the solve still converges
     real = thermostatics._scaled_residual
-    calls = []
 
     def flaky(*args):
-        calls.append(args[2:4])
         if len(calls) == 2:
             raise ValidationError("the moments are not finite")
         return real(*args)
 
-    monkeypatch.setattr(thermostatics, "_scaled_residual", flaky)
+    calls = spy(monkeypatch, "_scaled_residual", thermostatics, answer=flaky)
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
     rec = invert_to_params(dist, 5, mom.n, mom.u)
-    (a0, b0), (a1, b1), (a2, b2) = calls[:3]
+    (a0, b0), (a1, b1), (a2, b2) = (args[2:4] for args in calls[:3])
     assert a2 - a0 == pytest.approx(0.5 * (a1 - a0), rel=1e-12)
     assert b2 - b0 == pytest.approx(0.5 * (b1 - b0), rel=1e-12)
     assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
 
 
 def _underflow_moments_on(monkeypatch, calls_to_zero):
-    """Make the listed moment passes (1-based) report an occupancy of 0."""
+    """Make the listed moment passes (1-based) report an occupancy of 0; the
+    calls of ``_moments(dist, d, alpha, beta)``, as they run."""
     real = thermostatics._moments
-    calls = []
 
-    def patched(dist, d, alpha, beta):
-        calls.append((alpha, beta))
-        m = real(dist, d, alpha, beta)
+    def zeroed(*args):
+        m = real(*args)
         return [0.0, *m[1:]] if len(calls) in calls_to_zero else m
 
-    monkeypatch.setattr(thermostatics, "_moments", patched)
+    calls = spy(monkeypatch, "_moments", thermostatics, answer=zeroed)
     return calls
 
 
@@ -487,7 +471,7 @@ def test_inversion_halves_past_an_underflowed_trial(monkeypatch):
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
     rec = invert_to_params(dist, 5, mom.n, mom.u)
-    (a0, b0), (a1, b1), (a2, b2) = calls[:3]
+    (a0, b0), (a1, b1), (a2, b2) = (args[2:4] for args in calls[:3])
     assert a2 - a0 == pytest.approx(0.5 * (a1 - a0), rel=1e-12)
     assert b2 - b0 == pytest.approx(0.5 * (b1 - b0), rel=1e-12)
     assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
@@ -506,27 +490,25 @@ def test_inversion_keeps_converged_iterate_when_next_jacobian_fails(monkeypatch,
                                                                     failure):
     dist = TwoPoint(1.0, 3.0, 0.4)
     mom = ensemble_moments(dist, 5, GibbsParams(-2.0, 1.0))
-    jacobians = _count_calls(monkeypatch, "_derivatives")
+    jacobians = spy(monkeypatch, "_derivatives", thermostatics)
     invert_to_params(dist, 5, mom.n, mom.u)
     converged_at = len(jacobians)  # the last Jacobian is taken at the converged iterate
     assert converged_at >= 1
     monkeypatch.undo()
 
     real = thermostatics._derivatives
-    points = []
 
-    def patched(dist, d, alpha, beta, m):
-        points.append(GibbsParams(alpha, beta))
+    def failing_at_convergence(*args):
         if len(points) < converged_at:
-            return real(dist, d, alpha, beta, m)
+            return real(*args)
         if failure == "raises":
             raise ValidationError("the moments are not finite")
         return (0.0,) * 9
 
-    monkeypatch.setattr(thermostatics, "_derivatives", patched)
+    points = spy(monkeypatch, "_derivatives", thermostatics, answer=failing_at_convergence)
     rec = invert_to_params(dist, 5, mom.n, mom.u)
     assert len(points) == converged_at
-    assert rec == points[-1]
+    assert rec == GibbsParams(*points[-1][2:4])
     assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
 
 
@@ -543,21 +525,9 @@ def _criterion_9_draws():
         yield k, dist, d, params
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(thermostatics, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(thermostatics, name, counted)
-    return calls
-
-
 def test_inversion_moment_evaluations_per_draw(monkeypatch):
     # criterion 9's draws (seed 23): a start scan would cost ~1700 each
-    calls = _count_calls(monkeypatch, "_moments")
+    calls = spy(monkeypatch, "_moments", thermostatics)
     for k, dist, d, params in _criterion_9_draws():
         mom = ensemble_moments(dist, d, params)
         calls.clear()
@@ -567,8 +537,8 @@ def test_inversion_moment_evaluations_per_draw(monkeypatch):
 
 def test_inversion_integrates_each_point_once(monkeypatch):
     # an accepted iterate's Jacobian reuses the moment pass of its residual
-    passes = _count_calls(monkeypatch, "_moments")
-    residuals = _count_calls(monkeypatch, "_scaled_residual")
+    passes = spy(monkeypatch, "_moments", thermostatics)
+    residuals = spy(monkeypatch, "_scaled_residual", thermostatics)
     for k, dist, d, params in _criterion_9_draws():
         mom = ensemble_moments(dist, d, params)
         passes.clear()
@@ -581,7 +551,7 @@ def test_inversion_integrates_each_point_once(monkeypatch):
 def test_cold_solve_takes_no_activity_root(monkeypatch):
     # the start estimates its activities from a closed form and two Newton
     # steps on the kernel, not from a Brent root
-    roots = _count_calls(monkeypatch, "activity_for_mean")
+    roots = spy(monkeypatch, "activity_for_mean", thermostatics)
     for k, dist, d, params in _criterion_9_draws():
         mom = ensemble_moments(dist, d, params)
         invert_to_params(dist, d, mom.n, mom.u)
@@ -593,7 +563,7 @@ def test_two_point_cold_solve_moment_passes(monkeypatch):
     # criterion 9's TwoPoint draws: the two-point start lies within about 1e-3
     # of the answer, so Newton needs at most 4 moment passes after the start's
     # own on average (3.04 measured; 6.96 from a start at beta0 = 1/(hi - lo))
-    passes = _count_calls(monkeypatch, "_moments")
+    passes = spy(monkeypatch, "_moments", thermostatics)
     after_start = []
     for k, dist, d, params in _criterion_9_draws():
         if isinstance(dist, TwoPoint):
@@ -654,9 +624,9 @@ def test_inversion_singular_at_later_iterate_raises(monkeypatch):
     with pytest.raises(SingularInversion) as err:
         invert_to_params(dist, 5, mom.n, mom.u)
     assert len(points) == 2  # no restart from a later iterate
-    res, _ = thermostatics._scaled_residual(dist, 5, *points[1], mom.n, mom.u, abs(mom.u))
+    res, _ = thermostatics._scaled_residual(dist, 5, *points[1][2:4], mom.n, mom.u, abs(mom.u))
     assert max(map(abs, res)) > 1e-12
-    assert f"alpha={points[1][0]!r}" in str(err.value)
+    assert f"alpha={points[1][2]!r}" in str(err.value)
     assert "np.float64" not in str(err.value)
 
 
@@ -874,17 +844,9 @@ def test_parametric_phi_shifts_temperature_off_beta():
 
 def test_parametric_state_integrates_its_point_once(monkeypatch):
     # n, u, omega and the chain-rule Jacobian share one moment pass
-    points = []
-    real = ensemble._moments
-
-    def counted(dist, d, alpha, beta):
-        points.append(GibbsParams(alpha, beta))
-        return real(dist, d, alpha, beta)
-
-    for module in (ensemble, thermostatics):
-        monkeypatch.setattr(module, "_moments", counted)
+    points = spy(monkeypatch, "_moments", ensemble, thermostatics)
     thermo_state(_family(1.0), 5, GibbsParams(-2.0, 1.0), 100)
-    assert points == [GibbsParams(-2.0, 1.0)]
+    assert [args[2:] for args in points] == [(-2.0, 1.0)]
 
 
 def test_parametric_chain_rule_matches_entropy_differences():
@@ -941,28 +903,21 @@ def test_internals_build_no_records(monkeypatch, dist, d, passes):
     # before this rule held, so that it cannot hide extra passes
     params = GibbsParams(-2.0, 1.0)
     mom = ensemble_moments(dist, d, params)
-    counts = collections.Counter()
-
-    def counting(label, real):
-        def counted(*args, **kwargs):
-            counts[label] += 1
-            return real(*args, **kwargs)
-        return counted
-
-    for cls in (GibbsParams, ensemble.EnsembleMoments):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
-    for module in (ensemble, thermostatics):
-        monkeypatch.setattr(module, "_phi_terms", counting("_phi_terms", ensemble._phi_terms))
-    monkeypatch.setattr(ensemble, "_moment_pass", counting("passes", ensemble._moment_pass))
+    counts = {"GibbsParams": spy(monkeypatch, "__init__", GibbsParams),
+              "EnsembleMoments": spy(monkeypatch, "__init__", ensemble.EnsembleMoments),
+              "_phi_terms": spy(monkeypatch, "_phi_terms", ensemble, thermostatics),
+              "passes": spy(monkeypatch, "_moment_pass", ensemble)}
     calls = {"invert": lambda: invert_to_params(dist, d, mom.n, mom.u),
              "state": lambda: thermo_state(dist, d, params, 100),
              "maxwell": lambda: maxwell_check(dist, d, params, 100),
              "entropy": lambda: entropy_per_element(dist, d, mom.n, mom.u)}
     for name, call in calls.items():
-        counts.clear()
+        for spied in counts.values():
+            spied.clear()
         call()
         built = {"GibbsParams": 1} if name == "invert" else {}
-        assert counts == {"passes": passes[name], **built}, (name, counts)
+        got = {label: len(spied) for label, spied in counts.items() if spied}
+        assert got == {"passes": passes[name], **built}, (name, got)
 
 
 def test_atom_overflow_message():
@@ -1223,17 +1178,9 @@ def test_maxwell_reports_match_an_mpmath_oracle(dist, d):
 def test_maxwell_takes_nine_moment_passes_and_no_inversion(monkeypatch):
     # the state's own pass and four per step (alpha and beta moved up and
     # down) at the step and at half step; no solve and no activity root
-    passes = []
-    real = ensemble._moments
-
-    def counted(*args):
-        passes.append(args)
-        return real(*args)
-
-    for module in (ensemble, thermostatics):
-        monkeypatch.setattr(module, "_moments", counted)
-    solves = _count_calls(monkeypatch, "_solve")
-    roots = _count_calls(monkeypatch, "activity_for_mean")
+    passes = spy(monkeypatch, "_moments", ensemble, thermostatics)
+    solves = spy(monkeypatch, "_solve", thermostatics)
+    roots = spy(monkeypatch, "activity_for_mean", thermostatics)
     for dist, d in ((TwoPoint(1.0, 3.0, 0.5), 5), (Uniform(0.5, 2.5), 9)):
         passes.clear()
         maxwell_check(dist, d, GibbsParams(-2.0, 1.0), 100)

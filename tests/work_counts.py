@@ -15,12 +15,14 @@ It is a tool, not a test: nothing here is collected or gated.
 """
 
 import sys
-from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import hierstat.distributions as distributions
 import hierstat.ensemble as ensemble
 import hierstat.thermostatics as thermostatics
+from conftest import spy
 from hierstat import (EnsembleMoments, GibbsParams, MaxwellReport, ThermoDerivatives,
                       ThermoState)
 
@@ -39,30 +41,18 @@ FUNCTIONS = (("moment passes", "_moment_pass", (ensemble,)),
 RECORDS = (GibbsParams, EnsembleMoments, ThermoDerivatives, ThermoState, MaxwellReport)
 
 
-def _counting(counts, label, real):
-    def counted(*args, **kwargs):
-        counts[label] += 1
-        return real(*args, **kwargs)
-    return counted
-
-
 def main():
     workload = worker.ThermoInverse(ROOT, ROOT, SEED)
     rounds = worker.draw_rounds(workload, SEED, ROUNDS)
     recorder = worker.Recorder("thermo-inverse", SEED, None, calibrated=False)
-    counts = Counter()
-    for label, name, modules in FUNCTIONS:
-        real = getattr(modules[0], name)
-        for module in modules:
-            setattr(module, name, _counting(counts, label, real))
-    for cls in RECORDS:
-        cls.__init__ = _counting(counts, f"{cls.__name__} built", cls.__init__)
+    monkeypatch = pytest.MonkeyPatch()
+    counts = {label: spy(monkeypatch, name, *modules) for label, name, modules in FUNCTIONS}
+    counts.update((f"{cls.__name__} built", spy(monkeypatch, "__init__", cls)) for cls in RECORDS)
     for index, inputs in enumerate(rounds):
         workload.run_round(recorder, index, inputs)
-    labels = [label for label, _, _ in FUNCTIONS] + [f"{c.__name__} built" for c in RECORDS]
     print(f"per round, over the first {ROUNDS} thermo-inverse rounds of seed {SEED}:")
-    for label in labels:
-        print(f"{label:28s} {counts[label] / ROUNDS:g}")
+    for label, calls in counts.items():
+        print(f"{label:28s} {len(calls) / ROUNDS:g}")
     print(f"{'failed operations':28s} {recorder.failed} of {recorder.attempted}")
 
 
