@@ -55,6 +55,7 @@ numpy; only the probability vector and the direct-sum oracle import it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -111,10 +112,17 @@ def _check_capacity(d) -> int:
 
 
 def _check_lambda(lam) -> float:
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"activity exponent must be a number, got {_shown(lam)}") from None
+    """``lam`` as a finite float, or ValidationError.  A bool, a string or
+    bytes is not a number, as in ``check_real``; any other ``numbers.Real``
+    is."""
+    if type(lam) is not float:  # the common case needs no conversion
+        try:
+            if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+                raise TypeError
+            lam = float(lam)
+        except (TypeError, OverflowError):
+            raise ValidationError(f"activity exponent must be a number, got {_shown(lam)}") \
+                from None
     if not math.isfinite(lam):
         raise ValidationError(f"activity exponent must be finite, got {lam}")
     return lam

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _FOLD_BLOCK = 1 << 16  # elements per logaddexp reduction in _log_convolve
-_MAX_POSITIONS = int(np.iinfo(np.int64).max)  # a spec's capacities enter int64 arrays
+_INT64_MAX = int(np.iinfo(np.int64).max)  # capacities and step counts enter int64 arrays
 
 # Cephes lgam's Stirling-series coefficients, and log sqrt(2 pi)
 _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
@@ -92,8 +92,8 @@ class HierarchySpec:
                     f"salary ordering epsilon_{i + 1} > epsilon_{i + 2} violated "
                     f"({levels[i].salary} <= {levels[i + 1].salary})")
         total = sum(lv.capacity for lv in levels)
-        if total > _MAX_POSITIONS:
-            problems.append(f"total capacity must be <= {_MAX_POSITIONS} (the int64 maximum), "
+        if total > _INT64_MAX:
+            problems.append(f"total capacity must be <= {_INT64_MAX} (the int64 maximum), "
                             f"got {_shown(total)}")
         _freeze(self, problems, levels=levels)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ValidationError, check_int, check_real, checked
 from .gentile import GibbsParams, OccupancyLevel, activity
-from .hierarchy import HierarchySpec, _check_agents
+from .hierarchy import _INT64_MAX, HierarchySpec, _check_agents
 
 __all__ = [
     "GrandCanonicalSample",
@@ -144,7 +144,7 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     (80 MB at the bound), and past int64 the walk has no integer dtype.
     """
     problems = []
-    steps = check_int(steps, "steps", problems, 10_000)
+    steps = check_int(steps, "steps", problems, 10_000, _INT64_MAX)
     seed = check_int(seed, "seed", problems, 0)
     burn_in_fraction = check_real(burn_in_fraction, "burn_in_fraction", problems,
                                   0, 1, open_high=True)
@@ -470,7 +470,7 @@ def simulate_canonical(spec: HierarchySpec, agents: int, beta: float,
     problems = []
     agents, beta, seed, record_every = _check_chain_args(spec, agents, beta, seed,
                                                          record_every, problems)
-    steps = check_int(steps, "steps", problems, 1)
+    steps = check_int(steps, "steps", problems, 1, _INT64_MAX)
     burn_in_fraction = check_real(burn_in_fraction, "burn_in_fraction", problems,
                                   0, 1, open_high=True)
     if problems:
@@ -530,8 +530,8 @@ def pumped_relaxation(spec: HierarchySpec, agents: int, beta: float,
     agents, beta, seed, record_every = _check_chain_args(spec, agents, beta, seed,
                                                          record_every, problems)
     equilibration_steps = check_int(equilibration_steps, "equilibration_steps",
-                                    problems, 0)
-    relax_steps = check_int(relax_steps, "relax_steps", problems, 1)
+                                    problems, 0, _INT64_MAX)
+    relax_steps = check_int(relax_steps, "relax_steps", problems, 1, _INT64_MAX)
     pump_fraction = check_real(pump_fraction, "pump_fraction", problems, 0, 1)
     if problems:
         raise ValidationError(problems)

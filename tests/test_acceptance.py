@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from conftest import CliRunner
+from conftest import L3, CliRunner
 
 from hierstat import (
     Delta,
     GibbsParams,
-    HierarchySpec,
     OccupancyLevel,
     ParametricFamily,
     SingularInversion,
@@ -208,7 +207,7 @@ def test_criterion_10_simulators_vs_oracles():
             s = sample_grand_canonical(level, params, 100_000, seed)
             assert abs(s.mean - exact) <= 3 * s.stderr
 
-        spec = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
+        spec = L3
         reference = exact_canonical(spec, 8, 1.0)
         for seed in range(5):
             run = simulate_canonical(spec, 8, 1.0, 120_000, seed)

@@ -19,6 +19,7 @@ from hierstat import SingularInversion
 from hierstat.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = ["--json-config", str(DATA / "golden_simulate_config.json")]
 
 
 def _rows(csv_text):
@@ -75,12 +76,9 @@ def test_gentile_empty_grid_rejected(runner):
     assert "grid is empty" in result.output
 
 
-def test_gentile_config_with_flag_override(runner, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"capacity": 2, "points": 3,
-                               "lambda_min": -1.0, "lambda_max": 1.0}))
-    result = runner.invoke(main, ["gentile", "--json-config", str(cfg),
-                                  "--points", "5"])
+def test_gentile_config_with_flag_override(runner):
+    result = runner.invoke(main, ["gentile", "--points", "5"], config={
+        "capacity": 2, "points": 3, "lambda_min": -1.0, "lambda_max": 1.0})
     assert result.exit_code == 0
     _, rows = _rows(result.output)
     assert len(rows) == 5  # flag wins over the file value
@@ -223,19 +221,12 @@ def test_io_failure_exit_code(runner, tmp_path):
 
 # --- thermo --------------------------------------------------------------------
 
-def _thermo_cfg(tmp_path, payload):
-    cfg = tmp_path / "thermo.json"
-    cfg.write_text(json.dumps(payload))
-    return str(cfg)
-
-
-def test_thermo_fixed_phi_temperature_is_inverse_beta(runner, tmp_path):
-    cfg = _thermo_cfg(tmp_path, {
+def test_thermo_fixed_phi_temperature_is_inverse_beta(runner):
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.5},
         "d": 5, "volume": 100, "alpha": -2.0, "beta": 1.25,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 0
     state = json.loads(result.output)
     assert state["temperature"] == 1.0 / 1.25
@@ -243,41 +234,38 @@ def test_thermo_fixed_phi_temperature_is_inverse_beta(runner, tmp_path):
     assert state["residuals"]["gibbs_identity"] < 1e-8
 
 
-def test_thermo_at_zero_alpha_exits_0(runner, tmp_path):
+def test_thermo_at_zero_alpha_exits_0(runner):
     # mu = 0 and G = 0: the state is accepted, not refused as breaking its identities
-    cfg = _thermo_cfg(tmp_path, {
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
         "d": 1, "volume": 100, "alpha": 0.0, "beta": 1.5,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 0, result.output
     state = json.loads(result.output)
     assert max(state["residuals"].values()) < 1e-8
 
 
-def test_thermo_delta_with_density_energy_is_singular(runner, tmp_path):
-    cfg = _thermo_cfg(tmp_path, {
+def test_thermo_delta_with_density_energy_is_singular(runner):
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "delta", "epsilon0": 2.0},
         "d": 5, "volume": 100, "n": 1.0, "u": -2.0,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 3
     assert "parameterize the state by (alpha, beta) or (lambda, beta)" in result.output
 
 
-def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypatch):
+def test_thermo_singular_two_point_has_no_delta_hint(runner, monkeypatch):
     def singular(*args, **kwargs):
         raise SingularInversion("Jacobian of (n, u) with respect to (alpha, beta) "
                                 "is singular at alpha=-3.0, beta=1.5")
 
     monkeypatch.setattr(hierstat.thermostatics, "invert_to_params", singular)
-    cfg = _thermo_cfg(tmp_path, {
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
         "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 3
     assert "singular at alpha=-3.0" in result.output
     assert "delta distribution" not in result.output
@@ -286,46 +274,43 @@ def test_thermo_singular_two_point_has_no_delta_hint(runner, tmp_path, monkeypat
 @pytest.mark.parametrize("dist, alpha", [
     ({"type": "uniform", "lower": 0.5, "upper": 2.5}, -760.0),
     ({"type": "two_point", "epsilon1": 1.0, "epsilon2": 3.0, "weight": 0.5}, -800.0)])
-def test_thermo_underflowed_occupancy_exits_2(runner, tmp_path, dist, alpha):
-    cfg = _thermo_cfg(tmp_path, {"distribution": dist, "d": 9, "volume": 100,
-                                 "alpha": alpha, "beta": 1.0})
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+def test_thermo_underflowed_occupancy_exits_2(runner, dist, alpha):
+    result = runner.invoke(main, ["thermo"], config={"distribution": dist, "d": 9, "volume": 100,
+                                                     "alpha": alpha, "beta": 1.0})
     assert result.exit_code == 2, result.output
     assert f"alpha={alpha!r}, beta=1.0" in result.output
 
 
-def test_thermo_underflowed_n_squared_exits_2(runner, tmp_path):
+def test_thermo_underflowed_n_squared_exits_2(runner):
     # n ~ 1e-304 passes the moment checks; its square underflows to 0.0
-    cfg = _thermo_cfg(tmp_path, {"distribution": {"type": "delta", "epsilon0": 1.0},
-                                 "d": 5, "volume": 10, "alpha": -700.0, "beta": 0.001})
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    result = runner.invoke(main, ["thermo"], config={
+        "distribution": {"type": "delta", "epsilon0": 1.0},
+        "d": 5, "volume": 10, "alpha": -700.0, "beta": 0.001})
     assert result.exit_code == 2, result.output
     assert "alpha=-700.0, beta=0.001: its square underflowed" in result.output
 
 
-def test_thermo_inversion_past_underflowed_trial_exits_0(runner, tmp_path, monkeypatch):
+def test_thermo_inversion_past_underflowed_trial_exits_0(runner, monkeypatch):
     # a line-search trial whose occupancy underflows to 0 is halved past,
     # not a ZeroDivisionError traceback
     real = hierstat.thermostatics._moments
     calls = spy(monkeypatch, "_moments", hierstat.thermostatics,
                 answer=lambda *args: [0.0, *real(*args)[1:]] if len(calls) == 2 else real(*args))
-    cfg = _thermo_cfg(tmp_path, {
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
         "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 0, result.output
     assert len(calls) > 2
     assert json.loads(result.output)["n"] == pytest.approx(2.5, rel=1e-9)
 
 
-def test_thermo_delta_lambda_beta_parameterization(runner, tmp_path):
-    cfg = _thermo_cfg(tmp_path, {
+def test_thermo_delta_lambda_beta_parameterization(runner):
+    result = runner.invoke(main, ["thermo"], config={
         "distribution": {"type": "delta", "epsilon0": 2.0},
         "d": 6, "volume": 10, "lambda": 0.0, "beta": 2.0,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
     assert result.exit_code == 0
     state = json.loads(result.output)
     assert state["n"] == 3.0  # half filling at zero activity
@@ -335,13 +320,11 @@ def test_thermo_delta_lambda_beta_parameterization(runner, tmp_path):
 
 def test_thermo_inversion_route_and_csv(runner, tmp_path):
     target_csv = tmp_path / "state.csv"
-    cfg = _thermo_cfg(tmp_path, {
+    result = runner.invoke(main, ["thermo", "--out-csv", str(target_csv)], config={
         "distribution": {"type": "two_point", "epsilon1": 1.0,
                          "epsilon2": 3.0, "weight": 0.4},
         "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
     })
-    result = runner.invoke(main, ["thermo", "--json-config", cfg,
-                                  "--out-csv", str(target_csv)])
     assert result.exit_code == 0
     state = json.loads(result.output)
     assert state["n"] == pytest.approx(2.5, rel=1e-9)
@@ -355,9 +338,7 @@ def test_thermo_inversion_route_and_csv(runner, tmp_path):
 
 def test_simulate_golden_summary_bit_exact(runner, tmp_path):
     out = tmp_path / "run"
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(out), "--oracle"])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(out), "--oracle"])
     assert result.exit_code == 0
     golden = (DATA / "golden_simulate_summary.json").read_bytes()
     assert (out / "summary.json").read_bytes() == golden
@@ -370,9 +351,8 @@ def test_simulate_golden_summary_bit_exact(runner, tmp_path):
 ], ids=["canonical", "social-laser"])
 def test_simulate_golden_trajectory_bytes(runner, tmp_path, extra, digest):
     out = tmp_path / "run"
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(out), "--oracle", *extra])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(out),
+                                  "--oracle", *extra])
     assert result.exit_code == 0
     assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
@@ -393,22 +373,17 @@ _GRAND_CANONICAL_CFG = {
 def test_simulate_output_bytes_pinned(runner, tmp_path, cfg, extra, digests):
     # thinned grand-canonical steps (burn_in + i * record_every) and the
     # relax-phase estimates are in no golden file
-    path = DATA / "golden_simulate_config.json"
-    if cfg is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
-    result = runner.invoke(main, ["simulate", "--json-config", str(path),
-                                  "--output-dir", str(out), "--oracle", *extra])
+    result = runner.invoke(main, ["simulate", *([] if cfg else GOLDEN), "--output-dir", str(out),
+                                  "--oracle", *extra], config=cfg)
     assert result.exit_code == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_simulate_negative_beta(runner, tmp_path):
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(tmp_path / "run"), "--beta", "-1000"])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(tmp_path / "run"),
+                                  "--beta", "-1000"])
     assert result.exit_code == 0, result.output
 
 
@@ -416,9 +391,8 @@ def test_simulate_negative_beta_matches_oracle(runner, tmp_path):
     # at beta < 0 a salary raise is taken with probability e^{-beta dE} < 1;
     # bound stated before the run: every |z| under 4
     out = tmp_path / "run"
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(out), "--oracle", "--beta", "-1"])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(out),
+                                  "--oracle", "--beta", "-1"])
     assert result.exit_code == 0, result.output
     z_scores = json.loads((out / "summary.json").read_text())["oracle"]["z_scores"]
     assert len(z_scores) == 3 and all(abs(z) < 4.0 for z in z_scores), z_scores
@@ -426,9 +400,8 @@ def test_simulate_negative_beta_matches_oracle(runner, tmp_path):
 
 def test_simulate_oracle_overflowing_beta(runner, tmp_path):
     out = tmp_path / "run"
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(out), "--beta", "1e308", "--oracle"])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(out),
+                                  "--beta", "1e308", "--oracle"])
     assert result.exit_code == 2
     assert "validation error: beta" in result.output
     assert not (out / "summary.json").exists()
@@ -436,18 +409,16 @@ def test_simulate_oracle_overflowing_beta(runner, tmp_path):
 
 
 def test_simulate_deterministic_outputs(runner, tmp_path):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({
+    cfg = {
         "scenario": "canonical",
         "levels": [{"capacity": 1, "salary": 2.0}, {"capacity": 4, "salary": 1.0}],
         "agents": 3, "beta": 0.8, "steps": 20000, "seed": 5,
         "record_every": 20,
-    }))
+    }
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                      "--output-dir", str(out)])
+        result = runner.invoke(main, ["simulate", "--output-dir", str(out)], config=cfg)
         assert result.exit_code == 0
         outs.append(out)
     assert (outs[0] / "trajectory.csv").read_bytes() \
@@ -457,30 +428,24 @@ def test_simulate_deterministic_outputs(runner, tmp_path):
 
 
 def test_simulate_salary_ordering_violation_named(runner, tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({
+    result = runner.invoke(main, ["simulate", "--output-dir", str(tmp_path / "x")], config={
         "scenario": "canonical",
         "levels": [{"capacity": 1, "salary": 1.0}, {"capacity": 4, "salary": 2.0}],
         "agents": 3, "beta": 1.0, "steps": 20000, "seed": 0,
-    }))
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(tmp_path / "x")])
+    })
     assert result.exit_code == 2
     assert "epsilon_1 > epsilon_2 violated" in result.output
 
 
 def test_simulate_laser_emits_phase_markers(runner, tmp_path):
-    cfg = tmp_path / "laser.json"
-    cfg.write_text(json.dumps({
+    out = tmp_path / "laser"
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out)], config={
         "scenario": "social_laser",
         "levels": [{"capacity": 2, "salary": 3.0}, {"capacity": 5, "salary": 2.0},
                    {"capacity": 12, "salary": 1.0}],
         "agents": 9, "beta": 2.0, "steps": 3000, "seed": 4,
         "pump_fraction": 0.6, "record_every": 10,
-    }))
-    out = tmp_path / "laser"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out)])
+    })
     assert result.exit_code == 0
     header, rows = _rows((out / "trajectory.csv").read_text())
     assert header[-1] == "phase"
@@ -491,36 +456,31 @@ def test_simulate_laser_emits_phase_markers(runner, tmp_path):
 
 
 def test_simulate_grand_canonical_with_oracle(runner, tmp_path):
-    cfg = tmp_path / "gc.json"
-    cfg.write_text(json.dumps({
+    out = tmp_path / "gc"
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out), "--oracle"], config={
         "scenario": "grand_canonical", "capacity": 3, "salary": 2.0,
         "alpha": -3.0, "beta": 1.0, "steps": 50000, "seed": 2,
-    }))
-    out = tmp_path / "gc"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out), "--oracle"])
+    })
     assert result.exit_code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["oracle"]["z"]) < 3.0
 
 
 def test_simulate_seed_from_environment(runner, tmp_path, monkeypatch):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({
+    cfg = {
         "scenario": "canonical",
         "levels": [{"capacity": 1, "salary": 2.0}, {"capacity": 4, "salary": 1.0}],
         "agents": 3, "beta": 0.8, "steps": 20000,
-    }))
+    }
     monkeypatch.setenv("HIERSTAT_SEED", "77")
     out = tmp_path / "env"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out)])
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out)], config=cfg)
     assert result.exit_code == 0
     assert json.loads((out / "summary.json").read_text())["seed"] == 77
     # explicit flag wins over the environment
     out2 = tmp_path / "flag"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out2), "--seed", "3"])
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out2), "--seed", "3"],
+                           config=cfg)
     assert result.exit_code == 0
     assert json.loads((out2 / "summary.json").read_text())["seed"] == 3
 
@@ -565,12 +525,10 @@ _POINT = {"capacity": 2, "alpha": 1.0, "beta": 1.0, "epsilon": 2.0}
 def test_config_value_of_wrong_type_is_validation_error(runner, tmp_path, command,
                                                         base, key, value):
     # neither truncated to an integer nor a traceback: exit 2, key named
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**base, key: value}))
-    args = [command, "--json-config", str(cfg)]
+    args = [command]
     if command == "simulate":
         args += ["--output-dir", str(tmp_path / "out")]
-    result = runner.invoke(main, args)
+    result = runner.invoke(main, args, config={**base, key: value})
     assert result.exit_code == 2, result.output
     assert f"validation error: {key} must be" in result.output
 
@@ -587,18 +545,15 @@ def test_every_option_is_a_typed_config_key(runner, tmp_path, monkeypatch,
     # a config value is checked against its option's declared type, so no
     # option's config key can reach the command untyped
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: [1]}))
-    result = runner.invoke(main, [command, "--json-config", str(cfg)])
+    result = runner.invoke(main, [command], config={key: [1]})
     assert result.exit_code == 2, result.output
     assert f"validation error: {key} must be" in result.output
 
 
 def test_config_sets_simulate_output_dir_and_oracle(runner, tmp_path):
     out = tmp_path / "from-config"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**_CANONICAL, "output_dir": str(out), "oracle": True}))
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg)])
+    result = runner.invoke(main, ["simulate"],
+                           config={**_CANONICAL, "output_dir": str(out), "oracle": True})
     assert result.exit_code == 0, result.output
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle"] is not None
@@ -607,8 +562,7 @@ def test_config_sets_simulate_output_dir_and_oracle(runner, tmp_path):
 
 def test_config_sets_thermo_out_csv(runner, tmp_path):
     target = tmp_path / "state.csv"
-    cfg = _thermo_cfg(tmp_path, {**_THERMO_AB, "out_csv": str(target)})
-    result = runner.invoke(main, ["thermo", "--json-config", cfg])
+    result = runner.invoke(main, ["thermo"], config={**_THERMO_AB, "out_csv": str(target)})
     assert result.exit_code == 0, result.output
     header, rows = _rows(target.read_text())
     assert header[:2] == ["n", "u"] and len(rows) == 1
@@ -616,19 +570,15 @@ def test_config_sets_thermo_out_csv(runner, tmp_path):
 
 def test_output_flag_wins_over_config_output(runner, tmp_path):
     from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"capacity": 2, "points": 3,
-                               "output": str(from_config)}))
-    result = runner.invoke(main, ["gentile", "--json-config", str(cfg)])
+    cfg = {"capacity": 2, "points": 3, "output": str(from_config)}
+    result = runner.invoke(main, ["gentile"], config=cfg)
     assert result.exit_code == 0 and result.output == ""
     written = from_config.read_text()
-    result = runner.invoke(main, ["gentile", "--json-config", str(cfg),
-                                  "--output", str(from_flag)])
+    result = runner.invoke(main, ["gentile", "--output", str(from_flag)], config=cfg)
     assert result.exit_code == 0
     assert from_flag.read_text() == written
     from_config.unlink()
-    result = runner.invoke(main, ["gentile", "--json-config", str(cfg),
-                                  "--output", "-"])
+    result = runner.invoke(main, ["gentile", "--output", "-"], config=cfg)
     assert result.exit_code == 0 and result.output == written
     assert not from_config.exists()
 
@@ -638,12 +588,9 @@ def test_output_flag_wins_over_config_output(runner, tmp_path):
     (_CANONICAL, "validation error: beta must keep every log weight"),
 ], ids=["grand-canonical", "canonical"])
 def test_rejected_simulate_leaves_no_output_dir(runner, tmp_path, base, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(base))
     out = tmp_path / "out"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out), "--beta", "1e308",
-                                  "--oracle"])
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out), "--beta", "1e308",
+                                  "--oracle"], config=base)
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not out.exists()
@@ -679,19 +626,24 @@ def _without(cfg, *keys):
     (["simulate"], {**_CANONICAL, "levels": [{"capacity": 1, "salary": 2.0},
                                              {"capacity": 10 ** 400, "salary": 1.0}]},
      "total capacity must be <= 9223372036854775807 (the int64 maximum), got 1000"),
+    (["simulate", *GOLDEN, "--steps", str(2 ** 64)], None,
+     "steps must be an integer in [1, 9223372036854775807], got 18446744073709551616"),
+    (["simulate", *GOLDEN, "--scenario", "social_laser", "--steps", str(2 ** 64)], None,
+     "equilibration_steps must be an integer in [0, 9223372036854775807], got "
+     "18446744073709551616"),
+    (["simulate", "--steps", str(2 ** 63)], _GRAND,
+     "steps must be an integer in [10000, 9223372036854775807], got 9223372036854775808"),
 ], ids=["config-invalid-json", "config-list", "thermo-no-volume",
         "grand-canonical-no-alpha", "gentile-no-capacity", "gentile-reversed-grid",
         "gentile-point-no-beta", "gentile-pmf-too-wide", "thermo-lambda-off-delta",
         "thermo-no-parameter-pair", "simulate-no-levels", "simulate-level-no-salary",
-        "config-int-5001-digits", "simulate-positions-beyond-int64"])
+        "config-int-5001-digits", "simulate-positions-beyond-int64",
+        "simulate-steps-beyond-int64", "social-laser-steps-beyond-int64",
+        "grand-canonical-steps-beyond-int64"])
 def test_documented_errors_exit_2(runner, tmp_path, args, config, message):
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-        args = args + ["--json-config", str(cfg)]
     if args[0] == "simulate":
         args = args + ["--output-dir", str(tmp_path / "out")]
-    result = runner.invoke(main, args)
+    result = runner.invoke(main, args, config=config)
     assert result.exit_code == 2, result.output
     assert result.output.startswith("validation error: ") and message in result.output
 
@@ -702,41 +654,35 @@ def test_documented_errors_exit_2(runner, tmp_path, args, config, message):
     (["thermo"], "volume"),
     (["thermo"], "d"),
 ], ids=["gentile", "eos", "thermo-volume", "thermo-d"])
-def test_integer_beyond_double_range_exits_2(runner, tmp_path, args, key):
+def test_integer_beyond_double_range_exits_2(runner, args, key):
     # a 401-digit capacity or volume is refused by name, not a traceback
-    if key is not None:
-        args = args + ["--json-config", _thermo_cfg(tmp_path, {**_THERMO_AB, key: 10 ** 400})]
-    result = runner.invoke(main, args)
+    result = runner.invoke(main, args, config=None if key is None
+                           else {**_THERMO_AB, key: 10 ** 400})
     assert result.exit_code == 2, result.output
     name = "volume" if key == "volume" else "capacity"
     assert result.output.startswith(f"validation error: {name} must be an integer in [1, ")
 
 
 def test_simulate_seed_from_environment_must_be_an_integer(runner, tmp_path, monkeypatch):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps(_without(_CANONICAL, "seed")))
     monkeypatch.setenv("HIERSTAT_SEED", "x")
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(tmp_path / "out")])
+    result = runner.invoke(main, ["simulate", "--output-dir", str(tmp_path / "out")],
+                           config=_without(_CANONICAL, "seed"))
     assert result.exit_code == 2, result.output
     assert "validation error: HIERSTAT_SEED must be an integer, got 'x'" in result.output
 
 
 def test_simulate_agents_default_to_half_the_positions(runner, tmp_path):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({**_without(_CANONICAL, "agents"), "steps": 200}))
     out = tmp_path / "out"
-    result = runner.invoke(main, ["simulate", "--json-config", str(cfg),
-                                  "--output-dir", str(out)])
+    result = runner.invoke(main, ["simulate", "--output-dir", str(out)],
+                           config={**_without(_CANONICAL, "agents"), "steps": 200})
     assert result.exit_code == 0, result.output
     assert json.loads((out / "summary.json").read_text())["agents"] == 5 // 2
 
 
-def test_config_integral_float_accepted_as_integer(runner, tmp_path):
+def test_config_integral_float_accepted_as_integer(runner):
     outputs = []
     for d, volume in ((5, 100), (5.0, 100.0)):
-        cfg = _thermo_cfg(tmp_path, {**_THERMO_AB, "d": d, "volume": volume})
-        result = runner.invoke(main, ["thermo", "--json-config", cfg])
+        result = runner.invoke(main, ["thermo"], config={**_THERMO_AB, "d": d, "volume": volume})
         assert result.exit_code == 0
         outputs.append(result.output)
     assert outputs[0] == outputs[1]
@@ -753,9 +699,8 @@ def test_negative_exponent_form_is_a_value(runner, tmp_path):
     _, rows = _rows(result.output)
     assert float(rows[0][0]) == -0.25 + 2.0
     out = tmp_path / "run"
-    result = runner.invoke(main, [
-        "simulate", "--json-config", str(DATA / "golden_simulate_config.json"),
-        "--output-dir", str(out), "--beta", "-1e-3"])
+    result = runner.invoke(main, ["simulate", *GOLDEN, "--output-dir", str(out),
+                                  "--beta", "-1e-3"])
     assert result.exit_code == 0, result.output
     assert json.loads((out / "summary.json").read_text())["beta"] == -1e-3
 
@@ -922,10 +867,9 @@ def test_market_share_off_quadrature_loads_no_numpy():
     ({"type": "histogram", "edges": [0.5, 0.6, 2.5], "masses": [0.1, 0.9]},
      {"alpha": -2.0, "beta": 1.0}),
 ])
-def test_thermo_loads_no_numpy(tmp_path, distribution, point):
-    cfg = _thermo_cfg(tmp_path, {"distribution": distribution, "d": 9, "volume": 100,
-                                 **point})
-    args = ["thermo", "--json-config", cfg]
+def test_thermo_loads_no_numpy(runner, distribution, point):
+    args = ["thermo", *runner.config_args({"distribution": distribution, "d": 9,
+                                           "volume": 100, **point})]
     modules, out = _loaded_numpy(
         f"import hierstat.cli; hierstat.cli.main.main(args={args!r}, standalone_mode=False)")
     assert modules == "[]"

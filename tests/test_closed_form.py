@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mp_kernels
+
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
 from hierstat.ensemble import _activity, _closed_piece, moment_integrals
@@ -34,26 +36,15 @@ def _oracle_moments(mpmath, lo, hi, alpha, beta, d):
     n = [log Z] / w, A = [f] / w, omega = [G] / w and integration by parts."""
     with mpmath.workdps(60):
         lo, hi, alpha, beta = map(mpmath.mpf, (lo, hi, alpha, beta))
-        big_d = d + 1
-
-        def f(lam):
-            if not lam:
-                return mpmath.mpf(d) / 2
-            return 1 / mpmath.expm1(-lam) - big_d / mpmath.expm1(-lam * big_d)
-
-        def log_z(lam):
-            if not lam:
-                return mpmath.log(big_d)
-            return mpmath.log(mpmath.expm1(lam * big_d) / mpmath.expm1(lam))
-
         lam0, lam1 = alpha + beta * lo, alpha + beta * hi
+        (z0, f0, _), (z1, f1, _) = mp_kernels(mpmath, lam0, d), mp_kernels(mpmath, lam1, d)
         w = lam1 - lam0
         g = _oracle_g(mpmath, lam1, d) - _oracle_g(mpmath, lam0, d)
-        n = (log_z(lam1) - log_z(lam0)) / w
-        m1 = (hi * log_z(lam1) - lo * log_z(lam0) - g / beta) / w
-        big_a = (f(lam1) - f(lam0)) / w
-        big_b = (hi * f(lam1) - lo * f(lam0) - n * (hi - lo)) / w
-        big_c = (hi ** 2 * f(lam1) - lo ** 2 * f(lam0) - 2 * m1 * (hi - lo)) / w
+        n = (z1 - z0) / w
+        m1 = (hi * z1 - lo * z0 - g / beta) / w
+        big_a = (f1 - f0) / w
+        big_b = (hi * f1 - lo * f0 - n * (hi - lo)) / w
+        big_c = (hi ** 2 * f1 - lo ** 2 * f0 - 2 * m1 * (hi - lo)) / w
         return [n, m1, g / w, big_a, big_b, big_c]
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import midpoint_integral, spy
+from conftest import midpoint_integral, mp_kernels, spy
 
 from hierstat import (
     Delta,
@@ -125,15 +125,16 @@ def test_market_share_symmetric_uniform_is_half():
 def _share_oracle(mpmath, dist, alpha, beta):
     """The share at 60 digits.  Over a uniform piece [lo, hi] it is the
     softplus difference (s(alpha - beta lo) - s(alpha - beta hi)) /
-    (beta (hi - lo)), s(x) = log(1 + e^x); an atom at eps adds its mass times
-    1 / (1 + e^-lambda) at the float activity lambda = alpha - beta eps."""
+    (beta (hi - lo)), s(x) = log(1 + e^x), the d = 1 log Z; an atom at eps
+    adds its mass times the d = 1 mean 1 / (1 + e^-lambda) at the float
+    activity lambda = alpha - beta eps."""
     with mpmath.workdps(60):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-        softplus = lambda x: mpmath.log1p(mpmath.exp(x))
+        softplus = lambda x: mp_kernels(mpmath, x, 1)[0]
         total = mpmath.mpf(0)
         for lo, hi, mass in _pieces(dist):
             if lo == hi:
-                share = 1 / (1 + mpmath.exp(-mpmath.mpf(alpha - beta * lo)))
+                share = mp_kernels(mpmath, alpha - beta * lo, 1)[1]
             else:
                 share = ((softplus(a - b * lo) - softplus(a - b * hi))
                          / (b * (mpmath.mpf(hi) - lo)))

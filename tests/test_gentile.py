@@ -3,9 +3,12 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from conftest import mp_kernels
 
 from hierstat import (
     EnergySign,
@@ -55,6 +58,24 @@ def test_activity_overflow_names_the_inputs(sign):
     message = str(err.value)
     assert "alpha=-3.0" in message and "beta=1e+308" in message
     assert "money_scale=2.0" in message
+
+
+_KERNELS = (partition, log_partition, occupancy_probabilities, gentile_mean,
+            gentile_mean_direct, gentile_mean_dlambda, fermi_dirac, bose_einstein)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda kernel: kernel.__name__)
+def test_activity_must_be_a_real_number(kernel):
+    # as GibbsParams and activity_for_mean: a string, bytes or a bool is
+    # refused, where float() used to read "1.5", b"2", True and "  -3 "; any
+    # other numbers.Real gives the float's value
+    capacity = () if kernel in (fermi_dirac, bose_einstein) else (2,)
+    for value in ("1.5", b"2", True, "  -3 "):
+        with pytest.raises(ValidationError) as err:
+            kernel(value, *capacity)
+        assert str(err.value) == f"activity exponent must be a number, got {value!r}"
+    for value in (Fraction(-3, 2), np.float32(-1.5), np.float64(-1.5)):
+        assert np.array_equal(kernel(value, *capacity), kernel(-1.5, *capacity)), value
 
 
 # --- partition sum ---------------------------------------------------------
@@ -245,28 +266,10 @@ def test_variance_where_the_capacity_squared_overflows():
     # underflows; the second term of f' is 0.0 there, not inf * 0.0 = nan
     mpmath = pytest.importorskip("mpmath")
     for d in (10**155, 10**200, 10**300):
-        with mpmath.workdps(50):
-            q, qd = mpmath.exp(-5), mpmath.exp(-5 * mpmath.mpf(d + 1))
-            exact = q / (1 - q) ** 2 - mpmath.mpf(d + 1) ** 2 * qd / (1 - qd) ** 2
+        exact = mpmath.workdps(50)(mp_kernels)(mpmath, -5, d)[2]
         for lam in (-5.0, 5.0):
             got = gentile_mean_dlambda(lam, d)
             assert float(abs((mpmath.mpf(got) - exact) / exact)) <= 4 * 2.0 ** -52, (d, lam, got)
-
-
-def _oracle_closed(mpmath, lam, d):
-    """log Z, mean and variance at activity lambda from the closed forms in
-    80 digits, for capacities too large to sum."""
-    with mpmath.workdps(80):
-        a, dd = abs(mpmath.mpf(lam)), mpmath.mpf(d) + 1
-        if lam == 0:
-            return mpmath.log(dd), dd / 2 - mpmath.mpf(0.5), (dd ** 2 - 1) / 12
-        logz = mpmath.log(-mpmath.expm1(-a * dd)) - mpmath.log(-mpmath.expm1(-a))
-        mean = 1 / mpmath.expm1(a) - dd / mpmath.expm1(a * dd)
-        var = (mpmath.exp(a) / mpmath.expm1(a) ** 2
-               - dd ** 2 * mpmath.exp(a * dd) / mpmath.expm1(a * dd) ** 2)
-        if lam > 0:
-            return logz + a * d, d - mean, var
-        return logz, mean, var
 
 
 def _relative_ulp(mpmath, got, exact):
@@ -294,9 +297,10 @@ def test_kernels_above_two_to_the_500(d):
     # ulp, f' within the module's ten, and f' = +inf exactly where the exact
     # value is above the largest double
     mpmath = pytest.importorskip("mpmath")
+    closed = mpmath.workdps(80)(mp_kernels)
     for x in (1e-6, 0.5, 1.99, 2.01, 5.0, 40.0, 700.0, 1e5):
         for lam in (-x / (d + 1.0), x / (d + 1.0)):
-            logz, mean, var = _oracle_closed(mpmath, lam, d)
+            logz, mean, var = closed(mpmath, lam, d)
             f, fp, log_z = _kernels(lam, d)
             assert _relative_ulp(mpmath, f, mean) <= 4, (x, lam, f)
             assert _relative_ulp(mpmath, log_z, logz) <= 4, (x, lam, log_z)
@@ -312,7 +316,7 @@ def test_kernels_above_two_to_the_500(d):
         if not math.isinf(big * (d + 1.0)):
             continue
         for lam in (-big, big):
-            logz, mean, var = _oracle_closed(mpmath, lam, d)
+            logz, mean, var = closed(mpmath, lam, d)
             f, fp, log_z = _kernels(lam, d)
             assert _rounded_or_within(mpmath, f, mean, 4), (lam, f)
             assert _rounded_or_within(mpmath, fp, var, 10), (lam, fp)
@@ -322,20 +326,20 @@ def test_kernels_above_two_to_the_500(d):
 
 def _public_at_1e200(mpmath, call):
     """(value, 80-digit closed form) pairs of one public call at capacity 1e200."""
-    d = 10**200
+    d, closed = 10**200, mpmath.workdps(80)(mp_kernels)
     if call == "gentile_mean":
-        return [(gentile_mean(-1e-170, d), _oracle_closed(mpmath, -1e-170, d)[1])]
+        return [(gentile_mean(-1e-170, d), closed(mpmath, -1e-170, d)[1])]
     if call == "log_partition":
-        return [(log_partition(-1e-170, d), _oracle_closed(mpmath, -1e-170, d)[0])]
+        return [(log_partition(-1e-170, d), closed(mpmath, -1e-170, d)[0])]
     if call == "eos_sweep":
         table = eos_sweep(d, [-1e-199, -1e-198])
-        exact = [_oracle_closed(mpmath, lam, d) for lam in table.lam]
+        exact = [closed(mpmath, lam, d) for lam in table.lam]
         return list(zip(table.n_over_d + table.p_over_T,
                         [e[1] / d for e in exact] + [e[0] for e in exact]))
     # half the companies at activity alpha + beta * 1, half at alpha + beta * 3
     params = GibbsParams(-3e-200, 1e-200)
     mom = ensemble_moments(TwoPoint(1.0, 3.0, 0.5), d, params)
-    (z1, n1, _), (z3, n3, _) = (_oracle_closed(mpmath, params.alpha + params.beta * eps, d)
+    (z1, n1, _), (z3, n3, _) = (closed(mpmath, params.alpha + params.beta * eps, d)
                                 for eps in (1.0, 3.0))
     n = (n1 + n3) / 2
     return [(mom.n, n), (mom.u, -(n1 + 3 * n3) / 2 / n), (mom.omega, (z1 + z3) / 2)]
@@ -381,7 +385,6 @@ def test_kernel_bits_pinned():
 def _bernoulli_ratios_by_recurrence():
     """B_2k / (2k)! for k = 1 .. 18 as Fractions, from the recurrence
     sum_{j<=m} C(m+1, j) B_j = 0 with B_0 = 1."""
-    from fractions import Fraction
     bern = [Fraction(1)]
     for m in range(1, 37):
         bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
@@ -391,7 +394,6 @@ def _bernoulli_ratios_by_recurrence():
 def test_series_coefficients_match_exact_fractions():
     # the literal table and the int / int roundings against Fractions built
     # here: float(Fraction) rounds correctly, as int / int does
-    from fractions import Fraction
     from hierstat.gentile import (_BERNOULLI_RATIOS, _LI2_COEFFICIENTS, _SERIES_TERMS,
                                   _series_coefficients)
     ratios = _bernoulli_ratios_by_recurrence()

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from conftest import enumerate_position_measure, spy
+from conftest import BIG, DEEP, L3, ONE, enumerate_position_measure, spy
 
 from hierstat import hierarchy
 from hierstat import (
@@ -27,7 +27,6 @@ from hierstat import (
 from hierstat.gentile import gentile_mean
 
 GOLDEN = Path(__file__).parent / "data" / "golden_canonical_l3.json"
-L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
 
 
 # --- spec ---------------------------------------------------------------------
@@ -223,9 +222,6 @@ def test_identical_positions_approach_gentile_per_company():
 # Recorded before the convolution kept only feasible windows; a change in
 # the logaddexp fold order (or in which factor it runs over) moves these.
 # At 100 and 250 agents some windows are shorter on the higher-degree factor.
-BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
-DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
-ONE = HierarchySpec(((7, 2.0),))
 PINNED_EXACT = {
     ("BIG", 3000, 0.5): "16fa2cd9582b75e18ab2a2b924e4ae8311366ef74567743d4959bb2a25b4a69b",
     ("BIG", 3000, 1.0): "e747b1a6d3d1df1d0cc60f06ea82a66453122fbdf91ca1edaed8953be1e5605d",

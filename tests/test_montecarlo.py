@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import spy
+from conftest import BIG, DEEP, L3, ONE, lumped_chain, spy
 
 import hierstat.montecarlo as montecarlo
 from hierstat import (
@@ -34,16 +34,12 @@ from hierstat.montecarlo import (
     _walk_table,
 )
 
-L3 = HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))
-DEEP = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
 S17 = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
 # irregular salary gaps: 277 distinct acceptance values at beta = 1, so the
 # acceptance ranks need a type wider than uint8; S23's 254 fill uint8, most
 # draws ranking above 127
 S24 = HierarchySpec(tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)))
 S23 = HierarchySpec(tuple((1 + k, 23.0 - k + 0.3 * math.sqrt(k)) for k in range(23)))
-BIG = HierarchySpec(((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)))
-ONE = HierarchySpec(((7, 2.0),))
 
 
 class UNIT:
@@ -255,8 +251,7 @@ def test_canonical_cold_chain_sits_at_greedy_minimum():
 
 
 def test_canonical_full_history_bits_pinned():
-    spec = HierarchySpec(tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)))
-    run = simulate_canonical(spec, 100, 0.7, 20_000, 5)
+    run = simulate_canonical(DEEP, 100, 0.7, 20_000, 5)
     digest = hashlib.sha256(run.occupancies.tobytes() + run.energies.tobytes())
     assert digest.hexdigest() \
         == "c7c4eff2f7fb671ef0d8560bdfeacfd9b13e7bcc718a93ee92136740a773852a"
@@ -264,13 +259,12 @@ def test_canonical_full_history_bits_pinned():
 
 def test_many_level_history_moves_one_agent_per_step():
     # 17 levels: a move from level 16 or 17 has a code beyond one byte
-    spec = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
-    run = simulate_canonical(spec, 60, 0.3, 5_000, 1)
+    run = simulate_canonical(S17, 60, 0.3, 5_000, 1)
     occ = run.occupancies.astype(np.int64)
     assert set(np.abs(np.diff(occ, axis=0)).sum(axis=1).tolist()) == {0, 2}
     assert np.any(np.diff(occ[:, 15:], axis=0) < 0)
     assert np.all(occ.sum(axis=1) == 60)
-    assert np.allclose(run.energies, -(occ @ spec.salaries), rtol=1e-14)
+    assert np.allclose(run.energies, -(occ @ S17.salaries), rtol=1e-14)
 
 
 # Recorded before the step loop picked levels by bisection, as is the pumped
@@ -435,45 +429,54 @@ def test_walk_is_chosen_by_the_table_size(monkeypatch):
 
 
 def test_lumped_chain_is_exact_on_the_golden_spec():
-    # the level counts r of the position-swap chain are a Markov chain
-    # (Kemeny and Snell, Finite Markov Chains, 1960, ch. 6): an agent picked
-    # in level i moves to a vacancy picked in level j with probability
-    # r_i (c_j - r_j) / (A V) min(1, e^{-beta (s_i - s_j)}), A agents and V
-    # vacancies, and stays otherwise.  Its law pi(r) ~ prod_k C(c_k, r_k)
-    # e^{beta s_k r_k} is stationary and in detailed balance.  Bounds, set
-    # before the run: each row sums to 1 within 1e-15, |pi P - pi| and
-    # |pi_r P(r, r') - pi_r' P(r', r)| are within 1e-15, and pi's level means
-    # equal exact_canonical's within 1e-14 (read: 2.2e-16, 5.6e-17, 6.9e-18
-    # and 8.9e-16)
-    caps, salaries, agents, beta = L3.capacities.tolist(), L3.salaries.tolist(), 8, 1.0
-    pairs = agents * (sum(caps) - agents)
-    states = _lumped_states(caps, agents, math.inf)
-    index = {r: k for k, r in enumerate(states)}
-    p = np.zeros((len(states), len(states)))
-    for k, r in enumerate(states):
-        for i in range(len(caps)):
-            for j in range(len(caps)):
-                pick = r[i] * (caps[j] - r[j]) / pairs
-                accept = min(1.0, math.exp(-beta * (salaries[i] - salaries[j])))
-                if i != j and pick:
-                    to = list(r)
-                    to[i] -= 1
-                    to[j] += 1
-                    p[k, index[tuple(to)]] += pick * accept
-                    p[k, k] += pick * (1.0 - accept)
-                else:
-                    p[k, k] += pick
-    pi = np.array([math.prod(math.comb(c, n) * math.exp(beta * s * n)
-                             for c, s, n in zip(caps, salaries, r)) for r in states])
-    pi /= pi.sum()
+    # conftest.lumped_chain's law pi is stationary and in detailed balance.
+    # Bounds, set before the run: each row sums to 1 within 1e-15, |pi P - pi|
+    # and |pi_r P(r, r') - pi_r' P(r', r)| are within 1e-15, and pi's level
+    # means equal exact_canonical's within 1e-14 (read: 2.2e-16, 5.6e-17,
+    # 6.9e-18 and 8.9e-16)
+    states, p, pi = lumped_chain(L3, 8, 1.0)
     assert len(states) == 8
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
     assert np.abs(pi @ p - pi).max() <= 1e-15
     flow = pi[:, None] * p
     assert np.abs(flow - flow.T).max() <= 1e-15
     means = pi @ np.array(states, dtype=float)
-    exact = exact_canonical(L3, agents, beta).mean_occupancy
+    exact = exact_canonical(L3, 8, 1.0).mean_occupancy
     assert np.abs(means - exact).max() <= 1e-14
+
+
+def test_poisson_error_bars_match_the_seeds_on_the_golden_spec():
+    # sigma^2 of each level count by the Poisson equation (I - P + 1 pi) g =
+    # f - pi f, sigma^2 = 2 pi[(f - pi f) g] - var, and tau_int = sigma^2 /
+    # (2 var) (Sokal, Cargese lectures, 1996).  Bounds, set before the run:
+    # sigma^2 and tau_int round to ROADMAP item 28's 0.957 / 4.91 / 5.78 and
+    # 4.85 / 4.83 / 5.05; var + 2 sum_t cov(f, P^t f) over 400 lags equals
+    # sigma^2 within 1e-12; over seeds 0..15 of 120k steps (108k kept), the
+    # spread of the means is within [0.5, 1.6] of the predicted sd
+    # sqrt(sigma^2 / 108k), a 99.8 % band for a chi-square with 15 degrees
+    # of freedom, and the median batch stderr within [0.8, 1.25] of it (read:
+    # spread 0.79 / 1.05 / 1.06, batch 1.05 / 1.05 / 1.02; about 0.25 s)
+    states, p, pi = lumped_chain(L3, 8, 1.0)
+    centred = np.array(states, dtype=float)
+    centred -= pi @ centred
+    var = pi @ centred ** 2
+    g = np.linalg.solve(np.eye(len(pi)) - p + pi, centred)
+    sigma2 = 2.0 * (pi @ (centred * g)) - var
+    tau = sigma2 / (2.0 * var)
+    assert np.all(np.abs(sigma2 - [0.957, 4.91, 5.78]) <= [5e-4, 5e-3, 5e-3]), sigma2
+    assert np.abs(tau - [4.85, 4.83, 5.05]).max() <= 0.005, tau
+    lagged, summed = centred, var.copy()
+    for _ in range(400):
+        lagged = p @ lagged
+        summed += 2.0 * (pi @ (centred * lagged))
+    assert np.abs(summed / sigma2 - 1.0).max() <= 1e-12
+    runs = [simulate_canonical(L3, 8, 1.0, 120_000, seed) for seed in range(16)]
+    assert {run.steps - run.burn_in for run in runs} == {108_000}
+    predicted = np.sqrt(sigma2 / 108_000)
+    spread = np.std([run.mean_occupancy for run in runs], axis=0, ddof=1) / predicted
+    batch = np.median([run.stderr for run in runs], axis=0) / predicted
+    assert np.all((0.5 <= spread) & (spread <= 1.6)), spread
+    assert np.all((0.8 <= batch) & (batch <= 1.25)), batch
 
 
 class _FixedDraws:
@@ -612,6 +615,29 @@ def test_pump_fraction_validated():
         pumped_relaxation(LASER_SPEC, 9, 2.0, 1.5, 1_000, 1_000, 0)
     with pytest.raises(ValidationError):
         pumped_relaxation(LASER_SPEC, 9, 2.0, -0.1, 1_000, 1_000, 0)
+
+
+_STEP_CALLS = {
+    "canonical": (lambda n: simulate_canonical(L3, 8, 1.0, n, 0), "steps", 1),
+    "grand": (lambda n: sample_grand_canonical(OccupancyLevel(3, 1.0), GibbsParams(0.0, 1.0),
+                                               n, 0), "steps", 10_000),
+    "pumped-equilibration": (lambda n: pumped_relaxation(L3, 8, 1.0, 0.5, n, 10, 0),
+                             "equilibration_steps", 0),
+    "pumped-relax": (lambda n: pumped_relaxation(L3, 8, 1.0, 0.5, 10, n, 0), "relax_steps", 1),
+}
+
+
+@pytest.mark.parametrize("steps", [2 ** 63, 2 ** 64])
+@pytest.mark.parametrize("call", _STEP_CALLS)
+def test_step_count_past_int64_is_refused(monkeypatch, call, steps):
+    # a count past the int64 maximum is refused by name before any generator
+    # or array is made, not numpy's bare "Maximum allowed dimension exceeded"
+    run, name, low = _STEP_CALLS[call]
+    made = spy(monkeypatch, "default_rng", np.random)
+    with pytest.raises(ValidationError) as err:
+        run(steps)
+    assert str(err.value) == f"{name} must be an integer in [{low}, {2 ** 63 - 1}], got {steps}"
+    assert made == []
 
 
 # --- memory ---------------------------------------------------------------------

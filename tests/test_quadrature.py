@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import spy
+from conftest import mp_kernels, spy
 
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
@@ -130,10 +130,9 @@ def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
     with mpmath.workdps(40):
         lam_lo, lam_hi = (mpmath.mpf(alpha) + mpmath.mpf(beta) * mpmath.mpf(eps)
                           for eps in (0.5, 2.5))
-        log_z = lambda lam: mpmath.log(mpmath.expm1(lam * (d + 1)) / mpmath.expm1(lam))
-        mean = lambda lam: 1 / mpmath.expm1(-lam) - (d + 1) / mpmath.expm1(-lam * (d + 1))
-        n = (log_z(lam_hi) - log_z(lam_lo)) / (2 * mpmath.mpf(beta))
-        a = (mean(lam_hi) - mean(lam_lo)) / (2 * mpmath.mpf(beta))
+        (z_lo, f_lo, _), (z_hi, f_hi, _) = (mp_kernels(mpmath, lam, d) for lam in (lam_lo, lam_hi))
+        n = (z_hi - z_lo) / (2 * mpmath.mpf(beta))
+        a = (f_hi - f_lo) / (2 * mpmath.mpf(beta))
         assert abs(m["n"] - n) <= 2e-15 * n
         assert abs(m["A"] - a) <= 2e-15 * a
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import spy
+from conftest import mp_kernels, spy
 
 import hierstat.ensemble as ensemble
 import hierstat.hierarchy as hierarchy
@@ -1115,9 +1115,7 @@ def _atom_moments(mpmath, dist, d):
             total = [0, 0, 0]
             for eps, w in ((dist.epsilon1, mpmath.mpf(dist.weight)),
                            (dist.epsilon2, 1 - mpmath.mpf(dist.weight))):
-                lam = mpmath.mpf(a) + mpmath.mpf(b) * eps
-                f = 1 / mpmath.expm1(-lam) - (d + 1) / mpmath.expm1(-lam * (d + 1))
-                log_z = mpmath.log(mpmath.expm1(lam * (d + 1)) / mpmath.expm1(lam))
+                log_z, f, _ = mp_kernels(mpmath, mpmath.mpf(a) + mpmath.mpf(b) * eps, d)
                 total = [total[0] + w * f, total[1] + w * eps * f, total[2] + w * log_z]
             return total
     return moments
