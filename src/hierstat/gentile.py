@@ -93,6 +93,11 @@ SERIES_CUTOFF = 2.0
 # so with 18 terms the first omitted one is below 1e-18 of every kernel.
 _SERIES_TERMS = 18
 
+# The largest capacity of a call that holds d + 1 doubles, one per occupation
+# number (80 MB at the bound): occupancy_probabilities, gentile_mean_direct,
+# gentile_census and sample_grand_canonical
+_VECTOR_MAX_CAPACITY = 10 ** 7
+
 
 class EnergySign(Enum):
     """How the money scale of a level enters the activity exponent.
@@ -356,7 +361,7 @@ def _weights(lam, d):
     lambda (r - r_max), so a huge activity gives the one-hot answer."""
     import numpy as np
     lam = _check_lambda(lam)
-    r = np.arange(_check_capacity(d) + 1, dtype=float)
+    r = np.arange(checked(check_int, d, "capacity", 1, _VECTOR_MAX_CAPACITY) + 1, dtype=float)
     top = r.size - 1 if lam > 0.0 else 0
     with np.errstate(over="ignore"):
         logw = lam * r - lam * top if math.isfinite(lam * top) else lam * (r - top)
@@ -365,7 +370,8 @@ def _weights(lam, d):
 
 def occupancy_probabilities(lam, d: int):
     """p(r) = exp(lambda r) / Z as an array, computed relative to the
-    largest weight, so any finite lambda gives finite values summing to 1."""
+    largest weight, so any finite lambda gives finite values summing to 1.
+    The capacity must be at most 10**7 (``_VECTOR_MAX_CAPACITY``)."""
     w = _weights(lam, d)[1]
     return w / w.sum()
 
@@ -385,8 +391,9 @@ def gentile_mean_direct(lam, d: int) -> float:
     """Brute-force oracle for :func:`gentile_mean`.
 
     Evaluates sum_r r e^{lambda r} / sum_r e^{lambda r} term by term
-    (O(d) work and memory); kept separate so the closed form can be
-    cross-checked against it and never silently replaced by it.
+    (O(d) work and memory, so d is at most 10**7); kept separate so the
+    closed form can be cross-checked against it and never silently
+    replaced by it.
     """
     r, w = _weights(lam, d)
     return float((r * w).sum() / w.sum())

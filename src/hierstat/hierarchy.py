@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_type, _freeze, _shown, check_int, check_real
-from .gentile import GibbsParams, _check_capacity, occupancy_probabilities
+from .errors import (ValidationError, _check_type, _freeze, _shown, check_int, check_real,
+                     checked)
+from .gentile import _VECTOR_MAX_CAPACITY, GibbsParams, occupancy_probabilities
 
 __all__ = [
     "HierarchyLevel",
@@ -74,13 +75,13 @@ class HierarchySpec:
     levels: tuple
 
     def __post_init__(self):
-        if not self.levels:
-            raise ValidationError("a hierarchy needs at least one level")
         try:
             levels = tuple(lv if isinstance(lv, HierarchyLevel) else HierarchyLevel(*lv)
                            for lv in self.levels)
         except TypeError:
             raise ValidationError("levels must be (capacity, salary) pairs") from None
+        if not levels:  # the built tuple: the truth of an array of rows is ambiguous
+            raise ValidationError("a hierarchy needs at least one level")
         problems = []
         for i in range(len(levels) - 1):
             if not levels[i].capacity < levels[i + 1].capacity:
@@ -365,8 +366,9 @@ def census_entropy(census: EnsembleCensus) -> float:
 def gentile_census(class_totals, salaries, capacity: int,
                    params: GibbsParams) -> EnsembleCensus:
     """Entropy-maximizing census: class s filled as V_s p(r | lambda_s)
-    with lambda_s = alpha + beta * salary_s shared across classes."""
-    capacity = _check_capacity(capacity)
+    with lambda_s = alpha + beta * salary_s shared across classes.  A row
+    holds capacity + 1 counts, so the capacity is at most 10**7."""
+    capacity = checked(check_int, capacity, "capacity", 1, _VECTOR_MAX_CAPACITY)
     _check_type(params, GibbsParams, "params")
     totals = _census_array(class_totals, "class_totals")
     sal = _census_array(salaries, "salaries")

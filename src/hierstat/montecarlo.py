@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_int, check_real, checked
-from .gentile import GibbsParams, OccupancyLevel, activity
+from .gentile import _VECTOR_MAX_CAPACITY, GibbsParams, OccupancyLevel, activity
 from .hierarchy import _INT64_MAX, HierarchySpec, _check_agents
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 
 PHASE_NAMES = ("equilibrate", "pump", "relax")
 _BLOCK = 2 ** 14  # steps of the chain's numpy passes at a time; rows of _energies
-_GRAND_MAX_CAPACITY = 10 ** 7  # of a level sample_grand_canonical takes; see there
 
 
 def _estimates(history: np.ndarray):
@@ -140,8 +139,8 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     The first ``burn_in_fraction`` of the chain is discarded; the mean and
     its standard error are ``_estimates`` of the kept int64 states as a
     one-column history.  The level's capacity must be at most
-    ``_GRAND_MAX_CAPACITY`` = 10**7: ``probabilities`` holds d + 1 doubles
-    (80 MB at the bound), and past int64 the walk has no integer dtype.
+    ``gentile._VECTOR_MAX_CAPACITY`` = 10**7: ``probabilities`` holds d + 1
+    doubles (80 MB at the bound), and past int64 the walk has no integer dtype.
     """
     problems = []
     steps = check_int(steps, "steps", problems, 10_000, _INT64_MAX)
@@ -151,7 +150,7 @@ def sample_grand_canonical(level: OccupancyLevel, params: GibbsParams,
     if problems:
         raise ValidationError(problems)
     lam = activity(level, params)
-    d = checked(check_int, level.capacity, "capacity", 1, _GRAND_MAX_CAPACITY)
+    d = checked(check_int, level.capacity, "capacity", 1, _VECTOR_MAX_CAPACITY)
 
     rng = np.random.default_rng(seed)
     up = rng.integers(0, 2, size=steps) == 1

@@ -16,7 +16,8 @@ phi kind and activity width band) and ``thermo``
 (the fields and identity residuals of ``thermo_state`` and the residuals
 of ``maxwell_check``, or the refusal) and ``solver`` (the forward moments
 and ``invert_to_params`` on the draws of the two round-trip boxes of
-``tests/test_thermostatics.py``, or the refusal).  It is a tool, not a
+``tests/test_thermostatics.py``, or the refusal).  The specs and draws it
+shares with the tests come from ``tests/conftest.py``.  It is a tool, not a
 test: nothing here is collected or pinned.
 """
 
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import BIG, DEEP, L3, ROUND_TRIP_BOXES, S17, S24, box_draws
 from hierstat import (Delta, GibbsParams, HierarchySpec, HierstatError, Histogram,
                       OccupancyLevel, ParametricFamily, TwoPoint, Uniform, ValidationError,
                       ensemble_moments, exact_canonical, invert_to_params, maxwell_check,
@@ -68,7 +70,7 @@ class _Digest:
 def _specs():
     """Fixed hierarchies: the golden three levels, then seeded ones with
     one to six levels and capacities from 1 to 40 000."""
-    specs = [HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0)))]
+    specs = [L3]
     rng = np.random.default_rng(2026)
     while len(specs) < 60:
         n = int(rng.integers(1, 7))
@@ -98,15 +100,14 @@ def exact_group():
     return digest.hexdigest()
 
 
-_CHAIN_SPECS = (((1, 3.0), (3, 2.0), (10, 1.0)),
-                ((1, 8.0), (2, 7.0), (4, 6.0), (8, 5.0), (16, 4.0), (32, 3.0)),
-                ((2, 1.5), (50, 1.0)))
+_CHAIN_SPECS = (L3,
+                HierarchySpec(((1, 8.0), (2, 7.0), (4, 6.0), (8, 5.0), (16, 4.0), (32, 3.0))),
+                HierarchySpec(((2, 1.5), (50, 1.0))))
 
 
 def canonical_group():
     digest = _Digest()
-    for levels in _CHAIN_SPECS:
-        spec = HierarchySpec(levels)
+    for spec in _CHAIN_SPECS:
         for agents in (1, spec.total_positions // 2, spec.total_positions - 1):
             for beta in (-1.0, 0.0, 1.0, 2.5):
                 for seed in (0, 1):
@@ -132,8 +133,7 @@ def grand_group():
 
 def pumped_group():
     digest = _Digest()
-    for levels in _CHAIN_SPECS:
-        spec = HierarchySpec(levels)
+    for spec in _CHAIN_SPECS:
         for fraction in (0.0, 0.5, 1.0):
             for beta in (0.5, 2.0):
                 run = pumped_relaxation(spec, spec.total_positions // 2, beta, fraction,
@@ -145,23 +145,19 @@ def pumped_group():
 
 # the golden spec's chains walk the lumped-state table (1152 entries), the
 # others the step loop
-_LONG_SPECS = ((((1, 3.0), (3, 2.0), (10, 1.0)), 8, 1.0),
-               (((1, 3.0), (3, 2.0), (10, 1.0)), 8, -0.7),
-               (tuple((2 ** k, 0.5 * (8 - k)) for k in range(8)), 127, 0.65),
-               # 17 levels: move codes need uint16
-               (tuple((1 + k, 17.0 - k) for k in range(17)), 70, 0.6),
+_LONG_SPECS = ((L3, 8, 1.0), (L3, 8, -0.7), (DEEP, 127, 0.65),
+               (S17, 70, 0.6),  # 17 levels: move codes need uint16
                # irregular salary gaps: 277 distinct acceptance values, so
                # acceptance ranks need uint16
-               (tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)), 150, 1.0),
+               (S24, 150, 1.0),
                # 3000 agents and 3110 vacancies: the pick ranks need uint16
-               (((10, 4.0), (100, 3.0), (1000, 2.0), (5000, 1.0)), 3000, 1.0))
+               (BIG, 3000, 1.0))
 
 
 def long_chains_group():
     # 50 003 steps span several 2**14-step blocks of the loop's streams
     digest = _Digest()
-    for levels, agents, beta in _LONG_SPECS:
-        spec = HierarchySpec(levels)
+    for spec, agents, beta in _LONG_SPECS:
         for seed in (0, 1):
             run = simulate_canonical(spec, agents, beta, 50_003, seed, record_every=1)
             digest.add(run.recorded_steps, run.occupancies, run.energies,
@@ -299,20 +295,11 @@ def thermo_group():
     return digest.hexdigest()
 
 
-#: the two round-trip boxes of tests/test_thermostatics.py: seed and capacities
-_BOXES = ((5, (2, 5, 20, 50, 200, 500, 1000)), (6, (10**4, 10**5, 10**6)))
-
-
 def solver_group():
     # the inverse problem on the draws of the committed round-trip boxes
     digest = _Digest()
-    for seed, capacities in _BOXES:
-        rng = np.random.default_rng(seed)
-        for k in range(240):
-            dist = Uniform(0.5, 2.5) if k % 2 == 0 else \
-                TwoPoint(1.0, 3.0, float(rng.uniform(0.1, 0.9)))
-            d = int(rng.choice(capacities))
-            params = GibbsParams(float(rng.uniform(-8, 2)), float(rng.uniform(0.1, 5)))
+    for seed, capacities in ROUND_TRIP_BOXES:
+        for dist, d, params in box_draws(seed, capacities):
             try:
                 mom = ensemble_moments(dist, d, params)
                 digest.add(*dataclasses.astuple(mom))

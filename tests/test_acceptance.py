@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from conftest import L3, CliRunner
+from conftest import L3, CliRunner, mixed_draws
 
 from hierstat import (
     Delta,
@@ -176,17 +176,8 @@ def test_criterion_8_maxwell_relations():
 
 def test_criterion_9_inversion_roundtrip():
     with criterion(9, "inverse problem round trip"):
-        rng = np.random.default_rng(23)
         worst = 0.0
-        for k in range(50):
-            if k % 2 == 0:
-                dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.2, 0.8)))
-            else:
-                dist = Uniform(float(rng.uniform(0.2, 1.0)),
-                               float(rng.uniform(1.5, 3.0)))
-            d = int(rng.integers(2, 12))
-            params = GibbsParams(float(rng.uniform(-4, 0.5)),
-                                 float(rng.uniform(0.3, 2.5)))
+        for dist, d, params in mixed_draws(23, 50):
             mom = ensemble_moments(dist, d, params)
             rec = invert_to_params(dist, d, mom.n, mom.u)
             worst = max(worst, abs(rec.alpha - params.alpha),

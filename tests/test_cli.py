@@ -3,15 +3,12 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import spy
+from conftest import fresh_python, spy
 
 import hierstat.cli
 import hierstat.thermostatics
@@ -221,12 +218,17 @@ def test_io_failure_exit_code(runner, tmp_path):
 
 # --- thermo --------------------------------------------------------------------
 
+#: a two-point state given by (alpha, beta), and one given by (n, u)
+_THERMO_AB = {"distribution": {"type": "two_point", "epsilon1": 1.0,
+                               "epsilon2": 3.0, "weight": 0.5},
+              "d": 5, "volume": 100, "alpha": -2.0, "beta": 1.25}
+_THERMO_NU = {"distribution": {"type": "two_point", "epsilon1": 1.0,
+                               "epsilon2": 3.0, "weight": 0.4},
+              "d": 5, "volume": 100, "n": 2.5, "u": -2.4}
+
+
 def test_thermo_fixed_phi_temperature_is_inverse_beta(runner):
-    result = runner.invoke(main, ["thermo"], config={
-        "distribution": {"type": "two_point", "epsilon1": 1.0,
-                         "epsilon2": 3.0, "weight": 0.5},
-        "d": 5, "volume": 100, "alpha": -2.0, "beta": 1.25,
-    })
+    result = runner.invoke(main, ["thermo"], config=_THERMO_AB)
     assert result.exit_code == 0
     state = json.loads(result.output)
     assert state["temperature"] == 1.0 / 1.25
@@ -261,11 +263,7 @@ def test_thermo_singular_two_point_has_no_delta_hint(runner, monkeypatch):
                                 "is singular at alpha=-3.0, beta=1.5")
 
     monkeypatch.setattr(hierstat.thermostatics, "invert_to_params", singular)
-    result = runner.invoke(main, ["thermo"], config={
-        "distribution": {"type": "two_point", "epsilon1": 1.0,
-                         "epsilon2": 3.0, "weight": 0.4},
-        "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
-    })
+    result = runner.invoke(main, ["thermo"], config=_THERMO_NU)
     assert result.exit_code == 3
     assert "singular at alpha=-3.0" in result.output
     assert "delta distribution" not in result.output
@@ -296,11 +294,7 @@ def test_thermo_inversion_past_underflowed_trial_exits_0(runner, monkeypatch):
     real = hierstat.thermostatics._moments
     calls = spy(monkeypatch, "_moments", hierstat.thermostatics,
                 answer=lambda *args: [0.0, *real(*args)[1:]] if len(calls) == 2 else real(*args))
-    result = runner.invoke(main, ["thermo"], config={
-        "distribution": {"type": "two_point", "epsilon1": 1.0,
-                         "epsilon2": 3.0, "weight": 0.4},
-        "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
-    })
+    result = runner.invoke(main, ["thermo"], config=_THERMO_NU)
     assert result.exit_code == 0, result.output
     assert len(calls) > 2
     assert json.loads(result.output)["n"] == pytest.approx(2.5, rel=1e-9)
@@ -320,11 +314,7 @@ def test_thermo_delta_lambda_beta_parameterization(runner):
 
 def test_thermo_inversion_route_and_csv(runner, tmp_path):
     target_csv = tmp_path / "state.csv"
-    result = runner.invoke(main, ["thermo", "--out-csv", str(target_csv)], config={
-        "distribution": {"type": "two_point", "epsilon1": 1.0,
-                         "epsilon2": 3.0, "weight": 0.4},
-        "d": 5, "volume": 100, "n": 2.5, "u": -2.4,
-    })
+    result = runner.invoke(main, ["thermo", "--out-csv", str(target_csv)], config=_THERMO_NU)
     assert result.exit_code == 0
     state = json.loads(result.output)
     assert state["n"] == pytest.approx(2.5, rel=1e-9)
@@ -487,9 +477,6 @@ def test_simulate_seed_from_environment(runner, tmp_path, monkeypatch):
 
 # --- config value types -----------------------------------------------------------
 
-_THERMO_AB = {"distribution": {"type": "two_point", "epsilon1": 1.0,
-                               "epsilon2": 3.0, "weight": 0.5},
-              "d": 5, "volume": 100, "alpha": -2.0, "beta": 1.25}
 _CANONICAL = {"scenario": "canonical",
               "levels": [{"capacity": 1, "salary": 2.0},
                          {"capacity": 4, "salary": 1.0}],
@@ -751,7 +738,6 @@ def test_import_loads_no_scipy():
     # numpy.polynomial (~10 ms) is not needed at all: the quadrature rule's
     # nodes and weights are literals.  The package's exports are lazy, so
     # every submodule is imported here explicitly
-    src = Path(__file__).resolve().parent.parent / "src"
     code = ("import importlib, pkgutil, sys, hierstat, hierstat.cli; "
             "mods = [importlib.import_module(f'hierstat.{m.name}') "
             "for m in pkgutil.iter_modules(hierstat.__path__)]; "
@@ -759,26 +745,19 @@ def test_import_loads_no_scipy():
             "[getattr(hierstat, name) for name in hierstat.__all__]; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
             "or m.startswith('numpy.polynomial')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_exact_reference_loads_no_scipy(tmp_path):
     # the exact reference and simulate --oracle on the golden config run on
     # in-house log-factorials and logsumexp
-    src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; from hierstat import HierarchySpec, exact_canonical; "
             "from hierstat.cli import main; "
             "exact_canonical(HierarchySpec(((1, 3.0), (3, 2.0), (10, 1.0))), 8, 1.0); "
             "main(['simulate', '--json-config', sys.argv[1], '--output-dir', sys.argv[2], "
             "'--oracle']); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code, str(DATA / "golden_simulate_config.json"),
-                          str(tmp_path)], env=env, check=True, capture_output=True,
-                         text=True).stdout
+    out = fresh_python(code, DATA / "golden_simulate_config.json", tmp_path)
     assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "summary.json").read_bytes() == \
         (DATA / "golden_simulate_summary.json").read_bytes()
@@ -787,14 +766,10 @@ def test_exact_reference_loads_no_scipy(tmp_path):
 def test_only_ensemble_integrates_over_phi():
     # distributions only declares phi and thermostatics only solves: every
     # integral over phi, and the quadrature behind it, belongs to ensemble
-    src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, hierstat.distributions; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
             "or m == 'hierstat.quadrature'))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
     import hierstat.thermostatics as thermostatics
     integrand_names = {"_kernels", "_check_lambda", "graded_nodes", "PHI_STEP"}
     assert not integrand_names & set(vars(thermostatics))
@@ -806,32 +781,24 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     # inside its command, and thermo never does.  The series coefficients
     # come from a literal table of exact integers, so neither fractions nor
     # decimal (a few ms of every cold start) is loaded either
-    src = Path(__file__).resolve().parent.parent / "src"
     outdir = str(tmp_path)
     calls = [["gentile", "-d", "5", "--output", f"{outdir}/g.csv"],
              ["eos", "-d", "50", "--output", f"{outdir}/e.csv"]]
     calls += [["figures", "--figure", str(k), "--output-dir", outdir] for k in range(1, 8)]
     code = ("import sys, hierstat, hierstat.cli\n"
             f"for args in {calls!r}:\n"
-            "    hierstat.cli.main.main(args=args, standalone_mode=False)\n"
+            "    hierstat.cli.main(args)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('numpy', 'fractions', 'decimal', 'click')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    assert fresh_python(code).splitlines()[-1] == "[]"
     assert len(list(tmp_path.glob("fig*.svg"))) == 7
 
 
 def _loaded_numpy(code):
     """The numpy modules a fresh interpreter has loaded after running ``code``,
     and its stdout before them."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    *before, last = out.splitlines()
+    *before, last = fresh_python(code).splitlines()
     return last, "\n".join(before)
 
 
@@ -870,8 +837,7 @@ def test_market_share_off_quadrature_loads_no_numpy():
 def test_thermo_loads_no_numpy(runner, distribution, point):
     args = ["thermo", *runner.config_args({"distribution": distribution, "d": 9,
                                            "volume": 100, **point})]
-    modules, out = _loaded_numpy(
-        f"import hierstat.cli; hierstat.cli.main.main(args={args!r}, standalone_mode=False)")
+    modules, out = _loaded_numpy(f"import hierstat.cli; hierstat.cli.main({args!r})")
     assert modules == "[]"
     state = json.loads(out)
     assert state["residuals"]["euler_identity"] < 1e-8

@@ -22,6 +22,7 @@ from hierstat import (
     ensemble_moments,
     eos_sweep,
     fermi_dirac,
+    gentile_census,
     gentile_mean,
     gentile_mean_direct,
     gentile_mean_dlambda,
@@ -76,6 +77,21 @@ def test_activity_must_be_a_real_number(kernel):
         assert str(err.value) == f"activity exponent must be a number, got {value!r}"
     for value in (Fraction(-3, 2), np.float32(-1.5), np.float64(-1.5)):
         assert np.array_equal(kernel(value, *capacity), kernel(-1.5, *capacity)), value
+
+
+@pytest.mark.parametrize("d", [10 ** 7 + 1, 2 ** 64])
+@pytest.mark.parametrize("call", [
+    occupancy_probabilities,
+    gentile_mean_direct,
+    lambda lam, d: gentile_census([1.0], [1.0], d, GibbsParams(lam, 1.0)),
+], ids=["occupancy_probabilities", "gentile_mean_direct", "gentile_census"])
+def test_one_entry_per_position_is_bounded(call, d):
+    # each call holds d + 1 doubles: past 10**7 (80 MB) it is refused as
+    # sample_grand_canonical refuses such a level, before any array is made,
+    # where numpy's bare ValueError ("Maximum allowed size exceeded") escaped
+    with pytest.raises(ValidationError) as err:
+        call(0.0, d)
+    assert str(err.value) == f"capacity must be an integer in [1, 10000000], got {d}"
 
 
 # --- partition sum ---------------------------------------------------------

@@ -44,6 +44,20 @@ def test_spec_orderings_enforced():
     assert len(err.value.violations) == 2
 
 
+def test_spec_from_an_array_of_rows():
+    # emptiness is tested on the built levels, not on the argument, whose
+    # truth is ambiguous for an array (numpy's bare ValueError escaped):
+    # integer rows build the tuple form's spec, float capacities are refused
+    assert HierarchySpec(np.array([[1, 3], [3, 2]])) == HierarchySpec(((1, 3.0), (3, 2.0)))
+    with pytest.raises(ValidationError) as err:
+        HierarchySpec(np.array([[1, 3.0], [3, 2.0]]))
+    assert [v.split(", got")[0] for v in err.value.violations] == \
+        ["capacity must be an integer >= 1"]
+    with pytest.raises(ValidationError) as err:
+        HierarchySpec(())
+    assert str(err.value) == "a hierarchy needs at least one level"
+
+
 # --- exact reference ------------------------------------------------------------
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 1.0, 5.0])

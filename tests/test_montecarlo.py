@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BIG, DEEP, L3, ONE, lumped_chain, spy
+from conftest import (BIG, DEEP, L3, ONE, S17, S23, S24, birth_death_chain, lumped_chain,
+                      poisson_variance, spy)
 
 import hierstat.montecarlo as montecarlo
 from hierstat import (
@@ -15,6 +16,7 @@ from hierstat import (
     HierarchySpec,
     OccupancyLevel,
     ValidationError,
+    activity,
     exact_canonical,
     pumped_relaxation,
     sample_grand_canonical,
@@ -33,14 +35,6 @@ from hierstat.montecarlo import (
     _walk_loop,
     _walk_table,
 )
-
-S17 = HierarchySpec(tuple((1 + k, 17.0 - k) for k in range(17)))
-# irregular salary gaps: 277 distinct acceptance values at beta = 1, so the
-# acceptance ranks need a type wider than uint8; S23's 254 fill uint8, most
-# draws ranking above 127
-S24 = HierarchySpec(tuple((1 + k, 24.0 - k + 0.3 * math.sqrt(k)) for k in range(24)))
-S23 = HierarchySpec(tuple((1 + k, 23.0 - k + 0.3 * math.sqrt(k)) for k in range(23)))
-
 
 class UNIT:
     """Twelve capacity-1 levels, salaries 12..1, so every level is empty or
@@ -457,18 +451,10 @@ def test_poisson_error_bars_match_the_seeds_on_the_golden_spec():
     # of freedom, and the median batch stderr within [0.8, 1.25] of it (read:
     # spread 0.79 / 1.05 / 1.06, batch 1.05 / 1.05 / 1.02; about 0.25 s)
     states, p, pi = lumped_chain(L3, 8, 1.0)
-    centred = np.array(states, dtype=float)
-    centred -= pi @ centred
-    var = pi @ centred ** 2
-    g = np.linalg.solve(np.eye(len(pi)) - p + pi, centred)
-    sigma2 = 2.0 * (pi @ (centred * g)) - var
+    var, sigma2, summed = poisson_variance(p, pi, np.array(states, dtype=float))
     tau = sigma2 / (2.0 * var)
     assert np.all(np.abs(sigma2 - [0.957, 4.91, 5.78]) <= [5e-4, 5e-3, 5e-3]), sigma2
     assert np.abs(tau - [4.85, 4.83, 5.05]).max() <= 0.005, tau
-    lagged, summed = centred, var.copy()
-    for _ in range(400):
-        lagged = p @ lagged
-        summed += 2.0 * (pi @ (centred * lagged))
     assert np.abs(summed / sigma2 - 1.0).max() <= 1e-12
     runs = [simulate_canonical(L3, 8, 1.0, 120_000, seed) for seed in range(16)]
     assert {run.steps - run.burn_in for run in runs} == {108_000}
@@ -477,6 +463,38 @@ def test_poisson_error_bars_match_the_seeds_on_the_golden_spec():
     batch = np.median([run.stderr for run in runs], axis=0) / predicted
     assert np.all((0.5 <= spread) & (spread <= 1.6)), spread
     assert np.all((0.8 <= batch) & (batch <= 1.25)), batch
+
+
+def test_poisson_error_bars_match_the_seeds_of_the_grand_sampler():
+    # the same for sample_grand_canonical, a birth-death chain on 0..d, at
+    # d = 3 and lambda = alpha + beta * salary = -1.  Bounds, set before the
+    # run: P is stochastic, and pi stationary and in detailed balance, within
+    # 1e-15; pi's mean equals gentile_mean(-1, 3) within 1e-15; the mean,
+    # sigma^2 and tau_int round to 0.50735, 4.006 and 3.249; 400 lagged
+    # autocovariances sum to sigma^2 within 1e-12; over seeds 0..15 of 100k
+    # steps (90k kept), the spread of the means is within [0.5, 1.6] of the
+    # predicted sd sqrt(sigma^2 / 90k) and their median stderr within
+    # [0.8, 1.25] of it (read: 0.76 and 0.98; about 0.06 s)
+    level, params = OccupancyLevel(3, 2.0), GibbsParams(-3.0, 1.0)
+    assert activity(level, params) == -1.0
+    p, pi = birth_death_chain(3, -1.0)
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(pi @ p - pi).max() <= 1e-15
+    flow = pi[:, None] * p
+    assert np.abs(flow - flow.T).max() <= 1e-15
+    r = np.arange(4.0)
+    assert abs(pi @ r - gentile_mean(-1.0, 3)) <= 1e-15
+    var, sigma2, summed = poisson_variance(p, pi, r)
+    assert (round(pi @ r, 5), round(sigma2, 3), round(sigma2 / (2.0 * var), 3)) == \
+        (0.50735, 4.006, 3.249)
+    assert abs(summed / sigma2 - 1.0) <= 1e-12
+    runs = [sample_grand_canonical(level, params, 100_000, seed) for seed in range(16)]
+    assert {run.samples.size for run in runs} == {90_000}
+    predicted = math.sqrt(sigma2 / 90_000)
+    spread = np.std([run.mean for run in runs], ddof=1) / predicted
+    batch = np.median([run.stderr for run in runs]) / predicted
+    assert 0.5 <= spread <= 1.6, spread
+    assert 0.8 <= batch <= 1.25, batch
 
 
 class _FixedDraws:

@@ -1,15 +1,11 @@
 """The graded 12-point Gauss-Legendre rule in the activity."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mp_kernels, spy
+from conftest import fresh_python, mp_kernels, spy
 
 import hierstat.ensemble as ensemble
 from hierstat import GibbsParams, Uniform
@@ -138,10 +134,6 @@ def test_capacity_1000_moments_converge_in_few_panels(monkeypatch):
 
 
 def test_import_loads_no_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, hierstat.quadrature, hierstat.ensemble; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import mp_kernels, spy
+from conftest import ROUND_TRIP_BOXES, box_draws, mixed_draws, mp_kernels, spy
 
 import hierstat.ensemble as ensemble
 import hierstat.hierarchy as hierarchy
@@ -55,48 +55,29 @@ def _family(theta):
 
 # --- derivatives -------------------------------------------------------------
 
-def test_derivatives_match_finite_differences_fixed():
+@pytest.mark.parametrize("dist, alpha, beta, rel, abs_", [
+    pytest.param(TwoPoint(1.0, 3.0, 0.4), -2.0, 1.0, 1e-5, 1e-9, id="two-point"),
+    pytest.param(Uniform(0.5, 2.5), -2.0, 1.0, 1e-5, 1e-9, id="uniform"),
+    pytest.param(_family(1.0), -1.5, 0.8, 1e-4, 1e-8, id="family"),
+])
+def test_derivatives_match_finite_differences(dist, alpha, beta, rel, abs_):
     d = 5
-    params = GibbsParams(-2.0, 1.0)
     h = 1e-5
-    for dist in (TwoPoint(1.0, 3.0, 0.4), Uniform(0.5, 2.5)):
-        der = thermo_derivatives(dist, d, params)
-
-        def moments(a, b):
-            m = ensemble_moments(dist, d, GibbsParams(a, b))
-            return m.n, m.u, m.omega
-
-        for idx, (da, db) in enumerate(((h, 0.0), (0.0, h))):
-            hi = moments(params.alpha + da, params.beta + db)
-            lo = moments(params.alpha - da, params.beta - db)
-            fd = [(a - b) / (2 * h) for a, b in zip(hi, lo)]
-            got = [(der.dn_dalpha, der.dn_dbeta)[idx],
-                   (der.du_dalpha, der.du_dbeta)[idx],
-                   (der.domega_dalpha, der.domega_dbeta)[idx]]
-            for g, f in zip(got, fd):
-                assert g == pytest.approx(f, rel=1e-5, abs=1e-9)
-
-
-def test_derivatives_match_finite_differences_parametric():
-    d = 5
-    fam = _family(1.0)
-    params = GibbsParams(-1.5, 0.8)
-    der = thermo_derivatives(fam, d, params)
-    h = 1e-5
+    der = thermo_derivatives(dist, d, GibbsParams(alpha, beta))
 
     def moments(a, b):
-        m = ensemble_moments(fam, d, GibbsParams(a, b))
+        m = ensemble_moments(dist, d, GibbsParams(a, b))
         return m.n, m.u, m.omega
 
     for idx, (da, db) in enumerate(((h, 0.0), (0.0, h))):
-        hi = moments(params.alpha + da, params.beta + db)
-        lo = moments(params.alpha - da, params.beta - db)
+        hi = moments(alpha + da, beta + db)
+        lo = moments(alpha - da, beta - db)
         fd = [(a - b) / (2 * h) for a, b in zip(hi, lo)]
         got = [(der.dn_dalpha, der.dn_dbeta)[idx],
                (der.du_dalpha, der.du_dbeta)[idx],
                (der.domega_dalpha, der.domega_dbeta)[idx]]
         for g, f in zip(got, fd):
-            assert g == pytest.approx(f, rel=1e-4, abs=1e-8)
+            assert g == pytest.approx(f, rel=rel, abs=abs_)
 
 
 def test_phi_terms_one_kernel_call_per_node(monkeypatch):
@@ -235,36 +216,55 @@ def test_delta_derivatives_are_rank_one():
 
 # --- inversion ---------------------------------------------------------------
 
-def test_inversion_roundtrip_two_point():
-    dist = TwoPoint(1.0, 3.0, 0.4)
-    params = GibbsParams(-2.0, 1.0)
-    mom = ensemble_moments(dist, 5, params)
-    rec = invert_to_params(dist, 5, mom.n, mom.u)
-    assert rec.alpha == pytest.approx(params.alpha, abs=1e-8)
-    assert rec.beta == pytest.approx(params.beta, abs=1e-8)
+# draw 37 of acceptance criterion 9 (seed 23) and one of its Newton iterates
+_DRAW_37 = Uniform(0.26617575643854896, 2.609572822647894)
+
+#: (distribution, capacity, alpha, beta) whose forward moments invert back
+_ROUND_TRIPS = [
+    pytest.param(TwoPoint(1.0, 3.0, 0.4), 5, -2.0, 1.0, id="two-point"),
+    pytest.param(Histogram((0.5, 1.5, 3.0), (0.6, 0.4)), 5, -1.8, 1.1, id="histogram"),
+    # criterion 9's recipe at the rng fixture's seed
+    *(pytest.param(dist, d, params.alpha, params.beta, id=f"random-{k}")
+      for k, (dist, d, params) in enumerate(mixed_draws(20260808, 12))),
+    pytest.param(_DRAW_37, 9, -3.9181784919889187, 1.6860635041223309,
+                 id="criterion-9-draw-37"),
+    # Uniform draws at d >= 500 from a wide box (d, alpha, beta from
+    # default_rng(5)): every Newton iterate's quadrature must converge
+    *(pytest.param(Uniform(0.5, 2.5), d, alpha, beta, id=f"large-capacity-{k}")
+      for k, (d, alpha, beta) in enumerate([
+          (1000, -5.21303680965688, 2.2909042757144293),
+          (500, -4.335952010936178, 2.1420344924093686),
+          (1000, -5.53252158840252, 4.320186408026348),
+          (1000, -2.8555283254505675, 1.3229240970506315),
+          (1000, -5.1834160853894655, 3.6994782378704425),
+          (1000, -3.424257379799214, 2.8458429003662484),
+          (500, -2.336842408994391, 1.1704229441634988),
+      ])),
+    *(pytest.param(TwoPoint(1.0, 3.0, p), d, alpha, beta, id=f"hard-two-point-{k}")
+      for k, (p, d, alpha, beta) in enumerate([
+          # benchmark seed 11's two draws: a grid scan's best point for them was
+          # alpha = -29.76, beta = 26.61, where the upper atom is saturated and the
+          # two Jacobian columns are exactly proportional; the computed start must
+          # recover both without any restart
+          (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
+          (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
+          # benchmark draws with the upper atom 95-100 % full: iterates that push
+          # it to saturation make the Jacobian columns proportional, and a 1e-12
+          # residual near saturation can still leave ~1e-8 of error in (alpha, beta)
+          (0.5256548739362952, 8, 0.38351513137205373, 2.4745583222389516),
+          (0.32034590869340157, 2, -3.462271241113557, 1.9669361812390944),
+          (0.5785135458976106, 9, -3.304685425800258, 1.5993127205161375),
+          (0.5583304524044435, 10, -3.1066570752886564, 1.5129974711727128),
+      ])),
+]
 
 
-def test_inversion_roundtrip_random(rng):
-    for k in range(12):
-        if k % 2 == 0:
-            dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.2, 0.8)))
-        else:
-            dist = Uniform(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0)))
-        d = int(rng.integers(2, 12))
-        params = GibbsParams(float(rng.uniform(-4, 0.5)), float(rng.uniform(0.3, 2.5)))
-        mom = ensemble_moments(dist, d, params)
-        rec = invert_to_params(dist, d, mom.n, mom.u)
-        assert rec.alpha == pytest.approx(params.alpha, abs=1e-8)
-        assert rec.beta == pytest.approx(params.beta, abs=1e-8)
-
-
-def test_inversion_roundtrip_histogram():
-    hist = Histogram((0.5, 1.5, 3.0), (0.6, 0.4))
-    params = GibbsParams(-1.8, 1.1)
-    mom = ensemble_moments(hist, 5, params)
-    rec = invert_to_params(hist, 5, mom.n, mom.u)
-    assert rec.alpha == pytest.approx(params.alpha, abs=1e-8)
-    assert rec.beta == pytest.approx(params.beta, abs=1e-8)
+@pytest.mark.parametrize("dist, d, alpha, beta", _ROUND_TRIPS)
+def test_inversion_round_trips(dist, d, alpha, beta):
+    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
+    rec = invert_to_params(dist, d, mom.n, mom.u)
+    assert abs(rec.alpha - alpha) < 1e-8
+    assert abs(rec.beta - beta) < 1e-8
 
 
 def test_inversion_unattainable_target_reports_residuals():
@@ -292,43 +292,12 @@ def test_inversion_preconditions():
         invert_to_params(dist, 5, 2.0, -1.0)  # boundary is excluded
 
 
-# draw 37 of acceptance criterion 9 (seed 23) and one of its Newton iterates
-_DRAW_37 = Uniform(0.26617575643854896, 2.609572822647894)
-
-
 def test_derivatives_at_criterion_9_newton_iterate():
     # the Jacobian integrand crosses |lambda| (d+1) ~ 1e-2 here, where the
     # kernels' old round-off exceeded the quadrature's 1e-12 allowance
     params = GibbsParams(-22.944873451606554, 10.247197359556033)
     der = thermo_derivatives(_DRAW_37, 9, params)
     assert math.isfinite(der.jacobian) and der.jacobian != 0.0
-
-
-def test_inversion_roundtrip_criterion_9_draw_37():
-    params = GibbsParams(-3.9181784919889187, 1.6860635041223309)
-    mom = ensemble_moments(_DRAW_37, 9, params)
-    rec = invert_to_params(_DRAW_37, 9, mom.n, mom.u)
-    assert abs(rec.alpha - params.alpha) < 1e-8
-    assert abs(rec.beta - params.beta) < 1e-8
-
-
-# Uniform draws at d >= 500 from a wide box (d, alpha, beta from
-# default_rng(5)): every Newton iterate's quadrature must converge
-@pytest.mark.parametrize("d, alpha, beta", [
-    (1000, -5.21303680965688, 2.2909042757144293),
-    (500, -4.335952010936178, 2.1420344924093686),
-    (1000, -5.53252158840252, 4.320186408026348),
-    (1000, -2.8555283254505675, 1.3229240970506315),
-    (1000, -5.1834160853894655, 3.6994782378704425),
-    (1000, -3.424257379799214, 2.8458429003662484),
-    (500, -2.336842408994391, 1.1704229441634988),
-])
-def test_inversion_roundtrip_large_capacity(d, alpha, beta):
-    dist = Uniform(0.5, 2.5)
-    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
-    rec = invert_to_params(dist, d, mom.n, mom.u)
-    assert abs(rec.alpha - alpha) < 1e-8
-    assert abs(rec.beta - beta) < 1e-8
 
 
 def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
@@ -346,29 +315,6 @@ def test_inversion_jacobian_failure_is_no_convergence(monkeypatch):
     assert calls
     assert err.value.residual_n is not None and err.value.residual_u is not None
     assert math.isfinite(err.value.alpha) and math.isfinite(err.value.beta)
-
-
-@pytest.mark.parametrize("p, d, alpha, beta", [
-    # benchmark seed 11's two draws: a grid scan's best point for them was
-    # alpha = -29.76, beta = 26.61, where the upper atom is saturated and the
-    # two Jacobian columns are exactly proportional; the computed start must
-    # recover both without any restart
-    (0.45796921522870127, 4, -3.3353891501705766, 1.781397186007004),
-    (0.3204613724967316, 11, -2.444134568099622, 1.3315979595294662),
-    # benchmark draws with the upper atom 95-100 % full: iterates that push
-    # it to saturation make the Jacobian columns proportional, and a 1e-12
-    # residual near saturation can still leave ~1e-8 of error in (alpha, beta)
-    (0.5256548739362952, 8, 0.38351513137205373, 2.4745583222389516),
-    (0.32034590869340157, 2, -3.462271241113557, 1.9669361812390944),
-    (0.5785135458976106, 9, -3.304685425800258, 1.5993127205161375),
-    (0.5583304524044435, 10, -3.1066570752886564, 1.5129974711727128),
-])
-def test_inversion_roundtrip_hard_two_point_draws(p, d, alpha, beta):
-    dist = TwoPoint(1.0, 3.0, p)
-    mom = ensemble_moments(dist, d, GibbsParams(alpha, beta))
-    rec = invert_to_params(dist, d, mom.n, mom.u)
-    assert abs(rec.alpha - alpha) < 1e-8
-    assert abs(rec.beta - beta) < 1e-8
 
 
 def _zero_jacobian_after(monkeypatch, real_calls):
@@ -512,23 +458,10 @@ def test_inversion_keeps_converged_iterate_when_next_jacobian_fails(monkeypatch,
     assert abs(rec.alpha + 2.0) < 1e-8 and abs(rec.beta - 1.0) < 1e-8
 
 
-def _criterion_9_draws():
-    """The 50 (distribution, capacity, params) draws of criterion 9 (seed 23)."""
-    rng = np.random.default_rng(23)
-    for k in range(50):
-        if k % 2 == 0:
-            dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.2, 0.8)))
-        else:
-            dist = Uniform(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 3.0)))
-        d = int(rng.integers(2, 12))
-        params = GibbsParams(float(rng.uniform(-4, 0.5)), float(rng.uniform(0.3, 2.5)))
-        yield k, dist, d, params
-
-
 def test_inversion_moment_evaluations_per_draw(monkeypatch):
     # criterion 9's draws (seed 23): a start scan would cost ~1700 each
     calls = spy(monkeypatch, "_moments", thermostatics)
-    for k, dist, d, params in _criterion_9_draws():
+    for k, (dist, d, params) in enumerate(mixed_draws(23, 50)):
         mom = ensemble_moments(dist, d, params)
         calls.clear()
         invert_to_params(dist, d, mom.n, mom.u)
@@ -539,7 +472,7 @@ def test_inversion_integrates_each_point_once(monkeypatch):
     # an accepted iterate's Jacobian reuses the moment pass of its residual
     passes = spy(monkeypatch, "_moments", thermostatics)
     residuals = spy(monkeypatch, "_scaled_residual", thermostatics)
-    for k, dist, d, params in _criterion_9_draws():
+    for k, (dist, d, params) in enumerate(mixed_draws(23, 50)):
         mom = ensemble_moments(dist, d, params)
         passes.clear()
         residuals.clear()
@@ -552,7 +485,7 @@ def test_cold_solve_takes_no_activity_root(monkeypatch):
     # the start estimates its activities from a closed form and two Newton
     # steps on the kernel, not from a Brent root
     roots = spy(monkeypatch, "activity_for_mean", thermostatics)
-    for k, dist, d, params in _criterion_9_draws():
+    for dist, d, params in mixed_draws(23, 50):
         mom = ensemble_moments(dist, d, params)
         invert_to_params(dist, d, mom.n, mom.u)
         entropy_per_element(dist, d, mom.n, mom.u)
@@ -565,7 +498,7 @@ def test_two_point_cold_solve_moment_passes(monkeypatch):
     # own on average (3.04 measured; 6.96 from a start at beta0 = 1/(hi - lo))
     passes = spy(monkeypatch, "_moments", thermostatics)
     after_start = []
-    for k, dist, d, params in _criterion_9_draws():
+    for dist, d, params in mixed_draws(23, 50):
         if isinstance(dist, TwoPoint):
             mom = ensemble_moments(dist, d, params)
             passes.clear()
@@ -575,21 +508,16 @@ def test_two_point_cold_solve_moment_passes(monkeypatch):
     assert sum(after_start) / len(after_start) <= 4.0, after_start
 
 
-def _round_trip_box(seed, capacities):
-    """Forward moments of 240 draws, alternating Uniform(0.5, 2.5) and
-    TwoPoint(1, 3, w), w in [0.1, 0.9], with d from ``capacities``, alpha in
-    [-8, 2] and beta in [0.1, 5], inverted; draws whose forward moments raise
-    are skipped.  Returns the number solved and the worst scaled residual of
-    the forward moments at the returned points."""
-    rng = np.random.default_rng(seed)
+@pytest.mark.parametrize("seed, capacities", ROUND_TRIP_BOXES, ids=["d-to-1000", "d-to-1e6"])
+def test_inversion_round_trips_over_the_capacity_range(seed, capacities):
+    # a start at beta0 = 1/(hi - lo) raised SingularInversion on one draw of
+    # each box and NoConvergence on one more at d >= 1e4; every draw now
+    # solves (worst residuals measured: 2.4e-15 and 3.2e-15), and no draw's
+    # forward moments raise.  Draws whose forward moments raise are skipped;
+    # worst is the largest scaled residual of the forward moments at the
+    # returned points
     solved, worst = 0, 0.0
-    for k in range(240):
-        if k % 2 == 0:
-            dist = Uniform(0.5, 2.5)
-        else:
-            dist = TwoPoint(1.0, 3.0, float(rng.uniform(0.1, 0.9)))
-        d = int(rng.choice(capacities))
-        params = GibbsParams(float(rng.uniform(-8, 2)), float(rng.uniform(0.1, 5)))
+    for dist, d, params in box_draws(seed, capacities):
         try:
             mom = ensemble_moments(dist, d, params)
         except ValidationError:
@@ -597,19 +525,6 @@ def _round_trip_box(seed, capacities):
         back = ensemble_moments(dist, d, invert_to_params(dist, d, mom.n, mom.u))
         worst = max(worst, abs(back.n - mom.n) / mom.n, abs(back.u - mom.u) / abs(mom.u))
         solved += 1
-    return solved, worst
-
-
-@pytest.mark.parametrize("seed, capacities", [
-    (5, (2, 5, 20, 50, 200, 500, 1000)),
-    (6, (10**4, 10**5, 10**6)),
-], ids=["d-to-1000", "d-to-1e6"])
-def test_inversion_round_trips_over_the_capacity_range(seed, capacities):
-    # a start at beta0 = 1/(hi - lo) raised SingularInversion on one draw of
-    # each box and NoConvergence on one more at d >= 1e4; every draw now
-    # solves (worst residuals measured: 2.4e-15 and 3.2e-15), and no draw's
-    # forward moments raise
-    solved, worst = _round_trip_box(seed, capacities)
     assert solved == 240
     assert worst <= 1e-12
 
@@ -956,6 +871,34 @@ def _log_counts(beta, volume, hi):
     return hierarchy._log_convolve(*parts, 0, hi)[2]
 
 
+def _exact_count_gaps(dist, alpha, beta, a_width, bands, ratios):
+    """The gaps of the exact count's alpha, u, omega, S and S - omega per
+    company to thermo_state(dist, 5, (alpha, beta)) at V = 40, 160, 640 with
+    N = 2V, omega and S with the saddle-point term added back (see the test
+    below).  Checks each V x gap named in ``bands`` and each ratio of
+    successive gaps named in ``ratios``; returns the gaps and the states."""
+    h = 1e-5
+    gaps, states = [], []
+    for v in (40, 160, 640):
+        n = 2 * v
+        log_z = _log_counts(beta, v, n + 1)
+        dlz = (_log_counts(beta + h, v, n)[n] - _log_counts(beta - h, v, n)[n]) / (2 * h)
+        state = thermo_state(dist, 5, GibbsParams(alpha, beta), v)
+        saddle = 0.5 * math.log(2 * math.pi * a_width * v) / v
+        omega = (log_z[n] + alpha * n) / v + saddle - state.omega
+        entropy = (log_z[n] - beta * dlz) / v + saddle - state.entropy_total / v
+        gaps.append({"alpha": -(log_z[n + 1] - log_z[n - 1]) / 2 - alpha,
+                     "u": -dlz / n - state.u, "omega": omega, "S": entropy,
+                     "S - omega": entropy - omega})
+        states.append(state)
+        for name, (low, high) in bands.items():
+            assert low <= v * gaps[-1][name] <= high, (v, name, v * gaps[-1][name])
+    for wide, narrow in zip(gaps, gaps[1:]):
+        for name, (low, high) in ratios.items():
+            assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
+    return gaps, states
+
+
 def test_thermostatics_approach_the_exact_count():
     # The paper's T, mu, p and S against an exact count: log Z_N of V
     # companies with N = 2V agents gives alpha = -d log Z_N / dN (central
@@ -969,29 +912,14 @@ def test_thermostatics_approach_the_exact_count():
     # x4 in V the alpha, u and S gaps shrink by a factor in [3.7, 4.3], and
     # omega's, whose V x gap shrinks by about 4, by one in [12, 20]
     dist = TwoPoint(1.0, 3.0, 0.4)
-    d, beta, h = 5, 1.0, 1e-5
+    d, beta = 5, 1.0
     alpha = _increasing_root(lambda a: ensemble_moments(dist, d, GibbsParams(a, beta)).n, 2.0)
     a_width = 0.4 * gentile_mean_dlambda(alpha + beta, d) \
         + 0.6 * gentile_mean_dlambda(alpha + 3.0 * beta, d)
     bands = {"alpha": (-0.23, -0.20), "u": (-0.07, -0.055), "omega": (-0.01, 0.01),
              "S": (-0.14, -0.12)}
     ratios = {"alpha": (3.7, 4.3), "u": (3.7, 4.3), "omega": (12.0, 20.0), "S": (3.7, 4.3)}
-    gaps = []
-    for v in (40, 160, 640):
-        n = 2 * v
-        log_z = _log_counts(beta, v, n + 1)
-        dlz = (_log_counts(beta + h, v, n)[n] - _log_counts(beta - h, v, n)[n]) / (2 * h)
-        state = thermo_state(dist, d, GibbsParams(alpha, beta), v)
-        saddle = 0.5 * math.log(2 * math.pi * a_width * v) / v
-        gaps.append({"alpha": -(log_z[n + 1] - log_z[n - 1]) / 2 - alpha,
-                     "u": -dlz / n - state.u,
-                     "omega": (log_z[n] + alpha * n) / v + saddle - state.omega,
-                     "S": (log_z[n] - beta * dlz) / v + saddle - state.entropy_total / v})
-        for name, (low, high) in bands.items():
-            assert low <= v * gaps[-1][name] <= high, (v, name, v * gaps[-1][name])
-    for wide, narrow in zip(gaps, gaps[1:]):
-        for name, (low, high) in ratios.items():
-            assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
+    _exact_count_gaps(dist, alpha, beta, a_width, bands, ratios)
 
 
 def test_exact_count_near_the_frozen_edge():
@@ -1012,7 +940,7 @@ def test_exact_count_near_the_frozen_edge():
     # [3.7, 4.3] and omega's by one in [12, 20]; at V = 640 alpha's is within
     # 1e-3 of K3 / (2 A^2) = -0.34212 (-0.21643 at beta = 1)
     dist = TwoPoint(1.0, 3.0, 0.4)
-    d, beta, h = 5, 4.0, 1e-5
+    d, beta = 5, 4.0
     alpha = _increasing_root(lambda a: ensemble_moments(dist, d, GibbsParams(a, beta)).n, 2.0)
     lams = ((0.4, alpha + beta), (0.6, alpha + 3.0 * beta))
     a_width = sum(w * gentile_mean_dlambda(lam, d) for w, lam in lams)
@@ -1021,24 +949,9 @@ def test_exact_count_near_the_frozen_edge():
     bands = {"alpha": (-0.345, -0.335), "u": (-1.3e-4, -1.1e-4), "omega": (-0.01, 0.01),
              "S - omega": (-1.0e-3, -0.9e-3)}
     ratios = {"alpha": (3.7, 4.3), "u": (3.7, 4.3), "omega": (12.0, 20.0)}
-    gaps = []
-    for v in (40, 160, 640):
-        n = 2 * v
-        log_z = _log_counts(beta, v, n + 1)
-        dlz = (_log_counts(beta + h, v, n)[n] - _log_counts(beta - h, v, n)[n]) / (2 * h)
-        state = thermo_state(dist, d, GibbsParams(alpha, beta), v)
+    gaps, states = _exact_count_gaps(dist, alpha, beta, a_width, bands, ratios)
+    for state in states:
         assert 0.0 < (state.u + 3.0) / 0.8 < 1e-3
-        saddle = 0.5 * math.log(2 * math.pi * a_width * v) / v
-        omega = (log_z[n] + alpha * n) / v + saddle - state.omega
-        gaps.append({"alpha": -(log_z[n + 1] - log_z[n - 1]) / 2 - alpha,
-                     "u": -dlz / n - state.u, "omega": omega,
-                     "S - omega": (log_z[n] - beta * dlz) / v + saddle
-                     - state.entropy_total / v - omega})
-        for name, (low, high) in bands.items():
-            assert low <= v * gaps[-1][name] <= high, (v, name, v * gaps[-1][name])
-    for wide, narrow in zip(gaps, gaps[1:]):
-        for name, (low, high) in ratios.items():
-            assert low <= wide[name] / narrow[name] <= high, (name, wide, narrow)
     assert abs(640 * gaps[-1]["alpha"] - k3 / (2 * a_width * a_width)) <= 1e-3
 
 
